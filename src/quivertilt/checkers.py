@@ -8,7 +8,9 @@ rather than silently assumed.
 The two main checkers are deliberately independent code paths: the
 cluster-tilting checker is pure orthogonality bookkeeping on E^k tables,
 while the cotorsion checker constructs approximation conflations and
-resolution chains.  The theorem verifier runs both and compares.
+resolution chains.  The theorem verifier runs both and compares.  The right
+cotorsion check is the dual of the left one and shares its code path
+(`_check_side` with `dual`), as resolution and coresolution dimensions do.
 """
 
 from __future__ import annotations
@@ -128,12 +130,10 @@ def _greedy_step(ctx: Context, x_ids: frozenset, idx: int, dual: bool):
     if key in cache:
         return cache[key]
     forced = ctx.injective_ids if dual else ctx.projective_ids
-    augment = forced <= x_ids
+    h = ctx.approx(sorted(x_ids), idx, augment=forced <= x_ids, dual=dual)
     if dual:
-        h = ctx.left_approx(sorted(x_ids), idx, augment=augment)
         result = ctx.cone_ids(h) if ctx.is_inflation(h) else None
     else:
-        h = ctx.right_approx(sorted(x_ids), idx, augment=augment)
         result = ctx.cocone_ids(h) if ctx.is_deflation(h) else None
     cache[key] = result
     return result
@@ -180,56 +180,14 @@ def _exhaustive_resdim(ctx: Context, x_ids: frozenset, target: Counter, bound: i
         return 0
     if bound == 0:
         return EXCEEDS
-    p = ctx.algebra.p
-    target_rep = ctx.sum_rep(target)
     best = EXCEEDS
-    middles: list[Counter] = []
-    if ctx._root_kind() == "stable":
-        middles.append(Counter())  # K -> 0 -> C is a triangle
-    for size in range(1, ctx.config.max_multiplicity + 1):
-        for combo in itertools.combinations_with_replacement(sorted(x_ids), size):
-            middles.append(Counter(combo))
-    from .modules import hom_basis, zero_map, zero_representation
-
-    for mid in middles:
-        mid_rep = ctx.sum_rep(mid)
-        if mid_rep.total_dim == 0:
-            candidates = [zero_map(zero_representation(ctx.algebra), target_rep)]
-        else:
-            homs = hom_basis(mid_rep, target_rep) if not dual else hom_basis(target_rep, mid_rep)
-            if homs and p ** len(homs) > ctx.config.exhaustion_bound:
-                continue
-            candidates = []
-            for coeffs in itertools.product(range(p), repeat=len(homs)):
-                f = None
-                for g, c in zip(homs, coeffs):
-                    if c:
-                        f = g.scale(c) if f is None else f.add(g.scale(c))
-                if f is None:
-                    if not dual:
-                        f = zero_map(mid_rep, target_rep)
-                    else:
-                        f = zero_map(target_rep, mid_rep)
-                candidates.append(f)
-        for f in candidates:
-            try:
-                if dual:
-                    if not ctx.is_inflation(f):
-                        continue
-                    k_ids = ctx.cone_ids(f)
-                else:
-                    if not ctx.is_deflation(f):
-                        continue
-                    k_ids = ctx.cocone_ids(f)
-            except ContextError:
-                continue
-            sub = _exhaustive_resdim(ctx, x_ids, k_ids, bound - 1, dual, memo)
-            if isinstance(sub, int) and (not isinstance(best, int) or sub + 1 < best):
-                best = sub + 1
-                if best == 1:
-                    break
-        if best == 1:
-            break
+    zero_middle = ctx._root_kind() == "stable"
+    for _, _, k_ids in ctx.conflation_candidates(x_ids, ctx.sum_rep(target), dual, zero_middle):
+        sub = _exhaustive_resdim(ctx, x_ids, k_ids, bound - 1, dual, memo)
+        if isinstance(sub, int) and (not isinstance(best, int) or sub + 1 < best):
+            best = sub + 1
+            if best == 1:
+                break
     memo[key] = best
     return best
 
@@ -302,11 +260,7 @@ def _clause3_object(ctx, x_ids, y_ids, n, c_idx, exhaustive, dual):
         return True, "split", {"witness_object": names[c_idx], "conflation": "split"}
     step = _greedy_step(ctx, x_ids, c_idx, dual)
     if step is not None:
-        value = (
-            resdim(ctx, y_ids, step, n - 1, exhaustive)
-            if not dual
-            else coresdim(ctx, y_ids, step, n - 1, exhaustive)
-        )
+        value = _resdim_impl(ctx, y_ids, step, n - 1, exhaustive, dual)
         if within(value, n - 1):
             return True, "canonical", {
                 "witness_object": names[c_idx],
@@ -333,63 +287,16 @@ def _clause3_object(ctx, x_ids, y_ids, n, c_idx, exhaustive, dual):
 
 def _clause3_exhaustive(ctx, x_ids, y_ids, n, c_idx, dual):
     """Search all bounded conflations with end C and middle in add(X)."""
-    p = ctx.algebra.p
-    target_rep = ctx.objects[c_idx].rep
-    from .modules import hom_basis, zero_map, zero_representation
-
-    middles: list[Counter] = []
-    if ctx._root_kind() == "stable":
-        middles.append(Counter())
-    for size in range(1, ctx.config.max_multiplicity + 1):
-        for combo in itertools.combinations_with_replacement(sorted(x_ids), size):
-            middles.append(Counter(combo))
-    for mid in middles:
-        mid_rep = ctx.sum_rep(mid)
-        if mid_rep.total_dim == 0:
-            candidates = [
-                zero_map(zero_representation(ctx.algebra), target_rep)
-                if not dual
-                else zero_map(target_rep, zero_representation(ctx.algebra))
-            ]
-        else:
-            homs = (
-                hom_basis(mid_rep, target_rep) if not dual else hom_basis(target_rep, mid_rep)
-            )
-            if homs and p ** len(homs) > ctx.config.exhaustion_bound:
-                continue
-            candidates = []
-            for coeffs in itertools.product(range(p), repeat=len(homs)):
-                if not any(coeffs):
-                    continue
-                f = None
-                for g, c in zip(homs, coeffs):
-                    if c:
-                        f = g.scale(c) if f is None else f.add(g.scale(c))
-                candidates.append(f)
-        for f in candidates:
-            try:
-                if dual:
-                    if not ctx.is_inflation(f):
-                        continue
-                    k_ids = ctx.cone_ids(f)
-                else:
-                    if not ctx.is_deflation(f):
-                        continue
-                    k_ids = ctx.cocone_ids(f)
-            except ContextError:
-                continue
-            value = (
-                resdim(ctx, y_ids, k_ids, n - 1, True)
-                if not dual
-                else coresdim(ctx, y_ids, k_ids, n - 1, True)
-            )
-            if within(value, n - 1):
-                return {
-                    "witness_object": ctx.object_names[c_idx],
-                    "conflation": _ids_str(ctx, k_ids) + " -> " + _ids_str(ctx, mid) +
-                    (" -> " if not dual else " <- "),
-                    "resolution_dim": value,
-                }
+    zero_middle = ctx._root_kind() == "stable"
+    for mid, _, k_ids in ctx.conflation_candidates(x_ids, ctx.objects[c_idx].rep, dual, zero_middle):
+        value = _resdim_impl(ctx, y_ids, k_ids, n - 1, True, dual)
+        if within(value, n - 1):
+            return {
+                "witness_object": ctx.object_names[c_idx],
+                "conflation": _ids_str(ctx, k_ids) + " -> " + _ids_str(ctx, mid) +
+                (" -> " if not dual else " <- "),
+                "resolution_dim": value,
+            }
     return None
 
 
@@ -402,8 +309,38 @@ def _ids_str(ctx, ids: Counter) -> str:
     )
 
 
-def check_left_n_cotorsion(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) -> Verdict:
-    """Left n-cotorsion check for (add X, add Y)."""
+def _orthogonality_witness(ctx, x_ids, y_ids, n):
+    """The first nonzero E^k(x, y), k in [1, n], as a witness; None if none."""
+    for x in sorted(x_ids):
+        for y in sorted(y_ids):
+            for k in range(1, n + 1):
+                d = ctx.e_k_dim(k, x, y)
+                if d:
+                    return {
+                        "witness_object": ctx.object_names[x],
+                        "against": ctx.object_names[y],
+                        "degree": k,
+                        "dim": int(d),
+                    }
+    return None
+
+
+def _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual):
+    """The approximation-conflation clause over every object: (ok, witness of
+    the first failure, whether some object needed the exhaustive fallback).
+    The right side (dual) approximates by add(Y) and coresolves by add(X)."""
+    approx_ids, res_ids = (y_ids, x_ids) if dual else (x_ids, y_ids)
+    flagged = False
+    for c_idx in range(ctx.n_objects):
+        got, mode, wit = _clause3_object(ctx, approx_ids, res_ids, n, c_idx, exhaustive, dual)
+        flagged |= mode == "exhaustive-fallback"
+        if not got:
+            return False, wit, flagged
+    return True, None, flagged
+
+
+def _check_side(ctx: Context, x_ids, y_ids, n: int, exhaustive, dual: bool) -> Verdict:
+    """Left (with `dual`, right) n-cotorsion check for (add X, add Y)."""
     if n < 1:
         raise ContextError("cotorsion degree must be >= 1")
     x_ids = frozenset(int(i) for i in x_ids)
@@ -418,100 +355,27 @@ def check_left_n_cotorsion(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) 
             note="subcategories are additive closures of indecomposable sets",
         )
     ]
-    ok2 = True
-    witness2 = None
-    for x in sorted(x_ids):
-        for y in sorted(y_ids):
-            for k in range(1, n + 1):
-                d = ctx.e_k_dim(k, x, y)
-                if d:
-                    ok2 = False
-                    witness2 = {
-                        "witness_object": ctx.object_names[x],
-                        "against": ctx.object_names[y],
-                        "degree": k,
-                        "dim": int(d),
-                    }
-                    break
-            if not ok2:
-                break
-        if not ok2:
-            break
+    witness2 = _orthogonality_witness(ctx, x_ids, y_ids, n)
+    ok2 = witness2 is None
     clauses.append(Clause("orthogonality", ok2, "tested", witness2))
-    ok3 = True
-    witness3 = None
-    mode3 = "tested"
-    flagged = False
     if ok2:
-        for c_idx in range(ctx.n_objects):
-            got, mode, wit = _clause3_object(ctx, x_ids, y_ids, n, c_idx, exhaustive, dual=False)
-            if mode == "exhaustive-fallback":
-                flagged = True
-            if not got:
-                ok3 = False
-                witness3 = wit
-                break
+        ok3, witness3, flagged = _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual)
     else:
-        ok3 = False
-        witness3 = {"note": "skipped after orthogonality failure"}
+        ok3, witness3, flagged = False, {"note": "skipped after orthogonality failure"}, False
     note3 = "some objects needed the exhaustive fallback" if flagged else ""
-    clauses.append(Clause("approximation-conflations", ok3, mode3, witness3, note3))
+    name3 = "coapproximation-conflations" if dual else "approximation-conflations"
+    clauses.append(Clause(name3, ok3, "tested", witness3, note3))
     return Verdict(ok2 and ok3, clauses)
+
+
+def check_left_n_cotorsion(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) -> Verdict:
+    """Left n-cotorsion check for (add X, add Y)."""
+    return _check_side(ctx, x_ids, y_ids, n, exhaustive, dual=False)
 
 
 def check_right_n_cotorsion(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) -> Verdict:
-    if n < 1:
-        raise ContextError("cotorsion degree must be >= 1")
-    x_ids = frozenset(int(i) for i in x_ids)
-    y_ids = frozenset(int(i) for i in y_ids)
-    if exhaustive is None:
-        exhaustive = ctx.config.exhaustive
-    clauses = [
-        Clause(
-            "summand-closure",
-            True,
-            "structural",
-            note="subcategories are additive closures of indecomposable sets",
-        )
-    ]
-    ok2 = True
-    witness2 = None
-    for x in sorted(x_ids):
-        for y in sorted(y_ids):
-            for k in range(1, n + 1):
-                d = ctx.e_k_dim(k, x, y)
-                if d:
-                    ok2 = False
-                    witness2 = {
-                        "witness_object": ctx.object_names[x],
-                        "against": ctx.object_names[y],
-                        "degree": k,
-                        "dim": int(d),
-                    }
-                    break
-            if not ok2:
-                break
-        if not ok2:
-            break
-    clauses.append(Clause("orthogonality", ok2, "tested", witness2))
-    ok3 = True
-    witness3 = None
-    flagged = False
-    if ok2:
-        for c_idx in range(ctx.n_objects):
-            got, mode, wit = _clause3_object(ctx, y_ids, x_ids, n, c_idx, exhaustive, dual=True)
-            if mode == "exhaustive-fallback":
-                flagged = True
-            if not got:
-                ok3 = False
-                witness3 = wit
-                break
-    else:
-        ok3 = False
-        witness3 = {"note": "skipped after orthogonality failure"}
-    note3 = "some objects needed the exhaustive fallback" if flagged else ""
-    clauses.append(Clause("coapproximation-conflations", ok3, "tested", witness3, note3))
-    return Verdict(ok2 and ok3, clauses)
+    """Right n-cotorsion check for (add X, add Y), the dual of the left one."""
+    return _check_side(ctx, x_ids, y_ids, n, exhaustive, dual=True)
 
 
 def check_n_cotorsion(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) -> Verdict:
@@ -739,12 +603,7 @@ def verify_left_pair_characterization(ctx: Context, x_ids, y_ids, n: int, exhaus
         exhaustive = ctx.config.exhaustive
     checker = check_left_n_cotorsion(ctx, x_ids, y_ids, n, exhaustive).passed
     orth = orthogonal(ctx, y_ids, "left", n)
-    clause3 = True
-    for c_idx in range(ctx.n_objects):
-        got, _, _ = _clause3_object(ctx, x_ids, y_ids, n, c_idx, exhaustive, dual=False)
-        if not got:
-            clause3 = False
-            break
+    clause3 = _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual=False)[0]
     reformulated = (x_ids == orth) and clause3
     return checker == reformulated, {
         "checker": checker,

@@ -33,7 +33,9 @@ from .contexts import (
     build_stable_context,
     build_sub_context,
 )
+from .decompose import DecompositionError
 from .search import search_nakayama_stable
+from .stable import NotSelfInjectiveError
 
 
 def _algebra_hash(algebra: BoundQuiverAlgebra) -> str:
@@ -47,7 +49,8 @@ def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
         metavar="N,R",
         help="cyclic Nakayama algebra with N vertices and paths of length R zero",
     )
-    parser.add_argument("--field", type=int, default=2, help="prime field characteristic")
+    parser.add_argument("--field", type=int,
+                        help="prime field characteristic (default: the spec's field line, else 2)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=10000, help="enumeration budget")
     parser.add_argument("--subset-budget", type=int, default=1 << 20)
@@ -63,13 +66,12 @@ def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
 
 def _build_config(args) -> RunConfig:
     return RunConfig(
-        field_char=args.field,
+        field_char=2 if args.field is None else args.field,
         seed=args.seed,
         enumeration_budget=args.budget,
         subset_budget=args.subset_budget,
         max_multiplicity=args.mmax,
         exhaustive=args.exhaustive,
-        output_format=args.format,
     )
 
 
@@ -83,7 +85,11 @@ def _load_algebra(args, config: RunConfig) -> BoundQuiverAlgebra:
     if not args.algebra:
         raise AlgebraError("provide --algebra FILE or --nakayama N,R")
     with open(args.algebra, encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+        algebra = parse_algebra(fh.read())
+    if args.field is not None and args.field != algebra.p:
+        raise AlgebraError(f"--field {args.field} differs from the spec's field {algebra.p}")
+    config.field_char = algebra.p
+    return algebra
 
 
 def _build_context(args, algebra: BoundQuiverAlgebra, config: RunConfig) -> Context:
@@ -292,7 +298,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AlgebraError, ContextError, OSError, ValueError) as exc:
+    except (AlgebraError, ContextError, DecompositionError, NotSelfInjectiveError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,25 +26,28 @@ from .algebra import (
     simple_module,
 )
 from .decompose import (
+    _random_invertible_combo,
     fingerprint,
     indecomposable_isomorphic,
     summand_split,
 )
 from .homology import (
+    approximation,
     ext_dim,
     injective_hull,
-    left_approximation,
     minimal_resolution,
     projective_cover,
-    right_approximation,
 )
 from .modules import (
+    HomQuotient,
     ModuleMap,
     Representation,
     cokernel,
     direct_sum,
     hom_basis,
+    identity_map,
     kernel,
+    nonzero_combinations,
     zero_map,
     zero_representation,
 )
@@ -74,7 +77,6 @@ class RunConfig:
     max_multiplicity: int = 2
     les_depth: int = 4
     exhaustive: bool = False
-    output_format: str = "text"
 
     def validate(self):
         if min(self.enumeration_budget, self.exhaustion_bound, self.max_multiplicity) <= 0:
@@ -133,7 +135,7 @@ class Conflation:
 # -- extension-class coordinate spaces --------------------------------------
 
 
-class ExactExtSpace:
+class ExactExtSpace(HomQuotient):
     """Ext^1(C, A) with Yoneda coordinates on Hom(Omega C, A) modulo the
     restrictions of Hom(P(C), A); realizes classes as pushouts of the
     presentation conflation."""
@@ -141,45 +143,18 @@ class ExactExtSpace:
     def __init__(self, c_rep: Representation, a_rep: Representation):
         self.c = c_rep
         self.a = a_rep
-        self.p = c_rep.algebra.p
         res = minimal_resolution(c_rep)
         res.extend(0)
         self.p0 = res.terms[0]
         self.cover = res.diffs[0]
         self.omega = res.syzygies[0]
         self.j = res.syzygy_incls[0]
-        self.hom = hom_basis(self.omega, a_rep)
-        restricted = [g.compose(self.j) for g in hom_basis(self.p0, a_rep)]
-        ncols = len(self.hom)
-        if ncols == 0:
-            self.quot = linalg.QuotientSpace(0, linalg.zeros(0, 0), self.p)
-        else:
-            basis_mat = np.stack([f.flatten() for f in self.hom], axis=1) % self.p
-            cols = []
-            for f in restricted:
-                sol = linalg.solve(basis_mat, f.flatten().reshape(-1, 1), self.p)
-                if sol is None:
-                    raise ContextError("restriction map escaped Hom(Omega C, A)")
-                cols.append(sol.reshape(-1))
-            sub = np.stack(cols, axis=1) % self.p if cols else linalg.zeros(ncols, 0)
-            self.quot = linalg.QuotientSpace(ncols, sub, self.p)
-        self.dim = self.quot.dim
-
-    def _rep_map(self, coords) -> ModuleMap:
-        out = zero_map(self.omega, self.a)
-        if self.dim:
-            lifted = self.quot.lift(np.asarray(coords, dtype=np.int64))
-            for i, f in enumerate(self.hom):
-                c = int(lifted[i]) % self.p
-                if c:
-                    out = out.add(f.scale(c))
-        return out
+        super().__init__(self.j, a_rep)
 
     def realize(self, coords) -> tuple[Representation, ModuleMap, ModuleMap]:
         """Middle term with maps (B, x: A -> B, y: B -> C) for the class."""
-        p = self.p
-        t = self._rep_map(coords)
-        total, (incl_p0, incl_a), (proj_p0, proj_a) = _sum2(self.p0, self.a)
+        t = self.representative(coords)
+        total, (incl_p0, incl_a), (proj_p0, proj_a) = direct_sum([self.p0, self.a])
         glue = incl_p0.compose(self.j).add(incl_a.compose(t).negate())
         b, proj_b = cokernel(glue)
         x = proj_b.compose(incl_a)
@@ -187,24 +162,12 @@ class ExactExtSpace:
         y = _factor_through_projection(proj_b, onto_c)
         return b, x, y
 
-    def class_of(self, t: ModuleMap) -> np.ndarray:
-        """Coordinates of the class represented by t: Omega C -> A."""
-        if not self.hom:
-            return np.zeros(0, dtype=np.int64)
-        basis_mat = np.stack([f.flatten() for f in self.hom], axis=1) % self.p
-        sol = linalg.solve(basis_mat, t.flatten().reshape(-1, 1), self.p)
-        if sol is None:
-            raise ContextError("cocycle outside Hom(Omega C, A)")
-        return self.quot.to_coords(sol.reshape(-1))
-
 
 class StableExtSpace:
     """E(C, A) = stable Hom(Omega C, A) in the stable category, realized by
     cones over class representatives."""
 
     def __init__(self, c_rep: Representation, a_rep: Representation, seed: int):
-        from .decompose import is_isomorphic
-
         self.c = c_rep
         self.a = a_rep
         self.p = c_rep.algebra.p
@@ -227,16 +190,11 @@ class StableExtSpace:
         return self._iso_to_c
 
     def realize(self, coords) -> tuple[Representation, ModuleMap, ModuleMap]:
-        t = self.space.representative(np.asarray(coords, dtype=np.int64))
+        t = self.space.representative(coords)
         cone_raw, to_cone, connecting = cone(t)
         iso, retr = self._sigma_omega_iso()
         y = iso.compose(retr.compose(connecting))
         return cone_raw, to_cone, y
-
-
-def _sum2(a: Representation, b: Representation):
-    total, incls, projs = direct_sum([a, b])
-    return total, (incls[0], incls[1]), (projs[0], projs[1])
 
 
 def _factor_through_projection(proj: ModuleMap, through: ModuleMap) -> ModuleMap:
@@ -259,23 +217,10 @@ def _find_stable_iso(a: Representation, b: Representation, seed: int) -> ModuleM
     if not maps:
         return None
     rng = linalg.stable_rng(seed, 4, a.dims, b.dims)
-    for _ in range(64):
-        combo = None
-        for f in maps:
-            c = rng.randrange(p)
-            if c:
-                combo = f.scale(c) if combo is None else combo.add(f.scale(c))
-        if combo is not None and combo.is_iso():
-            return combo
-    if p ** len(maps) <= 4096:
-        for coeffs in itertools.product(range(p), repeat=len(maps)):
-            combo = None
-            for f, c in zip(maps, coeffs):
-                if c:
-                    combo = f.scale(c) if combo is None else combo.add(f.scale(c))
-            if combo is not None and combo.is_iso():
-                return combo
-    return None
+    combo = _random_invertible_combo(maps, rng, p, 64)
+    if combo is None and p ** len(maps) <= 4096:
+        combo = next((f for f in nonzero_combinations(maps) if f.is_iso()), None)
+    return combo
 
 
 # -- the context itself ------------------------------------------------------
@@ -291,12 +236,10 @@ class Context:
         self.parent_ids: list[int] = []  # sub only: parent index per object
         self.e1: np.ndarray | None = None
         self._ext_spaces: dict[tuple[int, int], object] = {}
-        self._syzygy_cache: dict[tuple[int, int], Counter] = {}
-        self._cosyzygy_cache: dict[tuple[int, int], Counter] = {}
+        self._shift_cache: dict[tuple[bool, int, int], Counter] = {}
         self._ek_cache: dict[tuple[int, int, int], int] = {}
         self._sum_rep_cache: dict[tuple, tuple[Representation, list[int]]] = {}
-        self._proj_witness: dict[int, dict] | None = None
-        self._inj_witness: dict[int, dict] | None = None
+        self._witnesses: dict[bool, dict[int, dict]] = {}
         self.projective_ids: frozenset[int] = frozenset()
         self.injective_ids: frozenset[int] = frozenset()
 
@@ -508,76 +451,66 @@ class Context:
         )
 
     def has_enough_projectives(self) -> tuple[bool, dict[int, dict]]:
-        if self._proj_witness is None:
-            self._proj_witness = self._find_enough_witnesses(projective_side=True)
-        ok = all(idx in self._proj_witness for idx in range(self.n_objects))
-        return ok, self._proj_witness
+        return self._enough(dual=False)
 
     def has_enough_injectives(self) -> tuple[bool, dict[int, dict]]:
-        if self._inj_witness is None:
-            self._inj_witness = self._find_enough_witnesses(projective_side=False)
-        ok = all(idx in self._inj_witness for idx in range(self.n_objects))
-        return ok, self._inj_witness
+        return self._enough(dual=True)
 
-    def _find_enough_witnesses(self, projective_side: bool) -> dict[int, dict]:
+    def _enough(self, dual: bool) -> tuple[bool, dict[int, dict]]:
+        """Whether every object has a deflation from a context projective
+        (with `dual`, an inflation into a context injective), and the
+        witnesses found, by object id."""
+        if dual not in self._witnesses:
+            self._witnesses[dual] = self._find_enough_witnesses(dual)
+        witnesses = self._witnesses[dual]
+        return all(idx in witnesses for idx in range(self.n_objects)), witnesses
+
+    def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
         raise NotImplementedError
 
     # -- context-relative syzygies ------------------------------------------
 
     def ctx_syzygy(self, idx: int) -> Counter:
         """Cocone of the enough-projectives witness, context projectives stripped."""
-        hit = self._syzygy_cache.get((1, idx))
-        if hit is not None:
-            return hit
-        ok, witnesses = self.has_enough_projectives()
-        if idx not in witnesses:
-            raise ContextError(
-                f"object {self.object_names[idx]} has no deflation from a projective"
-            )
-        ids = Counter(witnesses[idx]["cocone"])
-        ids = Counter({i: m for i, m in ids.items() if i not in self.projective_ids})
-        self._syzygy_cache[(1, idx)] = ids
-        return ids
+        return self._shift(1, idx, dual=False)
 
     def ctx_cosyzygy(self, idx: int) -> Counter:
-        hit = self._cosyzygy_cache.get((1, idx))
-        if hit is not None:
-            return hit
-        ok, witnesses = self.has_enough_injectives()
-        if idx not in witnesses:
-            raise ContextError(
-                f"object {self.object_names[idx]} has no inflation into an injective"
-            )
-        ids = Counter(witnesses[idx]["cone"])
-        ids = Counter({i: m for i, m in ids.items() if i not in self.injective_ids})
-        self._cosyzygy_cache[(1, idx)] = ids
-        return ids
+        """Cone of the enough-injectives witness, context injectives stripped."""
+        return self._shift(1, idx, dual=True)
 
     def syzygy_power(self, k: int, idx: int) -> Counter:
         """Omega^k within the context, as a multiset of object ids."""
-        if k == 0:
-            return Counter({idx: 1})
-        hit = self._syzygy_cache.get((k, idx))
-        if hit is None:
-            prev = self.syzygy_power(k - 1, idx)
-            hit = Counter()
-            for i, m in prev.items():
-                for j, mj in self.ctx_syzygy(i).items():
-                    hit[j] += m * mj
-            self._syzygy_cache[(k, idx)] = hit
-        return hit
+        return self._shift(k, idx, dual=False)
 
     def cosyzygy_power(self, k: int, idx: int) -> Counter:
+        """Sigma^k within the context, as a multiset of object ids."""
+        return self._shift(k, idx, dual=True)
+
+    def _shift(self, k: int, idx: int, dual: bool) -> Counter:
+        """Omega^k (with `dual`, Sigma^k) within the context: k steps of
+        taking cocones of the enough-projectives witnesses (cones of the
+        enough-injectives ones), dropping context projectives (injectives)."""
         if k == 0:
             return Counter({idx: 1})
-        hit = self._cosyzygy_cache.get((k, idx))
-        if hit is None:
-            prev = self.cosyzygy_power(k - 1, idx)
+        hit = self._shift_cache.get((dual, k, idx))
+        if hit is not None:
+            return hit
+        if k == 1:
+            ok, witnesses = self._enough(dual)
+            if idx not in witnesses:
+                raise ContextError(
+                    f"object {self.object_names[idx]} has no "
+                    + ("inflation into an injective" if dual else "deflation from a projective")
+                )
+            forced = self.injective_ids if dual else self.projective_ids
+            ends = witnesses[idx]["cone" if dual else "cocone"]
+            hit = Counter({i: m for i, m in ends.items() if i not in forced})
+        else:
             hit = Counter()
-            for i, m in prev.items():
-                for j, mj in self.ctx_cosyzygy(i).items():
+            for i, m in self._shift(k - 1, idx, dual).items():
+                for j, mj in self._shift(1, i, dual).items():
                     hit[j] += m * mj
-            self._cosyzygy_cache[(k, idx)] = hit
+        self._shift_cache[(dual, k, idx)] = hit
         return hit
 
     def e_k_dim(self, k: int, c, a) -> int:
@@ -618,54 +551,53 @@ class Context:
 
     # -- approximations within the context ------------------------------------
 
-    def right_approx(self, member_ids, c_idx: int, augment: bool) -> ModuleMap:
-        """Canonical right approximation of the object by add(members); when
-        `augment`, a deflation from a context projective is added so the
-        total map is a deflation (the approximation-deflation construction)."""
+    def approx(self, member_ids, c_idx: int, augment: bool, dual: bool = False) -> ModuleMap:
+        """Canonical right (with `dual`, left) approximation of the object by
+        add(members); when `augment`, a deflation from a context projective
+        (inflation into a context injective) is added so the total map is a
+        deflation (inflation): the approximation-deflation construction."""
         c_rep = self.objects[c_idx].rep
         members = [self.objects[i].rep for i in sorted(set(member_ids))]
-        if self._root_kind() == "mod" and self.kind != "sub":
-            return right_approximation(members, c_rep, include_cover=augment)
-        summands: list[tuple[Representation, ModuleMap]] = []
-        for x in members:
-            for f in hom_basis(x, c_rep):
-                summands.append((x, f))
-        if augment:
-            ok, witnesses = self.has_enough_projectives()
-            w = witnesses.get(c_idx)
-            if w is not None and w["map"] is not None:
-                summands.append((w["map"].source, w["map"]))
-        if not summands:
-            z = zero_representation(self.algebra)
-            return zero_map(z, c_rep)
-        total, incls, projs = direct_sum([s for s, _ in summands])
-        h = zero_map(total, c_rep)
-        for (s, f), proj in zip(summands, projs):
-            h = h.add(f.compose(proj))
-        return h
+        extra = None
+        if augment and self.kind == "mod":
+            extra = (injective_hull(c_rep) if dual else projective_cover(c_rep))[1]
+        elif augment:
+            ok, witnesses = self.has_enough_injectives() if dual else self.has_enough_projectives()
+            extra = witnesses.get(c_idx, {}).get("map")
+        return approximation(members, c_rep, dual, extra)
 
-    def left_approx(self, member_ids, c_idx: int, augment: bool) -> ModuleMap:
-        c_rep = self.objects[c_idx].rep
-        members = [self.objects[i].rep for i in sorted(set(member_ids))]
-        if self._root_kind() == "mod" and self.kind != "sub":
-            return left_approximation(members, c_rep, include_hull=augment)
-        summands: list[tuple[Representation, ModuleMap]] = []
-        for x in members:
-            for f in hom_basis(c_rep, x):
-                summands.append((x, f))
-        if augment:
-            ok, witnesses = self.has_enough_injectives()
-            w = witnesses.get(c_idx)
-            if w is not None and w["map"] is not None:
-                summands.append((w["map"].target, w["map"]))
-        if not summands:
-            z = zero_representation(self.algebra)
-            return zero_map(c_rep, z)
-        total, incls, projs = direct_sum([s for s, _ in summands])
-        h = zero_map(c_rep, total)
-        for (s, f), incl in zip(summands, incls):
-            h = h.add(incl.compose(f))
-        return h
+    def conflation_candidates(self, member_ids, c_rep: Representation, dual: bool,
+                              zero_middle: bool):
+        """Bounded exhaustive candidates for a conflation K -> X0 -> C with X0
+        in add(members) (with `dual`, C -> X0 -> L), as (X0, map, K or L).
+
+        X0 runs over the zero object when `zero_middle`, then over sums of at
+        most max_multiplicity members; the map over every nonzero combination
+        of a basis of Hom(X0, C) (Hom(C, X0)), skipping Hom spaces with more
+        than exhaustion_bound elements.  Maps that are not deflations
+        (inflations) are left out."""
+        p = self.algebra.p
+        middles = [Counter()] if zero_middle else []
+        for size in range(1, self.config.max_multiplicity + 1):
+            for combo in itertools.combinations_with_replacement(sorted(member_ids), size):
+                middles.append(Counter(combo))
+        for mid in middles:
+            mid_rep = self.sum_rep(mid)
+            if mid_rep.total_dim == 0:
+                maps = [zero_map(c_rep, mid_rep) if dual else zero_map(mid_rep, c_rep)]
+            else:
+                homs = hom_basis(c_rep, mid_rep) if dual else hom_basis(mid_rep, c_rep)
+                if p ** len(homs) > self.config.exhaustion_bound:
+                    continue
+                maps = nonzero_combinations(homs)
+            for f in maps:
+                try:
+                    if dual and self.is_inflation(f):
+                        yield mid, f, self.cone_ids(f)
+                    elif not dual and self.is_deflation(f):
+                        yield mid, f, self.cocone_ids(f)
+                except ContextError:
+                    continue
 
     def describe(self) -> dict:
         return {
@@ -697,17 +629,15 @@ class ExactContext(Context):
             raise ContextError("Yoneda coordinates disagree with the Ext table")
         return space
 
-    def _find_enough_witnesses(self, projective_side: bool) -> dict[int, dict]:
+    def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
         out = {}
         for o in self.objects:
-            if projective_side:
-                p0, cover = projective_cover(o.rep)
-                ids = self.identify_sum(kernel(cover)[0])
-                out[o.index] = {"map": cover, "source": p0, "cocone": ids}
+            if dual:
+                mono = injective_hull(o.rep)[1]
+                out[o.index] = {"map": mono, "cone": self.identify_sum(cokernel(mono)[0])}
             else:
-                i0, mono = injective_hull(o.rep)
-                ids = self.identify_sum(cokernel(mono)[0])
-                out[o.index] = {"map": mono, "target": i0, "cone": ids}
+                cover = projective_cover(o.rep)[1]
+                out[o.index] = {"map": cover, "cocone": self.identify_sum(kernel(cover)[0])}
         return out
 
 
@@ -723,25 +653,12 @@ class StableContext(Context):
             raise ContextError("stable extension coordinates disagree with the E table")
         return space
 
-    def _find_enough_witnesses(self, projective_side: bool) -> dict[int, dict]:
-        # triangulated: the zero map from/into the zero object always works
-        out = {}
-        for o in self.objects:
-            if projective_side:
-                ids = self.identify_sum(loop_raw(o.rep)[0])
-                out[o.index] = {
-                    "map": None,  # deflation 0 -> C
-                    "source": zero_representation(self.algebra),
-                    "cocone": ids,
-                }
-            else:
-                ids = self.identify_sum(suspension_raw(o.rep)[0])
-                out[o.index] = {
-                    "map": None,
-                    "target": zero_representation(self.algebra),
-                    "cone": ids,
-                }
-        return out
+    def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
+        # triangulated: the zero map 0 -> C (C -> 0) is always a deflation
+        # (inflation), with cocone the loop (cone the suspension) of C
+        shift = suspension_raw if dual else loop_raw
+        key = "cone" if dual else "cocone"
+        return {o.index: {"map": None, key: self.identify_sum(shift(o.rep)[0])} for o in self.objects}
 
 
 class SubContext(Context):
@@ -753,71 +670,37 @@ class SubContext(Context):
     def _build_ext_space(self, c_idx, a_idx):
         return self.parent.ext_space(self.parent_ids[c_idx], self.parent_ids[a_idx])
 
-    def _find_enough_witnesses(self, projective_side: bool) -> dict[int, dict]:
+    def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
         out = {}
         for o in self.objects:
-            w = self._witness_for(o.index, projective_side)
+            w = self._witness_for(o.index, dual)
             if w is not None:
                 out[o.index] = w
         return out
 
-    def _witness_for(self, idx: int, projective_side: bool):
-        forced = sorted(self.projective_ids if projective_side else self.injective_ids)
+    def _witness_for(self, idx: int, dual: bool):
+        forced = sorted(self.injective_ids if dual else self.projective_ids)
+        key = "cone" if dual else "cocone"
         c_rep = self.objects[idx].rep
         # objects that are themselves projective/injective: identity works
-        if (projective_side and idx in self.projective_ids) or (
-            not projective_side and idx in self.injective_ids
-        ):
-            from .modules import identity_map
-
-            key = "cocone" if projective_side else "cone"
+        if idx in forced:
             return {"map": identity_map(c_rep), key: Counter()}
         # the zero map: cocone Omega C (cone Sigma C) computed in the parent
-        pidx = self.parent_ids[idx]
         if self._root_kind() == "stable":
+            pidx = self.parent_ids[idx]
             try:
-                if projective_side:
-                    ids = self._pull_ids(self.parent.ctx_syzygy(pidx) + Counter())
-                    return {"map": None, "cocone": ids}
-            except ContextError:
-                pass
-            try:
-                if not projective_side:
-                    ids = self._pull_ids(self.parent.ctx_cosyzygy(pidx) + Counter())
-                    return {"map": None, "cone": ids}
+                ids = self.parent.ctx_cosyzygy(pidx) if dual else self.parent.ctx_syzygy(pidx)
+                return {"map": None, key: self._pull_ids(ids + Counter())}
             except ContextError:
                 pass
         # canonical: approximation by the context projectives/injectives
         if forced:
-            if projective_side:
-                h = self.right_approx(forced, idx, augment=False)
-                if self.is_deflation(h):
-                    return {"map": h, "cocone": self.cocone_ids(h)}
-            else:
-                h = self.left_approx(forced, idx, augment=False)
-                if self.is_inflation(h):
-                    return {"map": h, "cone": self.cone_ids(h)}
+            h = self.approx(forced, idx, augment=False, dual=dual)
+            if self.is_inflation(h) if dual else self.is_deflation(h):
+                return {"map": h, key: self.cone_ids(h) if dual else self.cocone_ids(h)}
         # bounded exhaustive search over maps from small sums of projectives
-        p = self.algebra.p
-        for size in range(1, self.config.max_multiplicity + 1):
-            for combo in itertools.combinations_with_replacement(forced, size):
-                src = self.sum_rep(Counter(combo))
-                homs = (
-                    hom_basis(src, c_rep) if projective_side else hom_basis(c_rep, src)
-                )
-                if not homs or p ** len(homs) > self.config.exhaustion_bound:
-                    continue
-                for coeffs in itertools.product(range(p), repeat=len(homs)):
-                    if not any(coeffs):
-                        continue
-                    f = None
-                    for g, c in zip(homs, coeffs):
-                        if c:
-                            f = g.scale(c) if f is None else f.add(g.scale(c))
-                    if projective_side and self.is_deflation(f):
-                        return {"map": f, "cocone": self.cocone_ids(f)}
-                    if not projective_side and self.is_inflation(f):
-                        return {"map": f, "cone": self.cone_ids(f)}
+        for _, f, ids in self.conflation_candidates(forced, c_rep, dual, zero_middle=False):
+            return {"map": f, key: ids}
         return None
 
 

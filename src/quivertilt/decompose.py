@@ -21,7 +21,7 @@ import numpy as np
 import sympy
 
 from . import linalg
-from .modules import ModuleMap, Representation, hom_basis, identity_map
+from .modules import ModuleMap, Representation, hom_basis, identity_map, linear_combination
 
 
 class DecompositionError(Exception):
@@ -284,14 +284,9 @@ def _hunt_idempotent(m: Representation, endos: list[ModuleMap], rng: random.Rand
         for j in range(min(len(endos), 6)):
             candidates.append(endos[i].compose(endos[j]))
     for _ in range(24):
-        combo = None
-        for f in endos:
-            c = rng.randrange(p)
-            if c:
-                term = f.scale(c)
-                combo = term if combo is None else combo.add(term)
-        if combo is not None:
-            candidates.append(combo)
+        coeffs = [rng.randrange(p) for _ in endos]
+        if any(coeffs):
+            candidates.append(linear_combination(endos, coeffs))
     ident = identity_map(m)
     for z in candidates:
         act = action_matrix(z)
@@ -359,7 +354,7 @@ def _quotient_idempotent(m: Representation, endos: list[ModuleMap], rng: random.
             if coeff % p:
                 acc = (acc + coeff * power) % p
             power = q.mult_e(power, ec)
-        e_map = _endo_from_coords(m, endos, acc)
+        e_map = linear_combination(endos, acc)
         try:
             e_map = _lift_idempotent(m, e_map)
         except DecompositionError:
@@ -369,21 +364,6 @@ def _quotient_idempotent(m: Representation, endos: list[ModuleMap], rng: random.
             continue
         return e_map
     return None
-
-
-def _endo_from_coords(m: Representation, endos: list[ModuleMap], coords) -> ModuleMap:
-    out = None
-    p = m.algebra.p
-    for i, f in enumerate(endos):
-        c = int(coords[i]) % p
-        if c:
-            term = f.scale(c)
-            out = term if out is None else out.add(term)
-    if out is None:
-        from .modules import zero_map
-
-        out = zero_map(m, m)
-    return out
 
 
 # -- decomposition -----------------------------------------------------------
@@ -436,7 +416,7 @@ def _fitting_split(m: Representation, endos: list[ModuleMap], rng: random.Random
     n = m.total_dim
     for _ in range(60):
         coords = [rng.randrange(p) for _ in endos]
-        phi = _endo_from_coords(m, endos, coords)
+        phi = linear_combination(endos, coords)
         power = phi
         for _ in range(max(n.bit_length(), 1)):
             power = power.compose(power)  # phi^(2^k), k >= log2(n): stabilized
@@ -473,14 +453,11 @@ def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, in
 
 def _random_invertible_combo(maps: list[ModuleMap], rng: random.Random, p: int, tries: int):
     for _ in range(tries):
-        combo = None
-        for f in maps:
-            c = rng.randrange(p)
-            if c:
-                term = f.scale(c)
-                combo = term if combo is None else combo.add(term)
-        if combo is not None and combo.is_iso():
-            return combo
+        coeffs = [rng.randrange(p) for _ in maps]
+        if any(coeffs):
+            combo = linear_combination(maps, coeffs)
+            if combo.is_iso():
+                return combo
     return None
 
 
@@ -504,7 +481,7 @@ def indecomposable_isomorphic(a: Representation, b: Representation, seed: int = 
     flats = [f.flatten() for f in endos]
     basis_flat = np.stack(flats, axis=1) % p
     rad_flat = (
-        np.stack([_coords_to_flat(endos, c, p) for c in rad], axis=1) % p
+        np.stack([linear_combination(endos, c).flatten() for c in rad], axis=1) % p
         if rad
         else linalg.zeros(basis_flat.shape[0], 0)
     )
@@ -519,16 +496,6 @@ def indecomposable_isomorphic(a: Representation, b: Representation, seed: int = 
             if not inside:
                 return True
     return False
-
-
-def _coords_to_flat(endos, coords, p):
-    out = None
-    for i, f in enumerate(endos):
-        c = int(coords[i]) % p
-        if c:
-            term = (c * f.flatten()) % p
-            out = term if out is None else (out + term) % p
-    return out if out is not None else np.zeros_like(endos[0].flatten())
 
 
 def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:

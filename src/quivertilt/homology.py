@@ -3,7 +3,8 @@
 Covers are built from lifts of a basis of top(M) = M/rad M; hulls are covers
 of the dual module over the opposite algebra, dualized back.  Minimal
 resolutions are extended lazily and cached on the representation object, so
-repeated Ext queries against the same module share work.
+repeated Ext queries against the same module share work.  Right and left
+approximations are one construction, `approximation`, with a `dual` switch.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .modules import (
     dual_representation,
     hom_basis,
     kernel,
+    linear_combination,
     radical_subspaces,
     zero_map,
     zero_representation,
@@ -186,27 +188,36 @@ def ext_dim(k: int, m: Representation, n: Representation) -> int:
     return len(h_cur) - linalg.rank(d_in, p) - linalg.rank(d_out, p)
 
 
+def approximation(
+    members: list[Representation], c: Representation, dual: bool = False,
+    extra: ModuleMap | None = None,
+) -> ModuleMap:
+    """Right approximation of c by add(members): the sum of a basis of each
+    Hom(x, c), with `extra` (a map into c) as one more summand.  With `dual`,
+    the left approximation c -> sum of a basis of each Hom(c, x), with
+    `extra` a map out of c."""
+    summands: list[tuple[Representation, ModuleMap]] = []
+    for x in members:
+        for f in hom_basis(c, x) if dual else hom_basis(x, c):
+            summands.append((x, f))
+    if extra is not None:
+        summands.append((extra.target if dual else extra.source, extra))
+    if not summands:
+        z = zero_representation(c.algebra)
+        return zero_map(c, z) if dual else zero_map(z, c)
+    total, incls, projs = direct_sum([s for s, _ in summands])
+    h = zero_map(c, total) if dual else zero_map(total, c)
+    for (_, f), incl, proj in zip(summands, incls, projs):
+        h = h.add(incl.compose(f) if dual else f.compose(proj))
+    return h
+
+
 def right_approximation(
     members: list[Representation], c: Representation, include_cover: bool = True
 ) -> ModuleMap:
     """Right approximation of c by add(members), made a surjection by an
     added projective cover summand; with no members this is the cover alone."""
-    summands: list[tuple[Representation, ModuleMap]] = []
-    for x in members:
-        for f in hom_basis(x, c):
-            summands.append((x, f))
-    if include_cover:
-        pc, cover = projective_cover(c)
-        if pc.total_dim:
-            summands.append((pc, cover))
-    if not summands:
-        z = zero_representation(c.algebra)
-        return zero_map(z, c)
-    total, incls, projs = direct_sum([s for s, _ in summands])
-    h = zero_map(total, c)
-    for (s, f), proj in zip(summands, projs):
-        h = h.add(f.compose(proj))
-    return h
+    return approximation(members, c, extra=projective_cover(c)[1] if include_cover else None)
 
 
 def left_approximation(
@@ -214,22 +225,7 @@ def left_approximation(
 ) -> ModuleMap:
     """Left approximation of c by add(members), made injective by an added
     injective hull summand."""
-    summands: list[tuple[Representation, ModuleMap]] = []
-    for x in members:
-        for f in hom_basis(c, x):
-            summands.append((x, f))
-    if include_hull:
-        ih, mono = injective_hull(c)
-        if ih.total_dim:
-            summands.append((ih, mono))
-    if not summands:
-        z = zero_representation(c.algebra)
-        return zero_map(c, z)
-    total, incls, projs = direct_sum([s for s, _ in summands])
-    h = zero_map(c, total)
-    for (s, f), incl in zip(summands, incls):
-        h = h.add(incl.compose(f))
-    return h
+    return approximation(members, c, dual=True, extra=injective_hull(c)[1] if include_hull else None)
 
 
 def syzygy_transport(f: ModuleMap) -> ModuleMap:
@@ -267,30 +263,5 @@ def lift_through_epi(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
     sol = linalg.solve(mat, f.flatten().reshape(-1, 1), p)
     if sol is None:
         raise RuntimeError("lift through surjection does not exist")
-    out = zero_map(f.source, epi.source)
-    for i, g in enumerate(basis):
-        c = int(sol[i, 0]) % p
-        if c:
-            out = out.add(g.scale(c))
-    return out
+    return linear_combination(basis, sol[:, 0])
 
-
-def extend_through_mono(f: ModuleMap, mono: ModuleMap) -> ModuleMap:
-    """Some g with g o mono = f, assuming f's target is injective."""
-    p = f.p
-    basis = hom_basis(mono.target, f.target)
-    if not basis:
-        if f.is_zero():
-            return zero_map(mono.target, f.target)
-        raise RuntimeError("no maps available to extend over the inclusion")
-    composed = [g.compose(mono) for g in basis]
-    mat = _hom_coord_matrix(composed)
-    sol = linalg.solve(mat, f.flatten().reshape(-1, 1), p)
-    if sol is None:
-        raise RuntimeError("extension over inclusion does not exist")
-    out = zero_map(mono.target, f.target)
-    for i, g in enumerate(basis):
-        c = int(sol[i, 0]) % p
-        if c:
-            out = out.add(g.scale(c))
-    return out

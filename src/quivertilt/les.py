@@ -20,7 +20,7 @@ from . import linalg
 from .contexts import Conflation, Context, ContextError, ExactExtSpace
 from .homology import minimal_resolution, syzygy_transport
 from .modules import ModuleMap, Representation, hom_basis
-from .stable import StableHomSpace, loop_map, loop_raw
+from .stable import StableHomSpace, loop_raw
 
 
 class _HomNode:
@@ -45,40 +45,23 @@ class _HomNode:
         return mat
 
 
-class _StableHomNode:
-    def __init__(self, anchor: Representation, m: Representation):
+class _QuotientNode:
+    """A node with coordinates on a Hom quotient: stable Hom(anchor, m)
+    (StableHomSpace), or E^k(X, m) via Yoneda coordinates anchored at the raw
+    (k-1)-st syzygy (ExactExtSpace)."""
+
+    def __init__(self, space_cls, anchor: Representation, m: Representation):
         self.anchor = anchor
-        self.m = m
-        self.space = StableHomSpace(anchor, m)
+        self.space = space_cls(anchor, m)
         self.dim = self.space.dim
 
-    def postcompose_matrix(self, f: ModuleMap, target: "_StableHomNode") -> np.ndarray:
-        p = self.anchor.algebra.p
+    def postcompose_matrix(self, f: ModuleMap, target: "_QuotientNode") -> np.ndarray:
         mat = linalg.zeros(target.dim, self.dim)
         for i in range(self.dim):
             coords = linalg.zeros(self.dim, 1).reshape(-1)
             coords[i] = 1
             rep_map = self.space.representative(coords)
             mat[:, i] = target.space.class_of(f.compose(rep_map))
-        return mat
-
-
-class _ExactEkNode:
-    """E^k(X, m) via Yoneda coordinates anchored at the raw (k-1)-st syzygy."""
-
-    def __init__(self, anchor: Representation, m: Representation):
-        self.anchor = anchor
-        self.space = ExactExtSpace(anchor, m)
-        self.dim = self.space.dim
-
-    def postcompose_matrix(self, f: ModuleMap, target: "_ExactEkNode") -> np.ndarray:
-        p = self.anchor.algebra.p
-        mat = linalg.zeros(target.dim, self.dim)
-        for i in range(self.dim):
-            coords = linalg.zeros(self.dim, 1).reshape(-1)
-            coords[i] = 1
-            t = self.space._rep_map(coords)
-            mat[:, i] = target.space.class_of(f.compose(t))
         return mat
 
 
@@ -97,7 +80,7 @@ def _covariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Representat
         level0 = [_HomNode(x_rep, r) for r in reps]
         nodes.append(level0)
         for k in range(1, depth + 1):
-            nodes.append([_ExactEkNode(anchors[k - 1], r) for r in reps])
+            nodes.append([_QuotientNode(ExactExtSpace, anchors[k - 1], r) for r in reps])
     else:
         anchors = [x_rep]
         cur = x_rep
@@ -105,7 +88,7 @@ def _covariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Representat
             cur = loop_raw(cur)[0]
             anchors.append(cur)
         for k in range(0, depth + 1):
-            nodes.append([_StableHomNode(anchors[k], r) for r in reps])
+            nodes.append([_QuotientNode(StableHomSpace, anchors[k], r) for r in reps])
     for level in nodes:
         arrows.append(
             (
@@ -120,50 +103,35 @@ def _contravariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Represe
     root = ctx._root_kind()
     reps = (conf.c_rep, conf.b_rep, conf.a_rep)
     p = ctx.algebra.p
+    # in the exact model the level-k Yoneda space is anchored at the (k-1)-st
+    # syzygy but its class representatives start at the k-th, so transport
+    # uses Omega^k in both models
+    ys = [conf.y]
+    xs = [conf.x]
+    for k in range(1, depth + 1):
+        ys.append(syzygy_transport(ys[-1]))
+        xs.append(syzygy_transport(xs[-1]))
     nodes = []
-    arrows = []
     if root == "mod":
-        # the level-k Yoneda space is anchored at the (k-1)-st syzygy but its
-        # class representatives start at the k-th, so transport uses Omega^k
-        ys = [conf.y]
-        xs = [conf.x]
-        for k in range(1, depth + 1):
-            ys.append(syzygy_transport(ys[-1]))
-            xs.append(syzygy_transport(xs[-1]))
-        level0 = [_HomNode(r, x_rep) for r in reps]
-        nodes.append(level0)
+        nodes.append([_HomNode(r, x_rep) for r in reps])
         for k in range(1, depth + 1):
             anchor_reps = [
                 minimal_resolution(r).syzygy_module(k - 1) if k > 1 else r for r in reps
             ]
-            nodes.append([_ExactEkNode(a, x_rep) for a in anchor_reps])
-        for k, level in enumerate(nodes):
-            arrows.append(
-                (
-                    _precompose_matrix(level[0], level[1], ys[k], p),
-                    _precompose_matrix(level[1], level[2], xs[k], p),
-                )
-            )
+            nodes.append([_QuotientNode(ExactExtSpace, a, x_rep) for a in anchor_reps])
     else:
-        ys = [conf.y]
-        xs = [conf.x]
+        anchors = list(reps)
+        nodes.append([_QuotientNode(StableHomSpace, a, x_rep) for a in anchors])
         for k in range(1, depth + 1):
-            ys.append(loop_map(ys[-1]))
-            xs.append(loop_map(xs[-1]))
-        anchor_sets = [reps]
-        cur = list(reps)
-        for k in range(1, depth + 1):
-            cur = [loop_raw(r)[0] for r in cur]
-            anchor_sets.append(tuple(cur))
-        for k in range(0, depth + 1):
-            nodes.append([_StableHomNode(a, x_rep) for a in anchor_sets[k]])
-        for k, level in enumerate(nodes):
-            arrows.append(
-                (
-                    _precompose_matrix(level[0], level[1], ys[k], p),
-                    _precompose_matrix(level[1], level[2], xs[k], p),
-                )
-            )
+            anchors = [loop_raw(r)[0] for r in anchors]
+            nodes.append([_QuotientNode(StableHomSpace, a, x_rep) for a in anchors])
+    arrows = [
+        (
+            _precompose_matrix(level[0], level[1], ys[k], p),
+            _precompose_matrix(level[1], level[2], xs[k], p),
+        )
+        for k, level in enumerate(nodes)
+    ]
     return nodes, arrows
 
 
@@ -175,12 +143,9 @@ def _precompose_matrix(src_node, tgt_node, f: ModuleMap, p: int) -> np.ndarray:
         if isinstance(src_node, _HomNode):
             rep_map = src_node.basis[i]
             mat[:, i] = _hom_class(tgt_node, rep_map.compose(f), p)
-        elif isinstance(src_node, _StableHomNode):
+        else:
             rep_map = src_node.space.representative(coords)
             mat[:, i] = tgt_node.space.class_of(rep_map.compose(f))
-        else:
-            t = src_node.space._rep_map(coords)
-            mat[:, i] = tgt_node.space.class_of(t.compose(f))
     return mat
 
 

@@ -130,8 +130,6 @@ def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
     """Columns of a restricted to a basis of the column space (original vectors)."""
     if a.shape[1] == 0:
         return a.copy()
-    _, pivots = rref(a.T, p)  # row space of a.T = column space of a
-    # pivot tracking via transpose does not give column picks; do it directly
     _, piv_cols = rref(a, p)
     return a[:, piv_cols].copy()
 

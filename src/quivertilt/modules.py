@@ -9,6 +9,8 @@ Representation or ModuleMap after construction.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import linalg
@@ -196,6 +198,67 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
 
 def hom_dim(m: Representation, n: Representation) -> int:
     return len(hom_basis(m, n))
+
+
+def linear_combination(maps: list[ModuleMap], coeffs) -> ModuleMap:
+    """Sum of c_i * f_i over a nonempty list of maps with a common source and
+    target; the zero map when every c_i is zero."""
+    source, target = maps[0].source, maps[0].target
+    p = source.algebra.p
+    blocks = [linalg.zeros(target.dims[v], source.dims[v]) for v in range(len(source.dims))]
+    for f, c in zip(maps, coeffs):
+        c = int(c) % p
+        if c:
+            blocks = [(b + c * fb) % p for b, fb in zip(blocks, f.blocks)]
+    return ModuleMap(source, target, blocks, validate=False)
+
+
+def nonzero_combinations(maps: list[ModuleMap]):
+    """The combinations of maps with a nonzero coefficient vector, coefficient
+    vectors in lexicographic order."""
+    if maps:
+        for coeffs in itertools.product(range(maps[0].p), repeat=len(maps)):
+            if any(coeffs):
+                yield linear_combination(maps, coeffs)
+
+
+class HomQuotient:
+    """Hom(m, n) modulo the maps g o k that factor through k: m -> k.target,
+    with coordinates on the quotient and canonical representatives."""
+
+    def __init__(self, k: ModuleMap, n: Representation):
+        self.m = k.source
+        self.n = n
+        self.p = k.p
+        self.basis = hom_basis(self.m, n)
+        ncols = len(self.basis)
+        if ncols == 0:
+            self.quot = linalg.QuotientSpace(0, linalg.zeros(0, 0), self.p)
+        else:
+            self._basis_mat = np.stack([f.flatten() for f in self.basis], axis=1) % self.p
+            cols = [self._basis_coords(g.compose(k)) for g in hom_basis(k.target, n)]
+            sub = np.stack(cols, axis=1) if cols else linalg.zeros(ncols, 0)
+            self.quot = linalg.QuotientSpace(ncols, sub, self.p)
+        self.dim = self.quot.dim
+
+    def _basis_coords(self, f: ModuleMap) -> np.ndarray:
+        sol = linalg.solve(self._basis_mat, f.flatten().reshape(-1, 1), self.p)
+        if sol is None:
+            raise ValueError("map does not lie in this hom space")
+        return sol.reshape(-1)
+
+    def class_of(self, f: ModuleMap) -> np.ndarray:
+        """Coordinates of the class of f: m -> n."""
+        if not self.basis:
+            return np.zeros(0, dtype=np.int64)
+        return self.quot.to_coords(self._basis_coords(f))
+
+    def representative(self, coords) -> ModuleMap:
+        """The canonical map m -> n in the class with the given coordinates."""
+        if self.dim == 0:
+            return zero_map(self.m, self.n)
+        lifted = self.quot.lift(np.asarray(coords, dtype=np.int64))
+        return linear_combination(self.basis, lifted)
 
 
 def _subspace_with_induced_action(rep: Representation, bases: list[np.ndarray]):

@@ -27,7 +27,7 @@ from .contexts import (
     build_sub_context,
     is_extension_closed,
 )
-from .modules import Representation, hom_basis
+from .modules import Representation, hom_basis, nonzero_combinations
 
 
 def _submodule_vertex_choices(rep: Representation):
@@ -84,17 +84,10 @@ def is_subquotient(m: Representation, n: Representation, dim_budget: int = 6) ->
             continue
         sub, _ = _subspace_with_induced_action(n, bases)
         homs = hom_basis(sub, m)
-        if not homs or p ** len(homs) > 4096:
+        if p ** len(homs) > 4096:
             continue
-        for coeffs in itertools.product(range(p), repeat=len(homs)):
-            if not any(coeffs):
-                continue
-            f = None
-            for g, c in zip(homs, coeffs):
-                if c:
-                    f = g.scale(c) if f is None else f.add(g.scale(c))
-            if f.is_epi():
-                return True
+        if any(f.is_epi() for f in nonzero_combinations(homs)):
+            return True
     return False
 
 

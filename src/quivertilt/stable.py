@@ -4,7 +4,8 @@ Morphisms are module maps modulo those factoring through projectives
 (= injectives here); the factoring subspace is computed as the image of
 composition with the injective hull inclusion.  Suspension is the cokernel
 of the hull, loop the kernel of the cover, and cones come from the mapping
-cylinder M -> I(M) + N.  Objects handed to identity-sensitive callers are
+cylinder M -> I(M) + N.  Maps between loops are transported by
+`homology.syzygy_transport`.  Objects handed to identity-sensitive callers are
 normalized to projective-free form.
 """
 
@@ -15,21 +16,13 @@ import numpy as np
 from . import linalg
 from .algebra import BoundQuiverAlgebra, is_self_injective, projective_module
 from .decompose import indecomposable_isomorphic, summand_split
-from .homology import (
-    _hom_coord_matrix,
-    extend_through_mono,
-    injective_hull,
-    lift_through_epi,
-    minimal_resolution,
-    projective_cover,
-)
+from .homology import injective_hull, minimal_resolution
 from .modules import (
+    HomQuotient,
     ModuleMap,
     Representation,
     cokernel,
     direct_sum,
-    hom_basis,
-    kernel,
     zero_map,
     zero_representation,
 )
@@ -94,51 +87,14 @@ def strip_projectives(m: Representation, seed: int = 0):
     return core, incl, retr
 
 
-class StableHomSpace:
-    """Hom(m, n) modulo maps factoring through projectives, with coordinates."""
+class StableHomSpace(HomQuotient):
+    """Hom(m, n) modulo maps factoring through projectives, with coordinates;
+    over a self-injective algebra these are the maps factoring through the
+    injective hull of m."""
 
     def __init__(self, m: Representation, n: Representation):
         require_self_injective(m.algebra)
-        self.m = m
-        self.n = n
-        self.p = m.algebra.p
-        self.basis = hom_basis(m, n)
-        hull, mono = injective_hull(m)
-        through = [g.compose(mono) for g in hom_basis(hull, n)]
-        ncols = len(self.basis)
-        if ncols == 0:
-            self.quot = linalg.QuotientSpace(0, linalg.zeros(0, 0), self.p)
-        else:
-            basis_mat = _hom_coord_matrix(self.basis)
-            cols = []
-            for f in through:
-                sol = linalg.solve(basis_mat, f.flatten().reshape(-1, 1), self.p)
-                if sol is None:
-                    raise RuntimeError("projectively-factoring map escaped the hom space")
-                cols.append(sol.reshape(-1))
-            sub = np.stack(cols, axis=1) % self.p if cols else linalg.zeros(ncols, 0)
-            self.quot = linalg.QuotientSpace(ncols, sub, self.p)
-        self.dim = self.quot.dim
-
-    def class_of(self, f: ModuleMap) -> np.ndarray:
-        if not self.basis:
-            return np.zeros(0, dtype=np.int64)
-        basis_mat = _hom_coord_matrix(self.basis)
-        sol = linalg.solve(basis_mat, f.flatten().reshape(-1, 1), self.p)
-        if sol is None:
-            raise ValueError("map does not lie in this hom space")
-        return self.quot.to_coords(sol.reshape(-1))
-
-    def representative(self, coords: np.ndarray) -> ModuleMap:
-        out = zero_map(self.m, self.n)
-        if self.dim == 0:
-            return out
-        lifted = self.quot.lift(coords)
-        for i, f in enumerate(self.basis):
-            c = int(lifted[i]) % self.p
-            if c:
-                out = out.add(f.scale(c))
-        return out
+        super().__init__(injective_hull(m)[1], n)
 
     def equal(self, f: ModuleMap, g: ModuleMap) -> bool:
         return np.array_equal(self.class_of(f), self.class_of(g))
@@ -175,38 +131,6 @@ def loop(m: Representation, seed: int = 0) -> Representation:
     return strip_projectives(omega, seed)[0]
 
 
-def suspension_map(f: ModuleMap) -> ModuleMap:
-    """Induced map on raw suspensions (cokernels of hulls)."""
-    p = f.p
-    sig_m, hull_m, mono_m, proj_m = suspension_raw(f.source)
-    sig_n, hull_n, mono_n, proj_n = suspension_raw(f.target)
-    lifted = extend_through_mono(mono_n.compose(f), mono_m)  # hull_m -> hull_n
-    blocks = []
-    for v in range(len(proj_m.blocks)):
-        rhs = linalg.matmul(proj_n.blocks[v], lifted.blocks[v], p)
-        sol = linalg.solve(proj_m.blocks[v].T, rhs.T, p)
-        if sol is None:
-            raise RuntimeError("suspension of a map is not well defined")
-        blocks.append(sol.T % p)
-    return ModuleMap(sig_m, sig_n, blocks, validate=False)
-
-
-def loop_map(f: ModuleMap) -> ModuleMap:
-    """Induced map on raw loops (kernels of covers)."""
-    p = f.p
-    om_m, pm, incl_m, cover_m = loop_raw(f.source)
-    om_n, pn, incl_n, cover_n = loop_raw(f.target)
-    lifted = lift_through_epi(f.compose(cover_m), cover_n)  # P(m) -> P(n)
-    blocks = []
-    for v in range(len(incl_m.blocks)):
-        rhs = linalg.matmul(lifted.blocks[v], incl_m.blocks[v], p)
-        sol = linalg.solve(incl_n.blocks[v], rhs, p)
-        if sol is None:
-            raise RuntimeError("loop of a map is not well defined")
-        blocks.append(sol)
-    return ModuleMap(om_m, om_n, blocks, validate=False)
-
-
 def cone(f: ModuleMap):
     """Mapping cone of f: M -> N in the stable category.
 
@@ -218,7 +142,7 @@ def cone(f: ModuleMap):
     p = f.p
     m, n = f.source, f.target
     sig_m, hull, mono, sig_proj = suspension_raw(m)
-    total, (incl_hull, incl_n), (proj_hull, proj_n) = _sum2(hull, n)
+    total, (incl_hull, incl_n), (proj_hull, proj_n) = direct_sum([hull, n])
     glue = incl_hull.compose(mono).add(incl_n.compose(f))
     cone_raw, cone_proj = cokernel(glue)
     to_cone = cone_proj.compose(incl_n)
@@ -233,7 +157,3 @@ def cone(f: ModuleMap):
     connecting = ModuleMap(cone_raw, sig_m, blocks, validate=False)
     return cone_raw, to_cone, connecting
 
-
-def _sum2(a: Representation, b: Representation):
-    total, incls, projs = direct_sum([a, b])
-    return total, (incls[0], incls[1]), (projs[0], projs[1])

@@ -90,6 +90,23 @@ def test_greedy_equals_exhaustive_resdim(exact_contexts):
                     assert greedy == brute, (name, members, target, greedy, brute)
 
 
+def test_exhaustive_resdim_in_triangulated_contexts(stable_contexts):
+    """The exhaustive search contains the greedy chains, zero middles included."""
+    for name in ("dual_numbers", "nak22", "nak32"):
+        ctx = stable_contexts[name]
+        n = ctx.n_objects
+        for size in range(3):
+            for members in itertools.combinations(range(n), size):
+                for target in range(n):
+                    for fn in (resdim, coresdim):
+                        greedy = fn(ctx, members, target, 2, exhaustive=False)
+                        brute = fn(ctx, members, target, 2, exhaustive=True)
+                        key = (name, fn.__name__, members, target, greedy, brute)
+                        if isinstance(greedy, int):
+                            assert isinstance(brute, int), key
+                            assert brute <= greedy, key
+
+
 def test_trivial_pairs(exact_contexts):
     for name, ctx in exact_contexts.items():
         everything = range(ctx.n_objects)
