@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (AlgebraError, ContextError, DecompositionError, NotSelfInjectiveError, OSError,
-            ValueError) as exc:
+            RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,13 +8,28 @@ lazily built extension-class coordinate spaces with conflation realizations,
 detected projectives/injectives, enough-projectives witnesses, and
 context-relative syzygies.  Higher E-dimensions are always computed along
 both the syzygy and the cosyzygy route and must agree; a mismatch raises.
+
+Objects are identified (middle terms, kernels, cokernels, cones named as
+multisets of object ids) in one of two ways.  Where the root context is
+exact, a module M is named by its Hom vector (dim Hom(X, M)) over the
+objects X: by Auslander (1982) that vector determines a module over a
+representation-finite algebra, and the vectors of the indecomposables are
+linearly independent.  The answer is exact because the object list is every
+indecomposable, which the enumeration (closure under syzygy, cosyzygy and
+extensions) already assumes; the Hom matrix is inverted over the rationals,
+and an answer that is not a non-negative integer vector reproducing the Hom
+vector and the dimension vector of M raises.  Where the root is
+triangulated, projective summands are stripped and the rest is split into
+indecomposables (Krull-Schmidt), each matched to an object by isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +60,7 @@ from .modules import (
     cokernel,
     direct_sum,
     hom_basis,
+    hom_dim,
     identity_map,
     kernel,
     nonzero_combinations,
@@ -223,6 +239,79 @@ def _find_stable_iso(a: Representation, b: Representation, seed: int) -> ModuleM
     return combo
 
 
+# -- identification by Hom vectors ------------------------------------------
+
+
+class HomVectors:
+    """Multiplicities of indecomposables in a module, from Hom dimensions.
+
+    Over a representation-finite algebra a module M is determined by the
+    vector v_j = dim Hom(X_j, M) as X_j runs over the indecomposables, and
+    those vectors are linearly independent (Auslander 1982).  So for a
+    complete list X_1..X_n, M is the sum of m_i copies of X_i where H m = v
+    and H[j][i] = dim Hom(X_j, X_i).  H is inverted once, exactly; every
+    answer is checked to be a non-negative integer vector that reproduces v
+    and the dimension vector of M, so an incomplete list raises instead of
+    naming a wrong module."""
+
+    def __init__(self, objects: list[ContextObject], algebra: BoundQuiverAlgebra):
+        self.reps = [o.rep for o in objects]
+        # Hom(P_v, M) = M_v (Yoneda): projective probes are read off dims
+        vertex_of = {f"P{vid}": v for v, vid in enumerate(algebra.quiver.vertex_ids)}
+        self.probe_vertex = [
+            next((vertex_of[a] for a in o.aliases if a in vertex_of), None) for o in objects
+        ]
+        cols = [self.hom_vector(x) for x in self.reps]
+        self.h = [[col[j] for col in cols] for j in range(len(cols))]
+        self.inverse, self.denominator = _integer_inverse(self.h)
+
+    def hom_vector(self, m: Representation) -> list[int]:
+        """(dim Hom(X_j, m))_j over the list."""
+        return [
+            m.dims[v] if v is not None else hom_dim(x, m)
+            for x, v in zip(self.reps, self.probe_vertex)
+        ]
+
+    def identify(self, m: Representation) -> Counter:
+        """Object ids of m with multiplicities, in ascending id order."""
+        v = self.hom_vector(m)
+        solved = [divmod(sum(a * b for a, b in zip(row, v)), self.denominator) for row in self.inverse]
+        mult = [q for q, _ in solved]
+        dims = tuple(sum(k * x.dims[w] for k, x in zip(mult, self.reps)) for w in range(len(m.dims)))
+        if (
+            any(r or q < 0 for q, r in solved)
+            or any(sum(a * k for a, k in zip(row, mult)) != vj for row, vj in zip(self.h, v))
+            or dims != m.dims
+        ):
+            raise ContextError(f"module of dimension vector {m.dims} is not a sum of context objects")
+        return Counter({i: k for i, k in enumerate(mult) if k})
+
+
+def _integer_inverse(h: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(K, D) with K / D the inverse of the integer matrix h, by Gauss-Jordan
+    elimination over the rationals; raises if h is singular."""
+    n = len(h)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
+            for i, row in enumerate(h)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            raise ContextError(
+                "Hom matrix of the context objects is singular; the object list "
+                "is not a complete set of indecomposables"
+            )
+        rows[col], rows[piv] = rows[piv], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    inverse = [row[n:] for row in rows]
+    denominator = math.lcm(1, *(x.denominator for row in inverse for x in row))
+    return [[int(x * denominator) for x in row] for row in inverse], denominator
+
+
 # -- the context itself ------------------------------------------------------
 
 
@@ -240,6 +329,7 @@ class Context:
         self._ek_cache: dict[tuple[int, int, int], int] = {}
         self._sum_rep_cache: dict[tuple, tuple[Representation, list[int]]] = {}
         self._witnesses: dict[bool, dict[int, dict]] = {}
+        self._hom_vectors: HomVectors | None = None  # exact roots, built on first use
         self.projective_ids: frozenset[int] = frozenset()
         self.injective_ids: frozenset[int] = frozenset()
 
@@ -269,27 +359,32 @@ class Context:
                 return o.index
         return None
 
-    def identify_sum(self, rep: Representation, strict: bool = True) -> Counter:
-        """Decompose a rep into context object ids (stripping projectives in
-        triangulated models); unknown pieces raise when strict."""
-        out: Counter = Counter()
+    def identify_sum(self, rep: Representation) -> Counter:
+        """Decompose a rep into context object ids, built in ascending id
+        order.  Exact roots solve for the multiplicities by Hom vectors, and
+        their sub-contexts pull the root's answer back; triangulated roots
+        strip projectives and split.  A summand that is not a context object
+        raises."""
         if rep.total_dim == 0:
-            return out
-        work = rep
-        if self.kind == "stable" or (self.kind == "sub" and self._root_kind() == "stable"):
-            work, _, _ = strip_projectives(rep, self.config.seed)
-            if work.total_dim == 0:
-                return out
+            return Counter()
+        if self._root_kind() == "mod":
+            if self.kind == "sub":
+                return self._pull_ids(self.parent.identify_sum(rep))
+            if self._hom_vectors is None:
+                self._hom_vectors = HomVectors(self.objects, self.algebra)
+            return self._hom_vectors.identify(rep)
+        work, _, _ = strip_projectives(rep, self.config.seed)
+        if work.total_dim == 0:
+            return Counter()
+        ids = []
         for piece, _, _ in summand_split(work, self.config.seed):
             idx = self.identify(piece)
             if idx is None:
-                if strict:
-                    raise ContextError(
-                        f"summand of dimension vector {piece.dims} is not a context object"
-                    )
-                return Counter({-1: 1})
-            out[idx] += 1
-        return out
+                raise ContextError(
+                    f"summand of dimension vector {piece.dims} is not a context object"
+                )
+            ids.append(idx)
+        return Counter(sorted(ids))
 
     def _root_kind(self) -> str:
         ctx = self
@@ -411,8 +506,7 @@ class Context:
         else:
             cone_raw = cone(y)[0]
             k = loop_raw(cone_raw)[0] if cone_raw.total_dim else cone_raw
-        ids = self._home().identify_sum(k)
-        return self._pull_ids(ids)
+        return self.identify_sum(k)
 
     def cone_ids(self, x: ModuleMap) -> Counter:
         root = self._root_kind()
@@ -420,15 +514,11 @@ class Context:
             c = cokernel(x)[0]
         else:
             c = cone(x)[0]
-        ids = self._home().identify_sum(c)
-        return self._pull_ids(ids)
-
-    def _home(self) -> "Context":
-        return self.parent if self.kind == "sub" else self
+        return self.identify_sum(c)
 
     def _pull_ids(self, parent_ids: Counter) -> Counter:
-        if self.kind != "sub":
-            return parent_ids
+        """Parent object ids as ids of this sub-context; raises for an
+        object outside it."""
         back = {pid: i for i, pid in enumerate(self.parent_ids)}
         out = Counter()
         for pid, m in parent_ids.items():

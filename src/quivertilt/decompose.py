@@ -21,7 +21,7 @@ import numpy as np
 import sympy
 
 from . import linalg
-from .modules import ModuleMap, Representation, hom_basis, identity_map, linear_combination
+from .modules import ModuleMap, Representation, hom_basis, hom_dim, identity_map, linear_combination
 
 
 class DecompositionError(Exception):
@@ -552,8 +552,8 @@ def fingerprint(m: Representation) -> tuple:
     p = m.algebra.p
     profile = []
     for probe in _probes(m.algebra):
-        profile.append(len(hom_basis(probe, m)))
-        profile.append(len(hom_basis(m, probe)))
+        profile.append(hom_dim(probe, m))
+        profile.append(hom_dim(m, probe))
     ranks = tuple(linalg.rank(a, p) for a in m.matrices)
     fp = (m.dims, tuple(profile), ranks)
     m._fp = fp

@@ -21,6 +21,7 @@ from .modules import (
     dual_map,
     dual_representation,
     hom_basis,
+    hom_dim,
     kernel,
     linear_combination,
     radical_subspaces,
@@ -174,7 +175,7 @@ def ext_dim(k: int, m: Representation, n: Representation) -> int:
     if k < 0:
         raise ValueError("negative cohomological degree")
     if k == 0:
-        return len(hom_basis(m, n))
+        return hom_dim(m, n)
     if m.total_dim == 0 or n.total_dim == 0:
         return 0
     p = m.algebra.p

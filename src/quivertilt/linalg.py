@@ -58,10 +58,10 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
         r[row] = (r[row] * inv_mod(r[row, col], p)) % p
-        other = np.nonzero(r[:, col])[0]
-        for i in other:
-            if i != row:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
+        factors = r[:, col].copy()
+        factors[row] = 0
+        r -= factors[:, None] * r[row]
+        r %= p
         pivots.append(col)
         row += 1
     return r, pivots

@@ -164,8 +164,9 @@ def map_from_flat(source: Representation, target: Representation, flat: np.ndarr
     return ModuleMap(source, target, blocks, validate=False)
 
 
-def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
-    """Deterministic basis of Hom(m, n): nullspace of the intertwining system."""
+def _intertwining_system(m: Representation, n: Representation) -> np.ndarray | None:
+    """Matrix whose right kernel is Hom(m, n), one column per block entry
+    (row-major, vertex by vertex); None when there are no unknowns."""
     if m.algebra is not n.algebra:
         raise ValueError("representations live over different algebras")
     p = m.algebra.p
@@ -174,30 +175,47 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     offsets = np.cumsum([0] + var_dims)
     total = int(offsets[-1])
     if total == 0:
-        return []
-    rows = []
-    for a in range(q.n_arrows):
-        s, t = q.arrow_source[a], q.arrow_target[a]
-        n_eq = n.dims[t] * m.dims[s]
+        return None
+    n_eqs = [n.dims[q.arrow_target[a]] * m.dims[q.arrow_source[a]] for a in range(q.n_arrows)]
+    system = linalg.zeros(sum(n_eqs), total)
+    row = 0
+    for a, n_eq in enumerate(n_eqs):
         if n_eq == 0:
             continue
-        block = linalg.zeros(n_eq, total)
+        s, t = q.arrow_source[a], q.arrow_target[a]
+        eqs = slice(row, row + n_eq)
+        row += n_eq
         # vec(f_t @ M_a) = (I_{n_t} kron M_a^T) vec(f_t)   (row-major vec)
         if var_dims[t]:
-            k1 = np.kron(linalg.eye(n.dims[t]), m.matrices[a].T)
-            block[:, offsets[t] : offsets[t + 1]] = k1
+            system[eqs, offsets[t] : offsets[t + 1]] = _kron(linalg.eye(n.dims[t]), m.matrices[a].T)
         # vec(N_a @ f_s) = (N_a kron I_{m_s}) vec(f_s)
         if var_dims[s]:
-            k2 = np.kron(n.matrices[a], linalg.eye(m.dims[s]))
-            block[:, offsets[s] : offsets[s + 1]] = (block[:, offsets[s] : offsets[s + 1]] - k2) % p
-        rows.append(block % p)
-    system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, total)
-    basis = linalg.nullspace(system, p)
+            system[eqs, offsets[s] : offsets[s + 1]] -= _kron(n.matrices[a], linalg.eye(m.dims[s]))
+    return system % p
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron for 2-d arrays, without its generic-shape overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
+def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
+    """Deterministic basis of Hom(m, n): nullspace of the intertwining system."""
+    system = _intertwining_system(m, n)
+    if system is None:
+        return []
+    basis = linalg.nullspace(system, m.algebra.p)
     return [map_from_flat(m, n, basis[:, k]) for k in range(basis.shape[1])]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    return len(hom_basis(m, n))
+    """dim Hom(m, n): unknowns minus the rank of the intertwining system."""
+    system = _intertwining_system(m, n)
+    if system is None:
+        return 0
+    return system.shape[1] - linalg.rank(system, m.algebra.p)
 
 
 def linear_combination(maps: list[ModuleMap], coeffs) -> ModuleMap:

@@ -1,18 +1,26 @@
-"""Independent brute-force extension-group oracle.
+"""Independent oracles: extension groups by cocycles, and identification of
+modules by splitting.
 
-Computes dim Ext^1(M, N) directly from extension cocycles: an extension
+`ext1_dim_oracle` computes dim Ext^1(M, N) directly from extension cocycles: an extension
 structure on N + M is a family theta_a in Hom_k(M_s(a), N_t(a)) making the
 block matrices [[N_a, theta_a], [0, M_a]] satisfy the algebra relations;
 equivalence is a coboundary shift theta_a -> theta_a + N_a h_s - h_t M_a.
 No projective resolutions, covers or syzygies are involved, so this is a
 genuinely independent check of the resolution-based computation.
+
+`identify_by_splitting` names the summands of a module the way contexts did
+before they solved by Hom vectors: Krull-Schmidt splitting, then an
+isomorphism test of each piece against the context objects.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from quivertilt import linalg
+from quivertilt.decompose import indecomposable_isomorphic, summand_split
 from quivertilt.modules import Representation
 
 
@@ -103,3 +111,18 @@ def ext1_dim_oracle(m: Representation, n: Representation) -> int:
             raise AssertionError("coboundary fails the cocycle constraints")
     dim_b = linalg.rank(cob[:, :h_total], p) if h_total else 0
     return dim_z - dim_b
+
+
+def identify_by_splitting(ctx, rep: Representation) -> Counter:
+    """Context object ids of the indecomposable summands of rep; a summand
+    matching no object raises AssertionError."""
+    seed = ctx.config.seed
+    out: Counter = Counter()
+    if rep.total_dim == 0:
+        return out
+    for piece, _, _ in summand_split(rep, seed):
+        matches = [o.index for o in ctx.objects if indecomposable_isomorphic(o.rep, piece, seed)]
+        if len(matches) != 1:
+            raise AssertionError(f"summand {piece.dims} matches objects {matches}")
+        out[matches[0]] += 1
+    return out

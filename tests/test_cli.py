@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from quivertilt import cli
 from quivertilt.decompose import DecompositionError
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(argv, capsys):
@@ -31,6 +35,31 @@ def test_decomposition_error_exits_2(capsys, monkeypatch):
     status, _, err = _run(["objects", "--algebra", str(DATA / "a2.alg")], capsys)
     assert status == 2
     assert err == "error: no certificate\n"
+
+
+def test_runtime_error_exits_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("projective cover construction failed to be surjective")
+
+    monkeypatch.setattr(cli, "build_exact_context", fail)
+    status, out, err = _run(["objects", "--algebra", str(DATA / "a2.alg")], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: projective cover construction failed to be surjective\n"
+
+
+def test_structured_output_does_not_depend_on_the_hash_seed():
+    argv = [sys.executable, "-m", "quivertilt.cli", "verify-theorem", "--nakayama", "3,2",
+            "--context", "mod", "-n", "2", "--format", "structured"]
+    outputs = []
+    for hash_seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    result = json.loads(outputs[0])["result"]
+    assert result["sets_equal"] is True and len(result["cotorsion_diagonal"]) == 3
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ from quivertilt import linalg
 from quivertilt.algebra import parse_algebra
 from quivertilt.contexts import (
     ContextError,
+    ContextObject,
+    ExactContext,
     RunConfig,
     build_exact_context,
     build_stable_context,
@@ -14,7 +16,8 @@ from quivertilt.contexts import (
     is_extension_closed,
 )
 from quivertilt.decompose import is_isomorphic
-from quivertilt.modules import direct_sum, hom_basis
+from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel
+from oracle import identify_by_splitting
 
 
 def test_exact_context_object_counts(exact_contexts):
@@ -192,3 +195,36 @@ def test_object_labels_are_stable_across_builds(nak32):
     c2 = build_exact_context(nak32)
     assert [o.label for o in c1.objects] == [o.label for o in c2.objects]
     assert [o.rep.dims for o in c1.objects] == [o.rep.dims for o in c2.objects]
+
+
+def test_hom_vector_identification_matches_splitting(exact_contexts):
+    """Hom vectors and splitting name every conflation middle term, every
+    enough-projectives cocone and enough-injectives cone, and a sum with
+    multiplicities, the same way."""
+    for name, ctx in exact_contexts.items():
+        for c in range(ctx.n_objects):
+            for a in range(ctx.n_objects):
+                for coords in ctx.all_class_coords(c, a, include_zero=True):
+                    conf = ctx.realize(c, a, coords)
+                    assert conf.b_ids == identify_by_splitting(ctx, conf.b_rep), (name, conf.describe())
+        for dual, key, end in ((False, "cocone", kernel), (True, "cone", cokernel)):
+            _, witnesses = ctx._enough(dual)
+            for idx, w in witnesses.items():
+                rep = end(w["map"])[0]
+                assert w[key] == identify_by_splitting(ctx, rep), (name, key, ctx.object_names[idx])
+        ids = Counter({i: 1 + i % 3 for i in range(ctx.n_objects)})
+        assert ctx.identify_sum(ctx.sum_rep(ids)) == ids, name
+
+
+def test_hom_vectors_refuse_an_incomplete_object_list(a2):
+    """With P1 missing, the Hom vector of P1 solves to S2 = P2, whose
+    dimension vector differs; the check must refuse rather than name it."""
+    full = build_exact_context(a2)
+    p1 = full.resolve_name("P1")
+    kept = [o for o in full.objects if o.index != p1]
+    ctx = ExactContext(a2, full.config)
+    ctx.objects = [ContextObject(i, o.label, o.rep, o.aliases) for i, o in enumerate(kept)]
+    s1 = ctx.resolve_name("S1")
+    assert ctx.identify_sum(full.objects[full.resolve_name("S1")].rep) == Counter({s1: 1})
+    with pytest.raises(ContextError, match="not a sum of context objects"):
+        ctx.identify_sum(full.objects[p1].rep)

@@ -28,6 +28,40 @@ def test_rref_is_idempotent_and_rank_consistent(data):
     assert len(pivots) == linalg.rank(a, p)
 
 
+def _rref_row_by_row(a, p):
+    """Reference elimination: one update per row that has a nonzero entry in
+    the pivot column."""
+    r = np.array(a, dtype=np.int64) % p
+    rows, cols = r.shape
+    pivots, row = [], 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        r[[row, piv]] = r[[piv, row]]
+        r[row] = (r[row] * linalg.inv_mod(r[row, col], p)) % p
+        for i in np.nonzero(r[:, col])[0]:
+            if i != row:
+                r[i] = (r[i] - r[i, col] * r[row]) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+@given(_matrices(max_dim=8, primes=(2, 3, 5, 65521)))
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_row_by_row_elimination(data):
+    p, rows, cols, rng = data
+    a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+    r, pivots = linalg.rref(a, p)
+    want, want_pivots = _rref_row_by_row(a, p)
+    assert np.array_equal(r, want)
+    assert pivots == want_pivots
+
+
 @given(_matrices())
 @settings(max_examples=80, deadline=None)
 def test_nullspace_annihilates_and_has_complementary_dim(data):

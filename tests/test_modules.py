@@ -4,11 +4,13 @@ import pytest
 from quivertilt.algebra import projective_module, simple_module
 from quivertilt.modules import (
     ModuleMap,
+    _kron,
     Representation,
     cokernel,
     direct_sum,
     dual_representation,
     hom_basis,
+    hom_dim,
     identity_map,
     image,
     kernel,
@@ -40,6 +42,21 @@ def test_yoneda_dims_for_projectives(test_algebras):
         for m in probes:
             for i, p_i in enumerate(projectives):
                 assert len(hom_basis(p_i, m)) == m.dims[i]
+
+
+def test_hom_dim_is_the_size_of_the_hom_basis(exact_contexts):
+    for ctx in exact_contexts.values():
+        for m in ctx.objects:
+            for n in ctx.objects:
+                assert hom_dim(m.rep, n.rep) == len(hom_basis(m.rep, n.rep))
+
+
+def test_kron_matches_numpy():
+    rng = np.random.default_rng(0)
+    for shape_a, shape_b in [((1, 1), (2, 3)), ((3, 3), (2, 4)), ((2, 5), (1, 1)), ((4, 2), (3, 3))]:
+        a = rng.integers(0, 5, shape_a)
+        b = rng.integers(0, 5, shape_b)
+        assert np.array_equal(_kron(a, b), np.kron(a, b))
 
 
 def test_endomorphisms_contain_identity(a2):
