@@ -94,6 +94,11 @@ class BoundQuiverAlgebra:
         relations: list[dict[Path, int]],
         max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
     ):
+        if field_char > linalg.MAX_FIELD_CHAR:
+            raise AlgebraError(
+                f"field characteristic {field_char} exceeds {linalg.MAX_FIELD_CHAR}, the largest "
+                f"for which {linalg.MIN_TERMS} products of residues fit in int64"
+            )
         if field_char < 2 or any(field_char % d == 0 for d in range(2, int(field_char**0.5) + 1)):
             raise AlgebraError(f"field characteristic {field_char} is not prime")
         self.quiver = quiver

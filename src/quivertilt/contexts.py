@@ -808,9 +808,15 @@ def _register(pool: list[Representation], fps: list, rep: Representation, seed: 
     return True
 
 
-def enumerate_indecomposables(algebra: BoundQuiverAlgebra, config: RunConfig) -> list[Representation]:
+def enumerate_indecomposables(
+    algebra: BoundQuiverAlgebra, config: RunConfig
+) -> tuple[list[Representation], dict[tuple[Representation, Representation], int]]:
     """All indecomposables of mod L, by closing the simples, projectives and
-    injectives under syzygy, cosyzygy and middle terms of extensions."""
+    injectives under syzygy, cosyzygy and middle terms of extensions.
+
+    Also returns dim Ext^1(C, A) for every pair of the pool, keyed by the
+    pair (C, A) itself, so that reordering or filtering the pool keeps each
+    value with its pair."""
     from .homology import cosyzygy as cosyz_op
     from .homology import syzygy as syz_op
 
@@ -828,7 +834,7 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra, config: RunConfig) ->
 
     sweeps = 0
     syz_done = 0
-    pairs_done: set[tuple[int, int]] = set()
+    ext1: dict[tuple[Representation, Representation], int] = {}
     while True:
         sweeps += 1
         if sweeps > config.enumeration_budget:
@@ -844,11 +850,10 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra, config: RunConfig) ->
         count = len(pool)
         for ci in range(count):
             for ai in range(count):
-                if (ci, ai) in pairs_done:
-                    continue
-                pairs_done.add((ci, ai))
                 c_rep, a_rep = pool[ci], pool[ai]
-                d = ext_dim(1, c_rep, a_rep)
+                if (c_rep, a_rep) in ext1:
+                    continue
+                d = ext1[c_rep, a_rep] = ext_dim(1, c_rep, a_rep)
                 if d == 0:
                     continue
                 p = algebra.p
@@ -870,7 +875,7 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra, config: RunConfig) ->
         if not changed and syz_done == len(pool):
             break
     pool.sort(key=lambda r: (r.total_dim, r.dims, fingerprint(r)))
-    return pool
+    return pool, ext1
 
 
 def _label_objects(ctx: Context):
@@ -891,17 +896,18 @@ def _label_objects(ctx: Context):
         o.label = aliases[0] if aliases else f"m{o.index}"
 
 
+def _ext1_table(pool: list[Representation], ext1: dict) -> np.ndarray:
+    n = len(pool)
+    return np.array([[ext1[c, a] for a in pool] for c in pool], dtype=np.int64).reshape(n, n)
+
+
 def build_exact_context(algebra: BoundQuiverAlgebra, config: RunConfig | None = None) -> Context:
     config = config or RunConfig(field_char=algebra.p)
     config.validate()
     ctx = ExactContext(algebra, config)
-    pool = enumerate_indecomposables(algebra, config)
+    pool, ext1 = enumerate_indecomposables(algebra, config)
     ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(pool)]
-    n = len(pool)
-    ctx.e1 = np.zeros((n, n), dtype=np.int64)
-    for c in range(n):
-        for a in range(n):
-            ctx.e1[c][a] = ext_dim(1, pool[c], pool[a])
+    ctx.e1 = _ext1_table(pool, ext1)
     ctx.detect_projectives()
     _label_objects(ctx)
     return ctx
@@ -912,18 +918,14 @@ def build_stable_context(algebra: BoundQuiverAlgebra, config: RunConfig | None =
     config.validate()
     require_self_injective(algebra)
     ctx = StableContext(algebra, config)
-    pool = enumerate_indecomposables(algebra, config)
+    pool, ext1 = enumerate_indecomposables(algebra, config)
     from .stable import is_projective_rep
 
     pool = [rep for rep in pool if not is_projective_rep(rep, config.seed)]
     ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(pool)]
-    n = len(pool)
-    ctx.e1 = np.zeros((n, n), dtype=np.int64)
-    for c in range(n):
-        for a in range(n):
-            # E(C, A) = stable Hom(Omega C, A); over a self-injective algebra
-            # this equals module Ext^1.  Spaces built lazily re-check the dims.
-            ctx.e1[c][a] = ext_dim(1, pool[c], pool[a])
+    # E(C, A) = stable Hom(Omega C, A); over a self-injective algebra this
+    # equals module Ext^1.  Spaces built lazily re-check the dims.
+    ctx.e1 = _ext1_table(pool, ext1)
     ctx.detect_projectives()
     if ctx.projective_ids or ctx.injective_ids:
         raise ContextError("a triangulated context detected nonzero projectives")

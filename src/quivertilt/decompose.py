@@ -3,9 +3,11 @@
 Splitting strategy: hunt for a nontrivial idempotent endomorphism (minimal
 polynomials with coprime factors give exact idempotents; failing that, lift
 an idempotent of End/rad), falling back to Fitting splittings with seeded
-random endomorphisms.  Indecomposability is never assumed: it is certified
-by checking that End modulo its radical is a field (commutative with a
-one-dimensional Frobenius fixed space).
+random endomorphisms.  Minimal polynomials are factored over F_p by
+`linalg.poly_factor`, and the idempotent comes from an extended gcd.
+Indecomposability is never assumed: it is certified by checking that End
+modulo its radical is a field (commutative with a one-dimensional Frobenius
+fixed space).
 
 The radical is computed by the characteristic-p chain of coefficient
 conditions c_{p^k}((xy)) = 0 and then *certified* at runtime to be a
@@ -15,10 +17,10 @@ silently corrupt a decomposition.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
-import sympy
 
 from . import linalg
 from .modules import ModuleMap, Representation, hom_basis, hom_dim, identity_map, linear_combination
@@ -211,28 +213,27 @@ class _QuotientAlgebra:
 # -- idempotent hunting ------------------------------------------------------
 
 
-def _poly_from_sympy(expr_poly, p: int) -> list[int]:
-    cs = [int(c) % p for c in expr_poly.all_coeffs()]
-    return list(reversed(cs))
-
-
 def _splitting_idempotent_from_minpoly(minpoly: list[int], p: int):
     """If the minimal polynomial has >= 2 coprime factors, return a polynomial
-    g with g(z) idempotent and nontrivial; else None."""
-    x = sympy.symbols("x")
-    f = sympy.Poly(list(reversed([c % p for c in minpoly])), x, modulus=p)
-    _, factors = f.factor_list()
+    g with g(z) idempotent and nontrivial; else None.
+
+    With f1 the first irreducible factor in `linalg.poly_factor`'s order,
+    minpoly = f1**e1 * rest, and u*f1**e1 + v*rest = 1 with deg v < deg f1**e1;
+    g = v*rest is 1 modulo f1**e1 and 0 modulo rest."""
+    factors = linalg.poly_factor(minpoly, p)
     if len(factors) < 2:
         return None
-    f1, e1 = factors[0]
-    part1 = sympy.Poly(f1**e1, x, modulus=p)
-    rest = sympy.Poly(1, x, modulus=p)
-    for fi, ei in factors[1:]:
-        rest = sympy.Poly(rest * fi**ei, x, modulus=p)
-    u, v, g = sympy.gcdex(part1.as_expr(), rest.as_expr(), x, modulus=p)
-    # u*part1 + v*rest = 1; e := v*rest is 1 mod part1 and 0 mod rest
-    e_poly = sympy.Poly(sympy.expand(v * rest.as_expr()), x, modulus=p)
-    return _poly_from_sympy(e_poly, p)
+
+    def product(pairs):
+        out = [1]
+        for f, e in pairs:
+            for _ in range(e):
+                out = linalg.poly_mul(out, f, p)
+        return out
+
+    part1, rest = product(factors[:1]), product(factors[1:])
+    _, v, _ = linalg.poly_gcdex(part1, rest, p)
+    return linalg.poly_mul(v, rest, p)
 
 
 def _apply_poly_to_endo(f: ModuleMap, poly: list[int]) -> ModuleMap:
@@ -279,14 +280,15 @@ def _split_by_idempotent(m: Representation, e: ModuleMap):
 def _hunt_idempotent(m: Representation, endos: list[ModuleMap], rng: random.Random):
     """Nontrivial idempotent endomorphism of m, or None."""
     p = m.algebra.p
-    candidates: list[ModuleMap] = list(endos)
-    for i in range(min(len(endos), 6)):
-        for j in range(min(len(endos), 6)):
-            candidates.append(endos[i].compose(endos[j]))
-    for _ in range(24):
-        coeffs = [rng.randrange(p) for _ in endos]
-        if any(coeffs):
-            candidates.append(linear_combination(endos, coeffs))
+    k = min(len(endos), 6)
+    # Every coefficient vector is drawn now, so the rng moves on by the same
+    # amount whichever candidate succeeds; the maps are built when reached.
+    draws = [[rng.randrange(p) for _ in endos] for _ in range(24)]
+    candidates = itertools.chain(
+        endos,
+        (endos[i].compose(endos[j]) for i in range(k) for j in range(k)),
+        (linear_combination(endos, coeffs) for coeffs in draws if any(coeffs)),
+    )
     ident = identity_map(m)
     for z in candidates:
         act = action_matrix(z)

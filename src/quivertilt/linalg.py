@@ -8,9 +8,18 @@ echelon forms, nullspace bases and solution vectors are reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 import numpy as np
+
+# Residues are int64 values in [0, p).  A matrix product adds up one product
+# of two residues, each at most (p - 1)**2, per term of its inner dimension
+# before reducing, so the sum must stay within int64.  A characteristic is
+# accepted only if 2**20 such products fit; `matmul` checks its own length.
+INT64_MAX = 2**63 - 1
+MIN_TERMS = 2**20
+MAX_FIELD_CHAR = math.isqrt(INT64_MAX // MIN_TERMS) + 1  # 2,965,821
 
 
 def stable_rng(seed: int, *tags) -> random.Random:
@@ -33,7 +42,12 @@ def eye(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # entries < p and p**2 * inner_dim stays far below 2**63 for any sane size
+    terms = a.shape[1]
+    if terms * (p - 1) ** 2 > INT64_MAX:
+        raise ValueError(
+            f"F_{p} matrix product with inner dimension {terms} could overflow int64: "
+            f"at most {INT64_MAX // (p - 1) ** 2} terms fit"
+        )
     return np.mod(a @ b, p)
 
 
@@ -227,36 +241,186 @@ def char_poly(a: np.ndarray, p: int) -> list[int]:
     return polys[n] if n else [1]
 
 
-def poly_mod(f: list[int], g: list[int], p: int) -> list[int]:
-    """f mod g, coefficients low-first, g nonzero."""
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    while g and g[-1] == 0:
-        g.pop()
+# -- polynomials over F_p -----------------------------------------------------
+#
+# Coefficient lists, lowest degree first, entries in [0, p), with no trailing
+# zeros; the zero polynomial is [0].  Factoring follows von zur Gathen and
+# Gerhard, *Modern Computer Algebra*, ch. 14: square-free decomposition,
+# distinct-degree factorization, then equal-degree splitting.
+
+
+def _trim(f: list[int]) -> list[int]:
+    while len(f) > 1 and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with f = q*g + r and deg r < deg g; g nonzero."""
+    r = [c % p for c in f]
+    g = _trim([c % p for c in g])
     dg = len(g) - 1
     lead_inv = inv_mod(g[-1], p)
-    while len(f) - 1 >= dg and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        shift = len(f) - 1 - dg
-        factor = (f[-1] * lead_inv) % p
-        for i, c in enumerate(g):
-            f[shift + i] = (f[shift + i] - factor * c) % p
-    while f and f[-1] == 0:
-        f.pop()
-    return f or [0]
+    q = [0] * max(len(r) - dg, 1)
+    for shift in range(len(r) - 1 - dg, -1, -1):
+        coef = (r[shift + dg] * lead_inv) % p
+        if coef:
+            q[shift] = coef
+            for i, c in enumerate(g):
+                r[shift + i] = (r[shift + i] - coef * c) % p
+    return _trim(q), _trim(r[:dg] or [0])
+
+
+def poly_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """f mod g, g nonzero."""
+    return poly_divmod(f, g, p)[1]
+
+
+def poly_divexact(f: list[int], g: list[int], p: int) -> list[int]:
+    """f // g assuming g divides f."""
+    return poly_divmod(f, g, p)[0]
+
+
+def poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a % p:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return _trim(out)
+
+
+def poly_sub(f: list[int], g: list[int], p: int) -> list[int]:
+    """f - g; in characteristic 2 this is also f + g."""
+    n = max(len(f), len(g))
+    f = f + [0] * (n - len(f))
+    g = g + [0] * (n - len(g))
+    return _trim([(a - b) % p for a, b in zip(f, g)])
+
+
+def poly_monic(f: list[int], p: int) -> list[int]:
+    """f divided by its leading coefficient; f nonzero."""
+    f = _trim([c % p for c in f])
+    inv = inv_mod(f[-1], p)
+    return [(c * inv) % p for c in f]
 
 
 def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    a, b = [c % p for c in f], [c % p for c in g]
+    """Monic gcd; [0] when both are zero."""
+    a, b = _trim([c % p for c in f]), _trim([c % p for c in g])
     while any(b):
         a, b = b, poly_mod(a, b, p)
-    if not any(a):
-        return [0]
-    inv = inv_mod(a[-1], p)
-    return [(c * inv) % p for c in a]
+    return poly_monic(a, p) if any(a) else [0]
+
+
+def poly_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
+    """(s, t, h) with h the monic gcd of f and g (g nonzero) and
+    s*f + t*g = h, by extended Euclid.  If deg h < min(deg f, deg g), then
+    deg s < deg g - deg h and deg t < deg f - deg h, which makes s and t
+    unique."""
+    r0, r1 = _trim([c % p for c in f]), _trim([c % p for c in g])
+    s0, s1, t0, t1 = [1], [0], [0], [1]
+    while any(r1):
+        q, r = poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
+        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)
+    inv = inv_mod(r0[-1], p)
+    return tuple([(c * inv) % p for c in a] for a in (s0, t0, r0))
+
+
+def poly_powmod(f: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """f**e mod m, for deg m >= 1."""
+    out, base = [1], poly_mod(f, m, p)
+    while e:
+        if e & 1:
+            out = poly_mod(poly_mul(out, base, p), m, p)
+        e >>= 1
+        if e:
+            base = poly_mod(poly_mul(base, base, p), m, p)
+    return out
+
+
+def poly_derivative(f: list[int], p: int) -> list[int]:
+    return _trim([(i * c) % p for i, c in enumerate(f)][1:] or [0])
+
+
+def poly_sqf_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Square-free decomposition of a monic f: pairs (g, e) with g monic,
+    square-free, of degree >= 1 and pairwise coprime, and f = prod g**e."""
+    out = []
+    c = poly_gcd(f, poly_derivative(f, p), p)
+    w = poly_divexact(f, c, p)
+    e = 1
+    # w is the product of the irreducible factors whose multiplicity is >= e
+    # and prime to p; c holds the rest of f.
+    while len(w) > 1:
+        y = poly_gcd(w, c, p)
+        z = poly_divexact(w, y, p)
+        if len(z) > 1:
+            out.append((z, e))
+        w, c, e = y, poly_divexact(c, y, p), e + 1
+    if len(c) > 1:
+        # Every multiplicity left is divisible by p, so c(x) = r(x)**p with
+        # r = sum_k c_{kp} x^k, since a**p = a on F_p.
+        out += [(g, k * p) for g, k in poly_sqf_list(c[::p], p)]
+    return out
+
+
+def poly_ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Distinct-degree factorization of a monic square-free f: pairs (g, d)
+    with g the product of the irreducible factors of f of degree d."""
+    out = []
+    h = [0, 1]
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = poly_powmod(h, p, f, p)  # x**(p**d) mod f
+        g = poly_gcd(poly_sub(h, [0, 1], p), f, p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = poly_divexact(f, g, p)
+            h = poly_mod(h, f, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def poly_edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The irreducible factors of a monic f that is a product of distinct
+    irreducibles of degree d.  A random a splits f by gcd(b, f), where b is
+    a**((p**d - 1)/2) - 1 for odd p (Cantor-Zassenhaus) and the trace
+    a + a**2 + ... + a**(2**(d-1)) for p = 2.  The factors returned do not
+    depend on the draws."""
+    if len(f) - 1 == d:
+        return [f]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if p == 2:
+            b = power = a
+            for _ in range(d - 1):
+                power = poly_powmod(power, 2, f, p)
+                b = poly_sub(b, power, p)
+        else:
+            b = poly_sub(poly_powmod(a, (p**d - 1) // 2, f, p), [1], p)
+        g = poly_gcd(b, f, p)
+        if 1 < len(g) < len(f):
+            return poly_edf(g, d, p, rng) + poly_edf(poly_divexact(f, g, p), d, p, rng)
+
+
+def poly_factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Monic irreducible factors of a nonzero f with their multiplicities,
+    ordered by degree, then multiplicity, then coefficients from the leading
+    one down."""
+    rng = random.Random(0)
+    out = [
+        (g, e)
+        for s, e in poly_sqf_list(poly_monic(f, p), p)
+        for h, d in poly_ddf(s, p)
+        for g in poly_edf(h, d, p, rng)
+    ]
+    out.sort(key=lambda t: (len(t[0]), t[1], t[0][::-1]))
+    return out
 
 
 def poly_eval_matrix(f: list[int], a: np.ndarray, p: int) -> np.ndarray:
@@ -294,33 +458,6 @@ def min_poly(a: np.ndarray, p: int) -> list[int]:
         if len(result) == n + 1:
             break
     return result
-
-
-def poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a % p:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return out
-
-
-def poly_divexact(f: list[int], g: list[int], p: int) -> list[int]:
-    """f // g assuming g divides f."""
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    while g and g[-1] == 0:
-        g.pop()
-    out = [0] * (len(f) - len(g) + 1)
-    lead_inv = inv_mod(g[-1], p)
-    work = list(f)
-    for shift in range(len(out) - 1, -1, -1):
-        coef = (work[shift + len(g) - 1] * lead_inv) % p
-        out[shift] = coef
-        if coef:
-            for i, c in enumerate(g):
-                work[shift + i] = (work[shift + i] - coef * c) % p
-    return out
 
 
 def poly_lcm(f: list[int], g: list[int], p: int) -> list[int]:

@@ -11,6 +11,11 @@ genuinely independent check of the resolution-based computation.
 `identify_by_splitting` names the summands of a module the way contexts did
 before they solved by Hom vectors: Krull-Schmidt splitting, then an
 isomorphism test of each piece against the context objects.
+
+`splitting_idempotent_by_sympy` is the splitting polynomial of
+`decompose._splitting_idempotent_from_minpoly` as it was computed with
+sympy's factoring and extended gcd over F_p, before the package did both
+itself.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+import sympy
 
 from quivertilt import linalg
 from quivertilt.decompose import indecomposable_isomorphic, summand_split
@@ -126,3 +132,22 @@ def identify_by_splitting(ctx, rep: Representation) -> Counter:
             raise AssertionError(f"summand {piece.dims} matches objects {matches}")
         out[matches[0]] += 1
     return out
+
+
+def splitting_idempotent_by_sympy(minpoly: list[int], p: int):
+    """If the minimal polynomial has >= 2 coprime factors, return a polynomial
+    g with g(z) idempotent and nontrivial; else None."""
+    x = sympy.symbols("x")
+    f = sympy.Poly(list(reversed([c % p for c in minpoly])), x, modulus=p)
+    _, factors = f.factor_list()
+    if len(factors) < 2:
+        return None
+    f1, e1 = factors[0]
+    part1 = sympy.Poly(f1**e1, x, modulus=p)
+    rest = sympy.Poly(1, x, modulus=p)
+    for fi, ei in factors[1:]:
+        rest = sympy.Poly(rest * fi**ei, x, modulus=p)
+    u, v, g = sympy.gcdex(part1.as_expr(), rest.as_expr(), x, modulus=p)
+    # u*part1 + v*rest = 1; e := v*rest is 1 mod part1 and 0 mod rest
+    e_poly = sympy.Poly(sympy.expand(v * rest.as_expr()), x, modulus=p)
+    return list(reversed([int(c) % p for c in e_poly.all_coeffs()]))

@@ -160,3 +160,12 @@ def test_opposite_round_trip(a3_rad2):
 def test_path_key_orders_by_degree_then_lex():
     assert path_key((0, ())) < path_key((0, (1,)))
     assert path_key((0, (0, 1))) < path_key((0, (1, 0)))
+
+
+def test_field_characteristic_must_leave_room_in_int64():
+    assert linalg.MAX_FIELD_CHAR == 2965821
+    # 2965819 is the largest prime at or below the limit, 2965847 the next one
+    assert nakayama_cyclic(2, 2, 2965819).p == 2965819
+    for p in (2965847, 3037000493, 4294967291):
+        with pytest.raises(AlgebraError, match="exceeds 2965821"):
+            nakayama_cyclic(2, 2, p)

@@ -89,3 +89,27 @@ def test_nakayama_field_defaults_to_2(capsys):
     status, out, _ = _run(["objects", "--nakayama", "2,2", "--format", "structured"], capsys)
     assert status == 0
     assert json.loads(out)["config"]["field_char"] == 2
+
+
+def test_field_too_large_for_int64_exits_2(capsys):
+    status, out, err = _run(["objects", "--nakayama", "3,2", "--field", "3037000493"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: field characteristic 3037000493 exceeds 2965821")
+
+
+def test_field_65521_still_runs(tmp_path, capsys):
+    spec = tmp_path / "semisimple.alg"
+    spec.write_text("field 65521\nvertices 1 2\n")
+    status, out, _ = _run(["objects", "--algebra", str(spec), "--format", "structured"], capsys)
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["config"]["field_char"] == 65521 and len(doc["result"]["objects"]) == 2
+
+
+def test_cli_import_does_not_load_sympy():
+    code = "import sys, quivertilt.cli; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

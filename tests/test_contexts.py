@@ -16,6 +16,7 @@ from quivertilt.contexts import (
     is_extension_closed,
 )
 from quivertilt.decompose import is_isomorphic
+from quivertilt.homology import ext_dim
 from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel
 from oracle import identify_by_splitting
 
@@ -228,3 +229,10 @@ def test_hom_vectors_refuse_an_incomplete_object_list(a2):
     assert ctx.identify_sum(full.objects[full.resolve_name("S1")].rep) == Counter({s1: 1})
     with pytest.raises(ContextError, match="not a sum of context objects"):
         ctx.identify_sum(full.objects[p1].rep)
+
+
+def test_e1_equals_a_fresh_ext_table(exact_contexts, stable_contexts):
+    for ctx in [*exact_contexts.values(), *stable_contexts.values()]:
+        reps = [o.rep for o in ctx.objects]
+        fresh = [[ext_dim(1, c, a) for a in reps] for c in reps]
+        assert ctx.e1.tolist() == fresh

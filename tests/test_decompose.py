@@ -11,7 +11,9 @@ from quivertilt.decompose import (
     radical_basis,
     summand_split,
 )
+from quivertilt.decompose import _splitting_idempotent_from_minpoly as splitting_idempotent
 from quivertilt.modules import Representation, direct_sum, hom_basis
+from oracle import splitting_idempotent_by_sympy
 
 
 def test_decompose_explicit_direct_sum(a2):
@@ -147,3 +149,59 @@ def test_fingerprint_is_iso_invariant(a3_rad2):
     for rep, _, _ in pieces:
         assert fingerprint(rep) == fingerprint(p1)
         assert indecomposable_isomorphic(rep, p1)
+
+
+def _random_monic(rng, p, degree):
+    return [rng.randrange(p) for _ in range(degree)] + [1]
+
+
+def _power(f, e, p):
+    out = [1]
+    for _ in range(e):
+        out = linalg.poly_mul(out, f, p)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_splitting_idempotent_matches_sympy(p):
+    rng = linalg.stable_rng(17, p)
+    cases = []
+    for _ in range(40):
+        f = [1]
+        for _ in range(rng.randrange(1, 4)):
+            g = _random_monic(rng, p, rng.randrange(1, 4))
+            f = linalg.poly_mul(f, _power(g, rng.choice((1, 1, 2, 3)), p), p)
+        cases.append(f)
+        cases.append([0] * rng.randrange(1, 4) + f)  # times x^j
+        cases.append([0] * rng.randrange(1, 4) + [1])  # x^j alone
+    if p < 10:
+        # p-th powers reach the p-th-root branch of the square-free decomposition
+        for _ in range(15):
+            g = _power(_random_monic(rng, p, rng.randrange(1, 3)), p, p)
+            h = _random_monic(rng, p, rng.randrange(1, 3))
+            cases += [g, linalg.poly_mul(g, h, p), linalg.poly_mul(_power(g, 2, p), h, p)]
+    split = 0
+    for f in cases:
+        e = splitting_idempotent(f, p)
+        assert e == splitting_idempotent_by_sympy(f, p), (f, p)
+        if e is not None:
+            split += 1
+            assert linalg.poly_mod(linalg.poly_sub(linalg.poly_mul(e, e, p), e, p), f, p) == [0]
+    assert 0 < split < len(cases)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_splitting_idempotent_of_one_irreducible_factor_is_none(p):
+    import sympy
+
+    x = sympy.symbols("x")
+    rng = linalg.stable_rng(19, p)
+    found = 0
+    while found < 6:
+        g = _random_monic(rng, p, rng.randrange(1, 5))
+        if not sympy.Poly(list(reversed(g)), x, modulus=p).is_irreducible:
+            continue
+        found += 1
+        for f in (g, _power(g, 3, p)):
+            assert splitting_idempotent(f, p) is None
+            assert splitting_idempotent_by_sympy(f, p) is None

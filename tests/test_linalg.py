@@ -137,3 +137,76 @@ def test_stable_rng_is_process_independent():
     c = linalg.stable_rng(4, "tag").randrange(10**9)
     assert a == b
     assert a != c
+
+
+def _random_poly(rng, p, max_degree):
+    return linalg.poly_sub([rng.randrange(p) for _ in range(rng.randrange(1, max_degree + 2))], [0], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_poly_divmod_and_gcdex(p):
+    rng = linalg.stable_rng(23, p)
+    for _ in range(40):
+        f, g = _random_poly(rng, p, 6), _random_poly(rng, p, 6)
+        if not any(g):
+            continue
+        q, r = linalg.poly_divmod(f, g, p)
+        assert len(r) < len(g) or r == [0]
+        assert linalg.poly_sub(linalg.poly_mul(q, g, p), linalg.poly_sub(f, r, p), p) == [0]
+        s, t, h = linalg.poly_gcdex(f, g, p)
+        assert h == linalg.poly_gcd(f, g, p)
+        lhs = linalg.poly_sub(linalg.poly_mul(s, f, p), linalg.poly_sub([0], linalg.poly_mul(t, g, p), p), p)
+        assert lhs == h
+        if len(h) >= min(len(f), len(g)):
+            continue
+        assert s == [0] or len(s) - 1 < len(g) - len(h)
+        assert t == [0] or len(t) - 1 < len(f) - len(h)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_poly_factor_is_a_sorted_irreducible_factorization(p):
+    x = sympy.symbols("x")
+    rng = linalg.stable_rng(29, p)
+    for _ in range(25):
+        f = _random_poly(rng, p, 4)
+        for _ in range(rng.randrange(3)):
+            f = linalg.poly_mul(f, f if rng.random() < 0.3 else _random_poly(rng, p, 3), p)
+        if len(f) < 2:
+            continue
+        factors = linalg.poly_factor(f, p)
+        product = [1]
+        for g, e in factors:
+            assert g[-1] == 1 and sympy.Poly(list(reversed(g)), x, modulus=p).is_irreducible
+            for _ in range(e):
+                product = linalg.poly_mul(product, g, p)
+        assert product == linalg.poly_monic(f, p)
+        assert len({tuple(g) for g, _ in factors}) == len(factors)
+        keys = [(len(g), e, g[::-1]) for g, e in factors]
+        assert keys == sorted(keys)
+
+
+def test_matmul_refuses_sums_that_could_overflow():
+    p = 3037000493  # (p - 1)**2 alone is just below 2**63
+    a = np.full((2, 2), p - 1, dtype=np.int64)
+    with pytest.raises(ValueError, match="at most 1 terms fit"):
+        linalg.matmul(a, a, p)
+    # the largest accepted prime: exactly as many terms as fit are exact
+    p = 2965819
+    terms = linalg.INT64_MAX // (p - 1) ** 2
+    assert terms >= linalg.MIN_TERMS
+    a = np.full((1, terms), p - 1, dtype=np.int64)
+    assert linalg.matmul(a, a.T, p)[0, 0] == terms * (p - 1) ** 2 % p
+    with pytest.raises(ValueError, match=f"at most {terms} terms fit"):
+        linalg.matmul(np.full((1, terms + 1), 1, dtype=np.int64), np.full((terms + 1, 1), 1, dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("p", [65521, 2965819])
+def test_inverse_is_exact_for_accepted_primes(p):
+    rng = linalg.stable_rng(31, p)
+    for _ in range(20):
+        a = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(4)], dtype=np.int64)
+        inv = linalg.inverse(a, p)
+        if inv is None:
+            continue
+        exact = (np.array(a.tolist(), dtype=object) @ np.array(inv.tolist(), dtype=object)) % p
+        assert exact.tolist() == np.eye(4, dtype=int).tolist()
