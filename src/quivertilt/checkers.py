@@ -11,6 +11,15 @@ while the cotorsion checker constructs approximation conflations and
 resolution chains.  The theorem verifier runs both and compares.  The right
 cotorsion check is the dual of the left one and shares its code path
 (`_check_side` with `dual`), as resolution and coresolution dimensions do.
+
+The canonical approximation conflation of an object C by add(X) is computed
+once per distinct input, not once per X.  `homology.approximation` sums a
+basis of Hom(x, C) over the members x (with `dual`, of Hom(C, x)), so a member
+with no maps to C (from C) adds no summand: X and X intersected with the
+Hom support of C build the same map, not merely an isomorphic one.  Whether
+the context projectives (injectives) lie in X decides the augmenting summand,
+so a step is keyed by that intersection, C, the side and that flag.  The key
+depends on X, C and Hom(-, C) (Hom(C, -)) alone, never on a verdict.
 """
 
 from __future__ import annotations
@@ -124,13 +133,16 @@ def _in_add(x_ids: frozenset, ids: Counter) -> bool:
 
 def _greedy_step(ctx: Context, x_ids: frozenset, idx: int, dual: bool):
     """Cocone (resp. cone) of the canonical approximation conflation for one
-    indecomposable; None when no usable canonical conflation exists."""
-    key = (x_ids, idx, dual)
+    indecomposable; None when no usable canonical conflation exists.  Keyed
+    by the members with maps to (from) the object, see the module docstring."""
+    forced = ctx.injective_ids if dual else ctx.projective_ids
+    augment = forced <= x_ids
+    members = x_ids & ctx.hom_support(idx, dual)
+    key = (members, idx, dual, augment)
     cache = ctx.__dict__.setdefault("_greedy_step_cache", {})
     if key in cache:
         return cache[key]
-    forced = ctx.injective_ids if dual else ctx.projective_ids
-    h = ctx.approx(sorted(x_ids), idx, augment=forced <= x_ids, dual=dual)
+    h = ctx.approx(sorted(members), idx, augment=augment, dual=dual)
     if dual:
         result = ctx.cone_ids(h) if ctx.is_inflation(h) else None
     else:

@@ -21,6 +21,12 @@ and an answer that is not a non-negative integer vector reproducing the Hom
 vector and the dimension vector of M raises.  Where the root is
 triangulated, projective summands are stripped and the rest is split into
 indecomposables (Krull-Schmidt), each matched to an object by isomorphism.
+
+Cocones in a triangulated root are taken as one kernel.  Every short exact
+sequence of modules is a triangle in the stable category (Happel 1988), so
+the cocone of y: X0 -> C is the kernel of (y, pi): X0 + P(C) -> C, with pi
+the projective cover of C; P(C) is zero in the stable category.  Cones are
+the mapping cones of `stable.cone`.
 """
 
 from __future__ import annotations
@@ -329,6 +335,7 @@ class Context:
         self._ek_cache: dict[tuple[int, int, int], int] = {}
         self._sum_rep_cache: dict[tuple, tuple[Representation, list[int]]] = {}
         self._witnesses: dict[bool, dict[int, dict]] = {}
+        self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
         self._hom_vectors: HomVectors | None = None  # exact roots, built on first use
         self.projective_ids: frozenset[int] = frozenset()
         self.injective_ids: frozenset[int] = frozenset()
@@ -499,14 +506,17 @@ class Context:
         return True
 
     def cocone_ids(self, y: ModuleMap) -> Counter:
-        """Object ids of the cocone of a deflation, normalized to the context."""
-        root = self._root_kind()
-        if root == "mod":
-            k = kernel(y)[0]
-        else:
-            cone_raw = cone(y)[0]
-            k = loop_raw(cone_raw)[0] if cone_raw.total_dim else cone_raw
-        return self.identify_sum(k)
+        """Object ids of the cocone of a deflation y: X0 -> C, normalized to
+        the context.  In an exact root that is the kernel of y.  In a
+        triangulated root it is the kernel K of (y, pi): X0 + P -> C, with
+        pi: P -> C the projective cover held by C's minimal resolution: the
+        map is onto, so 0 -> K -> X0 + P -> C -> 0 is exact, hence a triangle
+        K -> X0 -> C -> Sigma K in the stable category, where P is zero."""
+        if self._root_kind() != "mod":
+            _, cover_term, _, cover = loop_raw(y.target)
+            _, _, (to_x0, to_cover) = direct_sum([y.source, cover_term])
+            y = y.compose(to_x0).add(cover.compose(to_cover))
+        return self.identify_sum(kernel(y)[0])
 
     def cone_ids(self, x: ModuleMap) -> Counter:
         root = self._root_kind()
@@ -515,6 +525,19 @@ class Context:
         else:
             c = cone(x)[0]
         return self.identify_sum(c)
+
+    def hom_support(self, idx: int, dual: bool = False) -> frozenset[int]:
+        """The objects x with Hom(x, C) != 0 (with `dual`, Hom(C, x) != 0)
+        for the object C, as module maps; computed once per object and side."""
+        key = (idx, dual)
+        hit = self._hom_support.get(key)
+        if hit is None:
+            c_rep = self.objects[idx].rep
+            hit = self._hom_support[key] = frozenset(
+                o.index for o in self.objects
+                if (hom_dim(c_rep, o.rep) if dual else hom_dim(o.rep, c_rep))
+            )
+        return hit
 
     def _pull_ids(self, parent_ids: Counter) -> Counter:
         """Parent object ids as ids of this sub-context; raises for an

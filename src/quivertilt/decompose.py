@@ -23,7 +23,16 @@ import random
 import numpy as np
 
 from . import linalg
-from .modules import ModuleMap, Representation, hom_basis, hom_dim, identity_map, linear_combination
+from .modules import (
+    ModuleMap,
+    Representation,
+    hom_basis,
+    hom_dim,
+    identity_map,
+    linear_combination,
+    socle_subspaces,
+    top_dims,
+)
 
 
 class DecompositionError(Exception):
@@ -533,29 +542,46 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
 # -- fingerprints ------------------------------------------------------------
 
 
-def _probes(algebra) -> list[Representation]:
+def _probes(algebra) -> tuple[list[Representation], list[int | None]]:
+    """The projectives P_v by vertex, and for each the vertex w with
+    P_v = I_w (None when P_v is not injective); cached on the algebra."""
     cache = getattr(algebra, "_probe_cache", None)
     if cache is None:
-        from .algebra import projective_module, simple_module
+        from .algebra import injective_module, projective_module
 
-        cache = [simple_module(algebra, v) for v in algebra.quiver.vertex_ids]
-        cache += [projective_module(algebra, v) for v in algebra.quiver.vertex_ids]
-        algebra._probe_cache = cache
+        ids = algebra.quiver.vertex_ids
+        projs = [projective_module(algebra, v) for v in ids]
+        injs = [injective_module(algebra, v) for v in ids]
+        as_injective = [
+            next((w for w, inj in enumerate(injs)
+                  if inj.dims == pv.dims and indecomposable_isomorphic(pv, inj)), None)
+            for pv in projs
+        ]
+        cache = algebra._probe_cache = projs, as_injective
     return cache
 
 
 def fingerprint(m: Representation) -> tuple:
     """Isomorphism-invariant index key: dimension vector, Hom profile against
     the simples and projectives, arrow matrix ranks.  Collisions are resolved
-    by is_isomorphic; the fingerprint is never the final arbiter."""
+    by is_isomorphic; the fingerprint is never the final arbiter.
+
+    The profile is read off dimensions where it can be: hom(P_v, M) = dim M_v
+    (Yoneda), hom(S_v, M) = dim soc(M)_v, hom(M, S_v) = dim top(M)_v, and
+    hom(M, P_v) = dim M_w when P_v = I_w.  Only projectives that are not
+    injective need an intertwining system."""
     cached = getattr(m, "_fp", None)
     if cached is not None:
         return cached
     p = m.algebra.p
+    projs, as_injective = _probes(m.algebra)
+    socle = [b.shape[1] for b in socle_subspaces(m)]
+    top = top_dims(m)
     profile = []
-    for probe in _probes(m.algebra):
-        profile.append(hom_dim(probe, m))
-        profile.append(hom_dim(m, probe))
+    for v in range(len(m.dims)):
+        profile += [socle[v], top[v]]
+    for v, (pv, w) in enumerate(zip(projs, as_injective)):
+        profile += [m.dims[v], m.dims[w] if w is not None else hom_dim(m, pv)]
     ranks = tuple(linalg.rank(a, p) for a in m.matrices)
     fp = (m.dims, tuple(profile), ranks)
     m._fp = fp

@@ -1,10 +1,12 @@
 """Projective covers, injective hulls, syzygies, Ext and approximations.
 
 Covers are built from lifts of a basis of top(M) = M/rad M; hulls are covers
-of the dual module over the opposite algebra, dualized back.  Minimal
-resolutions are extended lazily and cached on the representation object, so
-repeated Ext queries against the same module share work.  Right and left
-approximations are one construction, `approximation`, with a `dual` switch.
+of the dual module over the opposite algebra, dualized back.  Hulls are
+cached on the representation object, and so are minimal resolutions, which
+are extended lazily, so repeated Ext queries against the same module share
+work; Ext dimensions are read off Hom dimensions along the resolution.
+Right and left approximations are one construction, `approximation`, with a
+`dual` switch.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .modules import (
     kernel,
     linear_combination,
     radical_subspaces,
+    top_dims,
     zero_map,
     zero_representation,
 )
@@ -82,7 +85,11 @@ def projective_cover(m: Representation) -> tuple[Representation, ModuleMap]:
 
 
 def injective_hull(m: Representation) -> tuple[Representation, ModuleMap]:
-    """Minimal injective hull (I, mono), via the cover of the dual module."""
+    """Minimal injective hull (I, mono), via the cover of the dual module;
+    cached on the representation object."""
+    cached = getattr(m, "_hull", None)
+    if cached is not None:
+        return cached
     dm = dual_representation(m)
     pd, epi = projective_cover(dm)
     mono_raw = dual_map(epi)  # D(dm) -> D(pd); D(dm) has the same matrices as m
@@ -90,6 +97,7 @@ def injective_hull(m: Representation) -> tuple[Representation, ModuleMap]:
     mono = ModuleMap(m, hull, mono_raw.blocks, validate=False)
     if not mono.is_mono():
         raise RuntimeError("injective hull construction failed to be injective")
+    m._hull = hull, mono
     return hull, mono
 
 
@@ -153,40 +161,25 @@ def _hom_coord_matrix(maps: list[ModuleMap]) -> np.ndarray:
     return np.stack([f.flatten() for f in maps], axis=1)
 
 
-def induced_map_on_hom(
-    basis_src: list[ModuleMap], basis_tgt: list[ModuleMap], transform, p: int
-) -> np.ndarray:
-    """Matrix (over the given hom bases) of f |-> transform(f)."""
-    if not basis_src or not basis_tgt:
-        return linalg.zeros(len(basis_tgt), len(basis_src))
-    tgt_mat = _hom_coord_matrix(basis_tgt)
-    cols = []
-    for f in basis_src:
-        g = transform(f)
-        sol = linalg.solve(tgt_mat, g.flatten().reshape(-1, 1), p)
-        if sol is None:
-            raise RuntimeError("transformed hom element escaped the target hom space")
-        cols.append(sol.reshape(-1))
-    return np.stack(cols, axis=1) % p
-
-
 def ext_dim(k: int, m: Representation, n: Representation) -> int:
-    """dim Ext^k(m, n) from the minimal resolution; k = 0 gives dim Hom."""
+    """dim Ext^k(m, n) from the minimal resolution; k = 0 gives dim Hom.
+
+    With Omega^0 m = m, the presentation 0 -> Omega^k m -> P_{k-1} ->
+    Omega^{k-1} m -> 0 gives Ext^k(m, n) = Ext^1(Omega^{k-1} m, n), the
+    cokernel of Hom(P_{k-1}, n) -> Hom(Omega^k m, n) whose kernel is
+    Hom(Omega^{k-1} m, n).  P_{k-1} holds top_v(Omega^{k-1} m) copies of P_v,
+    and dim Hom(P_v, n) = dim n_v (Yoneda), so only dimensions are needed."""
     if k < 0:
         raise ValueError("negative cohomological degree")
     if k == 0:
         return hom_dim(m, n)
     if m.total_dim == 0 or n.total_dim == 0:
         return 0
-    p = m.algebra.p
     res = minimal_resolution(m)
-    res.extend(k + 1)
-    h_prev = hom_basis(res.terms[k - 1], n)
-    h_cur = hom_basis(res.terms[k], n)
-    h_next = hom_basis(res.terms[k + 1], n)
-    d_in = induced_map_on_hom(h_prev, h_cur, lambda f: f.compose(res.diffs[k]), p)
-    d_out = induced_map_on_hom(h_cur, h_next, lambda f: f.compose(res.diffs[k + 1]), p)
-    return len(h_cur) - linalg.rank(d_in, p) - linalg.rank(d_out, p)
+    res.extend(k - 1)
+    prev = res.syzygies[k - 2] if k > 1 else m
+    hom_cover = sum(t * d for t, d in zip(top_dims(prev), n.dims))
+    return hom_dim(res.syzygies[k - 1], n) - hom_cover + hom_dim(prev, n)
 
 
 def approximation(

@@ -418,6 +418,11 @@ def radical_subspaces(rep: Representation) -> list[np.ndarray]:
     return out
 
 
+def top_dims(rep: Representation) -> list[int]:
+    """Vertex-wise dimensions of top(M) = M / rad(M)."""
+    return [d - b.shape[1] for d, b in zip(rep.dims, radical_subspaces(rep))]
+
+
 def socle_subspaces(rep: Representation) -> list[np.ndarray]:
     """Vertex-wise bases of soc(M) = joint kernel of all outgoing arrows."""
     p = rep.algebra.p

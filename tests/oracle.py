@@ -12,6 +12,14 @@ genuinely independent check of the resolution-based computation.
 before they solved by Hom vectors: Krull-Schmidt splitting, then an
 isomorphism test of each piece against the context objects.
 
+`fingerprint_by_hom_probes` is `decompose.fingerprint` as it was before the
+profile was read off dimensions: one intertwining system per probe.
+
+`greedy_step_by_full_approximation` is the canonical approximation step of
+`checkers._greedy_step` computed from the whole of X, uncached;
+`cocone_by_cone_and_loop` names the cocone of a map in a triangulated context
+as the loop of its mapping cone.
+
 `splitting_idempotent_by_sympy` is the splitting polynomial of
 `decompose._splitting_idempotent_from_minpoly` as it was computed with
 sympy's factoring and extended gcd over F_p, before the package did both
@@ -26,8 +34,10 @@ import numpy as np
 import sympy
 
 from quivertilt import linalg
+from quivertilt.algebra import projective_module, simple_module
 from quivertilt.decompose import indecomposable_isomorphic, summand_split
-from quivertilt.modules import Representation
+from quivertilt.modules import Representation, hom_dim
+from quivertilt.stable import cone, loop_raw
 
 
 def _theta_offsets(m: Representation, n: Representation):
@@ -132,6 +142,35 @@ def identify_by_splitting(ctx, rep: Representation) -> Counter:
             raise AssertionError(f"summand {piece.dims} matches objects {matches}")
         out[matches[0]] += 1
     return out
+
+
+def fingerprint_by_hom_probes(m: Representation) -> tuple:
+    """Dimension vector, dim Hom both ways against every simple and then
+    every projective, and the arrow matrix ranks."""
+    alg = m.algebra
+    probes = [simple_module(alg, v) for v in alg.quiver.vertex_ids]
+    probes += [projective_module(alg, v) for v in alg.quiver.vertex_ids]
+    profile = []
+    for probe in probes:
+        profile += [hom_dim(probe, m), hom_dim(m, probe)]
+    return m.dims, tuple(profile), tuple(linalg.rank(a, alg.p) for a in m.matrices)
+
+
+def greedy_step_by_full_approximation(ctx, x_ids, idx: int, dual: bool):
+    """Cocone (with `dual`, cone) ids of the approximation of object idx by
+    every member of X, augmented when X holds the context projectives
+    (injectives); None when the map is not a deflation (inflation)."""
+    forced = ctx.injective_ids if dual else ctx.projective_ids
+    h = ctx.approx(sorted(x_ids), idx, augment=forced <= frozenset(x_ids), dual=dual)
+    if dual:
+        return ctx.cone_ids(h) if ctx.is_inflation(h) else None
+    return ctx.cocone_ids(h) if ctx.is_deflation(h) else None
+
+
+def cocone_by_cone_and_loop(ctx, y) -> Counter:
+    """Ids of the cocone of y in a triangulated context: Omega of cone(y)."""
+    cone_raw = cone(y)[0]
+    return ctx.identify_sum(loop_raw(cone_raw)[0] if cone_raw.total_dim else cone_raw)
 
 
 def splitting_idempotent_by_sympy(minpoly: list[int], p: int):

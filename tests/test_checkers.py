@@ -7,6 +7,7 @@ from quivertilt import linalg
 from quivertilt.algebra import parse_algebra
 from quivertilt.checkers import (
     EXCEEDS,
+    _greedy_step,
     check_cluster_tilting,
     check_left_n_cotorsion,
     check_n_cotorsion,
@@ -24,6 +25,7 @@ from quivertilt.checkers import (
     within,
 )
 from quivertilt.contexts import ContextError, build_exact_context
+from oracle import greedy_step_by_full_approximation
 
 
 def test_orthogonal_examples(exact_contexts):
@@ -105,6 +107,30 @@ def test_exhaustive_resdim_in_triangulated_contexts(stable_contexts):
                         if isinstance(greedy, int):
                             assert isinstance(brute, int), key
                             assert brute <= greedy, key
+
+
+def _rigid_subsets(ctx, n):
+    """Every set X of objects with E^k(X, X) = 0 for k in 1..n."""
+    for size in range(ctx.n_objects + 1):
+        for combo in itertools.combinations(range(ctx.n_objects), size):
+            if not any(ctx.e_k_dim(k, a, b) for a in combo for b in combo for k in range(1, n + 1)):
+                yield frozenset(combo)
+
+
+def test_greedy_steps_keyed_by_hom_support_match_full_approximations(exact_contexts, stable_contexts):
+    """Steps served from one cache per context, filled over every rigid X of
+    degrees 1 and 2, equal the step computed from the whole of X: the key may
+    drop neither a member with maps to (from) the object nor whether X holds
+    the context projectives (injectives)."""
+    for name, ctx in [*exact_contexts.items(), *stable_contexts.items()]:
+        ctx.__dict__.pop("_greedy_step_cache", None)
+        for n in (1, 2):
+            for x_ids in _rigid_subsets(ctx, n):
+                for dual in (False, True):
+                    for idx in range(ctx.n_objects):
+                        want = greedy_step_by_full_approximation(ctx, x_ids, idx, dual)
+                        got = _greedy_step(ctx, x_ids, idx, dual)
+                        assert got == want, (name, ctx.kind, sorted(x_ids), idx, dual)
 
 
 def test_trivial_pairs(exact_contexts):

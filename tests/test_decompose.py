@@ -13,7 +13,7 @@ from quivertilt.decompose import (
 )
 from quivertilt.decompose import _splitting_idempotent_from_minpoly as splitting_idempotent
 from quivertilt.modules import Representation, direct_sum, hom_basis
-from oracle import splitting_idempotent_by_sympy
+from oracle import fingerprint_by_hom_probes, splitting_idempotent_by_sympy
 
 
 def test_decompose_explicit_direct_sum(a2):
@@ -149,6 +149,15 @@ def test_fingerprint_is_iso_invariant(a3_rad2):
     for rep, _, _ in pieces:
         assert fingerprint(rep) == fingerprint(p1)
         assert indecomposable_isomorphic(rep, p1)
+
+
+def test_fingerprint_matches_hom_probes(exact_contexts, stable_contexts):
+    """The profile read off dimensions equals the one solved probe by probe,
+    on every object and on the sum of all objects of a context."""
+    for ctx in [*exact_contexts.values(), *stable_contexts.values()]:
+        reps = [o.rep for o in ctx.objects]
+        for rep in reps + [direct_sum(reps)[0]]:
+            assert fingerprint(rep) == fingerprint_by_hom_probes(rep), (ctx.kind, rep.dims)
 
 
 def _random_monic(rng, p, degree):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from quivertilt import linalg
@@ -13,6 +15,7 @@ from quivertilt.stable import (
     strip_projectives,
     suspension,
 )
+from oracle import cocone_by_cone_and_loop
 
 
 def test_requires_self_injective(a2):
@@ -101,3 +104,23 @@ def test_suspension_preserves_stable_homs(stable_nak104):
         n = objs[rng.randrange(len(objs))].rep
         assert stable_hom_dim(m, n) == stable_hom_dim(suspension(m), suspension(n))
         assert stable_hom_dim(m, n) == stable_hom_dim(loop(m), loop(n))
+
+
+def test_kernel_cocone_matches_loop_of_cone(stable_contexts, stable_nak104):
+    """The cocone of an approximation deflation, taken as the kernel of the
+    deflation plus the projective cover, names the same objects as the loop
+    of its mapping cone: every X on the small contexts; on nak(10,4) the
+    empty set, all objects, and every single object with maps to C."""
+    cases = []
+    for ctx in stable_contexts.values():
+        subsets = [x for size in range(ctx.n_objects + 1)
+                   for x in itertools.combinations(range(ctx.n_objects), size)]
+        cases += [(ctx, x, idx) for x in subsets for idx in range(ctx.n_objects)]
+    ctx = stable_nak104
+    for idx in range(ctx.n_objects):
+        x_sets = [(), tuple(range(ctx.n_objects))] + [(i,) for i in sorted(ctx.hom_support(idx))]
+        cases += [(ctx, x, idx) for x in x_sets]
+    for ctx, x_ids, idx in cases:
+        y = ctx.approx(x_ids, idx, augment=True)
+        assert ctx.is_deflation(y)
+        assert ctx.cocone_ids(y) == cocone_by_cone_and_loop(ctx, y), (x_ids, idx)
