@@ -119,6 +119,7 @@ class BoundQuiverAlgebra:
         self._reduce_memo: dict[Path, dict[Path, int]] = {}
         self._build_basis()
         self._op: BoundQuiverAlgebra | None = None
+        self._by_target: dict[int, list[list[Path]]] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -277,11 +278,20 @@ class BoundQuiverAlgebra:
     def right_multiply(self, b: Path, arrow: int) -> dict[Path, int]:
         return self.reduce_path((b[0], b[1] + (arrow,)))
 
-    def paths_from(self, vertex_idx: int) -> list[Path]:
-        return [b for b in self.basis if b[0] == vertex_idx]
-
-    def paths_into(self, vertex_idx: int) -> list[Path]:
-        return [b for b in self.basis if self._path_target(b) == vertex_idx]
+    def basis_by_target(self, vertex_idx: int) -> list[list[Path]]:
+        """The basis paths with the given source, grouped by target vertex and
+        ordered by `path_key` within each group: the basis of the projective
+        at that vertex, vertex by vertex (the trivial path leads its group)."""
+        hit = self._by_target.get(vertex_idx)
+        if hit is None:
+            hit = [[] for _ in range(self.quiver.n_vertices)]
+            for b in self.basis:
+                if b[0] == vertex_idx:
+                    hit[self._path_target(b)].append(b)
+            for group in hit:
+                group.sort(key=path_key)
+            self._by_target[vertex_idx] = hit
+        return hit
 
     def format_path(self, path: Path | None) -> str:
         if path is None:
@@ -332,12 +342,7 @@ def projective_module(algebra: BoundQuiverAlgebra, vertex_id: int):
     from .modules import Representation
 
     q = algebra.quiver
-    i = q.vertex_index(vertex_id)
-    by_vertex: list[list[Path]] = [[] for _ in range(q.n_vertices)]
-    for b in algebra.paths_from(i):
-        by_vertex[algebra.path_target(b)].append(b)
-    for lst in by_vertex:
-        lst.sort(key=path_key)
+    by_vertex = algebra.basis_by_target(q.vertex_index(vertex_id))
     index = {b: (v, k) for v in range(q.n_vertices) for k, b in enumerate(by_vertex[v])}
     dims = tuple(len(lst) for lst in by_vertex)
     mats = []

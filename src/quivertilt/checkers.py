@@ -460,7 +460,7 @@ def _subset_masks(ctx: Context, forced: frozenset[int]):
     if 2 ** len(free) > ctx.config.subset_budget:
         raise ContextError(
             f"{2 ** len(free)} candidate subsets exceed the subset budget "
-            f"{ctx.config.subset_budget}"
+            f"{ctx.config.subset_budget}; raise --subset-budget"
         )
     base = frozenset(forced)
     for size in range(len(free) + 1):

@@ -52,7 +52,7 @@ def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
     parser.add_argument("--field", type=int,
                         help="prime field characteristic (default: the spec's field line, else 2)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=10000, help="enumeration budget")
+    parser.add_argument("--budget", type=int, default=10000, help="most indecomposables to enumerate")
     parser.add_argument("--subset-budget", type=int, default=1 << 20)
     parser.add_argument("--mmax", type=int, default=2, help="multiplicity bound for exhaustive conflation search")
     parser.add_argument("--exhaustive", action="store_true")

@@ -9,18 +9,28 @@ detected projectives/injectives, enough-projectives witnesses, and
 context-relative syzygies.  Higher E-dimensions are always computed along
 both the syzygy and the cosyzygy route and must agree; a mismatch raises.
 
+The object list is knitted from the Auslander-Reiten quiver of mod L.
+Starting from the projectives, injectives and simples, each object brings in
+its translates tau M = D Tr M and tau^- M = Tr D M and the summands of the
+middle terms of Ext^1(tau^- M, M), among them the almost split sequence
+starting at M.  The finished list holds every projective and is closed under
+AR neighbours, so it contains the AR component of every block; a finite
+component of a connected algebra is its whole AR quiver (Auslander's
+theorem), so the list is every indecomposable.  Objects are numbered by
+sorting on (total_dim, dims, fingerprint), which is distinct on the list, so
+ids do not depend on the order of discovery.
+
 Objects are identified (middle terms, kernels, cokernels, cones named as
 multisets of object ids) in one of two ways.  Where the root context is
 exact, a module M is named by its Hom vector (dim Hom(X, M)) over the
 objects X: by Auslander (1982) that vector determines a module over a
 representation-finite algebra, and the vectors of the indecomposables are
-linearly independent.  The answer is exact because the object list is every
-indecomposable, which the enumeration (closure under syzygy, cosyzygy and
-extensions) already assumes; the Hom matrix is inverted over the rationals,
-and an answer that is not a non-negative integer vector reproducing the Hom
-vector and the dimension vector of M raises.  Where the root is
-triangulated, projective summands are stripped and the rest is split into
-indecomposables (Krull-Schmidt), each matched to an object by isomorphism.
+linearly independent.  The answer is exact because the object list is
+complete; the Hom matrix is inverted over the rationals, and an answer that
+is not a non-negative integer vector reproducing the Hom vector and the
+dimension vector of M raises.  Where the root is triangulated, projective
+summands are stripped and the rest is split into indecomposables
+(Krull-Schmidt), each matched to an object by isomorphism.
 
 Cocones in a triangulated root are taken as one kernel.  Every short exact
 sequence of modules is a triangle in the stable category (Happel 1988), so
@@ -54,10 +64,13 @@ from .decompose import (
 )
 from .homology import (
     approximation,
+    ar_translate,
+    cosyzygy,
     ext_dim,
     injective_hull,
     minimal_resolution,
     projective_cover,
+    syzygy,
 )
 from .modules import (
     HomQuotient,
@@ -70,6 +83,8 @@ from .modules import (
     identity_map,
     kernel,
     nonzero_combinations,
+    socle_subspaces,
+    top_dims,
     zero_map,
     zero_representation,
 )
@@ -820,85 +835,138 @@ class SubContext(Context):
 # -- object enumeration and builders ----------------------------------------
 
 
-def _register(pool: list[Representation], fps: list, rep: Representation, seed: int) -> bool:
-    """Add an indecomposable rep to the pool if genuinely new."""
-    fp = fingerprint(rep)
-    for known, known_fp in zip(pool, fps):
-        if known_fp == fp and indecomposable_isomorphic(known, rep, seed):
-            return False
-    pool.append(rep)
-    fps.append(fp)
-    return True
+class _Pool:
+    """Indecomposables by isomorphism class, keyed by fingerprint.
+
+    Two non-isomorphic modules with one fingerprint would share the sort key
+    (total_dim, dims, fingerprint) that numbers the objects, so their ids
+    would depend on the order they were found in: that raises.  A pool given
+    its `reps` claims to be complete, and a module outside it raises."""
+
+    def __init__(self, config: RunConfig, reps: list[Representation] | None = None):
+        self.config = config
+        self.closed = reps is not None
+        self.reps: list[Representation] = []
+        self._by_fp: dict[tuple, int] = {}
+        for rep in reps or ():
+            self._append(rep)
+
+    def _append(self, rep: Representation) -> int:
+        self._by_fp[fingerprint(rep)] = len(self.reps)
+        self.reps.append(rep)
+        return len(self.reps) - 1
+
+    def index(self, rep: Representation, found_as: str) -> int:
+        """Pool index of the indecomposable rep, added when new."""
+        hit = self._by_fp.get(fingerprint(rep))
+        if hit is not None:
+            if indecomposable_isomorphic(self.reps[hit], rep, self.config.seed):
+                return hit
+            raise ContextError(
+                f"two indecomposables of dimension vector {rep.dims} share a "
+                "fingerprint, so object ids would depend on discovery order"
+            )
+        if self.closed:
+            raise ContextError(
+                f"the object list is not closed: {found_as} of dimension vector "
+                f"{rep.dims} is not in it"
+            )
+        if len(self.reps) >= self.config.enumeration_budget:
+            raise ContextError(
+                f"enumeration budget exceeded: {len(self.reps)} objects found and "
+                f"more remain; raise --budget (the algebra may be of infinite "
+                "representation type)"
+            )
+        return self._append(rep)
+
+    def add_summands(self, rep: Representation, found_as: str):
+        if rep.total_dim:
+            for piece, _, _ in summand_split(rep, self.config.seed):
+                self.index(piece, "a summand of " + found_as)
+
+
+def _is_end(m: Representation, dual: bool) -> bool:
+    """Whether the indecomposable m is projective (with `dual`, injective):
+    its top (socle) is one simple S_v and it has the dimension vector of
+    P_v (I_v), of which it is a quotient (submodule)."""
+    ends = [b.shape[1] for b in socle_subspaces(m)] if dual else top_dims(m)
+    if sum(ends) != 1:
+        return False
+    alg = m.algebra.opposite() if dual else m.algebra
+    return m.dims == tuple(len(paths) for paths in alg.basis_by_target(ends.index(1)))
+
+
+def _class_lines(p: int, d: int):
+    """One vector per line of F_p^d: those whose first nonzero entry is 1."""
+    for lead in range(d):
+        for tail in itertools.product(range(p), repeat=d - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def _knit(pool: _Pool, algebra: BoundQuiverAlgebra):
+    """Close the pool under the Auslander-Reiten quiver of mod L.
+
+    The pool is seeded with every P_v, I_v and S_v and the summands of
+    rad P_v = Omega S_v and I_v / soc I_v = Sigma S_v.  Then each object M
+    gets tau M (unless projective) and tau^- M (unless injective), each
+    computed once, since tau^- M = N records tau N = M; and for non-injective
+    M the summands of the middle terms of Ext^1(tau^- M, M), one class per
+    line (lambda delta and delta have isomorphic middle terms).  The almost
+    split sequence starting at M is one of those classes."""
+    config = pool.config
+    p = algebra.p
+    simples = [simple_module(algebra, v) for v in algebra.quiver.vertex_ids]
+    for v, s in zip(algebra.quiver.vertex_ids, simples):
+        pool.index(s, f"S{v}")
+        pool.index(projective_module(algebra, v), f"P{v}")
+        pool.index(injective_module(algebra, v), f"I{v}")
+    for v, s in zip(algebra.quiver.vertex_ids, simples):
+        pool.add_summands(syzygy(s), f"rad P{v}")
+        pool.add_summands(cosyzygy(s), f"I{v} / soc I{v}")
+    tau: dict[int, int] = {}
+    tau_inv: dict[int, int] = {}
+    i = 0
+    while i < len(pool.reps):
+        m = pool.reps[i]
+        if i not in tau and not _is_end(m, dual=False):
+            tau[i] = pool.index(ar_translate(m), "tau of an object")
+            tau_inv[tau[i]] = i
+        if not _is_end(m, dual=True):
+            if i not in tau_inv:
+                tau_inv[i] = pool.index(ar_translate(m, inverse=True), "tau^- of an object")
+                tau[tau_inv[i]] = i
+            space = ExactExtSpace(pool.reps[tau_inv[i]], m)
+            lines = (p**space.dim - 1) // (p - 1)
+            if not lines:
+                raise ContextError(f"Ext^1(tau^- M, M) = 0 for M of dimension vector {m.dims}")
+            if lines > config.exhaustion_bound:
+                raise ContextError(
+                    f"Ext^1(tau^- M, M) of dimension {space.dim} over F_{p} has {lines} "
+                    f"classes up to scalars, above the bound {config.exhaustion_bound}"
+                )
+            for coords in _class_lines(p, space.dim):
+                pool.add_summands(space.realize(coords)[0], "a middle term of Ext^1(tau^- M, M)")
+        i += 1
 
 
 def enumerate_indecomposables(
     algebra: BoundQuiverAlgebra, config: RunConfig
-) -> tuple[list[Representation], dict[tuple[Representation, Representation], int]]:
-    """All indecomposables of mod L, by closing the simples, projectives and
-    injectives under syzygy, cosyzygy and middle terms of extensions.
+) -> list[Representation]:
+    """Every indecomposable of mod L, one per isomorphism class, sorted by
+    (total_dim, dims, fingerprint).
 
-    Also returns dim Ext^1(C, A) for every pair of the pool, keyed by the
-    pair (C, A) itself, so that reordering or filtering the pool keeps each
-    value with its pair."""
-    from .homology import cosyzygy as cosyz_op
-    from .homology import syzygy as syz_op
-
-    seed = config.seed
-    pool: list[Representation] = []
-    fps: list = []
-    for v in algebra.quiver.vertex_ids:
-        for rep in (
-            simple_module(algebra, v),
-            projective_module(algebra, v),
-            injective_module(algebra, v),
-        ):
-            for piece, _, _ in summand_split(rep, seed):
-                _register(pool, fps, piece, seed)
-
-    sweeps = 0
-    syz_done = 0
-    ext1: dict[tuple[Representation, Representation], int] = {}
-    while True:
-        sweeps += 1
-        if sweeps > config.enumeration_budget:
-            raise ContextError("enumeration budget exceeded (possibly infinite type)")
-        changed = False
-        while syz_done < len(pool):
-            rep = pool[syz_done]
-            syz_done += 1
-            for out in (syz_op(rep), cosyz_op(rep)):
-                if out.total_dim:
-                    for piece, _, _ in summand_split(out, seed):
-                        changed |= _register(pool, fps, piece, seed)
-        count = len(pool)
-        for ci in range(count):
-            for ai in range(count):
-                c_rep, a_rep = pool[ci], pool[ai]
-                if (c_rep, a_rep) in ext1:
-                    continue
-                d = ext1[c_rep, a_rep] = ext_dim(1, c_rep, a_rep)
-                if d == 0:
-                    continue
-                p = algebra.p
-                if p**d > config.exhaustion_bound:
-                    raise ContextError(
-                        "extension class space too large to enumerate exhaustively"
-                    )
-                space = ExactExtSpace(c_rep, a_rep)
-                for coords in itertools.product(range(p), repeat=d):
-                    if not any(coords):
-                        continue
-                    b, _, _ = space.realize(coords)
-                    for piece, _, _ in summand_split(b, seed):
-                        changed |= _register(pool, fps, piece, seed)
-                        if len(pool) > config.enumeration_budget:
-                            raise ContextError(
-                                "enumeration budget exceeded (possibly infinite type)"
-                            )
-        if not changed and syz_done == len(pool):
-            break
-    pool.sort(key=lambda r: (r.total_dim, r.dims, fingerprint(r)))
-    return pool, ext1
+    `_knit` closes the seeds under the Auslander-Reiten quiver: the list
+    holds every projective, and with each object its AR neighbours (the
+    summands of the almost split middle terms, of rad P for a projective
+    and of I / soc I for an injective).  So every AR component that meets
+    the list lies in it and is finite, and by Auslander's theorem a finite
+    component of a connected algebra is its whole AR quiver
+    (Auslander-Reiten-Smalo VI.1).  Every block has a projective in the
+    list, so the list is complete; the loop is the certificate.  On an
+    algebra of infinite type it stops at the enumeration budget."""
+    pool = _Pool(config)
+    _knit(pool, algebra)
+    return sorted(pool.reps, key=lambda r: (r.total_dim, r.dims, fingerprint(r)))
 
 
 def _label_objects(ctx: Context):
@@ -919,18 +987,18 @@ def _label_objects(ctx: Context):
         o.label = aliases[0] if aliases else f"m{o.index}"
 
 
-def _ext1_table(pool: list[Representation], ext1: dict) -> np.ndarray:
+def _ext1_table(pool: list[Representation]) -> np.ndarray:
     n = len(pool)
-    return np.array([[ext1[c, a] for a in pool] for c in pool], dtype=np.int64).reshape(n, n)
+    return np.array([[ext_dim(1, c, a) for a in pool] for c in pool], dtype=np.int64).reshape(n, n)
 
 
 def build_exact_context(algebra: BoundQuiverAlgebra, config: RunConfig | None = None) -> Context:
     config = config or RunConfig(field_char=algebra.p)
     config.validate()
     ctx = ExactContext(algebra, config)
-    pool, ext1 = enumerate_indecomposables(algebra, config)
+    pool = enumerate_indecomposables(algebra, config)
     ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(pool)]
-    ctx.e1 = _ext1_table(pool, ext1)
+    ctx.e1 = _ext1_table(pool)
     ctx.detect_projectives()
     _label_objects(ctx)
     return ctx
@@ -941,14 +1009,11 @@ def build_stable_context(algebra: BoundQuiverAlgebra, config: RunConfig | None =
     config.validate()
     require_self_injective(algebra)
     ctx = StableContext(algebra, config)
-    pool, ext1 = enumerate_indecomposables(algebra, config)
-    from .stable import is_projective_rep
-
-    pool = [rep for rep in pool if not is_projective_rep(rep, config.seed)]
+    pool = [rep for rep in enumerate_indecomposables(algebra, config) if not _is_end(rep, dual=False)]
     ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(pool)]
     # E(C, A) = stable Hom(Omega C, A); over a self-injective algebra this
     # equals module Ext^1.  Spaces built lazily re-check the dims.
-    ctx.e1 = _ext1_table(pool, ext1)
+    ctx.e1 = _ext1_table(pool)
     ctx.detect_projectives()
     if ctx.projective_ids or ctx.injective_ids:
         raise ContextError("a triangulated context detected nonzero projectives")

@@ -6,7 +6,9 @@ cached on the representation object, and so are minimal resolutions, which
 are extended lazily, so repeated Ext queries against the same module share
 work; Ext dimensions are read off Hom dimensions along the resolution.
 Right and left approximations are one construction, `approximation`, with a
-`dual` switch.
+`dual` switch.  The transpose Tr, and with it the Auslander-Reiten translates
+tau = D Tr and tau^- = Tr D, is read off the first two terms of the minimal
+resolution.
 """
 
 from __future__ import annotations
@@ -49,39 +51,31 @@ def top_generator_lifts(m: Representation) -> list[tuple[int, np.ndarray]]:
 
 def projective_cover(m: Representation) -> tuple[Representation, ModuleMap]:
     """Minimal projective cover (P, epi); kernel of the epi lies in rad P."""
-    alg = m.algebra
-    p = alg.p
     gens = top_generator_lifts(m)
     if not gens:
-        z = zero_representation(alg)
+        z = zero_representation(m.algebra)
         return z, zero_map(z, m)
-    summands = []
-    maps = []
-    for v, gen in gens:
-        pv = projective_module(alg, alg.quiver.vertex_ids[v])
-        summands.append(pv)
-        # basis path q of P_v (source v) is sent to M_q(gen)
-        blocks = []
-        by_vertex: list[list] = [[] for _ in range(alg.quiver.n_vertices)]
-        for b in alg.paths_from(v):
-            by_vertex[alg.path_target(b)].append(b)
-        from .algebra import path_key
-
-        for w in range(alg.quiver.n_vertices):
-            paths = sorted(by_vertex[w], key=path_key)
-            block = linalg.zeros(m.dims[w], len(paths))
-            for col, q in enumerate(paths):
-                vec = linalg.matmul(m.path_matrix(q), gen, p)
-                block[:, col : col + 1] = vec
-            blocks.append(block)
-        maps.append((pv, blocks))
-    total, incls, projs = direct_sum([pv for pv, _ in maps])
-    cover = zero_map(total, m)
-    for (pv, blocks), proj in zip(maps, projs):
-        cover = cover.add(ModuleMap(pv, m, blocks, validate=False).compose(proj))
+    total, cover = _map_from_projectives(m, gens)
     if not cover.is_epi():
         raise RuntimeError("projective cover construction failed to be surjective")
     return total, cover
+
+
+def _map_from_projectives(
+    m: Representation, gens: list[tuple[int, np.ndarray]]
+) -> tuple[Representation, ModuleMap]:
+    """(P, f): P is the sum of one P_v per (vertex v, column gen of m_v)
+    pair, in order, and f sends the trivial path of each summand to its gen,
+    so the basis path q of that summand goes to m_q(gen)."""
+    alg = m.algebra
+    n = alg.quiver.n_vertices
+    total = direct_sum([projective_module(alg, alg.quiver.vertex_ids[v]) for v, _ in gens])[0]
+    cols: list[list[np.ndarray]] = [[] for _ in range(n)]
+    for v, gen in gens:
+        for w, paths in enumerate(alg.basis_by_target(v)):
+            cols[w] += [linalg.matmul(m.path_matrix(q), gen, alg.p) for q in paths]
+    blocks = [np.concatenate(c, axis=1) if c else linalg.zeros(m.dims[w], 0) for w, c in enumerate(cols)]
+    return total, ModuleMap(total, m, blocks, validate=False)
 
 
 def injective_hull(m: Representation) -> tuple[Representation, ModuleMap]:
@@ -99,6 +93,60 @@ def injective_hull(m: Representation) -> tuple[Representation, ModuleMap]:
         raise RuntimeError("injective hull construction failed to be injective")
     m._hull = hull, mono
     return hull, mono
+
+
+def _summand_vertices(m: Representation) -> list[int]:
+    """The vertex of each summand P_v of the projective cover of m, in the
+    order `projective_cover` sums them."""
+    return [v for v, t in enumerate(top_dims(m)) for _ in range(t)]
+
+
+def transpose(m: Representation) -> Representation:
+    """Tr m, a module over the opposite algebra: the cokernel of
+    P0* -> P1*, the dual under P* = Hom(P, L) of a minimal presentation
+    P1 -> P0 -> m -> 0 (Auslander-Reiten-Smalo IV.1).
+
+    P_v* is the opposite algebra's projective at v.  A component P_w -> P_v
+    of the presentation sends the trivial path at w to a combination of
+    paths v -> w, its coefficients read off the resolution; the transposed
+    component P_v* -> P_w* sends the trivial path at v to the same
+    combination of the reversed paths.  Zero when m is projective."""
+    alg = m.algebra
+    op = alg.opposite()
+    res = minimal_resolution(m)
+    res.extend(1)
+    tops0 = _summand_vertices(m)
+    tops1 = _summand_vertices(res.syzygies[0])
+    if not tops1:
+        return zero_representation(op)
+    ids = alg.quiver.vertex_ids
+    p1_star = direct_sum([projective_module(op, ids[w]) for w in tops1])[0]
+    d1 = res.diffs[1].blocks
+    gens = []
+    for i, v in enumerate(tops0):
+        gen = linalg.zeros(p1_star.dims[v], 1)
+        for j, w in enumerate(tops1):
+            # the trivial path of the j-th summand of P1 leads its columns at
+            # w, and the i-th summand of P0 holds the paths v -> w at w
+            col = sum(len(alg.basis_by_target(x)[w]) for x in tops1[:j])
+            row = sum(len(alg.basis_by_target(x)[w]) for x in tops0[:i])
+            out = sum(len(op.basis_by_target(x)[v]) for x in tops1[:j])
+            op_paths = op.basis_by_target(w)[v]
+            for k, path in enumerate(alg.basis_by_target(v)[w]):
+                c = int(d1[w][row + k, col])
+                if c:
+                    for rev, c_rev in op.reduce_path((w, path[1][::-1])).items():
+                        r = out + op_paths.index(rev)
+                        gen[r, 0] = (gen[r, 0] + c * c_rev) % alg.p
+        gens.append((v, gen))
+    return cokernel(_map_from_projectives(p1_star, gens)[1])[0]
+
+
+def ar_translate(m: Representation, inverse: bool = False) -> Representation:
+    """The Auslander-Reiten translate tau m = D Tr m; with `inverse`,
+    tau^- m = Tr D m.  Zero on projectives (with `inverse`, injectives);
+    indecomposable on the other indecomposables."""
+    return transpose(dual_representation(m)) if inverse else dual_representation(transpose(m))
 
 
 def syzygy(m: Representation) -> Representation:

@@ -51,19 +51,6 @@ def _indecomposable_projectives(algebra) -> list[Representation]:
     return cache
 
 
-def is_projective_rep(m: Representation, seed: int = 0) -> bool:
-    """True iff m is a direct sum of indecomposable projectives."""
-    if m.total_dim == 0:
-        return True
-    for piece, _, _ in summand_split(m, seed):
-        if not any(
-            indecomposable_isomorphic(piece, pj, seed)
-            for pj in _indecomposable_projectives(m.algebra)
-        ):
-            return False
-    return True
-
-
 def strip_projectives(m: Representation, seed: int = 0):
     """Projective-free core with split maps (core, incl, retr); retr o incl = id."""
     if m.total_dim == 0:

@@ -20,6 +20,18 @@ arrow x: 1 -> 1
 relation x*x
 """
 
+# Path algebras of Dynkin quivers with Gabriel's count of indecomposables:
+# n(n+1)/2 for A_n and n(n-1) for D_n, whatever the orientation.
+DYNKIN = {
+    "A3 1->2->3": ("field 2\nvertices 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n", 6),
+    "A4 1->2<-3->4": (
+        "field 3\nvertices 1 2 3 4\narrow a: 1 -> 2\narrow b: 3 -> 2\narrow c: 3 -> 4\n", 10),
+    "D4 subspace": (
+        "field 2\nvertices 1 2 3 4\narrow a: 1 -> 2\narrow b: 3 -> 2\narrow c: 4 -> 2\n", 12),
+    "D5": ("field 2\nvertices 1 2 3 4 5\narrow a: 1 -> 3\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
+           "arrow d: 4 -> 5\n", 20),
+}
+
 
 @pytest.fixture(scope="session")
 def a2():

@@ -20,6 +20,11 @@ profile was read off dimensions: one intertwining system per probe.
 `cocone_by_cone_and_loop` names the cocone of a map in a triangulated context
 as the loop of its mapping cone.
 
+`enumerate_by_ext_closure` lists the indecomposables the way contexts did
+before they knitted the Auslander-Reiten quiver: close the simples,
+projectives and injectives under syzygy, cosyzygy and the middle terms of
+every nonzero class of every Ext^1 pair.
+
 `splitting_idempotent_by_sympy` is the splitting polynomial of
 `decompose._splitting_idempotent_from_minpoly` as it was computed with
 sympy's factoring and extended gcd over F_p, before the package did both
@@ -28,14 +33,17 @@ itself.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import numpy as np
 import sympy
 
 from quivertilt import linalg
-from quivertilt.algebra import projective_module, simple_module
-from quivertilt.decompose import indecomposable_isomorphic, summand_split
+from quivertilt.algebra import injective_module, projective_module, simple_module
+from quivertilt.contexts import ExactExtSpace
+from quivertilt.decompose import fingerprint, indecomposable_isomorphic, summand_split
+from quivertilt.homology import cosyzygy, ext_dim, syzygy
 from quivertilt.modules import Representation, hom_dim
 from quivertilt.stable import cone, loop_raw
 
@@ -190,3 +198,43 @@ def splitting_idempotent_by_sympy(minpoly: list[int], p: int):
     # u*part1 + v*rest = 1; e := v*rest is 1 mod part1 and 0 mod rest
     e_poly = sympy.Poly(sympy.expand(v * rest.as_expr()), x, modulus=p)
     return list(reversed([int(c) % p for c in e_poly.all_coeffs()]))
+
+
+def enumerate_by_ext_closure(algebra) -> list[Representation]:
+    """Every indecomposable of mod L, sorted by (total_dim, dims,
+    fingerprint): the simples, projectives and injectives closed under
+    syzygy, cosyzygy and the middle terms of every nonzero class of every
+    Ext^1 pair of the list, until a sweep adds nothing."""
+    pool: list[Representation] = []
+
+    def register(rep):
+        for piece, _, _ in summand_split(rep):
+            if not any(fingerprint(k) == fingerprint(piece) and indecomposable_isomorphic(k, piece)
+                       for k in pool):
+                pool.append(piece)
+
+    for v in algebra.quiver.vertex_ids:
+        for rep in (simple_module(algebra, v), projective_module(algebra, v),
+                    injective_module(algebra, v)):
+            register(rep)
+    done: set[tuple[int, int]] = set()
+    shifted = 0
+    while True:
+        count = len(pool)
+        while shifted < len(pool):
+            for out in (syzygy(pool[shifted]), cosyzygy(pool[shifted])):
+                if out.total_dim:
+                    register(out)
+            shifted += 1
+        for ci, ai in itertools.product(range(len(pool)), repeat=2):
+            if (ci, ai) in done:
+                continue
+            done.add((ci, ai))
+            d = ext_dim(1, pool[ci], pool[ai])
+            if d:
+                space = ExactExtSpace(pool[ci], pool[ai])
+                for coords in itertools.product(range(algebra.p), repeat=d):
+                    if any(coords):
+                        register(space.realize(coords)[0])
+        if len(pool) == count and shifted == len(pool):
+            return sorted(pool, key=lambda r: (r.total_dim, r.dims, fingerprint(r)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -113,3 +114,43 @@ def test_cli_import_does_not_load_sympy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_one_class_per_line_at_large_p(capsys):
+    """Knitting realizes one class per line of Ext^1(tau^- M, M), so a large
+    field no longer exhausts the class bound."""
+    status, out, err = _run(["objects", "--nakayama", "3,2", "--field", "65521", "--format", "structured"], capsys)
+    assert status == 0, err
+    assert len(json.loads(out)["result"]["objects"]) == 6
+
+
+# sha256 of the structured stdout as the all-pairs Ext^1 closure printed it,
+# before enumeration knitted the Auslander-Reiten quiver.
+ALL_PAIRS_DIGESTS = {
+    "2": "da557ec5f7a812fe793b92e2c17b6aa14a63565cadbe2b83effa3e1e574316b3",
+    "3": "61a585fb51a4d5e815d1d149d30352661a67886ebd6ab1d33bb11d6b2160ffb2",
+    "5": "33cf4876d772f788efe6af461f6646f9f0da540965e20def41813cd34a9d29b3",
+}
+
+
+@pytest.mark.parametrize("field", sorted(ALL_PAIRS_DIGESTS))
+def test_knitted_listing_matches_the_all_pairs_closure(field, capsys):
+    status, out, _ = _run(["objects", "--nakayama", "3,2", "--field", field, "--format", "structured"], capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_PAIRS_DIGESTS[field]
+
+
+def test_enumeration_budget_names_its_flag(tmp_path, capsys):
+    spec = tmp_path / "kronecker.alg"
+    spec.write_text("field 2\nvertices 1 2\narrow a1: 1 -> 2\narrow a2: 1 -> 2\n")
+    status, out, err = _run(["objects", "--algebra", str(spec), "--budget", "10"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: enumeration budget exceeded: 10 objects") and "--budget" in err
+
+
+def test_subset_budget_names_its_flag(capsys):
+    status, out, err = _run(["verify-theorem", "--nakayama", "3,2", "-n", "1", "--subset-budget", "1"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: 8 candidate subsets exceed the subset budget 1") and "--subset-budget" in err

@@ -3,22 +3,30 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from quivertilt import linalg
-from quivertilt.algebra import parse_algebra
+from quivertilt.algebra import linear_quiver_radical_square, nakayama_cyclic, parse_algebra
 from quivertilt.contexts import (
     ContextError,
     ContextObject,
     ExactContext,
     RunConfig,
+    _knit,
+    _Pool,
     build_exact_context,
     build_stable_context,
     build_sub_context,
+    enumerate_indecomposables,
     is_extension_closed,
 )
-from quivertilt.decompose import is_isomorphic
+from quivertilt.decompose import fingerprint, indecomposable_isomorphic, is_isomorphic
 from quivertilt.homology import ext_dim
 from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel
-from oracle import identify_by_splitting
+from conftest import DYNKIN
+from oracle import enumerate_by_ext_closure, identify_by_splitting
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_exact_context_object_counts(exact_contexts):
@@ -236,3 +244,52 @@ def test_e1_equals_a_fresh_ext_table(exact_contexts, stable_contexts):
         reps = [o.rep for o in ctx.objects]
         fresh = [[ext_dim(1, c, a) for a in reps] for c in reps]
         assert ctx.e1.tolist() == fresh
+
+
+@pytest.mark.parametrize("name", sorted(DYNKIN))
+def test_gabriel_counts(name):
+    spec, count = DYNKIN[name]
+    assert build_exact_context(parse_algebra(spec)).n_objects == count
+
+
+def test_gabriel_counts_e6_and_radical_square():
+    """The path algebra of E6 has 36 indecomposables, one per positive root,
+    and kA_m/rad^2 has 2m-1."""
+    e6 = parse_algebra((ROOT / "perfbench" / "data" / "e6.alg").read_text())
+    assert build_exact_context(e6).n_objects == 36
+    for m in (2, 4, 5):
+        assert build_exact_context(linear_quiver_radical_square(m)).n_objects == 2 * m - 1
+
+
+def _same_pool(ours, theirs):
+    key = lambda r: (r.total_dim, r.dims, fingerprint(r))
+    assert [key(r) for r in ours] == [key(r) for r in theirs]
+    assert all(indecomposable_isomorphic(a, b) for a, b in zip(ours, theirs))
+
+
+def test_knitted_pool_equals_the_all_pairs_closure(test_algebras):
+    algebras = {**test_algebras, "nak43_f3": nakayama_cyclic(4, 3, 3)}
+    for name, alg in algebras.items():
+        _same_pool(enumerate_indecomposables(alg, RunConfig(field_char=alg.p)),
+                   enumerate_by_ext_closure(alg))
+
+
+def test_sort_keys_are_distinct(exact_contexts, stable_contexts, stable_nak104):
+    """Ids come from the sort on (total_dim, dims, fingerprint), so they
+    cannot depend on discovery order only while the key is distinct."""
+    for ctx in [*exact_contexts.values(), *stable_contexts.values(), stable_nak104]:
+        keys = [(o.rep.total_dim, o.rep.dims, fingerprint(o.rep)) for o in ctx.objects]
+        assert len(set(keys)) == len(keys)
+
+
+def test_knitting_a_pool_with_an_object_missing_names_it(exact_contexts):
+    """A finished pool passes the closure as a closed pool; without any one
+    object it fails, naming that object's dimension vector."""
+    for name, ctx in exact_contexts.items():
+        reps = [o.rep for o in ctx.objects]
+        _knit(_Pool(ctx.config, reps), ctx.algebra)
+        for dropped in range(len(reps)):
+            pool = _Pool(ctx.config, reps[:dropped] + reps[dropped + 1:])
+            with pytest.raises(ContextError, match="not closed") as err:
+                _knit(pool, ctx.algebra)
+            assert str(reps[dropped].dims) in str(err.value), (name, ctx.object_names[dropped])

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import sympy
 
 from quivertilt import linalg
-from quivertilt.algebra import injective_module, projective_module, simple_module
-from quivertilt.decompose import is_isomorphic
+from quivertilt.algebra import injective_module, parse_algebra, projective_module, simple_module
+from quivertilt.contexts import RunConfig, enumerate_indecomposables
+from quivertilt.decompose import indecomposable_isomorphic, is_isomorphic
 from quivertilt.homology import (
+    ar_translate,
     cosyzygy,
     ext_dim,
     injective_hull,
@@ -13,8 +16,9 @@ from quivertilt.homology import (
     right_approximation,
     syzygy,
 )
-from quivertilt.modules import direct_sum, hom_basis, kernel, radical_subspaces
+from quivertilt.modules import Representation, direct_sum, hom_basis, kernel, radical_subspaces
 
+from conftest import DYNKIN
 from oracle import ext1_dim_oracle
 
 
@@ -162,3 +166,58 @@ def test_left_approximation_examples(a2):
     assert g.is_mono()
     g2 = left_approximation([], s1)
     assert g2.is_mono()
+
+
+def _pool(alg):
+    return enumerate_indecomposables(alg, RunConfig(field_char=alg.p))
+
+
+def test_inverse_translate_follows_the_inverse_coxeter_matrix(a2):
+    """Over a hereditary algebra (here A2 and the Dynkin quivers of the
+    Gabriel tests), dim tau^- M = Phi^-1 dim M for every
+    indecomposable non-injective M (Auslander-Reiten-Smalo VIII.2).  The
+    Cartan matrix C here has the dimension vectors of the projectives as
+    columns, C[w][v] = dim (P_v)_w, so C^T has those of the injectives, and
+    Phi = -C^T C^-1 sends dim P_v to -dim I_v; Phi^-1 = -C (C^T)^-1."""
+    algebras = {"a2": a2, **{name: parse_algebra(spec) for name, (spec, _) in DYNKIN.items()}}
+    for name, alg in algebras.items():
+        ids = alg.quiver.vertex_ids
+        cartan = sympy.Matrix([projective_module(alg, v).dims for v in ids]).T
+        phi_inv = -cartan * cartan.T.inv()
+        for m in _pool(alg):
+            up = ar_translate(m, inverse=True)
+            if up.total_dim == 0:
+                assert any(is_isomorphic(m, injective_module(alg, v)) for v in ids), name
+                continue
+            assert list(up.dims) == list(phi_inv * sympy.Matrix(m.dims)), (name, m.dims)
+
+
+def test_translates_are_mutually_inverse(test_algebras):
+    """tau tau^- M = M for every non-injective and tau^- tau N = N for every
+    non-projective indecomposable N of each pool; tau vanishes exactly on the
+    projectives and tau^- on the injectives."""
+    for name, alg in test_algebras.items():
+        ends = {False: [projective_module(alg, v) for v in alg.quiver.vertex_ids],
+                True: [injective_module(alg, v) for v in alg.quiver.vertex_ids]}
+        for m in _pool(alg):
+            for inverse in (False, True):
+                there = ar_translate(m, inverse)
+                at_end = any(is_isomorphic(m, e) for e in ends[inverse])
+                assert (there.total_dim == 0) == at_end, (name, m.dims, inverse)
+                if there.total_dim:
+                    back = ar_translate(there, not inverse)
+                    assert indecomposable_isomorphic(back, m), (name, m.dims, inverse)
+
+
+def test_translate_fixes_each_homogeneous_kronecker_module():
+    """Over the Kronecker algebra a1, a2: 1 -> 2, the modules k -> k with
+    arrows (1, t) and (0, 1) lie in homogeneous tubes, so tau fixes each,
+    and they are pairwise non-isomorphic.  Over F_5 their presentations
+    carry coefficients other than 0 and 1, which the transpose must keep."""
+    kronecker = parse_algebra("field 5\nvertices 1 2\narrow a1: 1 -> 2\narrow a2: 1 -> 2\n")
+    params = [(1, t) for t in range(5)] + [(0, 1)]
+    mods = [Representation(kronecker, (1, 1), [np.array([[x]]), np.array([[y]])]) for x, y in params]
+    for m in mods:
+        for inverse in (False, True):
+            moved = ar_translate(m, inverse)
+            assert [indecomposable_isomorphic(moved, n) for n in mods] == [n is m for n in mods]
