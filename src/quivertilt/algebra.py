@@ -16,9 +16,7 @@ spanned by the normal paths with source i.  This pins dim Hom(P_i, M) = dim M_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import linalg
 
@@ -128,9 +126,6 @@ class BoundQuiverAlgebra:
         for a in path[1]:
             v = self.quiver.arrow_target[a]
         return v
-
-    def path_source(self, path: Path) -> int:
-        return path[0]
 
     def path_target(self, path: Path) -> int:
         return self._path_target(path)

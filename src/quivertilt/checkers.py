@@ -28,7 +28,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .contexts import Context, ContextError, RunConfig
+from .contexts import Context, ContextError
 
 
 class _Exceeds:

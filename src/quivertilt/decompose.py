@@ -1,13 +1,22 @@
 """Krull-Schmidt decomposition and isomorphism testing.
 
-Splitting strategy: hunt for a nontrivial idempotent endomorphism (minimal
-polynomials with coprime factors give exact idempotents; failing that, lift
-an idempotent of End/rad), falling back to Fitting splittings with seeded
-random endomorphisms.  Minimal polynomials are factored over F_p by
-`linalg.poly_factor`, and the idempotent comes from an extended gcd.
-Indecomposability is never assumed: it is certified by checking that End
-modulo its radical is a field (commutative with a one-dimensional Frobenius
-fixed space).
+Splitting has one path.  Hunt for a nontrivial idempotent endomorphism among
+candidates z (the basis of End, products of pairs, seeded random
+combinations): when the minimal polynomial of z has two coprime factors, an
+extended gcd gives a polynomial g with g(z) an exact idempotent (factors over
+F_p come from `linalg.poly_factor`).  When the hunt finds none, the module
+must be certified indecomposable: End modulo its radical is a field
+(commutative with a one-dimensional Frobenius fixed space).  Otherwise the
+hunt runs again on fresh draws, and then raises `DecompositionError`.
+Indecomposability is never assumed.
+
+Other splitting searches would only add candidates, never a new kind of
+witness.  A Fitting splitting by phi (ker phi^N != 0 != im phi^N) means the
+minimal polynomial of phi is x^a g with a >= 1, g(0) != 0 and deg g >= 1:
+two coprime factors, so the hunt splits on phi itself.  An idempotent of
+End/rad found from the class of z means that class has a minimal polynomial
+with two coprime factors; it divides the minimal polynomial of z, so again
+the hunt splits on z.
 
 The radical is computed by the characteristic-p chain of coefficient
 conditions c_{p^k}((xy)) = 0 and then *certified* at runtime to be a
@@ -158,12 +167,6 @@ class _QuotientAlgebra:
         self.basis_flat = np.stack(flats, axis=1) % p if flats else linalg.zeros(0, 0)
         self.acts = [action_matrix(f) for f in endos]
 
-    def endo_coords(self, f: ModuleMap) -> np.ndarray:
-        sol = linalg.solve(self.basis_flat, f.flatten().reshape(-1, 1), self.p)
-        if sol is None:
-            raise DecompositionError("endomorphism outside its own algebra")
-        return sol.reshape(-1)
-
     def lift(self, qcoords: np.ndarray) -> np.ndarray:
         return self.quot.lift(qcoords)
 
@@ -253,14 +256,14 @@ def _apply_poly_to_endo(f: ModuleMap, poly: list[int]) -> ModuleMap:
     return ModuleMap(src, src, blocks, validate=False)
 
 
-def _split_by_subspaces(m: Representation, bases_a, bases_b):
-    """Split m as A + B given complementary invariant vertex subspaces.
-
-    Returns (A, incl_a, retr_a, B, incl_b, retr_b).
-    """
+def _split_by_idempotent(m: Representation, e: ModuleMap):
+    """Split m as im e + im (1 - e): (A, incl_a, retr_a, B, incl_b, retr_b)."""
     from .modules import _subspace_with_induced_action
 
     p = m.algebra.p
+    one_minus = identity_map(m).add(e.negate())
+    bases_a = [linalg.column_space_basis(b, p) for b in e.blocks]
+    bases_b = [linalg.column_space_basis(b, p) for b in one_minus.blocks]
     a_rep, a_incl = _subspace_with_induced_action(m, bases_a)
     b_rep, b_incl = _subspace_with_induced_action(m, bases_b)
     retr_a_blocks = []
@@ -269,7 +272,7 @@ def _split_by_subspaces(m: Representation, bases_a, bases_b):
         joint = np.concatenate([bases_a[v], bases_b[v]], axis=1)
         inv = linalg.inverse(joint, p)
         if inv is None:
-            raise DecompositionError("subspaces do not split the module")
+            raise DecompositionError("idempotent images do not split the module")
         da = bases_a[v].shape[1]
         retr_a_blocks.append(inv[:da])
         retr_b_blocks.append(inv[da:])
@@ -278,25 +281,26 @@ def _split_by_subspaces(m: Representation, bases_a, bases_b):
     return a_rep, a_incl, retr_a, b_rep, b_incl, retr_b
 
 
-def _split_by_idempotent(m: Representation, e: ModuleMap):
-    p = m.algebra.p
-    one_minus = identity_map(m).add(e.negate())
-    bases_a = [linalg.column_space_basis(b, p) for b in e.blocks]
-    bases_b = [linalg.column_space_basis(b, p) for b in one_minus.blocks]
-    return _split_by_subspaces(m, bases_a, bases_b)
+# Random candidates of the second hunt on a module that is not certified local.
+_RETRY_DRAWS = 96
 
 
-def _hunt_idempotent(m: Representation, endos: list[ModuleMap], rng: random.Random):
-    """Nontrivial idempotent endomorphism of m, or None."""
+def _hunt_idempotent(
+    m: Representation, endos: list[ModuleMap], rng: random.Random, draws: int = 24
+):
+    """Nontrivial idempotent endomorphism of m, or None.
+
+    Candidates: the basis, products of pairs among its first six maps, then
+    `draws` random combinations."""
     p = m.algebra.p
     k = min(len(endos), 6)
     # Every coefficient vector is drawn now, so the rng moves on by the same
     # amount whichever candidate succeeds; the maps are built when reached.
-    draws = [[rng.randrange(p) for _ in endos] for _ in range(24)]
+    drawn = [[rng.randrange(p) for _ in endos] for _ in range(draws)]
     candidates = itertools.chain(
         endos,
         (endos[i].compose(endos[j]) for i in range(k) for j in range(k)),
-        (linear_combination(endos, coeffs) for coeffs in draws if any(coeffs)),
+        (linear_combination(endos, coeffs) for coeffs in drawn if any(coeffs)),
     )
     ident = identity_map(m)
     for z in candidates:
@@ -313,18 +317,6 @@ def _hunt_idempotent(m: Representation, endos: list[ModuleMap], rng: random.Rand
     return None
 
 
-def _lift_idempotent(m: Representation, e: ModuleMap, bound: int = 40) -> ModuleMap:
-    """Newton lift e <- 3e^2 - 2e^3 until exactly idempotent."""
-    ident = identity_map(m)
-    for _ in range(bound):
-        if e.compose(e).add(e.negate()).is_zero():
-            return e
-        e2 = e.compose(e)
-        e3 = e2.compose(e)
-        e = e2.scale(3).add(e3.scale((-2) % m.algebra.p))
-    raise DecompositionError("idempotent lifting did not converge")
-
-
 def _is_certified_local(m: Representation, endos: list[ModuleMap]) -> bool:
     """End(m)/rad is a field: commutative with Frobenius fixed space of dim 1."""
     p = m.algebra.p
@@ -333,48 +325,6 @@ def _is_certified_local(m: Representation, endos: list[ModuleMap]) -> bool:
     if q.dim == 0:
         raise DecompositionError("endomorphism algebra equals its radical")
     return q.is_commutative() and q.frobenius_fixed_dim() == 1
-
-
-def _quotient_idempotent(m: Representation, endos: list[ModuleMap], rng: random.Random):
-    """Idempotent of End/rad lifted to End, or None."""
-    p = m.algebra.p
-    rad = radical_basis(endos, p)
-    q = _QuotientAlgebra(endos, rad, p)
-    dim_e = len(endos)
-    candidate_coords = [q.lift(linalg.eye(q.dim)[:, i]) for i in range(q.dim)]
-    for _ in range(24):
-        c = np.array([rng.randrange(p) for _ in range(q.dim)], dtype=np.int64)
-        if np.any(c):
-            candidate_coords.append(q.lift(c))
-    ident_coords = q.endo_coords(identity_map(m))
-    for ec in candidate_coords:
-        # regular representation of the class in the quotient
-        cols = []
-        for i in range(q.dim):
-            b = q.lift(linalg.eye(q.dim)[:, i])
-            cols.append(q.to_q(q.mult_e(ec, b)))
-        reg = np.stack(cols, axis=1) % p if cols else linalg.zeros(0, 0)
-        minpoly = linalg.min_poly(reg, p)
-        g = _splitting_idempotent_from_minpoly(minpoly, p)
-        if g is None:
-            continue
-        # evaluate g at the class inside End, then lift through the radical
-        acc = linalg.zeros(dim_e, 1).reshape(-1)
-        power = ident_coords
-        for coeff in g:
-            if coeff % p:
-                acc = (acc + coeff * power) % p
-            power = q.mult_e(power, ec)
-        e_map = linear_combination(endos, acc)
-        try:
-            e_map = _lift_idempotent(m, e_map)
-        except DecompositionError:
-            continue
-        ident = identity_map(m)
-        if e_map.is_zero() or e_map.add(ident.negate()).is_zero():
-            continue
-        return e_map
-    return None
 
 
 # -- decomposition -----------------------------------------------------------
@@ -407,41 +357,15 @@ def _split_rec(piece, incl, retr, out, rng, bound, depth=0):
         if _is_certified_local(piece, endos):
             out.append((piece, incl, retr))
             return
-        e = _quotient_idempotent(piece, endos, rng)
-    if e is None:
-        split = _fitting_split(piece, endos, rng)
-        if split is None:
+        e = _hunt_idempotent(piece, endos, rng, draws=_RETRY_DRAWS)
+        if e is None:
             raise DecompositionError(
                 "no locality certificate and no splitting found "
                 f"for a module of dimension vector {piece.dims}"
             )
-        a, ia, ra, b, ib, rb = split
-    else:
-        a, ia, ra, b, ib, rb = _split_by_idempotent(piece, e)
+    a, ia, ra, b, ib, rb = _split_by_idempotent(piece, e)
     _split_rec(a, incl.compose(ia), ra.compose(retr), out, rng, bound, depth + 1)
     _split_rec(b, incl.compose(ib), rb.compose(retr), out, rng, bound, depth + 1)
-
-
-def _fitting_split(m: Representation, endos: list[ModuleMap], rng: random.Random):
-    p = m.algebra.p
-    n = m.total_dim
-    for _ in range(60):
-        coords = [rng.randrange(p) for _ in endos]
-        phi = linear_combination(endos, coords)
-        power = phi
-        for _ in range(max(n.bit_length(), 1)):
-            power = power.compose(power)  # phi^(2^k), k >= log2(n): stabilized
-        k_bases = [linalg.nullspace(b, p) for b in power.blocks]
-        i_bases = [linalg.column_space_basis(b, p) for b in power.blocks]
-        dim_k = sum(b.shape[1] for b in k_bases)
-        dim_i = sum(b.shape[1] for b in i_bases)
-        if dim_k == 0 or dim_i == 0:
-            continue
-        try:
-            return _split_by_subspaces(m, k_bases, i_bases)
-        except DecompositionError:
-            continue
-    return None
 
 
 def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, int]]:

@@ -130,12 +130,6 @@ class ModuleMap:
             linalg.is_invertible(b, self.p) for b in self.blocks
         )
 
-    def inverse(self) -> "ModuleMap":
-        blocks = [linalg.inverse(b, self.p) for b in self.blocks]
-        if any(b is None for b in blocks):
-            raise ValueError("map is not invertible")
-        return ModuleMap(self.target, self.source, blocks, validate=False)
-
     def flatten(self) -> np.ndarray:
         """Row-major concatenation of all blocks; coordinates for hom spaces."""
         parts = [b.reshape(-1) for b in self.blocks]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 
 from . import linalg
 from .algebra import nakayama_cyclic

@@ -11,11 +11,9 @@ normalized to projective-free form.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import linalg
-from .algebra import BoundQuiverAlgebra, is_self_injective, projective_module
-from .decompose import indecomposable_isomorphic, summand_split
+from .algebra import BoundQuiverAlgebra, is_self_injective
+from .decompose import _probes, indecomposable_isomorphic, summand_split
 from .homology import injective_hull, minimal_resolution
 from .modules import (
     HomQuotient,
@@ -43,20 +41,12 @@ def require_self_injective(algebra: BoundQuiverAlgebra):
         )
 
 
-def _indecomposable_projectives(algebra) -> list[Representation]:
-    cache = getattr(algebra, "_indec_projectives", None)
-    if cache is None:
-        cache = [projective_module(algebra, v) for v in algebra.quiver.vertex_ids]
-        algebra._indec_projectives = cache
-    return cache
-
-
 def strip_projectives(m: Representation, seed: int = 0):
     """Projective-free core with split maps (core, incl, retr); retr o incl = id."""
     if m.total_dim == 0:
         return m, None, None
     pieces = summand_split(m, seed)
-    projs = _indecomposable_projectives(m.algebra)
+    projs = _probes(m.algebra)[0]
     kept = [
         (piece, incl, retr)
         for piece, incl, retr in pieces
@@ -82,9 +72,6 @@ class StableHomSpace(HomQuotient):
     def __init__(self, m: Representation, n: Representation):
         require_self_injective(m.algebra)
         super().__init__(injective_hull(m)[1], n)
-
-    def equal(self, f: ModuleMap, g: ModuleMap) -> bool:
-        return np.array_equal(self.class_of(f), self.class_of(g))
 
 
 def stable_hom_dim(m: Representation, n: Representation) -> int:

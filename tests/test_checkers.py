@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from quivertilt import linalg
-from quivertilt.algebra import parse_algebra
+from quivertilt import checkers, linalg
+from quivertilt.algebra import nakayama_cyclic, parse_algebra
 from quivertilt.checkers import (
     EXCEEDS,
     _greedy_step,
@@ -24,7 +24,7 @@ from quivertilt.checkers import (
     wedge,
     within,
 )
-from quivertilt.contexts import ContextError, build_exact_context
+from quivertilt.contexts import ContextError, build_exact_context, build_stable_context
 from oracle import greedy_step_by_full_approximation
 
 
@@ -214,6 +214,35 @@ def test_verify_theorem_expected_sets(exact_contexts, stable_contexts):
     assert len(n22["cotorsion_diagonal"]) == 2
     stable22 = verify_theorem(stable_contexts["nak22"], 1)
     assert stable22["cotorsion_diagonal"] == [["S1"], ["S2"]]
+
+
+def test_exhaustive_clause3_only_adds_passes(exact_contexts, monkeypatch):
+    """Every superset of the forced set through the cotorsion checker, with and
+    without the exhaustive conflation search: the search is entered, and a
+    pair the greedy check accepts is accepted by the search too."""
+    entered = []
+    search = checkers._clause3_exhaustive
+
+    def counting(*args):
+        entered.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(checkers, "_clause3_exhaustive", counting)
+    contexts = {"mod nak32": exact_contexts["nak32"],
+                "stable nak33": build_stable_context(nakayama_cyclic(3, 3))}
+    for name, ctx in contexts.items():
+        forced = ctx.projective_ids | ctx.injective_ids
+        free = sorted(set(range(ctx.n_objects)) - forced)
+        for n in (1, 2):
+            for size in range(len(free) + 1):
+                for extra in itertools.combinations(free, size):
+                    x = sorted(forced | set(extra))
+                    greedy = check_n_cotorsion(ctx, x, x, n, exhaustive=False).passed
+                    searched = check_n_cotorsion(ctx, x, x, n, exhaustive=True).passed
+                    assert searched or not greedy, (name, n, x)
+            plain = verify_theorem(ctx, n, exhaustive=False)
+            assert verify_theorem(ctx, n, exhaustive=True) == plain, (name, n)
+    assert entered
 
 
 def test_orthogonal_containment_statement(exact_contexts):
