@@ -20,13 +20,33 @@ Hom support of C build the same map, not merely an isomorphic one.  Whether
 the context projectives (injectives) lie in X decides the augmenting summand,
 so a step is keyed by that intersection, C, the side and that flag.  The key
 depends on X, C and Hom(-, C) (Hom(C, -)) alone, never on a verdict.
+
+`verify_theorem` compares two enumerations whose cost follows their output.
+Both start from one compatibility bitmask: objects i and j are compatible
+when E^k(i, j) = E^k(j, i) = 0 for every k up to the degree, and an object
+that conflicts with itself is dropped.  Candidates contain the projectives
+and injectives, which every member of either list must.
+- `enumerate_cotorsion_diagonal` backtracks over every rigid superset of that
+  forced set, that is every X passing the orthogonality clause E^k(X, X) = 0
+  for k <= n, and runs the full cotorsion checker on each, by size and then
+  lexicographically.  Orthogonality is part of the cotorsion definition, so
+  this prunes by nothing the theorem asserts.
+- `enumerate_cluster_tilting` uses that X = X^perp makes X maximal among
+  compatible sets: it lists the maximal cliques through the forced set by
+  Bron-Kerbosch (CACM 1973) with the Tomita-Tanaka-Takahashi pivot (TCS
+  2006), then tests the two orthogonality equalities on bitmasks and
+  confirms each hit with `check_cluster_tilting`.
+Neither side reads the other's candidates or verdicts, and the cotorsion
+side never restricts itself to maximal sets, which would assume the theorem.
+`subset_budget` caps the candidates each enumeration visits.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .contexts import Context, ContextError
 
@@ -454,61 +474,122 @@ def _forced_ids(ctx: Context) -> frozenset[int]:
     return frozenset(ctx.projective_ids | ctx.injective_ids)
 
 
-def _subset_masks(ctx: Context, forced: frozenset[int]):
-    """All subsets containing the forced set, by size then lexicographically."""
-    free = sorted(set(range(ctx.n_objects)) - forced)
-    if 2 ** len(free) > ctx.config.subset_budget:
-        raise ContextError(
-            f"{2 ** len(free)} candidate subsets exceed the subset budget "
-            f"{ctx.config.subset_budget}; raise --subset-budget"
-        )
-    base = frozenset(forced)
-    for size in range(len(free) + 1):
-        for combo in itertools.combinations(free, size):
-            yield base | frozenset(combo)
+def _mask(ids) -> int:
+    return sum(1 << i for i in ids)
 
 
-def _orth_bitmasks(ctx: Context, k_max: int):
-    """bit i of right[k][j] set iff E^k(j, i) = 0; left dual."""
-    n = ctx.n_objects
-    right = {}
-    left = {}
+def _ids(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _orth_bitmasks(ctx: Context, k_max: int) -> tuple[list[int], list[int]]:
+    """Bit i of right[j] is set iff E^k(j, i) = 0 for every k in [1, k_max];
+    bit i of left[j] iff E^k(i, j) = 0.  Every table is filled in full."""
+    vanish = np.ones((ctx.n_objects, ctx.n_objects), dtype=bool)
     for k in range(1, k_max + 1):
-        table = ctx.e_k_table(k)
-        right[k] = [0] * n
-        left[k] = [0] * n
-        for j in range(n):
-            rmask = 0
-            lmask = 0
-            for i in range(n):
-                if table[j][i] == 0:
-                    rmask |= 1 << i
-                if table[i][j] == 0:
-                    lmask |= 1 << i
-            right[k][j] = rmask
-            left[k][j] = lmask
-    return right, left
+        vanish &= ctx.e_k_table(k) == 0
+    return ([_mask(np.flatnonzero(row).tolist()) for row in vanish],
+            [_mask(np.flatnonzero(col).tolist()) for col in vanish.T])
+
+
+def _compatibility(right: list[int], left: list[int]) -> list[int]:
+    """Bit j of compat[i] is set iff E^k(i, j) = E^k(j, i) = 0 for every k
+    the bitmasks cover; bit i of compat[i] iff i does not conflict with
+    itself."""
+    return [r & l for r, l in zip(right, left)]
+
+
+def _seed(compat: list[int], forced: frozenset[int]) -> int | None:
+    """The objects that may join the forced set: those compatible with it and
+    with themselves.  None when the forced set already conflicts."""
+    base = _mask(forced)
+    allowed = _mask(i for i, c in enumerate(compat) if c >> i & 1)
+    for i in forced:
+        if base & ~compat[i]:
+            return None
+        allowed &= compat[i]
+    return allowed & ~base
+
+
+class _Visits:
+    """Counts the candidate subsets an enumeration visits, against
+    `subset_budget`."""
+
+    def __init__(self, ctx: Context, stage: str):
+        self.budget = ctx.config.subset_budget
+        self.stage = stage
+        self.count = 0
+
+    def visit(self) -> None:
+        self.count += 1
+        if self.count > self.budget:
+            raise ContextError(
+                f"{self.stage} enumeration visited {self.count} candidate subsets, "
+                f"more than the subset budget {self.budget}; raise --subset-budget"
+            )
+
+
+def _rigid_supersets(base: int, allowed: int, compat: list[int], visits: _Visits) -> list[int]:
+    """Every set base | S with S a subset of `allowed` whose members are
+    pairwise compatible, by backtracking: each set is extended only by
+    objects of higher index that are compatible with all of it."""
+    out = []
+    stack = [(base, allowed)]
+    while stack:
+        current, candidates = stack.pop()
+        visits.visit()
+        out.append(current)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            stack.append((current | low, candidates & compat[low.bit_length() - 1]))
+    return out
+
+
+def _maximal_cliques(r: int, p: int, x: int, adj: list[int], visits: _Visits,
+                     out: list[int]) -> None:
+    """Bron-Kerbosch with the Tomita-Tanaka-Takahashi pivot: append every
+    maximal clique R | S with S a clique in P, none of whose extensions by X
+    is a clique, to `out`."""
+    visits.visit()
+    if not p and not x:
+        out.append(r)
+        return
+    pivot = max(_ids(p | x), key=lambda u: (p & adj[u]).bit_count())
+    branch = p & ~adj[pivot]
+    while branch:
+        low = branch & -branch
+        branch ^= low
+        v = low.bit_length() - 1
+        _maximal_cliques(r | low, p & adj[v], x & adj[v], adj, visits, out)
+        p &= ~low
+        x |= low
 
 
 def enumerate_cluster_tilting(ctx: Context, n: int) -> list[Subcat]:
-    """All n-cluster-tilting subcategories; subsets are pruned to those
-    containing every context projective and injective."""
+    """All n-cluster-tilting subcategories.  X = X^perp forces X to be a
+    maximal set of pairwise compatible objects containing the projectives and
+    injectives, so the candidates are the maximal cliques of the
+    compatibility graph through the forced set; the two orthogonality
+    equalities are then tested on bitmasks and confirmed by the checker."""
     if n < 2:
         raise ContextError("cluster-tilting degree must be >= 2")
     forced = _forced_ids(ctx)
     right, left = _orth_bitmasks(ctx, n - 1)
+    compat = _compatibility(right, left)
+    allowed = _seed(compat, forced)
+    cliques: list[int] = []
+    if allowed is not None:
+        adj = [c & ~(1 << i) for i, c in enumerate(compat)]
+        _maximal_cliques(_mask(forced), allowed, 0, adj, _Visits(ctx, "cluster-tilting"), cliques)
     full = (1 << ctx.n_objects) - 1
     hits = []
-    for subset in _subset_masks(ctx, forced):
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        rset = full
-        lset = full
+    for mask in cliques:
+        subset = _ids(mask)
+        rset = lset = full
         for j in subset:
-            for k in range(1, n):
-                rset &= right[k][j]
-                lset &= left[k][j]
+            rset &= right[j]
+            lset &= left[j]
         if rset == mask and lset == mask:
             verdict = check_cluster_tilting(ctx, subset, n)
             if not verdict.passed:
@@ -522,27 +603,22 @@ def enumerate_cluster_tilting(ctx: Context, n: int) -> list[Subcat]:
 
 
 def enumerate_cotorsion_diagonal(ctx: Context, n: int, exhaustive=None) -> list[Subcat]:
-    """All X with (X, X) an n-cotorsion pair; same forced-set pruning, with a
-    cheap orthogonality prefilter before the full conflation checker runs."""
+    """All X with (X, X) an n-cotorsion pair.  The candidates are the
+    supersets of the projectives and injectives that pass the orthogonality
+    clause, E^k(X, X) = 0 for k <= n, found by backtracking; the full checker
+    runs on each, by size and then lexicographically."""
     if n < 1:
         raise ContextError("cotorsion degree must be >= 1")
     forced = _forced_ids(ctx)
-    right, _ = _orth_bitmasks(ctx, n)
+    compat = _compatibility(*_orth_bitmasks(ctx, n))
+    allowed = _seed(compat, forced)
+    if allowed is None:
+        return []
+    masks = _rigid_supersets(_mask(forced), allowed, compat, _Visits(ctx, "cotorsion"))
+    rigid = [_ids(mask) for mask in masks]
+    rigid.sort(key=lambda s: (len(s), sorted(s)))
     hits = []
-    for subset in _subset_masks(ctx, forced):
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        ok = True
-        for j in subset:
-            acc = (1 << ctx.n_objects) - 1
-            for k in range(1, n + 1):
-                acc &= right[k][j]
-            if mask & ~acc:
-                ok = False
-                break
-        if not ok:
-            continue
+    for subset in rigid:
         verdict = check_n_cotorsion(ctx, subset, subset, n, exhaustive)
         if verdict.passed:
             hits.append(Subcat.of(ctx, subset))

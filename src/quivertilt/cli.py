@@ -53,7 +53,9 @@ def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
                         help="prime field characteristic (default: the spec's field line, else 2)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=10000, help="most indecomposables to enumerate")
-    parser.add_argument("--subset-budget", type=int, default=1 << 20)
+    parser.add_argument("--subset-budget", type=int, default=1 << 20,
+                        help="most candidate subcategories each side of verify-theorem may visit; "
+                        "search-nakayama skips a sub-context with more than 1/64 of it")
     parser.add_argument("--mmax", type=int, default=2, help="multiplicity bound for exhaustive conflation search")
     parser.add_argument("--exhaustive", action="store_true")
     parser.add_argument("--format", choices=["text", "structured"], default="text")

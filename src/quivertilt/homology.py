@@ -165,7 +165,8 @@ class MinimalResolution:
     """Lazily extended minimal projective resolution of a module.
 
     terms[k] is P_k, diffs[k]: P_k -> P_{k-1} (diffs[0] is the augmentation
-    P_0 -> M), syzygy_incls[k]: Omega^{k+1} -> P_k.
+    P_0 -> M), syzygy_incls[k]: Omega^{k+1} -> P_k, tops[k] the top
+    dimensions of Omega^k (Omega^0 = M), filled by `top_dims`.
     """
 
     def __init__(self, target: Representation):
@@ -174,6 +175,7 @@ class MinimalResolution:
         self.diffs: list[ModuleMap] = []
         self.syzygies: list[Representation] = []
         self.syzygy_incls: list[ModuleMap] = []
+        self.tops: list[list[int]] = []
 
     def extend(self, upto: int):
         while len(self.terms) <= upto:
@@ -193,6 +195,13 @@ class MinimalResolution:
         """Omega^k of the target (k >= 1)."""
         self.extend(k - 1)
         return self.syzygies[k - 1]
+
+    def top_dims(self, k: int) -> list[int]:
+        """Vertex-wise dimensions of top(Omega^k) of the target (k >= 0)."""
+        while len(self.tops) <= k:
+            j = len(self.tops)
+            self.tops.append(top_dims(self.syzygy_module(j) if j else self.target))
+        return self.tops[k]
 
 
 def minimal_resolution(m: Representation) -> MinimalResolution:
@@ -226,7 +235,7 @@ def ext_dim(k: int, m: Representation, n: Representation) -> int:
     res = minimal_resolution(m)
     res.extend(k - 1)
     prev = res.syzygies[k - 2] if k > 1 else m
-    hom_cover = sum(t * d for t, d in zip(top_dims(prev), n.dims))
+    hom_cover = sum(t * d for t, d in zip(res.top_dims(k - 1), n.dims))
     return hom_dim(res.syzygies[k - 1], n) - hom_cover + hom_dim(prev, n)
 
 

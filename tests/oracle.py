@@ -29,6 +29,11 @@ every nonzero class of every Ext^1 pair.
 `decompose._splitting_idempotent_from_minpoly` as it was computed with
 sympy's factoring and extended gcd over F_p, before the package did both
 itself.
+
+`cluster_tilting_by_subset_walk` and `cotorsion_diagonal_by_subset_walk` are
+the enumerators of `checkers` as they were before they became output
+sensitive: both walk every superset of the projectives and injectives, by
+size and then lexicographically, and test each with per-degree bit loops.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from collections import Counter
 import numpy as np
 import sympy
 
-from quivertilt import linalg
+from quivertilt import checkers, linalg
 from quivertilt.algebra import injective_module, projective_module, simple_module
 from quivertilt.contexts import ExactExtSpace
 from quivertilt.decompose import fingerprint, indecomposable_isomorphic, summand_split
@@ -238,3 +243,89 @@ def enumerate_by_ext_closure(algebra) -> list[Representation]:
                         register(space.realize(coords)[0])
         if len(pool) == count and shifted == len(pool):
             return sorted(pool, key=lambda r: (r.total_dim, r.dims, fingerprint(r)))
+
+
+def subset_masks(ctx, forced: frozenset[int]):
+    """All subsets containing the forced set, by size then lexicographically."""
+    free = sorted(set(range(ctx.n_objects)) - forced)
+    base = frozenset(forced)
+    for size in range(len(free) + 1):
+        for combo in itertools.combinations(free, size):
+            yield base | frozenset(combo)
+
+
+def _orth_bitmasks_per_degree(ctx, k_max: int):
+    """bit i of right[k][j] set iff E^k(j, i) = 0; left dual."""
+    n = ctx.n_objects
+    right = {}
+    left = {}
+    for k in range(1, k_max + 1):
+        table = ctx.e_k_table(k)
+        right[k] = [0] * n
+        left[k] = [0] * n
+        for j in range(n):
+            rmask = 0
+            lmask = 0
+            for i in range(n):
+                if table[j][i] == 0:
+                    rmask |= 1 << i
+                if table[i][j] == 0:
+                    lmask |= 1 << i
+            right[k][j] = rmask
+            left[k][j] = lmask
+    return right, left
+
+
+def cluster_tilting_by_subset_walk(ctx, n: int) -> list:
+    """Every superset X of the forced set with X^perp = X = perp X, checked
+    by `check_cluster_tilting`, sorted as the enumerator sorts its hits."""
+    forced = frozenset(ctx.projective_ids | ctx.injective_ids)
+    right, left = _orth_bitmasks_per_degree(ctx, n - 1)
+    full = (1 << ctx.n_objects) - 1
+    hits = []
+    for subset in subset_masks(ctx, forced):
+        mask = 0
+        for i in subset:
+            mask |= 1 << i
+        rset = full
+        lset = full
+        for j in subset:
+            for k in range(1, n):
+                rset &= right[k][j]
+                lset &= left[k][j]
+        if rset == mask and lset == mask:
+            assert checkers.check_cluster_tilting(ctx, subset, n).passed
+            hits.append(checkers.Subcat.of(ctx, subset))
+    hits.sort(key=lambda s: (len(s.ids), s.names()))
+    return hits
+
+
+def rigid_supersets_by_subset_walk(ctx, n: int) -> list[frozenset[int]]:
+    """The supersets of the forced set with E^k(X, X) = 0 for k <= n, in
+    walk order: the sets the cotorsion enumerator checks, in its order."""
+    forced = frozenset(ctx.projective_ids | ctx.injective_ids)
+    right, _ = _orth_bitmasks_per_degree(ctx, n)
+    out = []
+    for subset in subset_masks(ctx, forced):
+        mask = 0
+        for i in subset:
+            mask |= 1 << i
+        ok = True
+        for j in subset:
+            acc = (1 << ctx.n_objects) - 1
+            for k in range(1, n + 1):
+                acc &= right[k][j]
+            if mask & ~acc:
+                ok = False
+                break
+        if ok:
+            out.append(subset)
+    return out
+
+
+def cotorsion_diagonal_by_subset_walk(ctx, n: int, exhaustive=None) -> list:
+    """Every rigid superset X of the forced set with (X, X) n-cotorsion."""
+    hits = [checkers.Subcat.of(ctx, subset) for subset in rigid_supersets_by_subset_walk(ctx, n)
+            if checkers.check_n_cotorsion(ctx, subset, subset, n, exhaustive).passed]
+    hits.sort(key=lambda s: (len(s.ids), s.names()))
+    return hits

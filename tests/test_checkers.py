@@ -24,8 +24,19 @@ from quivertilt.checkers import (
     wedge,
     within,
 )
-from quivertilt.contexts import ContextError, build_exact_context, build_stable_context
-from oracle import greedy_step_by_full_approximation
+from quivertilt.contexts import (
+    ContextError,
+    build_exact_context,
+    build_stable_context,
+    build_sub_context,
+    is_extension_closed,
+)
+from oracle import (
+    cluster_tilting_by_subset_walk,
+    cotorsion_diagonal_by_subset_walk,
+    greedy_step_by_full_approximation,
+    rigid_supersets_by_subset_walk,
+)
 
 
 def test_orthogonal_examples(exact_contexts):
@@ -190,6 +201,76 @@ def test_enumerators(exact_contexts):
     assert [h.names() for h in cot] == [["I1", "P1", "P2", "P3"]]
 
 
+def _enumeration_contexts(exact_contexts, stable_contexts):
+    return {**{f"mod {k}": c for k, c in exact_contexts.items()},
+            **{f"stable {k}": c for k, c in stable_contexts.items()},
+            "stable nak33": build_stable_context(nakayama_cyclic(3, 3)),
+            "stable nak43": build_stable_context(nakayama_cyclic(4, 3)),
+            "mod nak33": build_exact_context(nakayama_cyclic(3, 3))}
+
+
+def test_enumerators_match_the_subset_walk(exact_contexts, stable_contexts, monkeypatch):
+    """Backtracking and Bron-Kerbosch return the subset walk's lists, and the
+    cotorsion checker sees the walk's rigid sets in the walk's order."""
+    checked = []
+    check = checkers.check_n_cotorsion
+
+    def recording(ctx, x_ids, y_ids, n, exhaustive=None):
+        checked.append(frozenset(x_ids))
+        return check(ctx, x_ids, y_ids, n, exhaustive)
+
+    monkeypatch.setattr(checkers, "check_n_cotorsion", recording)
+    for name, ctx in _enumeration_contexts(exact_contexts, stable_contexts).items():
+        for n in (1, 2):
+            checked.clear()
+            got = enumerate_cotorsion_diagonal(ctx, n)
+            assert checked == rigid_supersets_by_subset_walk(ctx, n), (name, n)
+            assert got == cotorsion_diagonal_by_subset_walk(ctx, n), (name, n)
+            want = cluster_tilting_by_subset_walk(ctx, n + 1)
+            assert enumerate_cluster_tilting(ctx, n + 1) == want, (name, n)
+
+
+def test_enumerators_do_not_call_each_other(exact_contexts, monkeypatch):
+    """Each side runs with the other's private search broken."""
+    ctx = exact_contexts["nak32"]
+
+    def broken(*args):
+        raise AssertionError("called the other side's search")
+
+    with monkeypatch.context() as m:
+        m.setattr(checkers, "_maximal_cliques", broken)
+        assert enumerate_cotorsion_diagonal(ctx, 1) == cotorsion_diagonal_by_subset_walk(ctx, 1)
+        with pytest.raises(AssertionError):
+            enumerate_cluster_tilting(ctx, 2)
+    with monkeypatch.context() as m:
+        m.setattr(checkers, "_rigid_supersets", broken)
+        assert enumerate_cluster_tilting(ctx, 2) == cluster_tilting_by_subset_walk(ctx, 2)
+        with pytest.raises(AssertionError):
+            enumerate_cotorsion_diagonal(ctx, 1)
+
+
+def test_subset_budget_caps_candidates_visited(exact_contexts, monkeypatch):
+    """Mod nak(3,2): the forced set plus at most one simple is rigid (4 sets);
+    Bron-Kerbosch visits the root and one branch per simple (4 calls)."""
+    ctx = exact_contexts["nak32"]
+    for stage, run in (("cotorsion", lambda: enumerate_cotorsion_diagonal(ctx, 1)),
+                       ("cluster-tilting", lambda: enumerate_cluster_tilting(ctx, 2))):
+        monkeypatch.setattr(ctx.config, "subset_budget", 4)
+        run()
+        monkeypatch.setattr(ctx.config, "subset_budget", 3)
+        with pytest.raises(ContextError) as err:
+            run()
+        assert str(err.value) == (f"{stage} enumeration visited 4 candidate subsets, more than "
+                                  "the subset budget 3; raise --subset-budget")
+
+
+def test_cluster_tilting_on_stable_nak104(stable_nak104):
+    """The subset walk refused this context (2^30 supersets)."""
+    hits = enumerate_cluster_tilting(stable_nak104, 3)
+    assert len(hits) == 55
+    assert len({h.ids for h in hits}) == 55
+
+
 def test_enumeration_on_semisimple_context():
     alg = parse_algebra("field 2\nvertices 1 2\n")
     ctx = build_exact_context(alg)
@@ -214,6 +295,29 @@ def test_verify_theorem_expected_sets(exact_contexts, stable_contexts):
     assert len(n22["cotorsion_diagonal"]) == 2
     stable22 = verify_theorem(stable_contexts["nak22"], 1)
     assert stable22["cotorsion_diagonal"] == [["S1"], ["S2"]]
+
+
+def test_theorem_on_every_extension_closed_subcategory(exact_contexts):
+    """Extension-closed subcategories of an exact or triangulated category
+    are extriangulated, and the theorem is stated for those too: at n = 1 it
+    holds on each nonempty one of these three parents, each of which has
+    enough projectives and injectives."""
+    parents = {"stable nak43": (build_stable_context(nakayama_cyclic(4, 3)), 89, 20),
+               "stable nak33": (build_stable_context(nakayama_cyclic(3, 3)), 28, 15),
+               "mod nak32": (exact_contexts["nak32"], 44, 31)}
+    for name, (parent, closed_count, with_sets) in parents.items():
+        closed = [ids for size in range(1, parent.n_objects + 1)
+                  for ids in itertools.combinations(range(parent.n_objects), size)
+                  if is_extension_closed(parent, ids)[0]]
+        assert len(closed) == closed_count, name
+        found = 0
+        for ids in closed:
+            sub = build_sub_context(parent, ids)
+            assert sub.has_enough_projectives()[0] and sub.has_enough_injectives()[0], (name, ids)
+            report = verify_theorem(sub, 1)
+            assert report["sets_equal"], (name, ids, report)
+            found += bool(report["cluster_tilting"])
+        assert found == with_sets, name
 
 
 def test_exhaustive_clause3_only_adds_passes(exact_contexts, monkeypatch):

@@ -153,4 +153,16 @@ def test_subset_budget_names_its_flag(capsys):
     status, out, err = _run(["verify-theorem", "--nakayama", "3,2", "-n", "1", "--subset-budget", "1"], capsys)
     assert status == 2
     assert out == ""
-    assert err.startswith("error: 8 candidate subsets exceed the subset budget 1") and "--subset-budget" in err
+    assert err == ("error: cotorsion enumeration visited 2 candidate subsets, "
+                   "more than the subset budget 1; raise --subset-budget\n")
+
+
+def test_e6_verify_theorem_completes(capsys):
+    """A projective and an injective of E6 already conflict, so both sides
+    find no set; the subset walk refused this run (2^24 subsets)."""
+    e6 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "e6.alg")
+    status, out, _ = _run(["verify-theorem", "--algebra", e6, "-n", "1", "--format", "structured"], capsys)
+    assert status == 0
+    result = json.loads(out)["result"]
+    assert result["sets_equal"] is True
+    assert result["cluster_tilting"] == result["cotorsion_diagonal"] == []

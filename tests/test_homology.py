@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
-from quivertilt import linalg
+from quivertilt import homology, linalg
 from quivertilt.algebra import injective_module, parse_algebra, projective_module, simple_module
 from quivertilt.contexts import RunConfig, enumerate_indecomposables
 from quivertilt.decompose import indecomposable_isomorphic, is_isomorphic
@@ -105,6 +105,25 @@ def test_dimension_shift(test_algebras):
             for n in mods.values():
                 for k in (1, 2, 3):
                     assert ext_dim(k + 1, m, n) == ext_dim(k, om, n)
+
+
+def test_ext_reads_each_top_once(a3_rad2, monkeypatch):
+    """Filling an Ext table computes top(Omega^j m) once per module m and
+    degree j, and the cached tops are those of the syzygies."""
+    calls = []
+    real = homology.top_dims
+    monkeypatch.setattr(homology, "top_dims", lambda rep: calls.append(rep) or real(rep))
+    mods = list(_indecomposables(a3_rad2).values())
+    for k in (1, 2, 3):
+        for m in mods:
+            for n in mods:
+                ext_dim(k, m, n)
+    assert len(calls) == len({id(rep) for rep in calls})
+    for m in mods:
+        res = homology.minimal_resolution(m)
+        assert res.top_dims(0) == real(m)
+        for j in (1, 2):
+            assert res.top_dims(j) == real(res.syzygy_module(j))
 
 
 def test_ext_table_matches_independent_oracle(test_algebras):
