@@ -118,6 +118,7 @@ class BoundQuiverAlgebra:
         self._build_basis()
         self._op: BoundQuiverAlgebra | None = None
         self._by_target: dict[int, list[list[Path]]] = {}
+        self._projectives: dict[int, object] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -333,7 +334,17 @@ class BoundQuiverAlgebra:
 
 
 def projective_module(algebra: BoundQuiverAlgebra, vertex_id: int):
-    """P_i: spanned by normal paths with source i, arrows act by appending."""
+    """P_i: spanned by normal paths with source i, arrows act by appending.
+
+    Cached per algebra and vertex: every call returns the same object, whose
+    matrices are read-only, so no caller can mutate the shared module."""
+    hit = algebra._projectives.get(vertex_id)
+    if hit is None:
+        hit = algebra._projectives[vertex_id] = _build_projective(algebra, vertex_id)
+    return hit
+
+
+def _build_projective(algebra: BoundQuiverAlgebra, vertex_id: int):
     from .modules import Representation
 
     q = algebra.quiver
@@ -348,7 +359,10 @@ def projective_module(algebra: BoundQuiverAlgebra, vertex_id: int):
             for w, c in algebra.right_multiply(b, a).items():
                 m[index[w][1], col] = c
         mats.append(m)
-    return Representation(algebra, dims, mats)
+    rep = Representation(algebra, dims, mats)
+    for m in rep.matrices:
+        m.flags.writeable = False
+    return rep
 
 
 def simple_module(algebra: BoundQuiverAlgebra, vertex_id: int):

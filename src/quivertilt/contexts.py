@@ -112,14 +112,11 @@ class RunConfig:
     subset_budget: int = 1 << 20
     exhaustion_bound: int = 4096
     max_multiplicity: int = 2
-    les_depth: int = 4
     exhaustive: bool = False
 
     def validate(self):
         if min(self.enumeration_budget, self.exhaustion_bound, self.max_multiplicity) <= 0:
             raise ContextError("budgets must be positive")
-        if self.les_depth < 1:
-            raise ContextError("LES depth must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -129,7 +126,6 @@ class RunConfig:
             "subset_budget": self.subset_budget,
             "exhaustion_bound": self.exhaustion_bound,
             "max_multiplicity": self.max_multiplicity,
-            "les_depth": self.les_depth,
             "exhaustive": self.exhaustive,
         }
 
@@ -480,19 +476,20 @@ class Context:
         cache[key] = conf
         return conf
 
-    def all_class_coords(self, c_idx: int, a_idx: int, include_zero: bool = False):
-        """Every class in E(c, a), exhaustively; respects the exhaustion bound."""
+    def class_lines(self, c_idx: int, a_idx: int):
+        """One class per line of E(c, a), in lexicographic order: the nonzero
+        classes up to scalars, since lambda delta and delta have isomorphic
+        middle terms.  Respects the exhaustion bound."""
         d = self.e_dim(c_idx, a_idx)
         p = self.algebra.p
-        if d and p**d > self.config.exhaustion_bound:
+        lines = (p**d - 1) // (p - 1)
+        if lines > self.config.exhaustion_bound:
             raise ContextError(
                 f"E({self.object_names[c_idx]}, {self.object_names[a_idx]}) has "
-                f"{p**d} classes, above the exhaustion bound "
+                f"{lines} classes up to scalars, above the exhaustion bound "
                 f"{self.config.exhaustion_bound}; lower p or the context size"
             )
-        for coords in itertools.product(range(p), repeat=d):
-            if include_zero or any(coords):
-                yield coords
+        return _class_lines(p, d)
 
     # -- deflations, cocones, cones ----------------------------------------
 
@@ -897,8 +894,9 @@ def _is_end(m: Representation, dual: bool) -> bool:
 
 
 def _class_lines(p: int, d: int):
-    """One vector per line of F_p^d: those whose first nonzero entry is 1."""
-    for lead in range(d):
+    """One vector per line of F_p^d: those whose first nonzero entry is 1,
+    in lexicographic order."""
+    for lead in reversed(range(d)):
         for tail in itertools.product(range(p), repeat=d - lead - 1):
             yield (0,) * lead + (1,) + tail
 
@@ -1022,12 +1020,15 @@ def build_stable_context(algebra: BoundQuiverAlgebra, config: RunConfig | None =
 
 
 def is_extension_closed(parent: Context, subset_ids) -> tuple[bool, dict | None]:
-    """Exhaustive pairwise closure check; returns (ok, witness)."""
+    """Exhaustive pairwise closure check over one class per line; returns
+    (ok, witness).  The witness is the first failing class in lexicographic
+    order among all nonzero classes: a failing class scales to a failing
+    one whose first nonzero entry is 1, which comes no later."""
     subset = sorted(set(subset_ids))
     inside = set(subset)
     for c in subset:
         for a in subset:
-            for coords in parent.all_class_coords(c, a):
+            for coords in parent.class_lines(c, a):
                 conf = parent.realize(c, a, coords)
                 if any(i not in inside for i in conf.b_ids):
                     outside = [

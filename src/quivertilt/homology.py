@@ -27,7 +27,6 @@ from .modules import (
     hom_basis,
     hom_dim,
     kernel,
-    linear_combination,
     radical_subspaces,
     top_dims,
     zero_map,
@@ -212,12 +211,6 @@ def minimal_resolution(m: Representation) -> MinimalResolution:
     return res
 
 
-def _hom_coord_matrix(maps: list[ModuleMap]) -> np.ndarray:
-    if not maps:
-        return linalg.zeros(0, 0)
-    return np.stack([f.flatten() for f in maps], axis=1)
-
-
 def ext_dim(k: int, m: Representation, n: Representation) -> int:
     """dim Ext^k(m, n) from the minimal resolution; k = 0 gives dim Hom.
 
@@ -277,42 +270,3 @@ def left_approximation(
     """Left approximation of c by add(members), made injective by an added
     injective hull summand."""
     return approximation(members, c, dual=True, extra=injective_hull(c)[1] if include_hull else None)
-
-
-def syzygy_transport(f: ModuleMap) -> ModuleMap:
-    """Omega(f): induced map on minimal first syzygies, via a cover lift."""
-    p = f.p
-    res_s = minimal_resolution(f.source)
-    res_t = minimal_resolution(f.target)
-    res_s.extend(0)
-    res_t.extend(0)
-    p_s, cover_s = res_s.terms[0], res_s.diffs[0]
-    p_t, cover_t = res_t.terms[0], res_t.diffs[0]
-    lifted = lift_through_epi(f.compose(cover_s), cover_t)
-    incl_s = res_s.syzygy_incls[0]
-    incl_t = res_t.syzygy_incls[0]
-    blocks = []
-    for v in range(len(incl_s.blocks)):
-        rhs = linalg.matmul(lifted.blocks[v], incl_s.blocks[v], p)
-        sol = linalg.solve(incl_t.blocks[v], rhs, p)
-        if sol is None:
-            raise RuntimeError("cover lift does not restrict to syzygies")
-        blocks.append(sol)
-    return ModuleMap(res_s.syzygies[0], res_t.syzygies[0], blocks, validate=False)
-
-
-def lift_through_epi(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
-    """Some g with epi o g = f, assuming f's source is projective."""
-    p = f.p
-    basis = hom_basis(f.source, epi.source)
-    if not basis:
-        if f.is_zero():
-            return zero_map(f.source, epi.source)
-        raise RuntimeError("no maps available to lift through the surjection")
-    composed = [epi.compose(g) for g in basis]
-    mat = _hom_coord_matrix(composed)
-    sol = linalg.solve(mat, f.flatten().reshape(-1, 1), p)
-    if sol is None:
-        raise RuntimeError("lift through surjection does not exist")
-    return linear_combination(basis, sol[:, 0])
-

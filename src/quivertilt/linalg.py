@@ -57,25 +57,27 @@ def inv_mod(x: int, p: int) -> int:
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    r = normalize(np.array(a, dtype=np.int64, copy=True), p)
+    r = normalize(a, p)  # a fresh reduced copy: np.mod never returns its input
     rows, cols = r.shape
     pivots: list[int] = []
     row = 0
     for col in range(cols):
         if row >= rows:
             break
-        sub = r[row:, col]
-        nz = np.nonzero(sub)[0]
+        nz = r[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         piv = row + int(nz[0])
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] = (r[row] * inv_mod(r[row, col], p)) % p
-        factors = r[:, col].copy()
-        factors[row] = 0
-        r -= factors[:, None] * r[row]
-        r %= p
+        lead = int(r[row, col])
+        if lead != 1:
+            r[row] = (r[row] * inv_mod(lead, p)) % p
+        if rows > 1:  # clear the pivot column in the other rows
+            factors = r[:, col].copy()
+            factors[row] = 0
+            r -= factors[:, None] * r[row]
+            r %= p
         pivots.append(col)
         row += 1
     return r, pivots
@@ -97,21 +99,18 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     r, pivots = rref(a, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros(cols, len(free))
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-r[i, fc]) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots] = -r[: len(pivots), free] % p
     return basis
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """One solution of a @ x = b (columns of b solved jointly), or None."""
     rows, cols = a.shape
-    b = normalize(b, p)
+    b = np.asarray(b)
     if b.ndim == 1:
         b = b.reshape(rows, 1)
-    aug = np.concatenate([normalize(a, p), b], axis=1)
-    r, pivots = rref(aug, p)
+    r, pivots = rref(np.concatenate([a, b], axis=1), p)
     ncols_b = b.shape[1]
     for pc in pivots:
         if pc >= cols:
@@ -169,8 +168,7 @@ class QuotientSpace:
     def __init__(self, dim: int, sub: np.ndarray, p: int):
         self.p = p
         self.ambient_dim = dim
-        sub = normalize(sub, p) if sub.size else zeros(dim, 0)
-        r, pivots = rref(sub.T, p)
+        r, pivots = rref(sub.T if sub.size else zeros(0, dim), p)
         self.sub_rows = r[: len(pivots)]  # echelon basis of subspace, as rows
         self.sub_pivots = pivots
         self.free = [c for c in range(dim) if c not in pivots]

@@ -5,6 +5,14 @@ and to each arrow s -> t a (dims[t] x dims[s]) matrix; relation matrices must
 vanish.  Morphisms are vertex-indexed blocks satisfying the intertwining
 equations.  Everything is immutable by convention: no routine mutates a
 Representation or ModuleMap after construction.
+
+Both constructors take `validate`.  With `validate=True` (the default) the
+matrices or blocks are reduced mod p into fresh int64 arrays, their shapes are
+checked, and then the relations (for a Representation) or the intertwining
+equations (for a ModuleMap) are checked.  `validate=False` is the trusted path
+for the package's own constructions: the caller hands int64 ndarrays with
+entries already in [0, p) and of the declared shapes, which are stored as
+given.  Nothing is normalized and nothing is checked but the shapes.
 """
 
 from __future__ import annotations
@@ -26,13 +34,14 @@ class Representation:
             raise ValueError("dimension vector length mismatch")
         if any(d < 0 for d in self.dims):
             raise ValueError("negative dimension")
-        self.matrices = []
-        for a in range(q.n_arrows):
-            m = linalg.normalize(matrices[a], algebra.p)
-            want = (self.dims[q.arrow_target[a]], self.dims[q.arrow_source[a]])
-            if m.shape != want:
-                raise ValueError(f"arrow {q.arrow_names[a]}: matrix shape {m.shape}, expected {want}")
-            self.matrices.append(m)
+        if len(matrices) != q.n_arrows:
+            raise ValueError(f"{len(matrices)} matrices for {q.n_arrows} arrows")
+        self.matrices = [linalg.normalize(m, algebra.p) for m in matrices] if validate else list(matrices)
+        shapes = [m.shape for m in self.matrices]
+        wants = [(self.dims[t], self.dims[s]) for s, t in zip(q.arrow_source, q.arrow_target)]
+        if shapes != wants:
+            a = next(a for a, (got, want) in enumerate(zip(shapes, wants)) if got != want)
+            raise ValueError(f"arrow {q.arrow_names[a]}: matrix shape {shapes[a]}, expected {wants[a]}")
         if validate:
             self._check_relations()
 
@@ -79,13 +88,13 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.p = source.algebra.p
-        self.blocks = []
-        for v in range(source.algebra.quiver.n_vertices):
-            b = linalg.normalize(blocks[v], self.p)
-            want = (target.dims[v], source.dims[v])
-            if b.shape != want:
-                raise ValueError(f"vertex {v}: block shape {b.shape}, expected {want}")
-            self.blocks.append(b)
+        if len(blocks) != len(source.dims):
+            raise ValueError(f"{len(blocks)} blocks for {len(source.dims)} vertices")
+        self.blocks = [linalg.normalize(b, self.p) for b in blocks] if validate else list(blocks)
+        shapes, wants = [b.shape for b in self.blocks], list(zip(target.dims, source.dims))
+        if shapes != wants:
+            v = next(v for v, (got, want) in enumerate(zip(shapes, wants)) if got != want)
+            raise ValueError(f"vertex {v}: block shape {shapes[v]}, expected {wants[v]}")
         if validate:
             self._check_intertwining()
 
@@ -166,8 +175,8 @@ def _intertwining_system(m: Representation, n: Representation) -> np.ndarray | N
     p = m.algebra.p
     q = m.algebra.quiver
     var_dims = [n.dims[v] * m.dims[v] for v in range(q.n_vertices)]
-    offsets = np.cumsum([0] + var_dims)
-    total = int(offsets[-1])
+    offsets = list(itertools.accumulate(var_dims, initial=0))
+    total = offsets[-1]
     if total == 0:
         return None
     n_eqs = [n.dims[q.arrow_target[a]] * m.dims[q.arrow_source[a]] for a in range(q.n_arrows)]
@@ -179,20 +188,22 @@ def _intertwining_system(m: Representation, n: Representation) -> np.ndarray | N
         s, t = q.arrow_source[a], q.arrow_target[a]
         eqs = slice(row, row + n_eq)
         row += n_eq
+        # Both Kronecker products are written into views of the system that
+        # split each axis as (block, entry), so no identity matrix is formed.
         # vec(f_t @ M_a) = (I_{n_t} kron M_a^T) vec(f_t)   (row-major vec)
         if var_dims[t]:
-            system[eqs, offsets[t] : offsets[t + 1]] = _kron(linalg.eye(n.dims[t]), m.matrices[a].T)
+            blocks = system[eqs, offsets[t] : offsets[t + 1]].reshape(
+                n.dims[t], m.dims[s], n.dims[t], m.dims[t])
+            for i in range(n.dims[t]):
+                blocks[i, :, i, :] = m.matrices[a].T
         # vec(N_a @ f_s) = (N_a kron I_{m_s}) vec(f_s)
         if var_dims[s]:
-            system[eqs, offsets[s] : offsets[s + 1]] -= _kron(n.matrices[a], linalg.eye(m.dims[s]))
-    return system % p
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron for 2-d arrays, without its generic-shape overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    )
+            blocks = system[eqs, offsets[s] : offsets[s + 1]].reshape(
+                n.dims[t], m.dims[s], n.dims[s], m.dims[s])
+            for i in range(m.dims[s]):
+                blocks[:, i, :, i] -= n.matrices[a]
+    system %= p
+    return system
 
 
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
@@ -310,27 +321,31 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     p = f.p
     rep = f.target
     q = rep.algebra.quiver
+    quots = [linalg.QuotientSpace(rep.dims[v], f.blocks[v], p) for v in range(q.n_vertices)]
     projections = []
-    dims = []
-    for v in range(q.n_vertices):
-        quot = linalg.QuotientSpace(rep.dims[v], f.blocks[v], p)
-        dims.append(quot.dim)
-        proj = linalg.zeros(quot.dim, rep.dims[v])
-        for col in range(rep.dims[v]):
-            e = linalg.zeros(rep.dims[v], 1).reshape(-1)
-            e[col] = 1
-            proj[:, col] = quot.to_coords(e)
+    for quot in quots:
+        # Reducing a unit vector e_c modulo the echelon rows leaves e_c on a
+        # free column c and e_c minus the row with pivot c on a pivot column.
+        proj = linalg.zeros(quot.dim, quot.ambient_dim)
+        if quot.dim:
+            proj[range(quot.dim), quot.free] = 1
+            proj[:, quot.sub_pivots] = (-quot.sub_rows[:, quot.free]).T % p
         projections.append(proj)
     mats = []
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
-        # Q_a @ proj_s = proj_t @ N_a ; solve on a section of proj_s
+        # Q_a @ proj_s = proj_t @ N_a.  The free columns of s span a section
+        # of proj_s (proj_s is the identity there), so Q_a is read off them.
         rhs = linalg.matmul(projections[t], rep.matrices[a], p)
-        sol = linalg.solve(projections[s].T, rhs.T, p)
-        if sol is None:
-            raise ValueError("cokernel action is not well defined")
-        mats.append(sol.T % p)
-    coker = Representation(rep.algebra, tuple(dims), mats, validate=False)
+        if rhs.size:
+            action = rhs[:, quots[s].free]
+            if not np.array_equal(linalg.matmul(action, projections[s], p), rhs):
+                raise ValueError("cokernel action is not well defined")
+        else:
+            action = linalg.zeros(quots[t].dim, quots[s].dim)
+        mats.append(action)
+    dims = tuple(quot.dim for quot in quots)
+    coker = Representation(rep.algebra, dims, mats, validate=False)
     proj_map = ModuleMap(rep, coker, projections, validate=False)
     return coker, proj_map
 
@@ -349,29 +364,26 @@ def direct_sum(reps: list[Representation]):
         m = linalg.zeros(dims[t], dims[s])
         ro = co = 0
         for r in reps:
-            m[ro : ro + r.dims[t], co : co + r.dims[s]] = r.matrices[a]
+            if r.matrices[a].size:
+                m[ro : ro + r.dims[t], co : co + r.dims[s]] = r.matrices[a]
             ro += r.dims[t]
             co += r.dims[s]
         mats.append(m)
     total = Representation(alg, dims, mats, validate=False)
+    # The inclusion and projection blocks of each summand are slices of one
+    # read-only identity: its leading d x d corner is the identity of size d.
+    ident = linalg.eye(max(dims, default=0))
+    ident.flags.writeable = False
     inclusions = []
     projections = []
     offsets = [0] * q.n_vertices
     for r in reps:
-        inc_blocks = []
-        prj_blocks = []
-        for v in range(q.n_vertices):
-            inc = linalg.zeros(dims[v], r.dims[v])
-            prj = linalg.zeros(r.dims[v], dims[v])
-            for k in range(r.dims[v]):
-                inc[offsets[v] + k, k] = 1
-                prj[k, offsets[v] + k] = 1
-            inc_blocks.append(inc)
-            prj_blocks.append(prj)
-        inclusions.append(ModuleMap(r, total, inc_blocks, validate=False))
-        projections.append(ModuleMap(total, r, prj_blocks, validate=False))
-        for v in range(q.n_vertices):
-            offsets[v] += r.dims[v]
+        ends = [o + d for o, d in zip(offsets, r.dims)]
+        inclusions.append(ModuleMap(r, total, [ident[:d, o:e] for d, o, e in zip(dims, offsets, ends)],
+                                    validate=False))
+        projections.append(ModuleMap(total, r, [ident[o:e, :d] for d, o, e in zip(dims, offsets, ends)],
+                                     validate=False))
+        offsets = ends
     return total, inclusions, projections
 
 

@@ -125,7 +125,7 @@ def close_under_operations(
                         added = True
         for c in sorted(current):
             for a in sorted(current):
-                for coords in ctx.all_class_coords(c, a):
+                for coords in ctx.class_lines(c, a):
                     conf = ctx.realize(c, a, coords)
                     for j in conf.b_ids:
                         if j not in current:

@@ -4,8 +4,7 @@ Morphisms are module maps modulo those factoring through projectives
 (= injectives here); the factoring subspace is computed as the image of
 composition with the injective hull inclusion.  Suspension is the cokernel
 of the hull, loop the kernel of the cover, and cones come from the mapping
-cylinder M -> I(M) + N.  Maps between loops are transported by
-`homology.syzygy_transport`.  Objects handed to identity-sensitive callers are
+cylinder M -> I(M) + N.  Objects handed to identity-sensitive callers are
 normalized to projective-free form.
 """
 

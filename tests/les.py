@@ -1,4 +1,5 @@
-"""Rank bookkeeping for the two long exact Hom/E sequences of a conflation.
+"""Oracle: rank bookkeeping for the two long exact Hom/E sequences of a
+conflation.
 
 For a conflation A -> B -> C and a test object X the covariant sequence
 
@@ -9,18 +10,60 @@ functors) are computed as matrices on explicit coordinates; connecting maps
 are not constructed.  Exactness is verified by rank bookkeeping: full rank
 balance at every middle node, and consistency of the two deductions of each
 connecting map's rank at the junctions.  The contravariant sequence is
-checked dually.
+checked dually, with maps between syzygies transported by `syzygy_transport`.
+
+No command of the package reaches this check; the tests run it on every
+conflation of small contexts, as an independent test of E^k and of the
+realized conflations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
-from .contexts import Conflation, Context, ContextError, ExactExtSpace
-from .homology import minimal_resolution, syzygy_transport
-from .modules import ModuleMap, Representation, hom_basis
-from .stable import StableHomSpace, loop_raw
+from quivertilt import linalg
+from quivertilt.contexts import Conflation, Context, ContextError, ExactExtSpace
+from quivertilt.homology import minimal_resolution
+from quivertilt.modules import ModuleMap, Representation, hom_basis, linear_combination, zero_map
+from quivertilt.stable import StableHomSpace, loop_raw
+
+
+def syzygy_transport(f: ModuleMap) -> ModuleMap:
+    """Omega(f): induced map on minimal first syzygies, via a cover lift."""
+    p = f.p
+    res_s = minimal_resolution(f.source)
+    res_t = minimal_resolution(f.target)
+    res_s.extend(0)
+    res_t.extend(0)
+    p_s, cover_s = res_s.terms[0], res_s.diffs[0]
+    p_t, cover_t = res_t.terms[0], res_t.diffs[0]
+    lifted = lift_through_epi(f.compose(cover_s), cover_t)
+    incl_s = res_s.syzygy_incls[0]
+    incl_t = res_t.syzygy_incls[0]
+    blocks = []
+    for v in range(len(incl_s.blocks)):
+        rhs = linalg.matmul(lifted.blocks[v], incl_s.blocks[v], p)
+        sol = linalg.solve(incl_t.blocks[v], rhs, p)
+        if sol is None:
+            raise RuntimeError("cover lift does not restrict to syzygies")
+        blocks.append(sol)
+    return ModuleMap(res_s.syzygies[0], res_t.syzygies[0], blocks, validate=False)
+
+
+def lift_through_epi(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
+    """Some g with epi o g = f, assuming f's source is projective."""
+    p = f.p
+    basis = hom_basis(f.source, epi.source)
+    if not basis:
+        if f.is_zero():
+            return zero_map(f.source, epi.source)
+        raise RuntimeError("no maps available to lift through the surjection")
+    composed = [epi.compose(g) for g in basis]
+    mat = np.stack([g.flatten() for g in composed], axis=1)
+    sol = linalg.solve(mat, f.flatten().reshape(-1, 1), p)
+    if sol is None:
+        raise RuntimeError("lift through surjection does not exist")
+    return linear_combination(basis, sol[:, 0])
 
 
 class _HomNode:
@@ -186,11 +229,9 @@ def _bookkeeping(nodes, arrows, p: int) -> tuple[bool, list[str]]:
     return not problems, problems
 
 
-def les_bookkeeping(ctx: Context, conf: Conflation, x_idx: int, depth: int | None = None) -> tuple[bool, dict]:
+def les_bookkeeping(ctx: Context, conf: Conflation, x_idx: int, depth: int) -> tuple[bool, dict]:
     """Exactness bookkeeping for both long sequences of a conflation against
     one test object, through E^depth."""
-    if depth is None:
-        depth = ctx.config.les_depth
     x_rep = ctx.objects[x_idx].rep
     nodes_c, arrows_c = _covariant_nodes_and_maps(ctx, conf, x_rep, depth)
     ok_c, probs_c = _bookkeeping(nodes_c, arrows_c, ctx.algebra.p)

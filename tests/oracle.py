@@ -34,6 +34,16 @@ itself.
 the enumerators of `checkers` as they were before they became output
 sensitive: both walk every superset of the projectives and injectives, by
 size and then lexicographically, and test each with per-degree bit loops.
+
+`all_class_coords` lists every class of E(C, A) and
+`extension_closed_by_all_classes` is `contexts.is_extension_closed` as it was
+before it realized one class per line: it realizes every nonzero class.
+
+`cokernel_by_unit_vectors` and `direct_sum_by_entries` are `modules.cokernel`
+and `modules.direct_sum` as they were before they were vectorized: the
+cokernel projection is formed one reduced unit vector at a time and its
+arrow action by solving on a section, and the direct sum's inclusions and
+projections are set entry by entry.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from quivertilt.algebra import injective_module, projective_module, simple_modul
 from quivertilt.contexts import ExactExtSpace
 from quivertilt.decompose import fingerprint, indecomposable_isomorphic, summand_split
 from quivertilt.homology import cosyzygy, ext_dim, syzygy
-from quivertilt.modules import Representation, hom_dim
+from quivertilt.modules import ModuleMap, Representation, hom_dim
 from quivertilt.stable import cone, loop_raw
 
 
@@ -329,3 +339,95 @@ def cotorsion_diagonal_by_subset_walk(ctx, n: int, exhaustive=None) -> list:
             if checkers.check_n_cotorsion(ctx, subset, subset, n, exhaustive).passed]
     hits.sort(key=lambda s: (len(s.ids), s.names()))
     return hits
+
+
+def all_class_coords(ctx, c_idx: int, a_idx: int, include_zero: bool = False):
+    """Every class of E(c, a), in lexicographic order."""
+    for coords in itertools.product(range(ctx.algebra.p), repeat=ctx.e_dim(c_idx, a_idx)):
+        if include_zero or any(coords):
+            yield coords
+
+
+def extension_closed_by_all_classes(parent, subset_ids):
+    """(ok, witness), realizing every nonzero class of every pair."""
+    subset = sorted(set(subset_ids))
+    inside = set(subset)
+    for c in subset:
+        for a in subset:
+            for coords in all_class_coords(parent, c, a):
+                conf = parent.realize(c, a, coords)
+                if any(i not in inside for i in conf.b_ids):
+                    outside = [parent.object_names[i] for i in conf.b_ids if i not in inside]
+                    return False, {
+                        "c": parent.object_names[c],
+                        "a": parent.object_names[a],
+                        "delta": list(coords),
+                        "middle": outside,
+                    }
+    return True, None
+
+
+def cokernel_by_unit_vectors(f):
+    """(coker, projection): each column of the projection is a unit vector
+    reduced modulo the image, each arrow action solved on a section."""
+    p = f.p
+    rep = f.target
+    q = rep.algebra.quiver
+    projections = []
+    dims = []
+    for v in range(q.n_vertices):
+        quot = linalg.QuotientSpace(rep.dims[v], f.blocks[v], p)
+        dims.append(quot.dim)
+        proj = linalg.zeros(quot.dim, rep.dims[v])
+        for col in range(rep.dims[v]):
+            e = linalg.zeros(rep.dims[v], 1).reshape(-1)
+            e[col] = 1
+            proj[:, col] = quot.to_coords(e)
+        projections.append(proj)
+    mats = []
+    for a in range(q.n_arrows):
+        s, t = q.arrow_source[a], q.arrow_target[a]
+        rhs = linalg.matmul(projections[t], rep.matrices[a], p)
+        sol = linalg.solve(projections[s].T, rhs.T, p)
+        if sol is None:
+            raise ValueError("cokernel action is not well defined")
+        mats.append(sol.T % p)
+    coker = Representation(rep.algebra, tuple(dims), mats)
+    return coker, ModuleMap(rep, coker, projections)
+
+
+def direct_sum_by_entries(reps):
+    """(total, inclusions, projections), the maps set entry by entry."""
+    alg = reps[0].algebra
+    q = alg.quiver
+    dims = tuple(sum(r.dims[v] for r in reps) for v in range(q.n_vertices))
+    mats = []
+    for a in range(q.n_arrows):
+        s, t = q.arrow_source[a], q.arrow_target[a]
+        m = linalg.zeros(dims[t], dims[s])
+        ro = co = 0
+        for r in reps:
+            m[ro : ro + r.dims[t], co : co + r.dims[s]] = r.matrices[a]
+            ro += r.dims[t]
+            co += r.dims[s]
+        mats.append(m)
+    total = Representation(alg, dims, mats)
+    inclusions = []
+    projections = []
+    offsets = [0] * q.n_vertices
+    for r in reps:
+        inc_blocks = []
+        prj_blocks = []
+        for v in range(q.n_vertices):
+            inc = linalg.zeros(dims[v], r.dims[v])
+            prj = linalg.zeros(r.dims[v], dims[v])
+            for k in range(r.dims[v]):
+                inc[offsets[v] + k, k] = 1
+                prj[k, offsets[v] + k] = 1
+            inc_blocks.append(inc)
+            prj_blocks.append(prj)
+        inclusions.append(ModuleMap(r, total, inc_blocks))
+        projections.append(ModuleMap(total, r, prj_blocks))
+        for v in range(q.n_vertices):
+            offsets[v] += r.dims[v]
+    return total, inclusions, projections

@@ -125,11 +125,12 @@ def test_one_class_per_line_at_large_p(capsys):
 
 
 # sha256 of the structured stdout as the all-pairs Ext^1 closure printed it,
-# before enumeration knitted the Auslander-Reiten quiver.
+# before enumeration knitted the Auslander-Reiten quiver, with the line of the
+# `les_depth` key (no longer part of the echoed config) taken out.
 ALL_PAIRS_DIGESTS = {
-    "2": "da557ec5f7a812fe793b92e2c17b6aa14a63565cadbe2b83effa3e1e574316b3",
-    "3": "61a585fb51a4d5e815d1d149d30352661a67886ebd6ab1d33bb11d6b2160ffb2",
-    "5": "33cf4876d772f788efe6af461f6646f9f0da540965e20def41813cd34a9d29b3",
+    "2": "eea491cf19b20d52783f0c6b29b036ebe9627c237a9b2ad3d218a8037f85dad3",
+    "3": "bbed6cd777ba77dd45e5fa7a2aa6efe30efebbdce846c077ec28022bcdbe8314",
+    "5": "3ba3c300023aadb397fdcf2bf68e5da0123ca9a904fe684c2feccd76e9d86059",
 }
 
 

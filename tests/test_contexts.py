@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,12 @@ from quivertilt.decompose import fingerprint, indecomposable_isomorphic, is_isom
 from quivertilt.homology import ext_dim
 from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel
 from conftest import DYNKIN
-from oracle import enumerate_by_ext_closure, identify_by_splitting
+from oracle import (
+    all_class_coords,
+    enumerate_by_ext_closure,
+    extension_closed_by_all_classes,
+    identify_by_splitting,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,7 +93,7 @@ def test_nonsplit_conflation_has_no_retraction(exact_contexts):
     for name, ctx in exact_contexts.items():
         for c in range(ctx.n_objects):
             for a in range(ctx.n_objects):
-                for coords in ctx.all_class_coords(c, a):
+                for coords in all_class_coords(ctx, c, a):
                     conf = ctx.realize(c, a, coords)
                     # solve r o x = id_A over Hom(B, A)
                     basis = hom_basis(conf.b_rep, conf.a_rep)
@@ -107,7 +113,7 @@ def test_conflation_middle_dims_add_up(exact_contexts):
     for ctx in exact_contexts.values():
         for c in range(ctx.n_objects):
             for a in range(ctx.n_objects):
-                for coords in ctx.all_class_coords(c, a, include_zero=True):
+                for coords in all_class_coords(ctx, c, a, include_zero=True):
                     conf = ctx.realize(c, a, coords)
                     assert conf.b_rep.total_dim == (
                         conf.a_rep.total_dim + conf.c_rep.total_dim
@@ -124,6 +130,47 @@ def test_extension_closure_examples(exact_contexts):
     assert witness["middle"] == ["P1"]
     assert is_extension_closed(ctx, [p1, p2])[0]
     assert is_extension_closed(ctx, range(ctx.n_objects))[0]
+
+
+def _nonempty_subsets(n: int):
+    return [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+
+
+def test_closure_by_lines_matches_all_classes_at_p3():
+    """Over F_3, delta and 2 delta are two classes on one line.  Walking one
+    class per line gives the verdict and witness of the walk over every
+    class, on every subset of small contexts whose Ext spaces reach
+    dimension 2 (nak(1, 4)), and on the pairs of E6 objects whose Ext space
+    has dimension 2 or 3."""
+    e6_spec = (ROOT / "perfbench" / "data" / "e6.alg").read_text().replace("field 2", "field 3")
+    e6 = build_exact_context(parse_algebra(e6_spec))
+    cases = [
+        (ctx, _nonempty_subsets(ctx.n_objects))
+        for ctx in (build_exact_context(nakayama_cyclic(1, 4, 3)), build_stable_context(nakayama_cyclic(1, 4, 3)),
+                    build_exact_context(nakayama_cyclic(3, 2, 3)), build_stable_context(nakayama_cyclic(3, 3, 3)))
+    ]
+    cases.append((e6, [(c, a) for c in range(e6.n_objects) for a in range(e6.n_objects)
+                       if c < a and max(e6.e1[c][a], e6.e1[a][c]) >= 2]))
+    long_witnesses = 0
+    for ctx, subsets in cases:
+        assert subsets
+        for subset in subsets:
+            got = is_extension_closed(ctx, subset)
+            assert got == extension_closed_by_all_classes(ctx, subset), (ctx.object_names, subset)
+            long_witnesses += not got[0] and len(got[1]["delta"]) >= 2
+    assert long_witnesses
+
+
+def test_closure_check_completes_over_f65521():
+    """One class per line: over F_65521 the check realizes one class per
+    one-dimensional E(C, A), where the walk over every class would exceed
+    the exhaustion bound, and its verdicts are those over F_3."""
+    big = build_exact_context(nakayama_cyclic(3, 2, 65521))
+    small = build_exact_context(nakayama_cyclic(3, 2, 3))
+    assert big.object_names == small.object_names
+    subsets = _nonempty_subsets(big.n_objects)
+    assert ([is_extension_closed(big, s)[0] for s in subsets]
+            == [is_extension_closed(small, s)[0] for s in subsets])
 
 
 def test_sub_context_rejects_open_subsets(exact_contexts):
@@ -213,7 +260,7 @@ def test_hom_vector_identification_matches_splitting(exact_contexts):
     for name, ctx in exact_contexts.items():
         for c in range(ctx.n_objects):
             for a in range(ctx.n_objects):
-                for coords in ctx.all_class_coords(c, a, include_zero=True):
+                for coords in all_class_coords(ctx, c, a, include_zero=True):
                     conf = ctx.realize(c, a, coords)
                     assert conf.b_ids == identify_by_splitting(ctx, conf.b_rep), (name, conf.describe())
         for dual, key, end in ((False, "cocone", kernel), (True, "cone", cokernel)):

@@ -1,10 +1,11 @@
-from quivertilt.les import les_bookkeeping
+from les import les_bookkeeping
+from oracle import all_class_coords
 
 
 def _all_conflations(ctx):
     for c in range(ctx.n_objects):
         for a in range(ctx.n_objects):
-            for coords in ctx.all_class_coords(c, a, include_zero=True):
+            for coords in all_class_coords(ctx, c, a, include_zero=True):
                 yield ctx.realize(c, a, coords)
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from quivertilt.algebra import projective_module, simple_module
+from quivertilt.algebra import nakayama_cyclic, projective_module, simple_module
+from quivertilt.contexts import build_exact_context
 from quivertilt.modules import (
     ModuleMap,
-    _kron,
     Representation,
+    _intertwining_system,
     cokernel,
     direct_sum,
     dual_representation,
@@ -51,12 +52,33 @@ def test_hom_dim_is_the_size_of_the_hom_basis(exact_contexts):
                 assert hom_dim(m.rep, n.rep) == len(hom_basis(m.rep, n.rep))
 
 
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(0)
-    for shape_a, shape_b in [((1, 1), (2, 3)), ((3, 3), (2, 4)), ((2, 5), (1, 1)), ((4, 2), (3, 3))]:
-        a = rng.integers(0, 5, shape_a)
-        b = rng.integers(0, 5, shape_b)
-        assert np.array_equal(_kron(a, b), np.kron(a, b))
+def _system_by_numpy_kron(m, n):
+    """The intertwining system written out with np.kron and identities."""
+    p, q = m.algebra.p, m.algebra.quiver
+    var_dims = [n.dims[v] * m.dims[v] for v in range(q.n_vertices)]
+    offsets = np.cumsum([0] + var_dims)
+    rows = []
+    for a in range(q.n_arrows):
+        s, t = q.arrow_source[a], q.arrow_target[a]
+        eqs = np.zeros((n.dims[t] * m.dims[s], offsets[-1]), dtype=np.int64)
+        eqs[:, offsets[t] : offsets[t + 1]] += np.kron(np.eye(n.dims[t], dtype=np.int64), m.matrices[a].T)
+        eqs[:, offsets[s] : offsets[s + 1]] -= np.kron(n.matrices[a], np.eye(m.dims[s], dtype=np.int64))
+        rows.append(eqs)
+    return np.concatenate(rows) % p
+
+
+def test_intertwining_system_matches_numpy_kron(exact_contexts, stable_contexts):
+    """Loops (s = t), zero-dimensional vertices, several arrows, and fields
+    where -1 is not 1."""
+    odd = [build_exact_context(nakayama_cyclic(3, 2, 5)), build_exact_context(nakayama_cyclic(1, 3, 3))]
+    for ctx in [*exact_contexts.values(), *stable_contexts.values(), *odd]:
+        for m in ctx.objects:
+            for n in ctx.objects:
+                system = _intertwining_system(m.rep, n.rep)
+                if system is None:
+                    assert not any(a * b for a, b in zip(m.rep.dims, n.rep.dims))
+                else:
+                    assert np.array_equal(system, _system_by_numpy_kron(m.rep, n.rep))
 
 
 def test_endomorphisms_contain_identity(a2):
