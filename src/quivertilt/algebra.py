@@ -119,6 +119,7 @@ class BoundQuiverAlgebra:
         self._op: BoundQuiverAlgebra | None = None
         self._by_target: dict[int, list[list[Path]]] = {}
         self._projectives: dict[int, object] = {}
+        self._injectives: dict[int, object] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -379,23 +380,26 @@ def simple_module(algebra: BoundQuiverAlgebra, vertex_id: int):
 
 
 def injective_module(algebra: BoundQuiverAlgebra, vertex_id: int):
-    """I_i: the dual of the opposite-algebra projective at i."""
+    """I_i: the dual of the opposite-algebra projective at i.
+
+    Cached per algebra and vertex with read-only matrices, like
+    `projective_module`."""
     from .modules import dual_representation
 
-    return dual_representation(projective_module(algebra.opposite(), vertex_id))
+    hit = algebra._injectives.get(vertex_id)
+    if hit is None:
+        hit = dual_representation(projective_module(algebra.opposite(), vertex_id))
+        for m in hit.matrices:
+            m.flags.writeable = False
+        algebra._injectives[vertex_id] = hit
+    return hit
 
 
 def is_self_injective(algebra: BoundQuiverAlgebra) -> bool:
-    """True iff every indecomposable projective is isomorphic to some injective."""
-    from .decompose import is_isomorphic
+    """True iff every indecomposable projective is injective."""
+    from .decompose import _probes
 
-    q = algebra.quiver
-    projectives = [projective_module(algebra, v) for v in q.vertex_ids]
-    injectives = [injective_module(algebra, v) for v in q.vertex_ids]
-    for pm in projectives:
-        if not any(is_isomorphic(pm, im) for im in injectives):
-            return False
-    return True
+    return all(w is not None for w in _probes(algebra)[1])
 
 
 # -- standard families -----------------------------------------------------

@@ -21,16 +21,20 @@ sorting on (total_dim, dims, fingerprint), which is distinct on the list, so
 ids do not depend on the order of discovery.
 
 Objects are identified (middle terms, kernels, cokernels, cones named as
-multisets of object ids) in one of two ways.  Where the root context is
-exact, a module M is named by its Hom vector (dim Hom(X, M)) over the
-objects X: by Auslander (1982) that vector determines a module over a
-representation-finite algebra, and the vectors of the indecomposables are
-linearly independent.  The answer is exact because the object list is
-complete; the Hom matrix is inverted over the rationals, and an answer that
-is not a non-negative integer vector reproducing the Hom vector and the
-dimension vector of M raises.  Where the root is triangulated, projective
-summands are stripped and the rest is split into indecomposables
-(Krull-Schmidt), each matched to an object by isomorphism.
+multisets of object ids) one way in every root.  A module M is named by its
+Hom vector (dim Hom(X, M)) over every indecomposable module X: by Auslander
+(1982) that vector determines a module over a representation-finite
+algebra, and the vectors of the indecomposables are linearly independent.
+An exact root's objects are every indecomposable; a triangulated root keeps
+the indecomposable projectives its object list leaves out as extra columns.
+The answer is exact because the list is complete; the Hom matrix is
+inverted over the rationals, and an answer that is not a non-negative
+integer vector reproducing the Hom vector and the dimension vector of M
+raises.  A triangulated root first strips the projective summands of M (a
+cone may have some) and raises if a projective is still named.  A
+sub-context pulls its root's answer back.  Loops and suspensions are not
+stripped: over a self-injective algebra they have no projective summands
+(Heller's lemma).
 
 Cocones in a triangulated root are taken as one kernel.  Every short exact
 sequence of modules is a triangle in the stable category (Happel 1988), so
@@ -81,9 +85,9 @@ from .modules import (
     hom_basis,
     hom_dim,
     identity_map,
+    is_end,
     kernel,
     nonzero_combinations,
-    socle_subspaces,
     top_dims,
     zero_map,
     zero_representation,
@@ -203,31 +207,24 @@ class StableExtSpace:
     def __init__(self, c_rep: Representation, a_rep: Representation, seed: int):
         self.c = c_rep
         self.a = a_rep
-        self.p = c_rep.algebra.p
         self.seed = seed
-        omega_raw = loop_raw(c_rep)[0]
-        self.omega, _, _ = strip_projectives(omega_raw, seed)
+        self.omega = loop_raw(c_rep)[0]
         self.space = StableHomSpace(self.omega, a_rep)
         self.dim = self.space.dim
         self._iso_to_c: ModuleMap | None = None
 
     def _sigma_omega_iso(self) -> ModuleMap:
-        """A stable isomorphism core(Sigma Omega C) -> C, computed once."""
+        """An isomorphism Sigma Omega C -> C, computed once."""
         if self._iso_to_c is None:
-            sigma_raw, _, _, proj = suspension_raw(self.omega)
-            core, incl, retr = strip_projectives(sigma_raw, self.seed)
-            iso = _find_stable_iso(core, self.c, self.seed)
-            if iso is None:
+            self._iso_to_c = _find_stable_iso(suspension_raw(self.omega)[0], self.c, self.seed)
+            if self._iso_to_c is None:
                 raise ContextError("suspension of the syzygy is not the object back")
-            self._iso_to_c = (iso, retr)
         return self._iso_to_c
 
     def realize(self, coords) -> tuple[Representation, ModuleMap, ModuleMap]:
         t = self.space.representative(coords)
         cone_raw, to_cone, connecting = cone(t)
-        iso, retr = self._sigma_omega_iso()
-        y = iso.compose(retr.compose(connecting))
-        return cone_raw, to_cone, y
+        return cone_raw, to_cone, self._sigma_omega_iso().compose(connecting)
 
 
 def _factor_through_projection(proj: ModuleMap, through: ModuleMap) -> ModuleMap:
@@ -271,13 +268,10 @@ class HomVectors:
     and the dimension vector of M, so an incomplete list raises instead of
     naming a wrong module."""
 
-    def __init__(self, objects: list[ContextObject], algebra: BoundQuiverAlgebra):
-        self.reps = [o.rep for o in objects]
+    def __init__(self, reps: list[Representation]):
+        self.reps = reps
         # Hom(P_v, M) = M_v (Yoneda): projective probes are read off dims
-        vertex_of = {f"P{vid}": v for v, vid in enumerate(algebra.quiver.vertex_ids)}
-        self.probe_vertex = [
-            next((vertex_of[a] for a in o.aliases if a in vertex_of), None) for o in objects
-        ]
+        self.probe_vertex = [top_dims(x).index(1) if is_end(x) else None for x in reps]
         cols = [self.hom_vector(x) for x in self.reps]
         self.h = [[col[j] for col in cols] for j in range(len(cols))]
         self.inverse, self.denominator = _integer_inverse(self.h)
@@ -347,7 +341,8 @@ class Context:
         self._sum_rep_cache: dict[tuple, tuple[Representation, list[int]]] = {}
         self._witnesses: dict[bool, dict[int, dict]] = {}
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
-        self._hom_vectors: HomVectors | None = None  # exact roots, built on first use
+        self._hom_vectors: HomVectors | None = None  # roots, built on first use
+        self.dropped_projectives: list[Representation] = []  # stable roots: every P_v
         self.projective_ids: frozenset[int] = frozenset()
         self.injective_ids: frozenset[int] = frozenset()
 
@@ -367,42 +362,24 @@ class Context:
                 return o.index
         raise ContextError(f"unknown object id {name!r}")
 
-    def identify(self, rep: Representation) -> int | None:
-        """Index of the isomorphism class of an indecomposable rep, or None."""
-        fp = fingerprint(rep)
-        for o in self.objects:
-            if fingerprint(o.rep) == fp and indecomposable_isomorphic(
-                o.rep, rep, self.config.seed
-            ):
-                return o.index
-        return None
-
     def identify_sum(self, rep: Representation) -> Counter:
-        """Decompose a rep into context object ids, built in ascending id
-        order.  Exact roots solve for the multiplicities by Hom vectors, and
-        their sub-contexts pull the root's answer back; triangulated roots
-        strip projectives and split.  A summand that is not a context object
-        raises."""
+        """Decompose a rep into context object ids, in ascending id order.
+        A root solves for the multiplicities by Hom vectors over every
+        indecomposable module, a triangulated one after stripping projective
+        summands; a sub-context pulls its root's answer back.  A summand
+        that is not a context object raises."""
         if rep.total_dim == 0:
             return Counter()
-        if self._root_kind() == "mod":
-            if self.kind == "sub":
-                return self._pull_ids(self.parent.identify_sum(rep))
-            if self._hom_vectors is None:
-                self._hom_vectors = HomVectors(self.objects, self.algebra)
-            return self._hom_vectors.identify(rep)
-        work, _, _ = strip_projectives(rep, self.config.seed)
-        if work.total_dim == 0:
-            return Counter()
-        ids = []
-        for piece, _, _ in summand_split(work, self.config.seed):
-            idx = self.identify(piece)
-            if idx is None:
-                raise ContextError(
-                    f"summand of dimension vector {piece.dims} is not a context object"
-                )
-            ids.append(idx)
-        return Counter(sorted(ids))
+        if self.parent is not None:
+            return self._pull_ids(self.parent.identify_sum(rep))
+        if self.kind == "stable":
+            rep = strip_projectives(rep, self.config.seed)
+        if self._hom_vectors is None:
+            self._hom_vectors = HomVectors([o.rep for o in self.objects] + self.dropped_projectives)
+        ids = self._hom_vectors.identify(rep)
+        if any(i >= self.n_objects for i in ids):
+            raise ContextError(f"module of dimension vector {rep.dims} has a projective summand")
+        return ids
 
     def _root_kind(self) -> str:
         ctx = self
@@ -882,17 +859,6 @@ class _Pool:
                 self.index(piece, "a summand of " + found_as)
 
 
-def _is_end(m: Representation, dual: bool) -> bool:
-    """Whether the indecomposable m is projective (with `dual`, injective):
-    its top (socle) is one simple S_v and it has the dimension vector of
-    P_v (I_v), of which it is a quotient (submodule)."""
-    ends = [b.shape[1] for b in socle_subspaces(m)] if dual else top_dims(m)
-    if sum(ends) != 1:
-        return False
-    alg = m.algebra.opposite() if dual else m.algebra
-    return m.dims == tuple(len(paths) for paths in alg.basis_by_target(ends.index(1)))
-
-
 def _class_lines(p: int, d: int):
     """One vector per line of F_p^d: those whose first nonzero entry is 1,
     in lexicographic order."""
@@ -926,10 +892,10 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra):
     i = 0
     while i < len(pool.reps):
         m = pool.reps[i]
-        if i not in tau and not _is_end(m, dual=False):
+        if i not in tau and not is_end(m):
             tau[i] = pool.index(ar_translate(m), "tau of an object")
             tau_inv[tau[i]] = i
-        if not _is_end(m, dual=True):
+        if not is_end(m, dual=True):
             if i not in tau_inv:
                 tau_inv[i] = pool.index(ar_translate(m, inverse=True), "tau^- of an object")
                 tau[tau_inv[i]] = i
@@ -1007,7 +973,9 @@ def build_stable_context(algebra: BoundQuiverAlgebra, config: RunConfig | None =
     config.validate()
     require_self_injective(algebra)
     ctx = StableContext(algebra, config)
-    pool = [rep for rep in enumerate_indecomposables(algebra, config) if not _is_end(rep, dual=False)]
+    pool = []
+    for rep in enumerate_indecomposables(algebra, config):
+        (ctx.dropped_projectives if is_end(rep) else pool).append(rep)
     ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(pool)]
     # E(C, A) = stable Hom(Omega C, A); over a self-injective algebra this
     # equals module Ext^1.  Spaces built lazily re-check the dims.

@@ -32,12 +32,14 @@ import random
 import numpy as np
 
 from . import linalg
+from .algebra import projective_module
 from .modules import (
     ModuleMap,
     Representation,
     hom_basis,
     hom_dim,
     identity_map,
+    is_end,
     linear_combination,
     socle_subspaces,
     top_dims,
@@ -338,7 +340,8 @@ def summand_split(m: Representation, seed: int = 0):
     rng = linalg.stable_rng(seed, 1)
     out = []
     bound = 4 * max(m.total_dim, 1)
-    _split_rec(m, identity_map(m), identity_map(m), out, rng, bound)
+    ident = identity_map(m)
+    _split_rec(m, ident, ident, out, rng, bound)
     out.sort(key=lambda t: (t[0].dims, -t[0].total_dim))
     return out
 
@@ -410,27 +413,9 @@ def indecomposable_isomorphic(a: Representation, b: Representation, seed: int = 
     rng = linalg.stable_rng(seed, 2, a.dims)
     if _random_invertible_combo(ab, rng, p, 24) is not None:
         return True
-    # deterministic: a ~ b iff some composite b->a->b ... lands outside rad End(a)
-    endos = hom_basis(a, a)
-    rad = radical_basis(endos, p)
-    flats = [f.flatten() for f in endos]
-    basis_flat = np.stack(flats, axis=1) % p
-    rad_flat = (
-        np.stack([linear_combination(endos, c).flatten() for c in rad], axis=1) % p
-        if rad
-        else linalg.zeros(basis_flat.shape[0], 0)
-    )
-    for f in ab:
-        for g in ba:
-            comp = g.compose(f)
-            inside = (
-                linalg.solve(rad_flat, comp.flatten().reshape(-1, 1), p) is not None
-                if rad
-                else comp.is_zero()
-            )
-            if not inside:
-                return True
-    return False
+    # deterministic: End(a) is local, so a ~ b iff g o f is invertible for
+    # some basis maps f: a -> b and g: b -> a (a sum of non-units is one)
+    return any(g.compose(f).is_iso() for f in ab for g in ba)
 
 
 def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
@@ -468,17 +453,13 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
 
 def _probes(algebra) -> tuple[list[Representation], list[int | None]]:
     """The projectives P_v by vertex, and for each the vertex w with
-    P_v = I_w (None when P_v is not injective); cached on the algebra."""
+    P_v = I_w (None when P_v is not injective); cached on the algebra.
+    An injective P_v is the I_w of its simple socle S_w."""
     cache = getattr(algebra, "_probe_cache", None)
     if cache is None:
-        from .algebra import injective_module, projective_module
-
-        ids = algebra.quiver.vertex_ids
-        projs = [projective_module(algebra, v) for v in ids]
-        injs = [injective_module(algebra, v) for v in ids]
+        projs = [projective_module(algebra, v) for v in algebra.quiver.vertex_ids]
         as_injective = [
-            next((w for w, inj in enumerate(injs)
-                  if inj.dims == pv.dims and indecomposable_isomorphic(pv, inj)), None)
+            [b.shape[1] for b in socle_subspaces(pv)].index(1) if is_end(pv, dual=True) else None
             for pv in projs
         ]
         cache = algebra._probe_cache = projs, as_injective

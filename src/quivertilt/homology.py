@@ -249,11 +249,12 @@ def approximation(
     if not summands:
         z = zero_representation(c.algebra)
         return zero_map(c, z) if dual else zero_map(z, c)
-    total, incls, projs = direct_sum([s for s, _ in summands])
-    h = zero_map(c, total) if dual else zero_map(total, c)
-    for (_, f), incl, proj in zip(summands, incls, projs):
-        h = h.add(incl.compose(f) if dual else f.compose(proj))
-    return h
+    total = direct_sum([s for s, _ in summands])[0]
+    # The summands take their coordinates of the sum in order, so each block
+    # is theirs side by side (stacked, with `dual`).
+    blocks = [np.concatenate([f.blocks[v] for _, f in summands], axis=0 if dual else 1)
+              for v in range(len(c.dims))]
+    return ModuleMap(*((c, total) if dual else (total, c)), blocks, validate=False)
 
 
 def right_approximation(

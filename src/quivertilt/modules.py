@@ -149,7 +149,10 @@ class ModuleMap:
 
 
 def identity_map(m: Representation) -> ModuleMap:
-    return ModuleMap(m, m, [linalg.eye(d) for d in m.dims], validate=False)
+    # The blocks are corners of one read-only identity, as in `direct_sum`.
+    ident = linalg.eye(max(m.dims, default=0))
+    ident.flags.writeable = False
+    return ModuleMap(m, m, [ident[:d, :d] for d in m.dims], validate=False)
 
 
 def zero_map(source: Representation, target: Representation) -> ModuleMap:
@@ -442,3 +445,14 @@ def socle_subspaces(rep: Representation) -> list[np.ndarray]:
         else:
             out.append(linalg.eye(rep.dims[v]))
     return out
+
+
+def is_end(m: Representation, dual: bool = False) -> bool:
+    """Whether m is an indecomposable projective (with `dual`, injective):
+    its top (socle) is one simple S_v and it has the dimension vector of
+    P_v (I_v), of which it is then a quotient (submodule)."""
+    ends = [b.shape[1] for b in socle_subspaces(m)] if dual else top_dims(m)
+    if sum(ends) != 1:
+        return False
+    alg = m.algebra.opposite() if dual else m.algebra
+    return m.dims == tuple(len(paths) for paths in alg.basis_by_target(ends.index(1)))

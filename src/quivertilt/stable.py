@@ -4,15 +4,21 @@ Morphisms are module maps modulo those factoring through projectives
 (= injectives here); the factoring subspace is computed as the image of
 composition with the injective hull inclusion.  Suspension is the cokernel
 of the hull, loop the kernel of the cover, and cones come from the mapping
-cylinder M -> I(M) + N.  Objects handed to identity-sensitive callers are
-normalized to projective-free form.
+cylinder M -> I(M) + N.
+
+Loop and suspension need no stripping: over a self-injective algebra the
+kernel of a projective cover and the cokernel of an injective hull have no
+projective summands (Heller's lemma), so Omega M and Sigma M are already
+projective-free.  A cone may have projective summands; `strip_projectives`
+removes them, testing each summand by its top and dimension vector
+(`modules.is_end`).
 """
 
 from __future__ import annotations
 
 from . import linalg
 from .algebra import BoundQuiverAlgebra, is_self_injective
-from .decompose import _probes, indecomposable_isomorphic, summand_split
+from .decompose import summand_split
 from .homology import injective_hull, minimal_resolution
 from .modules import (
     HomQuotient,
@@ -20,7 +26,7 @@ from .modules import (
     Representation,
     cokernel,
     direct_sum,
-    zero_map,
+    is_end,
     zero_representation,
 )
 
@@ -40,27 +46,12 @@ def require_self_injective(algebra: BoundQuiverAlgebra):
         )
 
 
-def strip_projectives(m: Representation, seed: int = 0):
-    """Projective-free core with split maps (core, incl, retr); retr o incl = id."""
+def strip_projectives(m: Representation, seed: int = 0) -> Representation:
+    """Projective-free core: the sum of the summands of m that are not projective."""
     if m.total_dim == 0:
-        return m, None, None
-    pieces = summand_split(m, seed)
-    projs = _probes(m.algebra)[0]
-    kept = [
-        (piece, incl, retr)
-        for piece, incl, retr in pieces
-        if not any(indecomposable_isomorphic(piece, pj, seed) for pj in projs)
-    ]
-    if not kept:
-        z = zero_representation(m.algebra)
-        return z, zero_map(z, m), zero_map(m, z)
-    core, core_incls, core_projs = direct_sum([piece for piece, _, _ in kept])
-    incl = zero_map(core, m)
-    retr = zero_map(m, core)
-    for (piece, pi, pr), ci, cp in zip(kept, core_incls, core_projs):
-        incl = incl.add(pi.compose(cp))
-        retr = retr.add(ci.compose(pr))
-    return core, incl, retr
+        return m
+    kept = [piece for piece, _, _ in summand_split(m, seed) if not is_end(piece)]
+    return direct_sum(kept)[0] if kept else zero_representation(m.algebra)
 
 
 class StableHomSpace(HomQuotient):
@@ -85,10 +76,10 @@ def suspension_raw(m: Representation):
     return sigma, hull, mono, proj
 
 
-def suspension(m: Representation, seed: int = 0) -> Representation:
-    """Projective-free cosyzygy; quasi-inverse to loop on projective-free objects."""
-    sigma = suspension_raw(m)[0]
-    return strip_projectives(sigma, seed)[0]
+def suspension(m: Representation) -> Representation:
+    """Cosyzygy, projective-free by Heller's lemma; quasi-inverse to loop on
+    projective-free objects."""
+    return suspension_raw(m)[0]
 
 
 def loop_raw(m: Representation):
@@ -99,9 +90,9 @@ def loop_raw(m: Representation):
     return res.syzygies[0], res.terms[0], res.syzygy_incls[0], res.diffs[0]
 
 
-def loop(m: Representation, seed: int = 0) -> Representation:
-    omega = loop_raw(m)[0]
-    return strip_projectives(omega, seed)[0]
+def loop(m: Representation) -> Representation:
+    """Syzygy, projective-free by Heller's lemma."""
+    return loop_raw(m)[0]
 
 
 def cone(f: ModuleMap):

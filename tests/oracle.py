@@ -10,7 +10,15 @@ genuinely independent check of the resolution-based computation.
 
 `identify_by_splitting` names the summands of a module the way contexts did
 before they solved by Hom vectors: Krull-Schmidt splitting, then an
-isomorphism test of each piece against the context objects.
+isomorphism test of each piece against the context objects; in a stable
+context the projective pieces are dropped first, as `stable.strip_projectives`
+did.
+
+`is_end_by_search`, `probes_by_search` and `self_injective_by_search` are the
+isomorphism searches that `modules.is_end`, `decompose._probes` and
+`algebra.is_self_injective` replaced by reading the top, the socle and the
+dimension vector: a module is an indecomposable projective (injective) when it
+is isomorphic to some P_v (I_v).
 
 `fingerprint_by_hom_probes` is `decompose.fingerprint` as it was before the
 profile was read off dimensions: one intertwining system per probe.
@@ -43,7 +51,10 @@ before it realized one class per line: it realizes every nonzero class.
 and `modules.direct_sum` as they were before they were vectorized: the
 cokernel projection is formed one reduced unit vector at a time and its
 arrow action by solving on a section, and the direct sum's inclusions and
-projections are set entry by entry.
+projections are set entry by entry.  `approximation_by_adds` is
+`homology.approximation` as it was before it wrote each block once: the sum
+of one composite with an inclusion (projection) of the direct sum per Hom
+basis map.
 """
 
 from __future__ import annotations
@@ -57,9 +68,22 @@ import sympy
 from quivertilt import checkers, linalg
 from quivertilt.algebra import injective_module, projective_module, simple_module
 from quivertilt.contexts import ExactExtSpace
-from quivertilt.decompose import fingerprint, indecomposable_isomorphic, summand_split
+from quivertilt.decompose import (
+    fingerprint,
+    indecomposable_isomorphic,
+    is_isomorphic,
+    summand_split,
+)
 from quivertilt.homology import cosyzygy, ext_dim, syzygy
-from quivertilt.modules import ModuleMap, Representation, hom_dim
+from quivertilt.modules import (
+    ModuleMap,
+    Representation,
+    direct_sum,
+    hom_basis,
+    hom_dim,
+    zero_map,
+    zero_representation,
+)
 from quivertilt.stable import cone, loop_raw
 
 
@@ -153,18 +177,47 @@ def ext1_dim_oracle(m: Representation, n: Representation) -> int:
 
 
 def identify_by_splitting(ctx, rep: Representation) -> Counter:
-    """Context object ids of the indecomposable summands of rep; a summand
-    matching no object raises AssertionError."""
+    """Context object ids of the indecomposable summands of rep, projective
+    ones left out in a stable context; a summand matching no object raises
+    AssertionError."""
     seed = ctx.config.seed
     out: Counter = Counter()
     if rep.total_dim == 0:
         return out
+    stable = ctx._root_kind() == "stable"
     for piece, _, _ in summand_split(rep, seed):
+        if stable and is_end_by_search(piece):
+            continue
         matches = [o.index for o in ctx.objects if indecomposable_isomorphic(o.rep, piece, seed)]
         if len(matches) != 1:
             raise AssertionError(f"summand {piece.dims} matches objects {matches}")
         out[matches[0]] += 1
     return out
+
+
+def is_end_by_search(m: Representation, dual: bool = False) -> bool:
+    """Whether m is isomorphic to some P_v (with `dual`, I_v)."""
+    alg = m.algebra
+    make = injective_module if dual else projective_module
+    return any(indecomposable_isomorphic(m, make(alg, v)) for v in alg.quiver.vertex_ids)
+
+
+def probes_by_search(algebra) -> list[int | None]:
+    """For each P_v, the first w with P_v isomorphic to I_w, or None."""
+    ids = algebra.quiver.vertex_ids
+    injs = [injective_module(algebra, v) for v in ids]
+    return [
+        next((w for w, inj in enumerate(injs)
+              if inj.dims == pv.dims and indecomposable_isomorphic(pv, inj)), None)
+        for pv in (projective_module(algebra, v) for v in ids)
+    ]
+
+
+def self_injective_by_search(algebra) -> bool:
+    """Whether every P_v is isomorphic to some I_w."""
+    ids = algebra.quiver.vertex_ids
+    injs = [injective_module(algebra, v) for v in ids]
+    return all(any(is_isomorphic(projective_module(algebra, v), inj) for inj in injs) for v in ids)
 
 
 def fingerprint_by_hom_probes(m: Representation) -> tuple:
@@ -431,3 +484,19 @@ def direct_sum_by_entries(reps):
         for v in range(q.n_vertices):
             offsets[v] += r.dims[v]
     return total, inclusions, projections
+
+
+def approximation_by_adds(members, c: Representation, dual: bool = False, extra=None):
+    """The right (with `dual`, left) approximation of c by add(members),
+    with `extra` as one more summand, summed one map at a time."""
+    summands = [(x, f) for x in members for f in (hom_basis(c, x) if dual else hom_basis(x, c))]
+    if extra is not None:
+        summands.append((extra.target if dual else extra.source, extra))
+    if not summands:
+        z = zero_representation(c.algebra)
+        return zero_map(c, z) if dual else zero_map(z, c)
+    total, incls, projs = direct_sum([x for x, _ in summands])
+    h = zero_map(c, total) if dual else zero_map(total, c)
+    for (_, f), incl, proj in zip(summands, incls, projs):
+        h = h.add(incl.compose(f) if dual else f.compose(proj))
+    return h

@@ -6,12 +6,16 @@ from quivertilt.algebra import (
     ParseError,
     injective_module,
     is_self_injective,
+    linear_quiver_radical_square,
     nakayama_cyclic,
     parse_algebra,
     path_key,
     projective_module,
     simple_module,
 )
+from quivertilt.decompose import _probes
+from conftest import DYNKIN
+from oracle import probes_by_search, self_injective_by_search
 
 
 def test_parse_a2(a2):
@@ -101,6 +105,17 @@ def test_self_injectivity(a2, dual_numbers):
     assert not is_self_injective(a2)
     assert is_self_injective(dual_numbers)
     assert is_self_injective(nakayama_cyclic(10, 4))
+
+
+def test_probes_and_self_injectivity_match_isomorphism_searches(test_algebras, nak104):
+    """Reading P_v = I_w off the socle of an injective P_v, and
+    self-injectivity off those probes, agrees with the isomorphism searches
+    on every tier-1 algebra, self-injective or not."""
+    algebras = [*test_algebras.values(), nak104, nakayama_cyclic(3, 3), nakayama_cyclic(4, 3, 3),
+                linear_quiver_radical_square(5), *(parse_algebra(spec) for spec, _ in DYNKIN.values())]
+    for alg in algebras:
+        assert _probes(alg)[1] == probes_by_search(alg), alg
+        assert is_self_injective(alg) == self_injective_by_search(alg), alg
 
 
 def test_path_reduction_is_confluent(dual_numbers, nak32):

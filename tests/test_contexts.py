@@ -24,6 +24,7 @@ from quivertilt.contexts import (
 from quivertilt.decompose import fingerprint, indecomposable_isomorphic, is_isomorphic
 from quivertilt.homology import ext_dim
 from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel
+from quivertilt.stable import cone, loop_raw, suspension_raw
 from conftest import DYNKIN
 from oracle import (
     all_class_coords,
@@ -253,23 +254,48 @@ def test_object_labels_are_stable_across_builds(nak32):
     assert [o.rep.dims for o in c1.objects] == [o.rep.dims for o in c2.objects]
 
 
-def test_hom_vector_identification_matches_splitting(exact_contexts):
-    """Hom vectors and splitting name every conflation middle term, every
-    enough-projectives cocone and enough-injectives cone, and a sum with
-    multiplicities, the same way."""
-    for name, ctx in exact_contexts.items():
+def test_hom_vector_identification_matches_splitting(exact_contexts, stable_contexts):
+    """Hom vectors and splitting (dropping projective pieces in a stable
+    context) name every conflation middle term, every enough-projectives
+    cocone and enough-injectives cone, every stable cone of a Hom basis map
+    between objects, and a sum with multiplicities, the same way."""
+    contexts = [*exact_contexts.items(), *((f"stable {k}", c) for k, c in stable_contexts.items())]
+    for name, ctx in contexts:
+        stable = ctx.kind == "stable"
         for c in range(ctx.n_objects):
             for a in range(ctx.n_objects):
                 for coords in all_class_coords(ctx, c, a, include_zero=True):
                     conf = ctx.realize(c, a, coords)
                     assert conf.b_ids == identify_by_splitting(ctx, conf.b_rep), (name, conf.describe())
+                if stable:
+                    for f in hom_basis(ctx.objects[c].rep, ctx.objects[a].rep):
+                        assert ctx.cone_ids(f) == identify_by_splitting(ctx, cone(f)[0]), name
         for dual, key, end in ((False, "cocone", kernel), (True, "cone", cokernel)):
             _, witnesses = ctx._enough(dual)
             for idx, w in witnesses.items():
-                rep = end(w["map"])[0]
+                if stable:  # the zero map, with the loop (suspension) as its end
+                    rep = (suspension_raw if dual else loop_raw)(ctx.objects[idx].rep)[0]
+                else:
+                    rep = end(w["map"])[0]
                 assert w[key] == identify_by_splitting(ctx, rep), (name, key, ctx.object_names[idx])
         ids = Counter({i: 1 + i % 3 for i in range(ctx.n_objects)})
         assert ctx.identify_sum(ctx.sum_rep(ids)) == ids, name
+
+
+def test_stable_sub_context_pulls_the_root_answer_back():
+    """A sub-context of a stable root names a module by its root's answer:
+    middle terms of its classes by the parent's ids, and a module with a
+    summand outside it raises."""
+    parent = build_stable_context(nakayama_cyclic(4, 3))
+    members = [parent.resolve_name(n) for n in ("S3", "S2", "m4", "m5", "m7")]
+    sub = build_sub_context(parent, members)
+    for c, a in itertools.product(range(sub.n_objects), repeat=2):
+        for coords in sub.class_lines(c, a):
+            conf = parent.realize(members[c], members[a], coords)
+            want = Counter({members.index(i): m for i, m in conf.b_ids.items()})
+            assert sub.identify_sum(conf.b_rep) == want
+    with pytest.raises(ContextError, match="falls outside the subcategory"):
+        sub.identify_sum(parent.objects[parent.resolve_name("S1")].rep)
 
 
 def test_hom_vectors_refuse_an_incomplete_object_list(a2):

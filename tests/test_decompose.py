@@ -257,3 +257,23 @@ def test_splitting_idempotent_of_one_irreducible_factor_is_none(p):
         for f in (g, _power(g, 3, p)):
             assert splitting_idempotent(f, p) is None
             assert splitting_idempotent_by_sympy(f, p) is None
+
+
+def test_isomorphism_fallback_alone_decides(monkeypatch, exact_contexts, stable_contexts):
+    """With the random search disabled, the deterministic fallback (some
+    composite of Hom basis maps a -> b -> a is invertible) decides
+    isomorphism of indecomposables: X_i ~ X_j iff i == j, on every pair of
+    objects with equal dimension vectors, mod nak(3,3)'s three projective
+    injectives of dimension vector (1, 1, 1) among them."""
+    contexts = [*exact_contexts.values(), *stable_contexts.values(),
+                build_exact_context(nakayama_cyclic(3, 3)), build_exact_context(nakayama_cyclic(4, 3, 3))]
+    module = importlib.import_module("quivertilt.decompose")
+    monkeypatch.setattr(module, "_random_invertible_combo", lambda *args: None)
+    distinct = 0
+    for ctx in contexts:
+        for i, x in enumerate(ctx.objects):
+            for j, y in enumerate(ctx.objects):
+                if x.rep.dims == y.rep.dims:
+                    assert module.indecomposable_isomorphic(x.rep, y.rep) == (i == j), (x.label, y.label)
+                    distinct += i != j
+    assert distinct >= 6

@@ -14,11 +14,13 @@ from quivertilt.modules import (
     hom_dim,
     identity_map,
     image,
+    is_end,
     kernel,
     radical_subspaces,
     socle_subspaces,
     zero_representation,
 )
+from oracle import is_end_by_search
 
 
 def test_relation_violation_rejected(dual_numbers):
@@ -152,3 +154,25 @@ def test_radical_and_socle(a2):
     assert [b.shape[1] for b in soc] == [0, 1]
     z = zero_representation(a2)
     assert z.total_dim == 0
+
+
+def test_is_end_matches_isomorphism_search(exact_contexts):
+    """Top (socle) one simple S_v and the dimension vector of P_v (I_v)
+    decides "isomorphic to some P_v (I_v)" on every object."""
+    ends = 0
+    for name, ctx in exact_contexts.items():
+        for o in ctx.objects:
+            for dual in (False, True):
+                assert is_end(o.rep, dual) == is_end_by_search(o.rep, dual), (name, o.label, dual)
+                ends += is_end(o.rep, dual)
+    assert ends and ends < 2 * sum(ctx.n_objects for ctx in exact_contexts.values())
+
+
+def test_identity_map_blocks_are_read_only_identities(nak32):
+    m = direct_sum([projective_module(nak32, 1), simple_module(nak32, 2)])[0]
+    ident = identity_map(m)
+    for d, b in zip(m.dims, ident.blocks):
+        assert np.array_equal(b, np.eye(d, dtype=np.int64))
+        if d:
+            with pytest.raises(ValueError, match="read-only"):
+                b[0, 0] = 0

@@ -1,6 +1,7 @@
 """The lean F_p / module kernel: the trusted constructor path, the vectorized
-cokernel and direct sum against their entry-by-entry forms, and the shared
-projective modules."""
+cokernel and direct sum against their entry-by-entry forms, approximations
+against their map-by-map sums, and the shared projective and injective
+modules."""
 
 import itertools
 
@@ -17,6 +18,7 @@ from quivertilt.algebra import (
     simple_module,
 )
 from quivertilt.checkers import verify_theorem
+from quivertilt.homology import approximation, injective_hull, projective_cover
 from quivertilt.contexts import (
     build_exact_context,
     build_stable_context,
@@ -34,7 +36,7 @@ from quivertilt.modules import (
     zero_representation,
 )
 from conftest import A2_SPEC, DUAL_SPEC
-from oracle import cokernel_by_unit_vectors, direct_sum_by_entries
+from oracle import approximation_by_adds, cokernel_by_unit_vectors, direct_sum_by_entries
 
 FIELDS = (2, 3, 5, 65521)
 
@@ -215,12 +217,39 @@ def test_direct_sum_maps_are_read_only(a2):
         projs[1].blocks[1][0, 0] = 5
 
 
-def test_projective_modules_are_shared_and_read_only(test_algebras):
-    for alg in test_algebras.values():
+def _shared_and_read_only(make, algebras):
+    for alg in algebras:
         for v in alg.quiver.vertex_ids:
-            pv = projective_module(alg, v)
-            assert projective_module(alg, v) is pv
+            pv = make(alg, v)
+            assert make(alg, v) is pv
             for m in pv.matrices:
                 if m.size:
                     with pytest.raises(ValueError, match="read-only"):
                         m[0, 0] = 1
+
+
+def test_projective_modules_are_shared_and_read_only(test_algebras):
+    _shared_and_read_only(projective_module, test_algebras.values())
+
+
+def test_injective_modules_are_shared_and_read_only(test_algebras):
+    _shared_and_read_only(injective_module, test_algebras.values())
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_approximation_matches_the_map_by_map_sum(p):
+    """Blocks written once equal the old sum of one composite per Hom basis
+    map, entry for entry, on both sides, with and without the extra summand."""
+    count = 0
+    for mods in _modules_over(p):
+        for members in ([], mods[:2], mods[::2], mods):
+            for c in mods:
+                for dual in (False, True):
+                    extras = (None, (injective_hull(c) if dual else projective_cover(c))[1])
+                    for extra in extras:
+                        h = approximation(members, c, dual, extra)
+                        want = approximation_by_adds(members, c, dual, extra)
+                        assert _same_rep(h.source, want.source) and _same_rep(h.target, want.target)
+                        assert _same_blocks(h, want), (p, dual)
+                        count += 1
+    assert count > 100
