@@ -28,13 +28,14 @@ algebra, and the vectors of the indecomposables are linearly independent.
 An exact root's objects are every indecomposable; a triangulated root keeps
 the indecomposable projectives its object list leaves out as extra columns.
 The answer is exact because the list is complete; the Hom matrix is
-inverted over the rationals, and an answer that is not a non-negative
-integer vector reproducing the Hom vector and the dimension vector of M
-raises.  A triangulated root first strips the projective summands of M (a
-cone may have some) and raises if a projective is still named.  A
-sub-context pulls its root's answer back.  Loops and suspensions are not
-stripped: over a self-injective algebra they have no projective summands
-(Heller's lemma).
+inverted by fraction-free elimination over the integers, and an answer that
+is not a non-negative integer vector reproducing the Hom vector and the
+dimension vector of M raises.  A triangulated root first takes the
+projective-free core of M (a cone may have projective summands;
+`stable.strip_projectives` reads their multiplicities off socle ranks) and
+raises if a projective is still named.  A sub-context pulls its root's
+answer back.  Loops and suspensions are not stripped: over a
+self-injective algebra they have no projective summands (Heller's lemma).
 
 Cocones in a triangulated root are taken as one kernel.  Every short exact
 sequence of modules is a triangle in the stable category (Happel 1988), so
@@ -49,7 +50,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,13 +82,13 @@ from .modules import (
     Representation,
     cokernel,
     direct_sum,
+    end_vertex,
     hom_basis,
     hom_dim,
     identity_map,
     is_end,
     kernel,
     nonzero_combinations,
-    top_dims,
     zero_map,
     zero_representation,
 )
@@ -271,7 +271,7 @@ class HomVectors:
     def __init__(self, reps: list[Representation]):
         self.reps = reps
         # Hom(P_v, M) = M_v (Yoneda): projective probes are read off dims
-        self.probe_vertex = [top_dims(x).index(1) if is_end(x) else None for x in reps]
+        self.probe_vertex = [end_vertex(x) for x in reps]
         cols = [self.hom_vector(x) for x in self.reps]
         self.h = [[col[j] for col in cols] for j in range(len(cols))]
         self.inverse, self.denominator = _integer_inverse(self.h)
@@ -299,11 +299,17 @@ class HomVectors:
 
 
 def _integer_inverse(h: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(K, D) with K / D the inverse of the integer matrix h, by Gauss-Jordan
-    elimination over the rationals; raises if h is singular."""
+    """(K, D) with K / D the inverse of the integer matrix h in lowest terms
+    (D > 0), by fraction-free Gauss-Jordan elimination (Bareiss) over the
+    integers; raises if h is singular.
+
+    Each step replaces every other row by (pivot * row - entry * pivot row)
+    divided by the previous pivot, a division that is exact by Sylvester's
+    identity.  It ends with det h (up to the sign of the row swaps) on the
+    whole diagonal and adj h times the same sign on the right."""
     n = len(h)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
-            for i, row in enumerate(h)]
+    rows = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(h)]
+    prev = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if rows[i][col]), None)
         if piv is None:
@@ -313,14 +319,16 @@ def _integer_inverse(h: list[list[int]]) -> tuple[list[list[int]], int]:
             )
         rows[col], rows[piv] = rows[piv], rows[col]
         lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
         for i in range(n):
-            if i != col and rows[i][col]:
+            if i != col:
                 f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    inverse = [row[n:] for row in rows]
-    denominator = math.lcm(1, *(x.denominator for row in inverse for x in row))
-    return [[int(x * denominator) for x in row] for row in inverse], denominator
+                rows[i] = [(lead * x - f * y) // prev for x, y in zip(rows[i], rows[col])]
+        prev = lead
+    det = prev
+    adj = [row[n:] for row in rows]
+    g = math.gcd(det, *(x for row in adj for x in row))
+    sign = 1 if det > 0 else -1
+    return [[sign * x // g for x in row] for row in adj], abs(det) // g
 
 
 # -- the context itself ------------------------------------------------------
@@ -365,15 +373,17 @@ class Context:
     def identify_sum(self, rep: Representation) -> Counter:
         """Decompose a rep into context object ids, in ascending id order.
         A root solves for the multiplicities by Hom vectors over every
-        indecomposable module, a triangulated one after stripping projective
-        summands; a sub-context pulls its root's answer back.  A summand
-        that is not a context object raises."""
+        indecomposable module; a triangulated one first takes the
+        projective-free core (`stable.strip_projectives`), and the projectives
+        stay columns of the solve, so one left in the core still raises.  A
+        sub-context pulls its root's answer back.  A summand that is not a
+        context object raises."""
         if rep.total_dim == 0:
             return Counter()
         if self.parent is not None:
             return self._pull_ids(self.parent.identify_sum(rep))
         if self.kind == "stable":
-            rep = strip_projectives(rep, self.config.seed)
+            rep = strip_projectives(rep)
         if self._hom_vectors is None:
             self._hom_vectors = HomVectors([o.rep for o in self.objects] + self.dropped_projectives)
         ids = self._hom_vectors.identify(rep)
@@ -934,20 +944,15 @@ def enumerate_indecomposables(
 
 
 def _label_objects(ctx: Context):
-    """Stable labels: P/I/S aliases where the object is one, else m<k>."""
-    algebra = ctx.algebra
-    seed = ctx.config.seed
-    named: list[tuple[str, Representation]] = []
-    for v in algebra.quiver.vertex_ids:
-        named.append((f"P{v}", projective_module(algebra, v)))
-        named.append((f"I{v}", injective_module(algebra, v)))
-        named.append((f"S{v}", simple_module(algebra, v)))
+    """Stable labels: P/I/S aliases where the object is one, else m<k>.
+    The aliases are read off invariants (`modules.end_vertex`, total
+    dimension 1 for a simple), ordered by vertex and then P, I, S."""
+    ids = ctx.algebra.quiver.vertex_ids
     for o in ctx.objects:
-        aliases = []
-        for name, rep in named:
-            if rep.dims == o.rep.dims and indecomposable_isomorphic(o.rep, rep, seed):
-                aliases.append(name)
-        o.aliases = tuple(aliases)
+        at = {"P": end_vertex(o.rep), "I": end_vertex(o.rep, dual=True),
+              "S": o.rep.dims.index(1) if o.rep.total_dim == 1 else None}
+        aliases = tuple(f"{kind}{vid}" for v, vid in enumerate(ids) for kind in "PIS" if at[kind] == v)
+        o.aliases = aliases
         o.label = aliases[0] if aliases else f"m{o.index}"
 
 

@@ -36,10 +36,10 @@ from .algebra import projective_module
 from .modules import (
     ModuleMap,
     Representation,
+    end_vertex,
     hom_basis,
     hom_dim,
     identity_map,
-    is_end,
     linear_combination,
     socle_subspaces,
     top_dims,
@@ -458,10 +458,7 @@ def _probes(algebra) -> tuple[list[Representation], list[int | None]]:
     cache = getattr(algebra, "_probe_cache", None)
     if cache is None:
         projs = [projective_module(algebra, v) for v in algebra.quiver.vertex_ids]
-        as_injective = [
-            [b.shape[1] for b in socle_subspaces(pv)].index(1) if is_end(pv, dual=True) else None
-            for pv in projs
-        ]
+        as_injective = [end_vertex(pv, dual=True) for pv in projs]
         cache = algebra._probe_cache = projs, as_injective
     return cache
 

@@ -22,7 +22,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .algebra import BoundQuiverAlgebra, Path
+from .algebra import BoundQuiverAlgebra, Path, projective_module
 
 
 class Representation:
@@ -447,12 +447,22 @@ def socle_subspaces(rep: Representation) -> list[np.ndarray]:
     return out
 
 
-def is_end(m: Representation, dual: bool = False) -> bool:
-    """Whether m is an indecomposable projective (with `dual`, injective):
-    its top (socle) is one simple S_v and it has the dimension vector of
-    P_v (I_v), of which it is then a quotient (submodule)."""
+def end_vertex(m: Representation, dual: bool = False) -> int | None:
+    """The vertex v with m isomorphic to P_v (with `dual`, I_v), or None:
+    m is P_v when its top (socle) is one simple S_v and it has the dimension
+    vector of P_v (I_v), of which it is then a quotient (submodule).  The
+    dimension vector is compared first, as it costs no elimination."""
+    alg = m.algebra.opposite() if dual else m.algebra
+    shapes = [projective_module(alg, v).dims for v in alg.quiver.vertex_ids]
+    if m.dims not in shapes:
+        return None
     ends = [b.shape[1] for b in socle_subspaces(m)] if dual else top_dims(m)
     if sum(ends) != 1:
-        return False
-    alg = m.algebra.opposite() if dual else m.algebra
-    return m.dims == tuple(len(paths) for paths in alg.basis_by_target(ends.index(1)))
+        return None
+    v = ends.index(1)
+    return v if m.dims == shapes[v] else None
+
+
+def is_end(m: Representation, dual: bool = False) -> bool:
+    """Whether m is an indecomposable projective (with `dual`, injective)."""
+    return end_vertex(m, dual) is not None

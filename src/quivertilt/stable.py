@@ -10,24 +10,28 @@ Loop and suspension need no stripping: over a self-injective algebra the
 kernel of a projective cover and the cokernel of an injective hull have no
 projective summands (Heller's lemma), so Omega M and Sigma M are already
 projective-free.  A cone may have projective summands; `strip_projectives`
-removes them, testing each summand by its top and dimension vector
-(`modules.is_end`).
+removes them without splitting M.  Each P_v is injective with simple socle
+S_w, w = nu(v), spanned by one combination omega_v of paths v -> w, so a map
+P_v -> M is mono iff it does not kill omega_v, and a mono out of an
+injective module splits (injective modules are direct summands of every
+module containing them; Auslander-Reiten-Smalo IV.3).  So the multiplicity
+of P_v in M is the rank of M(omega_v): M_v -> M_w, and generators at the
+pivot columns give a split mono from the sum of those projectives whose
+cokernel is the projective-free core.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .algebra import BoundQuiverAlgebra, is_self_injective
-from .decompose import summand_split
-from .homology import injective_hull, minimal_resolution
+from .algebra import BoundQuiverAlgebra, is_self_injective, projective_module
+from .homology import _map_from_projectives, injective_hull, minimal_resolution
 from .modules import (
     HomQuotient,
     ModuleMap,
     Representation,
     cokernel,
     direct_sum,
-    is_end,
-    zero_representation,
+    socle_subspaces,
 )
 
 
@@ -46,12 +50,47 @@ def require_self_injective(algebra: BoundQuiverAlgebra):
         )
 
 
-def strip_projectives(m: Representation, seed: int = 0) -> Representation:
-    """Projective-free core: the sum of the summands of m that are not projective."""
-    if m.total_dim == 0:
+def _socle_paths(algebra: BoundQuiverAlgebra) -> list[tuple[int, list[tuple[int, tuple]]]]:
+    """Per vertex v: (w, omega_v), where the simple socle S_w of the
+    projective-injective P_v is spanned by omega_v = sum c q over the paths
+    q: v -> w, given as (c, q) pairs; cached on the algebra, which must be
+    self-injective."""
+    cache = getattr(algebra, "_socle_path_cache", None)
+    if cache is None:
+        cache = []
+        for v, vid in enumerate(algebra.quiver.vertex_ids):
+            socle = socle_subspaces(projective_module(algebra, vid))
+            w = next(u for u, b in enumerate(socle) if b.shape[1])
+            paths = algebra.basis_by_target(v)[w]
+            cache.append((w, [(int(c), q) for c, q in zip(socle[w][:, 0], paths) if c]))
+        algebra._socle_path_cache = cache
+    return cache
+
+
+def strip_projectives(m: Representation) -> Representation:
+    """Projective-free core: the sum of the summands of m that are not
+    projective, as the cokernel of a split mono from the projective ones.
+
+    Generators at the pivot columns of M(omega_v): M_v -> M_w, for every v,
+    map their socles to independent vectors (nu is a permutation), so the map
+    from the sum of the P_v is mono; this is checked, not assumed."""
+    require_self_injective(m.algebra)
+    p = m.algebra.p
+    gens = []
+    for v, (w, omega) in enumerate(_socle_paths(m.algebra)):
+        if not m.dims[v] or not m.dims[w]:
+            continue
+        action = sum(c * m.path_matrix(q) % p for c, q in omega) % p
+        for col in linalg.rref(action, p)[1]:
+            gen = linalg.zeros(m.dims[v], 1)
+            gen[col, 0] = 1
+            gens.append((v, gen))
+    if not gens:
         return m
-    kept = [piece for piece, _, _ in summand_split(m, seed) if not is_end(piece)]
-    return direct_sum(kept)[0] if kept else zero_representation(m.algebra)
+    mono = _map_from_projectives(m, gens)[1]
+    if not mono.is_mono():
+        raise RuntimeError("the projective summands found by socle ranks do not embed")
+    return cokernel(mono)[0]
 
 
 class StableHomSpace(HomQuotient):

@@ -60,14 +60,16 @@ basis map.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import sympy
 
 from quivertilt import checkers, linalg
 from quivertilt.algebra import injective_module, projective_module, simple_module
-from quivertilt.contexts import ExactExtSpace
+from quivertilt.contexts import ContextError, ExactExtSpace
 from quivertilt.decompose import (
     fingerprint,
     indecomposable_isomorphic,
@@ -81,6 +83,7 @@ from quivertilt.modules import (
     direct_sum,
     hom_basis,
     hom_dim,
+    is_end,
     zero_map,
     zero_representation,
 )
@@ -500,3 +503,51 @@ def approximation_by_adds(members, c: Representation, dual: bool = False, extra=
     for (_, f), incl, proj in zip(summands, incls, projs):
         h = h.add(incl.compose(f) if dual else f.compose(proj))
     return h
+
+
+def integer_inverse_by_fractions(h: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(K, D) with K / D the inverse of h, by Gauss-Jordan elimination over
+    the rationals; raises ContextError if h is singular."""
+    n = len(h)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
+            for i, row in enumerate(h)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            raise ContextError("singular matrix")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    inverse = [row[n:] for row in rows]
+    denominator = math.lcm(1, *(x.denominator for row in inverse for x in row))
+    return [[int(x * denominator) for x in row] for row in inverse], denominator
+
+
+def strip_by_splitting(m: Representation, seed: int = 0) -> Representation:
+    """The sum of the summands of m that are not projective, by splitting."""
+    if m.total_dim == 0:
+        return m
+    kept = [piece for piece, _, _ in summand_split(m, seed) if not is_end(piece)]
+    return direct_sum(kept)[0] if kept else zero_representation(m.algebra)
+
+
+def labels_by_search(ctx) -> list[tuple[str, tuple[str, ...]]]:
+    """(label, aliases) per object: P<v>, I<v> and S<v> for every vertex v in
+    order whose module is isomorphic to the object, else label m<k>."""
+    algebra = ctx.algebra
+    seed = ctx.config.seed
+    named = []
+    for v in algebra.quiver.vertex_ids:
+        named.append((f"P{v}", projective_module(algebra, v)))
+        named.append((f"I{v}", injective_module(algebra, v)))
+        named.append((f"S{v}", simple_module(algebra, v)))
+    out = []
+    for o in ctx.objects:
+        aliases = tuple(name for name, rep in named
+                        if rep.dims == o.rep.dims and indecomposable_isomorphic(o.rep, rep, seed))
+        out.append((aliases[0] if aliases else f"m{o.index}", aliases))
+    return out

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,9 @@ from quivertilt.contexts import (
     ContextError,
     ContextObject,
     ExactContext,
+    HomVectors,
     RunConfig,
+    _integer_inverse,
     _knit,
     _Pool,
     build_exact_context,
@@ -31,6 +34,8 @@ from oracle import (
     enumerate_by_ext_closure,
     extension_closed_by_all_classes,
     identify_by_splitting,
+    integer_inverse_by_fractions,
+    labels_by_search,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -252,6 +257,39 @@ def test_object_labels_are_stable_across_builds(nak32):
     c2 = build_exact_context(nak32)
     assert [o.label for o in c1.objects] == [o.label for o in c2.objects]
     assert [o.rep.dims for o in c1.objects] == [o.rep.dims for o in c2.objects]
+
+
+def test_integer_inverse_matches_rational_elimination(exact_contexts, stable_contexts, stable_nak104):
+    """Fraction-free elimination gives the (K, D) of Gauss-Jordan over the
+    rationals on the Hom matrix of every root and on random nonsingular
+    integer matrices, and both raise on singular ones."""
+    roots = [*exact_contexts.values(), *stable_contexts.values(), stable_nak104]
+    matrices = [HomVectors([o.rep for o in ctx.objects] + ctx.dropped_projectives).h for ctx in roots]
+    rng = linalg.stable_rng(41)
+    while len(matrices) < len(roots) + 40:
+        n = rng.randrange(1, 9)
+        h = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
+        if round(np.linalg.det(np.array(h, dtype=float))):
+            matrices.append(h)
+    for h in matrices:
+        k, d = _integer_inverse(h)
+        assert (k, d) == integer_inverse_by_fractions(h)
+        assert d > 0 and math.gcd(d, *(x for row in k for x in row)) == 1
+        assert (np.array(h, dtype=object) @ np.array(k, dtype=object) == d * np.eye(len(h), dtype=int)).all()
+    for singular in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        for invert in (_integer_inverse, integer_inverse_by_fractions):
+            with pytest.raises(ContextError):
+                invert(singular)
+
+
+def test_labels_match_isomorphism_search(exact_contexts, stable_contexts):
+    """P/I/S aliases read off tops, socles and dimensions are the ones an
+    isomorphism test against every P_v, I_v and S_v gives, in the same order."""
+    e6 = parse_algebra((ROOT / "perfbench" / "data" / "e6.alg").read_text())
+    roots = [*exact_contexts.values(), *stable_contexts.values(), build_exact_context(e6)]
+    roots += [build_exact_context(parse_algebra(spec)) for spec, _ in DYNKIN.values()]
+    for ctx in roots:
+        assert [(o.label, o.aliases) for o in ctx.objects] == labels_by_search(ctx)
 
 
 def test_hom_vector_identification_matches_splitting(exact_contexts, stable_contexts):

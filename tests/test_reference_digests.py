@@ -16,6 +16,7 @@ REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
 JOBS = (
     "objects --algebra perfbench/data/e6.alg",
     "objects --nakayama 10,4 --context stable",
+    "verify-theorem --nakayama 8,3 --context stable -n 2",
     "verify-theorem --nakayama 5,3 --context stable -n 1",
     "verify-theorem --nakayama 5,3 --context mod -n 1",
     "verify-theorem --nakayama 4,3 --context mod -n 2 --field 3",

@@ -1,12 +1,16 @@
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
-from quivertilt import linalg
-from quivertilt.algebra import projective_module, simple_module
+import quivertilt
+from quivertilt import linalg, stable
+from quivertilt.algebra import nakayama_cyclic, parse_algebra, projective_module, simple_module
+from quivertilt.contexts import build_stable_context
 from quivertilt.decompose import is_isomorphic, summand_split
 from quivertilt.homology import ext_dim
-from quivertilt.modules import identity_map, zero_map
+from quivertilt.modules import direct_sum, hom_basis, identity_map, is_end, zero_map
 from quivertilt.stable import (
     NotSelfInjectiveError,
     cone,
@@ -17,7 +21,9 @@ from quivertilt.stable import (
     suspension,
     suspension_raw,
 )
-from oracle import cocone_by_cone_and_loop, is_end_by_search
+from conftest import DUAL_SPEC, DYNKIN
+from oracle import cocone_by_cone_and_loop, is_end_by_search, strip_by_splitting
+from test_decompose import _twist
 
 
 def test_requires_self_injective(a2):
@@ -138,3 +144,84 @@ def test_kernel_cocone_matches_loop_of_cone(stable_contexts, stable_nak104):
         y = ctx.approx(x_ids, idx, augment=True)
         assert ctx.is_deflation(y)
         assert ctx.cocone_ids(y) == cocone_by_cone_and_loop(ctx, y), (x_ids, idx)
+
+
+@pytest.fixture(scope="module")
+def stable_roots_by_prime(stable_contexts, stable_nak104):
+    """The tier-1 stable roots and stable nak(10,4), over F_2, F_3 and F_5."""
+    roots = {(name, 2): ctx for name, ctx in stable_contexts.items()}
+    roots[("nak104", 2)] = stable_nak104
+    for p in (3, 5):
+        algebras = {"dual_numbers": parse_algebra(DUAL_SPEC.replace("field 2", f"field {p}")),
+                    "nak22": nakayama_cyclic(2, 2, p), "nak32": nakayama_cyclic(3, 2, p),
+                    "nak104": nakayama_cyclic(10, 4, p)}
+        roots.update({(name, p): build_stable_context(alg) for name, alg in algebras.items()})
+    return roots
+
+
+@pytest.fixture
+def embeddings(monkeypatch):
+    """Records the maps `stable` takes cokernels of."""
+    seen = []
+    real = stable.cokernel
+    monkeypatch.setattr(stable, "cokernel", lambda f: seen.append(f) or real(f))
+    return seen
+
+
+def _assert_core_matches_splitting(ctx, m, embeddings, where):
+    embeddings.clear()
+    core, expected = strip_projectives(m), strip_by_splitting(m)
+    assert all(f.is_mono() for f in embeddings), where
+    assert core.dims == expected.dims, where
+    assert ctx.identify_sum(core) == ctx.identify_sum(expected), where
+    assert not any(is_end(piece) for piece, _, _ in summand_split(core)), where
+
+
+def test_strip_of_cones_matches_splitting(stable_roots_by_prime, embeddings):
+    """The core read off socle ranks is the cokernel of a mono, and has the
+    dimension vector and the name of the core found by splitting, and no
+    projective summand, on the raw cone of every Hom basis map between
+    objects."""
+    for (name, p), ctx in stable_roots_by_prime.items():
+        for x, y in itertools.product(ctx.objects, repeat=2):
+            for f in hom_basis(x.rep, y.rep):
+                _assert_core_matches_splitting(ctx, cone(f)[0], embeddings, (name, p, x.label, y.label))
+
+
+def test_strip_of_twisted_projective_sums_matches_splitting(stable_roots_by_prime, embeddings):
+    """X + P_v^k under a random change of basis loses exactly P_v^k, for
+    k = 1, 2, every object X and the vertices v taken in turn (every root
+    here has at least as many objects as vertices, so every v is met)."""
+    rng = linalg.stable_rng(47)
+    for (name, p), ctx in stable_roots_by_prime.items():
+        projs = ctx.dropped_projectives
+        assert len(ctx.objects) >= len(projs), name
+        for (i, x), k in itertools.product(enumerate(ctx.objects), (1, 2)):
+            pv = projs[i % len(projs)]
+            m = _twist(direct_sum([x.rep] + [pv] * k)[0], rng)
+            _assert_core_matches_splitting(ctx, m, embeddings, (name, p, x.label, pv.dims, k))
+            assert strip_projectives(m).dims == x.rep.dims
+
+
+def test_strip_requires_self_injective():
+    a3 = parse_algebra(DYNKIN["A3 1->2->3"][0])
+    with pytest.raises(NotSelfInjectiveError):
+        strip_projectives(simple_module(a3, 2))
+
+
+def test_strip_reaches_no_split(stable_nak104, monkeypatch):
+    """strip_projectives reads multiplicities off ranks: stripping cones
+    with projective summands reaches no summand_split."""
+    calls = []
+    for info in pkgutil.iter_modules(quivertilt.__path__):
+        module = importlib.import_module(f"quivertilt.{info.name}")
+        real = getattr(module, "summand_split", None)
+        if real is not None:
+            monkeypatch.setattr(module, "summand_split",
+                                lambda *args, _real=real: calls.append(args) or _real(*args))
+    stripped = 0
+    for x, y in itertools.product(stable_nak104.objects[:10], repeat=2):
+        for f in hom_basis(x.rep, y.rep):
+            raw = cone(f)[0]
+            stripped += strip_projectives(raw).total_dim < raw.total_dim
+    assert stripped and not calls
