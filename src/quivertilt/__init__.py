@@ -18,7 +18,7 @@ from .algebra import (
     linear_quiver_radical_square,
 )
 from .modules import Representation, ModuleMap, direct_sum, hom_basis, kernel, cokernel, image
-from .decompose import decompose, is_isomorphic, fingerprint, DecompositionError
+from .decompose import is_isomorphic, fingerprint, DecompositionError
 from .homology import (
     projective_cover,
     injective_hull,

@@ -120,15 +120,15 @@ class Verdict:
 # -- orthogonal complements ---------------------------------------------------
 
 
-def orthogonal(ctx: Context, x_ids, side: str, k_max: int, k_min: int = 1) -> frozenset[int]:
+def orthogonal(ctx: Context, x_ids, side: str, k_max: int) -> frozenset[int]:
     """Objects N with E^k(X, N) = 0 (side 'right') resp. E^k(N, X) = 0
-    (side 'left') for all members and all k in [k_min, k_max]."""
+    (side 'left') for all members and all k in [1, k_max]."""
     xs = sorted(set(x_ids))
     out = []
     for m in range(ctx.n_objects):
         good = True
         for x in xs:
-            for k in range(k_min, k_max + 1):
+            for k in range(1, k_max + 1):
                 d = ctx.e_k_dim(k, x, m) if side == "right" else ctx.e_k_dim(k, m, x)
                 if d:
                     good = False
@@ -163,12 +163,8 @@ def _greedy_step(ctx: Context, x_ids: frozenset, idx: int, dual: bool):
     if key in cache:
         return cache[key]
     h = ctx.approx(sorted(members), idx, augment=augment, dual=dual)
-    if dual:
-        result = ctx.cone_ids(h) if ctx.is_inflation(h) else None
-    else:
-        result = ctx.cocone_ids(h) if ctx.is_deflation(h) else None
-    cache[key] = result
-    return result
+    cache[key] = ctx.conflation_end(h, dual)
+    return cache[key]
 
 
 def _greedy_resdim(ctx: Context, x_ids: frozenset, idx: int, bound: int, dual: bool):
@@ -438,23 +434,15 @@ def check_cluster_tilting(ctx: Context, x_ids, n: int) -> Verdict:
             note="finite Hom-finite context: approximations exist as hom-basis sums",
         )
     ]
-    right = orthogonal(ctx, x_ids, "right", n - 1)
-    left = orthogonal(ctx, x_ids, "left", n - 1)
-    ok_r = right == x_ids
-    wit_r = None
-    if not ok_r:
-        extra = sorted(names[i] for i in right - x_ids)
-        missing = sorted(names[i] for i in x_ids - right)
-        wit_r = {"extra": extra, "missing": missing, "degree": n - 1}
-    clauses.append(Clause("right-orthogonal-equality", ok_r, "tested", wit_r))
-    ok_l = left == x_ids
-    wit_l = None
-    if not ok_l:
-        extra = sorted(names[i] for i in left - x_ids)
-        missing = sorted(names[i] for i in x_ids - left)
-        wit_l = {"extra": extra, "missing": missing, "degree": n - 1}
-    clauses.append(Clause("left-orthogonal-equality", ok_l, "tested", wit_l))
-    passed = ok_r and ok_l
+    passed = True
+    for side in ("right", "left"):
+        perp = orthogonal(ctx, x_ids, side, n - 1)
+        witness = None
+        if perp != x_ids:
+            passed = False
+            witness = {"extra": sorted(names[i] for i in perp - x_ids),
+                       "missing": sorted(names[i] for i in x_ids - perp), "degree": n - 1}
+        clauses.append(Clause(f"{side}-orthogonal-equality", perp == x_ids, "tested", witness))
     if passed:
         if not (ctx.projective_ids <= x_ids and ctx.injective_ids <= x_ids):
             raise ContextError(

@@ -37,11 +37,13 @@ raises if a projective is still named.  A sub-context pulls its root's
 answer back.  Loops and suspensions are not stripped: over a
 self-injective algebra they have no projective summands (Heller's lemma).
 
-Cocones in a triangulated root are taken as one kernel.  Every short exact
-sequence of modules is a triangle in the stable category (Happel 1988), so
-the cocone of y: X0 -> C is the kernel of (y, pi): X0 + P(C) -> C, with pi
-the projective cover of C; P(C) is zero in the stable category.  Cones are
-the mapping cones of `stable.cone`.
+Stable conflations are short exact sequences.  Every short exact sequence
+of modules is a triangle in the stable category (Happel 1988), and E(C, A)
+there is module Ext^1(C, A), so a triangulated root realizes its classes
+with the pushouts of `ExactExtSpace`, as an exact root does.  For the same
+reason the cocone of y: X0 -> C is the kernel of (y, pi): X0 + P(C) -> C,
+with pi the projective cover of C; P(C) is zero in the stable category.
+Cones are the modules of `stable.cone`.
 """
 
 from __future__ import annotations
@@ -60,12 +62,7 @@ from .algebra import (
     projective_module,
     simple_module,
 )
-from .decompose import (
-    _random_invertible_combo,
-    fingerprint,
-    indecomposable_isomorphic,
-    summand_split,
-)
+from .decompose import fingerprint, indecomposable_isomorphic, summand_split
 from .homology import (
     approximation,
     ar_translate,
@@ -93,12 +90,12 @@ from .modules import (
     zero_representation,
 )
 from .stable import (
-    StableHomSpace,
     cone,
+    loop,
     loop_raw,
     require_self_injective,
     strip_projectives,
-    suspension_raw,
+    suspension,
 )
 
 
@@ -200,31 +197,17 @@ class ExactExtSpace(HomQuotient):
         return b, x, y
 
 
-class StableExtSpace:
-    """E(C, A) = stable Hom(Omega C, A) in the stable category, realized by
-    cones over class representatives."""
+class StableExtSpace(ExactExtSpace):
+    """E(C, A) in the stable category of a self-injective algebra: module
+    Ext^1(C, A), realized by the same short exact sequences, since each of
+    them is a triangle there (Happel 1988).  Its coordinates are those of
+    stable Hom(Omega C, A): a map into the projective-injective P0 extends
+    along Omega C -> P0, so factoring through a projective and through that
+    inclusion pick out the same maps."""
 
-    def __init__(self, c_rep: Representation, a_rep: Representation, seed: int):
-        self.c = c_rep
-        self.a = a_rep
-        self.seed = seed
-        self.omega = loop_raw(c_rep)[0]
-        self.space = StableHomSpace(self.omega, a_rep)
-        self.dim = self.space.dim
-        self._iso_to_c: ModuleMap | None = None
-
-    def _sigma_omega_iso(self) -> ModuleMap:
-        """An isomorphism Sigma Omega C -> C, computed once."""
-        if self._iso_to_c is None:
-            self._iso_to_c = _find_stable_iso(suspension_raw(self.omega)[0], self.c, self.seed)
-            if self._iso_to_c is None:
-                raise ContextError("suspension of the syzygy is not the object back")
-        return self._iso_to_c
-
-    def realize(self, coords) -> tuple[Representation, ModuleMap, ModuleMap]:
-        t = self.space.representative(coords)
-        cone_raw, to_cone, connecting = cone(t)
-        return cone_raw, to_cone, self._sigma_omega_iso().compose(connecting)
+    # bound in the class itself: perfbench traces the stable realizations
+    # apart from the exact ones, reading the method from the class __dict__
+    realize = ExactExtSpace.realize
 
 
 def _factor_through_projection(proj: ModuleMap, through: ModuleMap) -> ModuleMap:
@@ -237,20 +220,6 @@ def _factor_through_projection(proj: ModuleMap, through: ModuleMap) -> ModuleMap
             raise ContextError("map does not factor through the projection")
         blocks.append(sol.T % p)
     return ModuleMap(proj.target, through.target, blocks, validate=False)
-
-
-def _find_stable_iso(a: Representation, b: Representation, seed: int) -> ModuleMap | None:
-    if a.total_dim == 0 and b.total_dim == 0:
-        return None  # callers treat the zero case separately
-    p = a.algebra.p
-    maps = hom_basis(a, b)
-    if not maps:
-        return None
-    rng = linalg.stable_rng(seed, 4, a.dims, b.dims)
-    combo = _random_invertible_combo(maps, rng, p, 64)
-    if combo is None and p ** len(maps) <= 4096:
-        combo = next((f for f in nonzero_combinations(maps) if f.is_iso()), None)
-    return combo
 
 
 # -- identification by Hom vectors ------------------------------------------
@@ -436,7 +405,10 @@ class Context:
         return space
 
     def _build_ext_space(self, c_idx: int, a_idx: int):
-        raise NotImplementedError
+        space = self.ext_space_class(self.objects[c_idx].rep, self.objects[a_idx].rep)
+        if space.dim != self.e1[c_idx][a_idx]:
+            raise ContextError("extension coordinates disagree with the E table")
+        return space
 
     def realize(self, c_idx: int, a_idx: int, coords) -> Conflation:
         """Conflation realizing the class with the given coordinates (cached)."""
@@ -480,29 +452,19 @@ class Context:
 
     # -- deflations, cocones, cones ----------------------------------------
 
-    def is_deflation(self, y: ModuleMap) -> bool:
-        root = self._root_kind()
-        if root == "mod":
-            if not y.is_epi():
-                return False
-        if self.kind == "sub":
-            try:
-                self.cocone_ids(y)
-            except ContextError:
-                return False
-        return True
-
-    def is_inflation(self, x: ModuleMap) -> bool:
-        root = self._root_kind()
-        if root == "mod":
-            if not x.is_mono():
-                return False
-        if self.kind == "sub":
-            try:
-                self.cone_ids(x)
-            except ContextError:
-                return False
-        return True
+    def conflation_end(self, f: ModuleMap, dual: bool = False) -> Counter | None:
+        """Object ids of the cocone of f when f is a deflation (with `dual`,
+        of the cone of f when it is an inflation), else None.  In an exact
+        root that means epi (mono); a triangulated root takes every map; a
+        sub-context also needs the cocone (cone) inside it."""
+        if self._root_kind() == "mod" and not (f.is_mono() if dual else f.is_epi()):
+            return None
+        try:
+            return self.cone_ids(f) if dual else self.cocone_ids(f)
+        except ContextError:
+            if self.kind != "sub":
+                raise
+            return None
 
     def cocone_ids(self, y: ModuleMap) -> Counter:
         """Object ids of the cocone of a deflation y: X0 -> C, normalized to
@@ -522,7 +484,7 @@ class Context:
         if root == "mod":
             c = cokernel(x)[0]
         else:
-            c = cone(x)[0]
+            c = cone(x)
         return self.identify_sum(c)
 
     def hom_support(self, idx: int, dual: bool = False) -> frozenset[int]:
@@ -562,13 +524,7 @@ class Context:
             a for a in range(n) if all(self.e1[c][a] == 0 for c in range(n))
         )
 
-    def has_enough_projectives(self) -> tuple[bool, dict[int, dict]]:
-        return self._enough(dual=False)
-
-    def has_enough_injectives(self) -> tuple[bool, dict[int, dict]]:
-        return self._enough(dual=True)
-
-    def _enough(self, dual: bool) -> tuple[bool, dict[int, dict]]:
+    def enough(self, dual: bool = False) -> tuple[bool, dict[int, dict]]:
         """Whether every object has a deflation from a context projective
         (with `dual`, an inflation into a context injective), and the
         witnesses found, by object id."""
@@ -582,33 +538,18 @@ class Context:
 
     # -- context-relative syzygies ------------------------------------------
 
-    def ctx_syzygy(self, idx: int) -> Counter:
-        """Cocone of the enough-projectives witness, context projectives stripped."""
-        return self._shift(1, idx, dual=False)
-
-    def ctx_cosyzygy(self, idx: int) -> Counter:
-        """Cone of the enough-injectives witness, context injectives stripped."""
-        return self._shift(1, idx, dual=True)
-
-    def syzygy_power(self, k: int, idx: int) -> Counter:
-        """Omega^k within the context, as a multiset of object ids."""
-        return self._shift(k, idx, dual=False)
-
-    def cosyzygy_power(self, k: int, idx: int) -> Counter:
-        """Sigma^k within the context, as a multiset of object ids."""
-        return self._shift(k, idx, dual=True)
-
-    def _shift(self, k: int, idx: int, dual: bool) -> Counter:
-        """Omega^k (with `dual`, Sigma^k) within the context: k steps of
-        taking cocones of the enough-projectives witnesses (cones of the
-        enough-injectives ones), dropping context projectives (injectives)."""
+    def shift(self, k: int, idx: int, dual: bool = False) -> Counter:
+        """Omega^k (with `dual`, Sigma^k) within the context, as a multiset of
+        object ids: k steps of taking cocones of the enough-projectives
+        witnesses (cones of the enough-injectives ones), dropping context
+        projectives (injectives)."""
         if k == 0:
             return Counter({idx: 1})
         hit = self._shift_cache.get((dual, k, idx))
         if hit is not None:
             return hit
         if k == 1:
-            ok, witnesses = self._enough(dual)
+            ok, witnesses = self.enough(dual)
             if idx not in witnesses:
                 raise ContextError(
                     f"object {self.object_names[idx]} has no "
@@ -619,8 +560,8 @@ class Context:
             hit = Counter({i: m for i, m in ends.items() if i not in forced})
         else:
             hit = Counter()
-            for i, m in self._shift(k - 1, idx, dual).items():
-                for j, mj in self._shift(1, i, dual).items():
+            for i, m in self.shift(k - 1, idx, dual).items():
+                for j, mj in self.shift(1, i, dual).items():
                     hit[j] += m * mj
         self._shift_cache[(dual, k, idx)] = hit
         return hit
@@ -642,8 +583,8 @@ class Context:
         hit = self._ek_cache.get((k, c, a))
         if hit is not None:
             return hit
-        omega_route = self.e_dim(self.syzygy_power(k - 1, c), a)
-        sigma_route = self.e_dim(c, self.cosyzygy_power(k - 1, a))
+        omega_route = self.e_dim(self.shift(k - 1, c), a)
+        sigma_route = self.e_dim(c, self.shift(k - 1, a, dual=True))
         if omega_route != sigma_route:
             raise ContextError(
                 f"syzygy route E^{k}({self.object_names[c]},{self.object_names[a]}) = "
@@ -674,7 +615,7 @@ class Context:
         if augment and self.kind == "mod":
             extra = (injective_hull(c_rep) if dual else projective_cover(c_rep))[1]
         elif augment:
-            ok, witnesses = self.has_enough_injectives() if dual else self.has_enough_projectives()
+            ok, witnesses = self.enough(dual)
             extra = witnesses.get(c_idx, {}).get("map")
         return approximation(members, c_rep, dual, extra)
 
@@ -704,12 +645,11 @@ class Context:
                 maps = nonzero_combinations(homs)
             for f in maps:
                 try:
-                    if dual and self.is_inflation(f):
-                        yield mid, f, self.cone_ids(f)
-                    elif not dual and self.is_deflation(f):
-                        yield mid, f, self.cocone_ids(f)
+                    ids = self.conflation_end(f, dual)
                 except ContextError:
                     continue
+                if ids is not None:
+                    yield mid, f, ids
 
     def describe(self) -> dict:
         return {
@@ -732,14 +672,10 @@ class Context:
 
 
 class ExactContext(Context):
+    ext_space_class = ExactExtSpace
+
     def __init__(self, algebra, config):
         super().__init__("mod", algebra, config)
-
-    def _build_ext_space(self, c_idx, a_idx):
-        space = ExactExtSpace(self.objects[c_idx].rep, self.objects[a_idx].rep)
-        if space.dim != self.e1[c_idx][a_idx]:
-            raise ContextError("Yoneda coordinates disagree with the Ext table")
-        return space
 
     def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
         out = {}
@@ -754,23 +690,17 @@ class ExactContext(Context):
 
 
 class StableContext(Context):
+    ext_space_class = StableExtSpace
+
     def __init__(self, algebra, config):
         super().__init__("stable", algebra, config)
-
-    def _build_ext_space(self, c_idx, a_idx):
-        space = StableExtSpace(
-            self.objects[c_idx].rep, self.objects[a_idx].rep, self.config.seed
-        )
-        if space.dim != self.e1[c_idx][a_idx]:
-            raise ContextError("stable extension coordinates disagree with the E table")
-        return space
 
     def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
         # triangulated: the zero map 0 -> C (C -> 0) is always a deflation
         # (inflation), with cocone the loop (cone the suspension) of C
-        shift = suspension_raw if dual else loop_raw
+        shift = suspension if dual else loop
         key = "cone" if dual else "cocone"
-        return {o.index: {"map": None, key: self.identify_sum(shift(o.rep)[0])} for o in self.objects}
+        return {o.index: {"map": None, key: self.identify_sum(shift(o.rep))} for o in self.objects}
 
 
 class SubContext(Context):
@@ -801,15 +731,16 @@ class SubContext(Context):
         if self._root_kind() == "stable":
             pidx = self.parent_ids[idx]
             try:
-                ids = self.parent.ctx_cosyzygy(pidx) if dual else self.parent.ctx_syzygy(pidx)
+                ids = self.parent.shift(1, pidx, dual)
                 return {"map": None, key: self._pull_ids(ids + Counter())}
             except ContextError:
                 pass
         # canonical: approximation by the context projectives/injectives
         if forced:
             h = self.approx(forced, idx, augment=False, dual=dual)
-            if self.is_inflation(h) if dual else self.is_deflation(h):
-                return {"map": h, key: self.cone_ids(h) if dual else self.cocone_ids(h)}
+            ids = self.conflation_end(h, dual)
+            if ids is not None:
+                return {"map": h, key: ids}
         # bounded exhaustive search over maps from small sums of projectives
         for _, f, ids in self.conflation_candidates(forced, c_rep, dual, zero_middle=False):
             return {"map": f, key: ids}

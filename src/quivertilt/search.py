@@ -119,7 +119,7 @@ def close_under_operations(
         added = False
         if close_loops:
             for i in list(current):
-                for j in set(ctx.ctx_syzygy(i)) | set(ctx.ctx_cosyzygy(i)):
+                for j in set(ctx.shift(1, i)) | set(ctx.shift(1, i, dual=True)):
                     if j not in current:
                         current.add(j)
                         added = True
@@ -201,7 +201,7 @@ def search_nakayama_stable(
                 {"subset_size": len(subset), "reason": str(exc)}
             )
             continue
-        if not sub.has_enough_projectives()[0] or not sub.has_enough_injectives()[0]:
+        if not sub.enough()[0] or not sub.enough(dual=True)[0]:
             report["candidates_skipped"].append(
                 {"subset_size": len(subset), "reason": "not enough projectives/injectives"}
             )

@@ -3,8 +3,12 @@
 Morphisms are module maps modulo those factoring through projectives
 (= injectives here); the factoring subspace is computed as the image of
 composition with the injective hull inclusion.  Suspension is the cokernel
-of the hull, loop the kernel of the cover, and cones come from the mapping
-cylinder M -> I(M) + N.
+of the hull, loop the kernel of the cover, and the cone of f: M -> N is the
+cokernel of the mapping cylinder M -> I(M) + N, returned as a module alone.
+Every short exact sequence of modules is a triangle in the stable category
+(Happel 1988), so no connecting map is formed here: callers that need a
+conflation with its maps realize it as a short exact sequence
+(`contexts.ExactExtSpace`).
 
 Loop and suspension need no stripping: over a self-injective algebra the
 kernel of a projective cover and the cokernel of an injective hull have no
@@ -107,18 +111,11 @@ def stable_hom_dim(m: Representation, n: Representation) -> int:
     return StableHomSpace(m, n).dim
 
 
-def suspension_raw(m: Representation):
-    """Cokernel of the injective hull, with the hull data: (sigma, hull, mono, proj)."""
-    require_self_injective(m.algebra)
-    hull, mono = injective_hull(m)
-    sigma, proj = cokernel(mono)
-    return sigma, hull, mono, proj
-
-
 def suspension(m: Representation) -> Representation:
-    """Cosyzygy, projective-free by Heller's lemma; quasi-inverse to loop on
-    projective-free objects."""
-    return suspension_raw(m)[0]
+    """Cosyzygy, the cokernel of the injective hull; projective-free by
+    Heller's lemma and quasi-inverse to loop on projective-free objects."""
+    require_self_injective(m.algebra)
+    return cokernel(injective_hull(m)[1])[0]
 
 
 def loop_raw(m: Representation):
@@ -134,29 +131,10 @@ def loop(m: Representation) -> Representation:
     return loop_raw(m)[0]
 
 
-def cone(f: ModuleMap):
-    """Mapping cone of f: M -> N in the stable category.
-
-    Returns (cone_raw, to_cone, connecting) where the module sequence
-    0 -> M -> I(M) + N -> cone_raw -> 0 is exact, to_cone: N -> cone_raw,
-    and connecting: cone_raw -> Sigma_raw(M).
-    """
+def cone(f: ModuleMap) -> Representation:
+    """Mapping cone of f: M -> N in the stable category: the cokernel of
+    M -> I(M) + N, so that 0 -> M -> I(M) + N -> cone -> 0 is exact."""
     require_self_injective(f.source.algebra)
-    p = f.p
-    m, n = f.source, f.target
-    sig_m, hull, mono, sig_proj = suspension_raw(m)
-    total, (incl_hull, incl_n), (proj_hull, proj_n) = direct_sum([hull, n])
-    glue = incl_hull.compose(mono).add(incl_n.compose(f))
-    cone_raw, cone_proj = cokernel(glue)
-    to_cone = cone_proj.compose(incl_n)
-    # connecting: induced by projecting the cylinder onto the hull component
-    onto_sigma = sig_proj.compose(proj_hull)
-    blocks = []
-    for v in range(len(cone_proj.blocks)):
-        sol = linalg.solve(cone_proj.blocks[v].T, onto_sigma.blocks[v].T, p)
-        if sol is None:
-            raise RuntimeError("cone connecting map is not well defined")
-        blocks.append(sol.T % p)
-    connecting = ModuleMap(cone_raw, sig_m, blocks, validate=False)
-    return cone_raw, to_cone, connecting
-
+    hull, mono = injective_hull(f.source)
+    _, (incl_hull, incl_n), _ = direct_sum([hull, f.target])
+    return cokernel(incl_hull.compose(mono).add(incl_n.compose(f)))[0]

@@ -28,6 +28,12 @@ profile was read off dimensions: one intertwining system per probe.
 `cocone_by_cone_and_loop` names the cocone of a map in a triangulated context
 as the loop of its mapping cone.
 
+`stable_realize_by_cone` is how a stable context realized a class of E(C, A)
+before it used the short exact sequences of `contexts.ExactExtSpace`: the
+mapping cone of the class representative t: Omega C -> A in stable
+Hom(Omega C, A), with the connecting map of the cone composed with an
+isomorphism Sigma Omega C -> C found by a seeded random search.
+
 `enumerate_by_ext_closure` lists the indecomposables the way contexts did
 before they knitted the Auslander-Reiten quiver: close the simples,
 projectives and injectives under syzygy, cosyzygy and the middle terms of
@@ -71,23 +77,26 @@ from quivertilt import checkers, linalg
 from quivertilt.algebra import injective_module, projective_module, simple_module
 from quivertilt.contexts import ContextError, ExactExtSpace
 from quivertilt.decompose import (
+    _random_invertible_combo,
     fingerprint,
     indecomposable_isomorphic,
     is_isomorphic,
     summand_split,
 )
-from quivertilt.homology import cosyzygy, ext_dim, syzygy
+from quivertilt.homology import cosyzygy, ext_dim, injective_hull, syzygy
 from quivertilt.modules import (
     ModuleMap,
     Representation,
+    cokernel,
     direct_sum,
     hom_basis,
     hom_dim,
     is_end,
+    nonzero_combinations,
     zero_map,
     zero_representation,
 )
-from quivertilt.stable import cone, loop_raw
+from quivertilt.stable import StableHomSpace, cone, loop, loop_raw
 
 
 def _theta_offsets(m: Representation, n: Representation):
@@ -241,15 +250,50 @@ def greedy_step_by_full_approximation(ctx, x_ids, idx: int, dual: bool):
     (injectives); None when the map is not a deflation (inflation)."""
     forced = ctx.injective_ids if dual else ctx.projective_ids
     h = ctx.approx(sorted(x_ids), idx, augment=forced <= frozenset(x_ids), dual=dual)
-    if dual:
-        return ctx.cone_ids(h) if ctx.is_inflation(h) else None
-    return ctx.cocone_ids(h) if ctx.is_deflation(h) else None
+    return ctx.conflation_end(h, dual)
 
 
 def cocone_by_cone_and_loop(ctx, y) -> Counter:
     """Ids of the cocone of y in a triangulated context: Omega of cone(y)."""
-    cone_raw = cone(y)[0]
+    cone_raw = cone(y)
     return ctx.identify_sum(loop_raw(cone_raw)[0] if cone_raw.total_dim else cone_raw)
+
+
+def stable_realize_by_cone(c_rep: Representation, a_rep: Representation, coords, seed: int = 0):
+    """(B, x: A -> B, y: B -> C) for the class with the given coordinates in
+    stable Hom(Omega C, A): B is the cone of the representative t, x the map
+    from A into it, and y its connecting map B -> Sigma Omega C followed by
+    an isomorphism onto C."""
+    t = StableHomSpace(loop(c_rep), a_rep).representative(coords)
+    p = t.p
+    m, n = t.source, t.target
+    hull, mono = injective_hull(m)
+    sigma, sigma_proj = cokernel(mono)
+    _, (incl_hull, incl_n), (proj_hull, _) = direct_sum([hull, n])
+    b, cone_proj = cokernel(incl_hull.compose(mono).add(incl_n.compose(t)))
+    onto_sigma = sigma_proj.compose(proj_hull)
+    blocks = []
+    for v in range(len(cone_proj.blocks)):
+        sol = linalg.solve(cone_proj.blocks[v].T, onto_sigma.blocks[v].T, p)
+        assert sol is not None, "cone connecting map is not well defined"
+        blocks.append(sol.T % p)
+    connecting = ModuleMap(b, sigma, blocks, validate=False)
+    iso = _stable_iso(sigma, c_rep, seed)
+    assert iso is not None, "suspension of the syzygy is not the object back"
+    return b, cone_proj.compose(incl_n), iso.compose(connecting)
+
+
+def _stable_iso(a: Representation, b: Representation, seed: int) -> ModuleMap | None:
+    """An isomorphism a -> b by a seeded random search over Hom(a, b), then
+    by walking every combination when there are few."""
+    maps = hom_basis(a, b)
+    if not maps:
+        return None
+    p = a.algebra.p
+    combo = _random_invertible_combo(maps, linalg.stable_rng(seed, 4, a.dims, b.dims), p, 64)
+    if combo is None and p ** len(maps) <= 4096:
+        combo = next((f for f in nonzero_combinations(maps) if f.is_iso()), None)
+    return combo
 
 
 def splitting_idempotent_by_sympy(minpoly: list[int], p: int):

@@ -313,7 +313,7 @@ def test_theorem_on_every_extension_closed_subcategory(exact_contexts):
         found = 0
         for ids in closed:
             sub = build_sub_context(parent, ids)
-            assert sub.has_enough_projectives()[0] and sub.has_enough_injectives()[0], (name, ids)
+            assert sub.enough()[0] and sub.enough(dual=True)[0], (name, ids)
             report = verify_theorem(sub, 1)
             assert report["sets_equal"], (name, ids, report)
             found += bool(report["cluster_tilting"])

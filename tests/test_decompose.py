@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+import quivertilt
 from quivertilt import linalg
 from quivertilt.algebra import injective_module, nakayama_cyclic, projective_module, simple_module
 from quivertilt.contexts import build_exact_context
@@ -129,9 +130,7 @@ def test_split_without_an_idempotent_raises_unless_certified_local(a2, dual_numb
     """With the hunt finding nothing, S + S is not certified local, so the
     split must raise rather than report it as indecomposable; a local module
     still passes through its certificate."""
-    # The package exports a function named `decompose`, so fetch the module.
-    module = importlib.import_module("quivertilt.decompose")
-    monkeypatch.setattr(module, "_hunt_idempotent", lambda *args, **kwargs: None)
+    monkeypatch.setattr(quivertilt.decompose, "_hunt_idempotent", lambda *args, **kwargs: None)
     s1 = simple_module(a2, 1)
     with pytest.raises(DecompositionError):
         summand_split(direct_sum([s1, s1])[0])
@@ -267,7 +266,7 @@ def test_isomorphism_fallback_alone_decides(monkeypatch, exact_contexts, stable_
     injectives of dimension vector (1, 1, 1) among them."""
     contexts = [*exact_contexts.values(), *stable_contexts.values(),
                 build_exact_context(nakayama_cyclic(3, 3)), build_exact_context(nakayama_cyclic(4, 3, 3))]
-    module = importlib.import_module("quivertilt.decompose")
+    module = quivertilt.decompose
     monkeypatch.setattr(module, "_random_invertible_combo", lambda *args: None)
     distinct = 0
     for ctx in contexts:
@@ -277,3 +276,9 @@ def test_isomorphism_fallback_alone_decides(monkeypatch, exact_contexts, stable_
                     assert module.indecomposable_isomorphic(x.rep, y.rep) == (i == j), (x.label, y.label)
                     distinct += i != j
     assert distinct >= 6
+
+
+def test_package_attribute_is_the_decompose_module():
+    """The package does not re-export the function `decompose`, so the
+    attribute `quivertilt.decompose` stays the submodule and can be patched."""
+    assert importlib.import_module("quivertilt.decompose") is quivertilt.decompose

@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level function of the package is used somewhere in it.
 
-`__init__.py` is left out: its imports are the package's re-exports."""
+`__init__.py` is left out of the import scan: its imports are the package's
+re-exports."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import quivertilt
@@ -53,3 +56,41 @@ def test_no_unused_imports_in_the_package():
         if path.name != "__init__.py" and (found := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _dead_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named `_name` (not dunder) that no code of the
+    given modules refers to outside the function's own body."""
+    refs = Counter()
+    defs = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+        defs += [(module, node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("_") and not node.name.startswith("__")]
+    dead = []
+    for module, node in defs:
+        own = sum(isinstance(n, ast.Name) and n.id == node.name
+                  or isinstance(n, ast.Attribute) and n.attr == node.name
+                  for n in ast.walk(node))
+        if refs[node.name] == own:
+            dead.append(f"{module}.{node.name} (line {node.lineno})")
+    return sorted(dead)
+
+
+def test_scan_finds_a_dead_private_function():
+    live = "def _used(): pass\ndef f(): return _used()\n"
+    planted = "def _dead(n):\n    return _dead(n - 1) if n else 0\n"
+    assert _dead_private_functions({"a": live}) == []
+    assert _dead_private_functions({"a": live, "b": planted}) == ["b._dead (line 1)"]
+    assert _dead_private_functions({"a": live, "b": planted, "c": "import b\nb._dead(1)\n"}) == []
+
+
+def test_no_dead_private_functions_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_private_functions(sources) == []

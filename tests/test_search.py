@@ -32,7 +32,7 @@ def test_closure_under_loops_holds_shifts(stable_nak43):
         closed = close_under_operations(ctx, seeds)
         assert is_extension_closed(ctx, closed)[0]
         for i in closed:
-            assert set(ctx.ctx_syzygy(i)) | set(ctx.ctx_cosyzygy(i)) <= closed
+            assert set(ctx.shift(1, i)) | set(ctx.shift(1, i, dual=True)) <= closed
 
 
 def test_closure_without_budget_gives_up(stable_nak43):
