@@ -331,6 +331,103 @@ class BoundQuiverAlgebra:
         )
 
 
+# -- automorphisms ---------------------------------------------------------
+
+# Most nodes the automorphism search visits; past it the search keeps what it
+# has found, which is always a correct (if smaller) set of symmetries.
+AUTOMORPHISM_SEARCH_NODES = 20000
+
+
+def induced_arrows(quiver: Quiver, sigma) -> tuple[int, ...] | None:
+    """The arrow map of a vertex permutation: the arrows s -> t, in index
+    order, go to the arrows sigma(s) -> sigma(t) in index order.  None when
+    the counts differ for some pair."""
+    by_ends: dict[tuple[int, int], list[int]] = {}
+    for a, ends in enumerate(zip(quiver.arrow_source, quiver.arrow_target)):
+        by_ends.setdefault(ends, []).append(a)
+    out = [0] * quiver.n_arrows
+    for (s, t), arrows in by_ends.items():
+        images = by_ends.get((sigma[s], sigma[t]), [])
+        if len(images) != len(arrows):
+            return None
+        for a, b in zip(arrows, images):
+            out[a] = b
+    return tuple(out)
+
+
+def is_automorphism(algebra: BoundQuiverAlgebra, sigma) -> bool:
+    """Whether the vertex permutation, with its induced arrow map, sends
+    every relation into the ideal.  An arrow bijection with sigma(I) inside I
+    induces a surjective, hence bijective, endomorphism of the
+    finite-dimensional kQ/I."""
+    arrows = induced_arrows(algebra.quiver, sigma)
+    if arrows is None:
+        return False
+    p = algebra.p
+    for rel in algebra.relations:
+        total: dict[Path, int] = {}
+        for (src, path), c in rel.items():
+            for b, cb in algebra.reduce_path((sigma[src], tuple(arrows[a] for a in path))).items():
+                total[b] = (total.get(b, 0) + c * cb) % p
+        if any(total.values()):
+            return False
+    return True
+
+
+def vertex_automorphisms(algebra: BoundQuiverAlgebra) -> list[tuple[int, ...]]:
+    """Vertex permutations (by vertex index) that extend to automorphisms of
+    the algebra, the identity first.  A backtracking search assigns images
+    vertex by vertex, keeping arrow counts between assigned vertices and a
+    per-vertex signature (arrow degrees, loops, dim e_v L and dim L e_v)
+    invariant, and checks the relations with `is_automorphism` at each leaf.
+    It stops after AUTOMORPHISM_SEARCH_NODES nodes with what it has found."""
+    q = algebra.quiver
+    n = q.n_vertices
+    count = [[0] * n for _ in range(n)]
+    for s, t in zip(q.arrow_source, q.arrow_target):
+        count[s][t] += 1
+    starts = [0] * n
+    ends = [0] * n
+    for b in algebra.basis:
+        starts[b[0]] += 1
+        ends[algebra.path_target(b)] += 1
+    signature = [(sum(count[v]), sum(row[v] for row in count), count[v][v], starts[v], ends[v])
+                 for v in range(n)]
+    identity = tuple(range(n))
+    found = [identity]
+    sigma: list[int] = []
+    used = [False] * n
+    nodes = 0
+
+    def extend() -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > AUTOMORPHISM_SEARCH_NODES:
+            return False
+        v = len(sigma)
+        if v == n:
+            if tuple(sigma) != identity and is_automorphism(algebra, sigma):
+                found.append(tuple(sigma))
+            return True
+        for w in range(n):
+            if used[w] or signature[w] != signature[v]:
+                continue
+            if any(count[u][v] != count[sigma[u]][w] or count[v][u] != count[w][sigma[u]]
+                   for u in range(v)):
+                continue
+            sigma.append(w)
+            used[w] = True
+            going = extend()
+            sigma.pop()
+            used[w] = False
+            if not going:
+                return False
+        return True
+
+    extend()
+    return found
+
+
 # -- canonical modules ----------------------------------------------------
 
 

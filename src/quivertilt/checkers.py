@@ -21,6 +21,16 @@ the context projectives (injectives) lie in X decides the augmenting summand,
 so a step is keyed by that intersection, C, the side and that flag.  The key
 depends on X, C and Hom(-, C) (Hom(C, -)) alone, never on a verdict.
 
+Steps and chain lengths are also shared across the automorphism orbits of
+the context (`Context.symmetries`, see `contexts`): for a permutation g
+induced by an automorphism of the algebra, step(gX, gC) = g step(X, C) and
+the chain length of gC by add(gX) is that of C by add(X).  So a step is
+built, and a chain length computed, only for the orbit-least key, and other
+keys are moved there and back.  The enumeration still visits, and the full
+checker still runs on, every rigid set: only the work inside the checker is
+shared.  The orthogonality clauses read the E^k bitmask rows that the
+enumerations build once per context.
+
 `verify_theorem` compares two enumerations whose cost follows their output.
 Both start from one compatibility bitmask: objects i and j are compatible
 when E^k(i, j) = E^k(j, i) = 0 for every k up to the degree, and an object
@@ -122,7 +132,15 @@ class Verdict:
 
 def orthogonal(ctx: Context, x_ids, side: str, k_max: int) -> frozenset[int]:
     """Objects N with E^k(X, N) = 0 (side 'right') resp. E^k(N, X) = 0
-    (side 'left') for all members and all k in [1, k_max]."""
+    (side 'left') for all members and all k in [1, k_max].  Read off the
+    bitmask rows when the context has built them (see `_built_bitmasks`)."""
+    rows = _built_bitmasks(ctx, k_max)
+    if rows is not None:
+        right, left = rows
+        mask = (1 << ctx.n_objects) - 1
+        for x in set(x_ids):
+            mask &= (right if side == "right" else left)[x]
+        return _ids(mask)
     xs = sorted(set(x_ids))
     out = []
     for m in range(ctx.n_objects):
@@ -154,7 +172,8 @@ def _in_add(x_ids: frozenset, ids: Counter) -> bool:
 def _greedy_step(ctx: Context, x_ids: frozenset, idx: int, dual: bool):
     """Cocone (resp. cone) of the canonical approximation conflation for one
     indecomposable; None when no usable canonical conflation exists.  Keyed
-    by the members with maps to (from) the object, see the module docstring."""
+    by the members with maps to (from) the object, and built only for the
+    orbit-least key; see the module docstring."""
     forced = ctx.injective_ids if dual else ctx.projective_ids
     augment = forced <= x_ids
     members = x_ids & ctx.hom_support(idx, dual)
@@ -162,16 +181,32 @@ def _greedy_step(ctx: Context, x_ids: frozenset, idx: int, dual: bool):
     cache = ctx.__dict__.setdefault("_greedy_step_cache", {})
     if key in cache:
         return cache[key]
-    h = ctx.approx(sorted(members), idx, augment=augment, dual=dual)
-    cache[key] = ctx.conflation_end(h, dual)
+    k, low, low_members = ctx.symmetries.least(idx, members)
+    low_key = (low_members, low, dual, augment)
+    if low_key not in cache:
+        h = ctx.approx(sorted(low_members), low, augment=augment, dual=dual)
+        cache[low_key] = ctx.conflation_end(h, dual)
+    step = cache[low_key]
+    cache[key] = None if step is None else ctx.symmetries.pull(k, step)
     return cache[key]
 
 
 def _greedy_resdim(ctx: Context, x_ids: frozenset, idx: int, bound: int, dual: bool):
+    """Length of the canonical chain of the object by add(X), up to the
+    bound; read under the orbit-least (X, object)."""
     key = (x_ids, idx, bound, dual)
     cache = ctx.__dict__.setdefault("_greedy_resdim_cache", {})
     if key in cache:
         return cache[key]
+    _, low, low_x = ctx.symmetries.least(idx, x_ids)
+    low_key = (low_x, low, bound, dual)
+    if low_key not in cache:
+        cache[low_key] = _greedy_chain(ctx, low_x, low, bound, dual)
+    cache[key] = cache[low_key]
+    return cache[key]
+
+
+def _greedy_chain(ctx: Context, x_ids: frozenset, idx: int, bound: int, dual: bool):
     current = Counter({idx: 1})
     value = EXCEEDS
     for depth in range(bound + 1):
@@ -192,7 +227,6 @@ def _greedy_resdim(ctx: Context, x_ids: frozenset, idx: int, bound: int, dual: b
         if failed:
             break
         current = nxt
-    cache[key] = value
     return value
 
 
@@ -338,8 +372,14 @@ def _ids_str(ctx, ids: Counter) -> str:
 
 
 def _orthogonality_witness(ctx, x_ids, y_ids, n):
-    """The first nonzero E^k(x, y), k in [1, n], as a witness; None if none."""
+    """The first nonzero E^k(x, y), k in [1, n], as a witness; None if none.
+    Rows of x orthogonal to all of Y are skipped when the context has built
+    its bitmask rows (see `_built_bitmasks`)."""
+    rows = _built_bitmasks(ctx, n)
+    y_mask = _mask(y_ids)
     for x in sorted(x_ids):
+        if rows is not None and not y_mask & ~rows[0][x]:
+            continue
         for y in sorted(y_ids):
             for k in range(1, n + 1):
                 d = ctx.e_k_dim(k, x, y)
@@ -472,12 +512,26 @@ def _ids(mask: int) -> frozenset[int]:
 
 def _orth_bitmasks(ctx: Context, k_max: int) -> tuple[list[int], list[int]]:
     """Bit i of right[j] is set iff E^k(j, i) = 0 for every k in [1, k_max];
-    bit i of left[j] iff E^k(i, j) = 0.  Every table is filled in full."""
-    vanish = np.ones((ctx.n_objects, ctx.n_objects), dtype=bool)
-    for k in range(1, k_max + 1):
-        vanish &= ctx.e_k_table(k) == 0
-    return ([_mask(np.flatnonzero(row).tolist()) for row in vanish],
-            [_mask(np.flatnonzero(col).tolist()) for col in vanish.T])
+    bit i of left[j] iff E^k(i, j) = 0.  Read off the context's E^k tables,
+    once per context and k_max."""
+    cache = ctx.__dict__.setdefault("_orth_bitmasks_cache", {})
+    hit = cache.get(k_max)
+    if hit is None:
+        vanish = np.ones((ctx.n_objects, ctx.n_objects), dtype=bool)
+        for k in range(1, k_max + 1):
+            vanish &= ctx.e_k_table(k) == 0
+        hit = cache[k_max] = ([_mask(np.flatnonzero(row).tolist()) for row in vanish],
+                              [_mask(np.flatnonzero(col).tolist()) for col in vanish.T])
+    return hit
+
+
+def _built_bitmasks(ctx: Context, k_max: int) -> tuple[list[int], list[int]] | None:
+    """The rows of `_orth_bitmasks` if the context has built them (every
+    enumeration does), else None.  A check of given classes does not build
+    them: the tables need E^k against every object, and in a sub-context
+    without enough projectives an object outside the classes may have no
+    syzygy."""
+    return ctx.__dict__.get("_orth_bitmasks_cache", {}).get(k_max)
 
 
 def _compatibility(right: list[int], left: list[int]) -> list[int]:

@@ -44,6 +44,14 @@ with the pushouts of `ExactExtSpace`, as an exact root does.  For the same
 reason the cocone of y: X0 -> C is the kernel of (y, pi): X0 + P(C) -> C,
 with pi the projective cover of C; P(C) is zero in the stable category.
 Cones are the modules of `stable.cone`.
+
+Work is shared across automorphism orbits (`orbits`): an automorphism of
+L permutes a root's objects, and `Context.symmetries` holds these
+permutations, each certified against the E table.  The enough-projectives
+(-injectives) witnesses and `hom_support` are computed once per orbit, and
+the checkers key their per-object caches by orbit.  The E table itself is
+computed in full, since it certifies the permutations.  A sub-context has
+only the identity.
 """
 
 from __future__ import annotations
@@ -51,7 +59,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +98,7 @@ from .modules import (
     zero_map,
     zero_representation,
 )
+from .orbits import Symmetries, automorphism_images
 from .stable import (
     cone,
     loop,
@@ -141,7 +151,9 @@ class ContextObject:
 
 @dataclass
 class Conflation:
-    """A -> B -> C with module-level maps and the class coordinates."""
+    """A -> B -> C with the class coordinates.  The maps x: A -> B and
+    y: B -> C are formed on first use, from the projection of P0 + A onto B
+    that realized the class."""
 
     ctx: "Context"
     a_idx: int
@@ -150,9 +162,17 @@ class Conflation:
     a_rep: Representation
     b_rep: Representation
     c_rep: Representation
-    x: ModuleMap
-    y: ModuleMap
     b_ids: Counter
+    space: "ExactExtSpace" = field(repr=False)
+    onto_b: ModuleMap = field(repr=False)
+
+    @cached_property
+    def maps(self) -> tuple[ModuleMap, ModuleMap]:
+        """(x, y), formed on first use."""
+        return self.space.maps(self.onto_b)
+
+    x = property(lambda self: self.maps[0])
+    y = property(lambda self: self.maps[1])
 
     def describe(self) -> str:
         names = self.ctx.object_names
@@ -185,16 +205,19 @@ class ExactExtSpace(HomQuotient):
         self.j = res.syzygy_incls[0]
         super().__init__(self.j, a_rep)
 
-    def realize(self, coords) -> tuple[Representation, ModuleMap, ModuleMap]:
-        """Middle term with maps (B, x: A -> B, y: B -> C) for the class."""
+    def realize(self, coords) -> tuple[Representation, ModuleMap]:
+        """Middle term B of the class, the pushout of P0 <- Omega C -> A
+        along the representative t, with its projection from P0 + A."""
         t = self.representative(coords)
-        total, (incl_p0, incl_a), (proj_p0, proj_a) = direct_sum([self.p0, self.a])
+        _, (incl_p0, incl_a), _ = direct_sum([self.p0, self.a])
         glue = incl_p0.compose(self.j).add(incl_a.compose(t).negate())
-        b, proj_b = cokernel(glue)
-        x = proj_b.compose(incl_a)
-        onto_c = self.cover.compose(proj_p0)
-        y = _factor_through_projection(proj_b, onto_c)
-        return b, x, y
+        return cokernel(glue)
+
+    def maps(self, onto_b: ModuleMap) -> tuple[ModuleMap, ModuleMap]:
+        """x: A -> B and y: B -> C of the conflation `realize` returned with
+        the projection onto_b: P0 + A -> B."""
+        _, (_, incl_a), (proj_p0, _) = direct_sum([self.p0, self.a])
+        return onto_b.compose(incl_a), _factor_through_projection(onto_b, self.cover.compose(proj_p0))
 
 
 class StableExtSpace(ExactExtSpace):
@@ -300,6 +323,28 @@ def _integer_inverse(h: list[list[int]]) -> tuple[list[list[int]], int]:
     return [[sign * x // g for x in row] for row in adj], abs(det) // g
 
 
+# -- symmetries ----------------------------------------------------------------
+
+
+def _root_symmetries(ctx: "Context") -> Symmetries:
+    """The permutations of a root's objects induced by the algebra's
+    automorphisms.  A twist is an exact autoequivalence, so each must
+    permute the objects (and the dropped projectives) and keep the E table;
+    one that does not raises."""
+    n = ctx.n_objects
+    perms = [tuple(range(n))]
+    reps = [o.rep for o in ctx.objects] + ctx.dropped_projectives
+    for sigma, images in automorphism_images(ctx.algebra, reps):
+        pi = tuple(images[:n])
+        if None in images or sorted(images) != list(range(len(reps))) or sorted(pi) != list(perms[0]):
+            raise ContextError(f"the automorphism {sigma} of the algebra does not permute the context objects")
+        if not np.array_equal(ctx.e1[list(pi)][:, list(pi)], ctx.e1):
+            raise ContextError(f"the automorphism {sigma} of the algebra does not keep the E table")
+        if pi not in perms:
+            perms.append(pi)
+    return Symmetries(perms)
+
+
 # -- the context itself ------------------------------------------------------
 
 
@@ -319,6 +364,8 @@ class Context:
         self._witnesses: dict[bool, dict[int, dict]] = {}
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
         self._hom_vectors: HomVectors | None = None  # roots, built on first use
+        self._symmetries: Symmetries | None = None  # built on first use
+        self._ek_tables: dict[int, np.ndarray] = {}
         self.dropped_projectives: list[Representation] = []  # stable roots: every P_v
         self.projective_ids: frozenset[int] = frozenset()
         self.injective_ids: frozenset[int] = frozenset()
@@ -359,6 +406,15 @@ class Context:
         if any(i >= self.n_objects for i in ids):
             raise ContextError(f"module of dimension vector {rep.dims} has a projective summand")
         return ids
+
+    @property
+    def symmetries(self) -> Symmetries:
+        """The object permutations induced by the algebra's automorphisms; a
+        sub-context has only the identity."""
+        if self._symmetries is None:
+            self._symmetries = (Symmetries([tuple(range(self.n_objects))]) if self.parent is not None
+                                else _root_symmetries(self))
+        return self._symmetries
 
     def _root_kind(self) -> str:
         ctx = self
@@ -418,8 +474,7 @@ class Context:
         if hit is not None:
             return hit
         space = self.ext_space(c_idx, a_idx)
-        b, x, y = space.realize(coords)
-        b_ids = self.identify_sum(b)
+        b, onto_b = space.realize(coords)
         conf = Conflation(
             ctx=self,
             a_idx=a_idx,
@@ -428,9 +483,9 @@ class Context:
             a_rep=self.objects[a_idx].rep,
             b_rep=b,
             c_rep=self.objects[c_idx].rep,
-            x=x,
-            y=y,
-            b_ids=b_ids,
+            b_ids=self.identify_sum(b),
+            space=space,
+            onto_b=onto_b,
         )
         cache[key] = conf
         return conf
@@ -489,15 +544,20 @@ class Context:
 
     def hom_support(self, idx: int, dual: bool = False) -> frozenset[int]:
         """The objects x with Hom(x, C) != 0 (with `dual`, Hom(C, x) != 0)
-        for the object C, as module maps; computed once per object and side."""
+        for the object C, as module maps; computed once per orbit and side."""
         key = (idx, dual)
         hit = self._hom_support.get(key)
         if hit is None:
-            c_rep = self.objects[idx].rep
-            hit = self._hom_support[key] = frozenset(
-                o.index for o in self.objects
-                if (hom_dim(c_rep, o.rep) if dual else hom_dim(o.rep, c_rep))
-            )
+            k, low, _ = self.symmetries.least(idx)
+            if low != idx:
+                hit = self.symmetries.pull_set(k, self.hom_support(low, dual))
+            else:
+                c_rep = self.objects[idx].rep
+                hit = frozenset(
+                    o.index for o in self.objects
+                    if (hom_dim(c_rep, o.rep) if dual else hom_dim(o.rep, c_rep))
+                )
+            self._hom_support[key] = hit
         return hit
 
     def _pull_ids(self, parent_ids: Counter) -> Counter:
@@ -595,11 +655,15 @@ class Context:
         return omega_route
 
     def e_k_table(self, k: int) -> np.ndarray:
-        n = self.n_objects
-        out = np.zeros((n, n), dtype=np.int64)
-        for c in range(n):
-            for a in range(n):
-                out[c][a] = self.e_k_dim(k, c, a)
+        """The table of dim E^k over every pair of objects, built once per
+        context and degree (read-only)."""
+        out = self._ek_tables.get(k)
+        if out is None:
+            n = self.n_objects
+            out = np.array([[self.e_k_dim(k, c, a) for a in range(n)] for c in range(n)],
+                           dtype=np.int64).reshape(n, n)
+            out.flags.writeable = False
+            self._ek_tables[k] = out
         return out
 
     # -- approximations within the context ------------------------------------
@@ -678,15 +742,10 @@ class ExactContext(Context):
         super().__init__("mod", algebra, config)
 
     def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
-        out = {}
-        for o in self.objects:
-            if dual:
-                mono = injective_hull(o.rep)[1]
-                out[o.index] = {"map": mono, "cone": self.identify_sum(cokernel(mono)[0])}
-            else:
-                cover = projective_cover(o.rep)[1]
-                out[o.index] = {"map": cover, "cocone": self.identify_sum(kernel(cover)[0])}
-        return out
+        maps = [(injective_hull(o.rep) if dual else projective_cover(o.rep))[1] for o in self.objects]
+        ends = self.symmetries.by_orbit(lambda i: self.identify_sum((cokernel if dual else kernel)(maps[i])[0]))
+        key = "cone" if dual else "cocone"
+        return {i: {"map": f, key: end} for i, (f, end) in enumerate(zip(maps, ends))}
 
 
 class StableContext(Context):
@@ -700,7 +759,8 @@ class StableContext(Context):
         # (inflation), with cocone the loop (cone the suspension) of C
         shift = suspension if dual else loop
         key = "cone" if dual else "cocone"
-        return {o.index: {"map": None, key: self.identify_sum(shift(o.rep))} for o in self.objects}
+        ends = self.symmetries.by_orbit(lambda i: self.identify_sum(shift(self.objects[i].rep)))
+        return {i: {"map": None, key: end} for i, end in enumerate(ends)}
 
 
 class SubContext(Context):

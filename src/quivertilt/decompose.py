@@ -407,12 +407,15 @@ def indecomposable_isomorphic(a: Representation, b: Representation, seed: int = 
         return True
     p = a.algebra.p
     ab = hom_basis(a, b)
-    ba = hom_basis(b, a)
-    if len(ab) != len(ba) or not ab:
+    if not ab:
         return False
+    # an invertible map settles it; Hom(b, a) is needed only when none is drawn
     rng = linalg.stable_rng(seed, 2, a.dims)
     if _random_invertible_combo(ab, rng, p, 24) is not None:
         return True
+    ba = hom_basis(b, a)
+    if len(ab) != len(ba):
+        return False
     # deterministic: End(a) is local, so a ~ b iff g o f is invertible for
     # some basis maps f: a -> b and g: b -> a (a sum of non-units is one)
     return any(g.compose(f).is_iso() for f in ab for g in ba)

@@ -113,7 +113,7 @@ def transpose(m: Representation) -> Representation:
     alg = m.algebra
     op = alg.opposite()
     res = minimal_resolution(m)
-    res.extend(1)
+    res.extend(1, syzygy=False)
     tops0 = _summand_vertices(m)
     tops1 = _summand_vertices(res.syzygies[0])
     if not tops1:
@@ -165,7 +165,8 @@ class MinimalResolution:
 
     terms[k] is P_k, diffs[k]: P_k -> P_{k-1} (diffs[0] is the augmentation
     P_0 -> M), syzygy_incls[k]: Omega^{k+1} -> P_k, tops[k] the top
-    dimensions of Omega^k (Omega^0 = M), filled by `top_dims`.
+    dimensions of Omega^k (Omega^0 = M), filled by `top_dims`.  The kernel
+    Omega^{k+1} of the cover P_k -> Omega^k is taken only when asked for.
     """
 
     def __init__(self, target: Representation):
@@ -175,20 +176,29 @@ class MinimalResolution:
         self.syzygies: list[Representation] = []
         self.syzygy_incls: list[ModuleMap] = []
         self.tops: list[list[int]] = []
+        self._cover: ModuleMap | None = None  # P_k -> Omega^k of the last term, until its kernel
 
-    def extend(self, upto: int):
+    def extend(self, upto: int, syzygy: bool = True):
+        """Terms and differentials through P_upto, and with `syzygy` the
+        syzygy Omega^{upto+1} as well."""
         while len(self.terms) <= upto:
             k = len(self.terms)
-            tail = self.target if k == 0 else self.syzygies[k - 1]
-            pk, cover = projective_cover(tail)
-            ker, incl = kernel(cover)
+            tail = self.target if k == 0 else self._syzygy(k - 1)
+            pk, self._cover = projective_cover(tail)
             self.terms.append(pk)
-            if k == 0:
-                self.diffs.append(cover)
-            else:
-                self.diffs.append(self.syzygy_incls[k - 1].compose(cover))
+            self.diffs.append(self._cover if k == 0 else self.syzygy_incls[k - 1].compose(self._cover))
+        if syzygy:
+            self._syzygy(upto)
+
+    def _syzygy(self, k: int) -> Representation:
+        """Omega^{k+1}, the kernel of the cover P_k -> Omega^k, once P_k is
+        the last term."""
+        if len(self.syzygies) == k:
+            ker, incl = kernel(self._cover)
             self.syzygies.append(ker)
             self.syzygy_incls.append(incl)
+            self._cover = None
+        return self.syzygies[k]
 
     def syzygy_module(self, k: int) -> Representation:
         """Omega^k of the target (k >= 1)."""

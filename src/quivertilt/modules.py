@@ -408,6 +408,19 @@ def dual_map(f: ModuleMap) -> ModuleMap:
     return ModuleMap(db, da, blocks, validate=False)
 
 
+def twist(rep: Representation, sigma, arrows) -> Representation:
+    """rep moved along an algebra automorphism: the space at vertex v goes to
+    sigma[v] and the matrix of arrow a to arrow arrows[a]
+    (`algebra.induced_arrows`)."""
+    dims = [0] * len(rep.dims)
+    for v, d in enumerate(rep.dims):
+        dims[sigma[v]] = d
+    mats = [None] * len(rep.matrices)
+    for a, m in enumerate(rep.matrices):
+        mats[arrows[a]] = m
+    return Representation(rep.algebra, dims, mats, validate=False)
+
+
 def radical_subspaces(rep: Representation) -> list[np.ndarray]:
     """Vertex-wise bases of rad(M) = sum of arrow images."""
     p = rep.algebra.p

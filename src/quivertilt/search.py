@@ -219,6 +219,7 @@ def search_nakayama_stable(
                 }
             )
             continue
+        theorem = None  # one verify_theorem report per sub-context, shared by its hits
         for extra in itertools.combinations(free, ct_size - len(forced)):
             x_ids = frozenset(forced) | frozenset(extra)
             try:
@@ -239,7 +240,8 @@ def search_nakayama_stable(
                 "diagonal_cotorsion_verdict": cot.to_dict(),
             }
             if verify_hits:
-                theorem = verify_theorem(sub, ct_degree - 1)
+                if theorem is None:
+                    theorem = verify_theorem(sub, ct_degree - 1)
                 hit["theorem_report"] = theorem
                 hit["theorem_concurs"] = bool(
                     theorem["sets_equal"]

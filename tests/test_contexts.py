@@ -128,6 +128,21 @@ def test_conflation_middle_dims_add_up(exact_contexts, stable_contexts):
                     assert conf.x.is_mono() and conf.y.is_epi()
 
 
+def test_conflation_maps_are_formed_on_first_use(exact_contexts, stable_contexts):
+    """`realize` names the middle term only; x and y, formed when first
+    read, compose to zero."""
+    for ctx in [*exact_contexts.values(), *stable_contexts.values()]:
+        for c, a in itertools.product(range(ctx.n_objects), repeat=2):
+            for coords in all_class_coords(ctx, c, a, include_zero=True):
+                conf = ctx.realize(c, a, coords)
+                assert conf.y.compose(conf.x).is_zero()
+    ctx = build_exact_context(nakayama_cyclic(3, 2))
+    conf = ctx.realize(0, 1, (0,) * ctx.e_dim(0, 1))
+    assert "maps" not in conf.__dict__
+    conf.y
+    assert "maps" in conf.__dict__
+
+
 def test_extension_closure_examples(exact_contexts):
     ctx = exact_contexts["a2"]
     s1, s2 = ctx.resolve_name("S1"), ctx.resolve_name("S2")

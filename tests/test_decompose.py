@@ -282,3 +282,24 @@ def test_package_attribute_is_the_decompose_module():
     """The package does not re-export the function `decompose`, so the
     attribute `quivertilt.decompose` stays the submodule and can be patched."""
     assert importlib.import_module("quivertilt.decompose") is quivertilt.decompose
+
+
+def test_isomorphism_builds_the_reverse_basis_only_for_the_fallback(monkeypatch, exact_contexts):
+    """An invertible map drawn from Hom(a, b) settles a ~ b without building
+    Hom(b, a); with no map drawn the reverse basis is built, and the answers
+    agree."""
+    module = quivertilt.decompose
+    calls = []
+    basis = module.hom_basis
+    monkeypatch.setattr(module, "hom_basis", lambda m, n: calls.append((m, n)) or basis(m, n))
+    for ctx in exact_contexts.values():
+        for x in ctx.objects:
+            calls.clear()
+            assert module.indecomposable_isomorphic(x.rep, x.rep)
+            assert calls == [(x.rep, x.rep)]
+    ctx = exact_contexts["a3_rad2"]
+    monkeypatch.setattr(module, "_random_invertible_combo", lambda *args: None)
+    for x in ctx.objects:
+        calls.clear()
+        assert module.indecomposable_isomorphic(x.rep, x.rep)
+        assert len(calls) == 2

@@ -240,3 +240,17 @@ def test_translate_fixes_each_homogeneous_kronecker_module():
         for inverse in (False, True):
             moved = ar_translate(m, inverse)
             assert [indecomposable_isomorphic(moved, n) for n in mods] == [n is m for n in mods]
+
+
+def test_translates_take_no_second_syzygy():
+    """tau and tau^- read P1 -> P0 -> M off the resolution but take no kernel
+    of P1 -> Omega M; Ext^2 takes it when asked."""
+    alg = parse_algebra("field 2\nvertices 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n")
+    for m in _indecomposables(alg).values():
+        ar_translate(m)
+        res = homology.minimal_resolution(m)
+        assert len(res.syzygies) <= 1 and len(res.terms) <= 2
+        if res.syzygies:
+            assert len(res.terms) == 2
+            ext_dim(2, m, m)
+            assert len(res.syzygies) == 2
