@@ -25,8 +25,7 @@ from .homology import (
     syzygy,
     cosyzygy,
     ext_dim,
-    right_approximation,
-    left_approximation,
+    approximation,
 )
 from .stable import stable_hom_dim, suspension, loop, cone, NotSelfInjectiveError
 from .contexts import (
@@ -43,12 +42,9 @@ from .checkers import (
     Verdict,
     orthogonal,
     resdim,
-    coresdim,
     wedge,
-    vee,
     EXCEEDS,
-    check_left_n_cotorsion,
-    check_right_n_cotorsion,
+    check_n_cotorsion_side,
     check_n_cotorsion,
     check_cluster_tilting,
     enumerate_cluster_tilting,

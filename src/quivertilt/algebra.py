@@ -161,7 +161,7 @@ class BoundQuiverAlgebra:
                 length = dirty - 1
                 self._reduce_memo.clear()
                 continue
-            normal = [c for c in candidates if c not in self._rules]
+            normal = [c for c in candidates if self._reduce_path(c) == {c: 1}]
             layers.append(normal)
             if not normal:
                 break

@@ -8,9 +8,12 @@ rather than silently assumed.
 The two main checkers are deliberately independent code paths: the
 cluster-tilting checker is pure orthogonality bookkeeping on E^k tables,
 while the cotorsion checker constructs approximation conflations and
-resolution chains.  The theorem verifier runs both and compares.  The right
-cotorsion check is the dual of the left one and shares its code path
-(`_check_side` with `dual`), as resolution and coresolution dimensions do.
+resolution chains.  The theorem verifier runs both and compares.  Each
+left/right pair of notions is one function with a `dual` switch: the right
+cotorsion check is the dual of the left one (`check_n_cotorsion_side`), as
+the coresolution dimension is of the resolution dimension (`resdim`), the
+vee class of the wedge class (`wedge`) and the left orthogonal of the right
+one (`orthogonal`).
 
 The canonical approximation conflation of an object C by add(X) is computed
 once per distinct input, not once per X.  `homology.approximation` sums a
@@ -58,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contexts import Context, ContextError
+from .contexts import Context, ContextError, _as_counter
 
 
 class _Exceeds:
@@ -99,7 +102,7 @@ class Subcat:
 class Clause:
     clause: str
     passed: bool
-    mode: str  # "structural" | "tested" | "split" | "canonical" | "exhaustive-fallback"
+    mode: str  # "structural" | "tested"
     witness: dict | None = None
     note: str = ""
 
@@ -130,16 +133,16 @@ class Verdict:
 # -- orthogonal complements ---------------------------------------------------
 
 
-def orthogonal(ctx: Context, x_ids, side: str, k_max: int) -> frozenset[int]:
-    """Objects N with E^k(X, N) = 0 (side 'right') resp. E^k(N, X) = 0
-    (side 'left') for all members and all k in [1, k_max].  Read off the
-    bitmask rows when the context has built them (see `_built_bitmasks`)."""
+def orthogonal(ctx: Context, x_ids, k_max: int, dual: bool = False) -> frozenset[int]:
+    """The right orthogonal of X, the objects N with E^k(X, N) = 0 for all
+    members and all k in [1, k_max]; with `dual`, the left orthogonal,
+    E^k(N, X) = 0.  Read off the bitmask rows when the context has built
+    them (see `_built_bitmasks`)."""
     rows = _built_bitmasks(ctx, k_max)
     if rows is not None:
-        right, left = rows
         mask = (1 << ctx.n_objects) - 1
         for x in set(x_ids):
-            mask &= (right if side == "right" else left)[x]
+            mask &= rows[dual][x]
         return _ids(mask)
     xs = sorted(set(x_ids))
     out = []
@@ -147,8 +150,7 @@ def orthogonal(ctx: Context, x_ids, side: str, k_max: int) -> frozenset[int]:
         good = True
         for x in xs:
             for k in range(1, k_max + 1):
-                d = ctx.e_k_dim(k, x, m) if side == "right" else ctx.e_k_dim(k, m, x)
-                if d:
+                if ctx.e_k_dim(k, *((m, x) if dual else (x, m))):
                     good = False
                     break
             if not good:
@@ -159,10 +161,6 @@ def orthogonal(ctx: Context, x_ids, side: str, k_max: int) -> frozenset[int]:
 
 
 # -- resolution dimension ------------------------------------------------------
-
-
-def _as_counter(target) -> Counter:
-    return target if isinstance(target, Counter) else Counter({int(target): 1})
 
 
 def _in_add(x_ids: frozenset, ids: Counter) -> bool:
@@ -243,7 +241,7 @@ def _exhaustive_resdim(ctx: Context, x_ids: frozenset, target: Counter, bound: i
     if bound == 0:
         return EXCEEDS
     best = EXCEEDS
-    zero_middle = ctx._root_kind() == "stable"
+    zero_middle = ctx.root_kind == "stable"
     for _, _, k_ids in ctx.conflation_candidates(x_ids, ctx.sum_rep(target), dual, zero_middle):
         sub = _exhaustive_resdim(ctx, x_ids, k_ids, bound - 1, dual, memo)
         if isinstance(sub, int) and (not isinstance(best, int) or sub + 1 < best):
@@ -254,21 +252,16 @@ def _exhaustive_resdim(ctx: Context, x_ids: frozenset, target: Counter, bound: i
     return best
 
 
-def resdim(ctx: Context, x_ids, target, bound: int, exhaustive: bool | None = None):
-    """Resolution dimension of target by add(X), up to the bound.
+def resdim(ctx: Context, x_ids, target, bound: int, exhaustive: bool | None = None,
+           dual: bool = False):
+    """Resolution dimension of target by add(X), up to the bound; with
+    `dual`, the coresolution dimension.
 
-    Greedy canonical chains (approximation deflations and their cocones) give
-    an upper bound; with the exhaustive flag the bounded brute-force search
-    over all conflation chains is run as well and the minimum returned.
+    Greedy canonical chains (approximation deflations and their cocones;
+    inflations and their cones) give an upper bound; with the exhaustive flag
+    the bounded brute-force search over all conflation chains is run as well
+    and the minimum returned.
     """
-    return _resdim_impl(ctx, x_ids, target, bound, exhaustive, dual=False)
-
-
-def coresdim(ctx: Context, x_ids, target, bound: int, exhaustive: bool | None = None):
-    return _resdim_impl(ctx, x_ids, target, bound, exhaustive, dual=True)
-
-
-def _resdim_impl(ctx, x_ids, target, bound, exhaustive, dual):
     x_ids = frozenset(int(i) for i in x_ids)
     counter = _as_counter(target)
     if exhaustive is None:
@@ -291,18 +284,13 @@ def _resdim_impl(ctx, x_ids, target, bound, exhaustive, dual):
     return brute if isinstance(brute, int) else greedy
 
 
-def wedge(ctx: Context, y_ids, m: int, exhaustive: bool | None = None) -> frozenset[int]:
-    """Objects of resolution dimension <= m with respect to add(Y)."""
+def wedge(ctx: Context, y_ids, m: int, exhaustive: bool | None = None,
+          dual: bool = False) -> frozenset[int]:
+    """Objects of resolution dimension <= m with respect to add(Y); with
+    `dual`, of coresolution dimension <= m (the vee class)."""
     y_ids = frozenset(int(i) for i in y_ids)
     return frozenset(
-        i for i in range(ctx.n_objects) if within(resdim(ctx, y_ids, i, m, exhaustive), m)
-    )
-
-
-def vee(ctx: Context, y_ids, m: int, exhaustive: bool | None = None) -> frozenset[int]:
-    y_ids = frozenset(int(i) for i in y_ids)
-    return frozenset(
-        i for i in range(ctx.n_objects) if within(coresdim(ctx, y_ids, i, m, exhaustive), m)
+        i for i in range(ctx.n_objects) if within(resdim(ctx, y_ids, i, m, exhaustive, dual), m)
     )
 
 
@@ -312,54 +300,41 @@ def vee(ctx: Context, y_ids, m: int, exhaustive: bool | None = None) -> frozense
 def _clause3_object(ctx, x_ids, y_ids, n, c_idx, exhaustive, dual):
     """Evaluate the approximation-conflation clause for one object.
 
-    Returns (ok, mode, witness).  Left side (dual=False): conflation
-    K -> X0 -> C with X0 in add(X), K of Y-resolution dimension <= n-1.
-    Right side (dual=True): conflation C -> Y0 -> L with L of X-coresolution
-    dimension <= n-1; callers pass swapped class arguments accordingly.
+    Returns (ok, fallback, witness): whether the clause holds, whether only
+    the exhaustive search found a conflation, and a witness when it fails.
+    Left side (dual=False): conflation K -> X0 -> C with X0 in add(X), K of
+    Y-resolution dimension <= n-1.  Right side (dual=True): conflation
+    C -> Y0 -> L with L of X-coresolution dimension <= n-1; callers pass
+    swapped class arguments accordingly.
     """
-    names = ctx.object_names
     if c_idx in x_ids:
-        return True, "split", {"witness_object": names[c_idx], "conflation": "split"}
+        return True, False, None
     step = _greedy_step(ctx, x_ids, c_idx, dual)
     if step is not None:
-        value = _resdim_impl(ctx, y_ids, step, n - 1, exhaustive, dual)
+        value = resdim(ctx, y_ids, step, n - 1, exhaustive, dual)
         if within(value, n - 1):
-            return True, "canonical", {
-                "witness_object": names[c_idx],
-                "conflation": _ids_str(ctx, step),
-                "resolution_dim": value,
-            }
-        fail_witness = {
-            "witness_object": names[c_idx],
-            "conflation": _ids_str(ctx, step),
-            "resolution_dim": repr(value),
-        }
-    else:
-        fail_witness = {
-            "witness_object": names[c_idx],
+            return True, False, None
+    if exhaustive and _clause3_exhaustive(ctx, x_ids, y_ids, n, c_idx, dual):
+        return True, True, None
+    if step is None:
+        return False, False, {
+            "witness_object": ctx.object_names[c_idx],
             "conflation": None,
             "note": "no canonical approximation conflation",
         }
-    if exhaustive:
-        found = _clause3_exhaustive(ctx, x_ids, y_ids, n, c_idx, dual)
-        if found is not None:
-            return True, "exhaustive-fallback", found
-    return False, "tested", fail_witness
+    return False, False, {
+        "witness_object": ctx.object_names[c_idx],
+        "conflation": _ids_str(ctx, step),
+        "resolution_dim": repr(value),
+    }
 
 
-def _clause3_exhaustive(ctx, x_ids, y_ids, n, c_idx, dual):
-    """Search all bounded conflations with end C and middle in add(X)."""
-    zero_middle = ctx._root_kind() == "stable"
-    for mid, _, k_ids in ctx.conflation_candidates(x_ids, ctx.objects[c_idx].rep, dual, zero_middle):
-        value = _resdim_impl(ctx, y_ids, k_ids, n - 1, True, dual)
-        if within(value, n - 1):
-            return {
-                "witness_object": ctx.object_names[c_idx],
-                "conflation": _ids_str(ctx, k_ids) + " -> " + _ids_str(ctx, mid) +
-                (" -> " if not dual else " <- "),
-                "resolution_dim": value,
-            }
-    return None
+def _clause3_exhaustive(ctx, x_ids, y_ids, n, c_idx, dual) -> bool:
+    """Whether some bounded conflation with end C and middle in add(X) has
+    its other end within Y-(co)resolution dimension n-1."""
+    zero_middle = ctx.root_kind == "stable"
+    candidates = ctx.conflation_candidates(x_ids, ctx.objects[c_idx].rep, dual, zero_middle)
+    return any(within(resdim(ctx, y_ids, k_ids, n - 1, True, dual), n - 1) for _, _, k_ids in candidates)
 
 
 def _ids_str(ctx, ids: Counter) -> str:
@@ -400,15 +375,17 @@ def _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual):
     approx_ids, res_ids = (y_ids, x_ids) if dual else (x_ids, y_ids)
     flagged = False
     for c_idx in range(ctx.n_objects):
-        got, mode, wit = _clause3_object(ctx, approx_ids, res_ids, n, c_idx, exhaustive, dual)
-        flagged |= mode == "exhaustive-fallback"
-        if not got:
-            return False, wit, flagged
+        ok, fallback, witness = _clause3_object(ctx, approx_ids, res_ids, n, c_idx, exhaustive, dual)
+        flagged |= fallback
+        if not ok:
+            return False, witness, flagged
     return True, None, flagged
 
 
-def _check_side(ctx: Context, x_ids, y_ids, n: int, exhaustive, dual: bool) -> Verdict:
-    """Left (with `dual`, right) n-cotorsion check for (add X, add Y)."""
+def check_n_cotorsion_side(ctx: Context, x_ids, y_ids, n: int, exhaustive=None,
+                           dual: bool = False) -> Verdict:
+    """Left n-cotorsion check for (add X, add Y); with `dual`, the right
+    one."""
     if n < 1:
         raise ContextError("cotorsion degree must be >= 1")
     x_ids = frozenset(int(i) for i in x_ids)
@@ -436,25 +413,13 @@ def _check_side(ctx: Context, x_ids, y_ids, n: int, exhaustive, dual: bool) -> V
     return Verdict(ok2 and ok3, clauses)
 
 
-def check_left_n_cotorsion(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) -> Verdict:
-    """Left n-cotorsion check for (add X, add Y)."""
-    return _check_side(ctx, x_ids, y_ids, n, exhaustive, dual=False)
-
-
-def check_right_n_cotorsion(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) -> Verdict:
-    """Right n-cotorsion check for (add X, add Y), the dual of the left one."""
-    return _check_side(ctx, x_ids, y_ids, n, exhaustive, dual=True)
-
-
 def check_n_cotorsion(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) -> Verdict:
-    left = check_left_n_cotorsion(ctx, x_ids, y_ids, n, exhaustive)
-    right = check_right_n_cotorsion(ctx, x_ids, y_ids, n, exhaustive)
-    clauses = [
-        Clause("left." + c.clause, c.passed, c.mode, c.witness, c.note) for c in left.clauses
-    ] + [
-        Clause("right." + c.clause, c.passed, c.mode, c.witness, c.note) for c in right.clauses
-    ]
-    return Verdict(left.passed and right.passed, clauses)
+    """Both sides, with their clauses named `left.` and `right.`."""
+    sides = [(side, check_n_cotorsion_side(ctx, x_ids, y_ids, n, exhaustive, dual))
+             for side, dual in (("left", False), ("right", True))]
+    clauses = [Clause(f"{side}.{c.clause}", c.passed, c.mode, c.witness, c.note)
+               for side, verdict in sides for c in verdict.clauses]
+    return Verdict(all(verdict.passed for _, verdict in sides), clauses)
 
 
 # -- cluster tilting ----------------------------------------------------------
@@ -475,8 +440,8 @@ def check_cluster_tilting(ctx: Context, x_ids, n: int) -> Verdict:
         )
     ]
     passed = True
-    for side in ("right", "left"):
-        perp = orthogonal(ctx, x_ids, side, n - 1)
+    for side, dual in (("right", False), ("left", True)):
+        perp = orthogonal(ctx, x_ids, n - 1, dual)
         witness = None
         if perp != x_ids:
             passed = False
@@ -709,9 +674,9 @@ def verify_orthogonal_containment(ctx: Context, x_ids, n: int, exhaustive=None) 
     the first left orthogonal of the class of objects of X-resolution
     dimension <= n-1."""
     x_ids = frozenset(int(i) for i in x_ids)
-    lhs = orthogonal(ctx, x_ids, "left", n)
+    lhs = orthogonal(ctx, x_ids, n, dual=True)
     wedge_set = wedge(ctx, x_ids, n - 1, exhaustive)
-    rhs = orthogonal(ctx, wedge_set, "left", 1) if wedge_set else frozenset(range(ctx.n_objects))
+    rhs = orthogonal(ctx, wedge_set, 1, dual=True) if wedge_set else frozenset(range(ctx.n_objects))
     ok = lhs <= rhs
     detail = {
         "lhs": sorted(ctx.object_names[i] for i in lhs),
@@ -731,8 +696,8 @@ def verify_left_pair_characterization(ctx: Context, x_ids, y_ids, n: int, exhaus
     y_ids = frozenset(int(i) for i in y_ids)
     if exhaustive is None:
         exhaustive = ctx.config.exhaustive
-    checker = check_left_n_cotorsion(ctx, x_ids, y_ids, n, exhaustive).passed
-    orth = orthogonal(ctx, y_ids, "left", n)
+    checker = check_n_cotorsion_side(ctx, x_ids, y_ids, n, exhaustive).passed
+    orth = orthogonal(ctx, y_ids, n, dual=True)
     clause3 = _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual=False)[0]
     reformulated = (x_ids == orth) and clause3
     return checker == reformulated, {

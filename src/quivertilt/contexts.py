@@ -43,7 +43,9 @@ there is module Ext^1(C, A), so a triangulated root realizes its classes
 with the pushouts of `ExactExtSpace`, as an exact root does.  For the same
 reason the cocone of y: X0 -> C is the kernel of (y, pi): X0 + P(C) -> C,
 with pi the projective cover of C; P(C) is zero in the stable category.
-Cones are the modules of `stable.cone`.
+Cones are the modules of `stable.cone`.  Both ends come from one method,
+`Context.conflation_end`, with a `dual` switch; the kind of a context's root
+(`Context.root_kind`) is fixed when the context is built.
 
 Work is shared across automorphism orbits (`orbits`): an automorphism of
 L permutes a root's objects, and `Context.symmetries` holds these
@@ -102,7 +104,6 @@ from .orbits import Symmetries, automorphism_images
 from .stable import (
     cone,
     loop,
-    loop_raw,
     require_self_injective,
     strip_projectives,
     suspension,
@@ -323,6 +324,17 @@ def _integer_inverse(h: list[list[int]]) -> tuple[list[list[int]], int]:
     return [[sign * x // g for x in row] for row in adj], abs(det) // g
 
 
+def _as_counter(target) -> Counter:
+    """A multiset of object ids; a bare id counts once."""
+    return target if isinstance(target, Counter) else Counter({int(target): 1})
+
+
+def _bilinear(dim, c, a) -> int:
+    """dim extended to multisets of object ids: the sum of m * n * dim(i, j)
+    over the ids i of c and j of a, with multiplicities m and n."""
+    return sum(m * n * dim(i, j) for i, m in _as_counter(c).items() for j, n in _as_counter(a).items())
+
+
 # -- symmetries ----------------------------------------------------------------
 
 
@@ -349,12 +361,15 @@ def _root_symmetries(ctx: "Context") -> Symmetries:
 
 
 class Context:
-    def __init__(self, kind: str, algebra: BoundQuiverAlgebra, config: RunConfig):
+    def __init__(self, kind: str, algebra: BoundQuiverAlgebra, config: RunConfig,
+                 parent: Context | None = None):
         self.kind = kind  # "mod" | "stable" | "sub"
         self.algebra = algebra
         self.config = config
         self.objects: list[ContextObject] = []
-        self.parent: Context | None = None
+        self.parent = parent
+        # the kind of the root context: "mod" | "stable"
+        self.root_kind = kind if parent is None else parent.root_kind
         self.parent_ids: list[int] = []  # sub only: parent index per object
         self.e1: np.ndarray | None = None
         self._ext_spaces: dict[tuple[int, int], object] = {}
@@ -416,12 +431,6 @@ class Context:
                                 else _root_symmetries(self))
         return self._symmetries
 
-    def _root_kind(self) -> str:
-        ctx = self
-        while ctx.parent is not None:
-            ctx = ctx.parent
-        return ctx.kind
-
     def sum_rep(self, ids: Counter) -> Representation:
         """Materialized direct sum for a multiset of object ids (cached)."""
         key = tuple(sorted(ids.items()))
@@ -443,13 +452,7 @@ class Context:
     def e_dim(self, c, a) -> int:
         """dim E(c, a); arguments are object ids or Counters over ids."""
         if isinstance(c, Counter) or isinstance(a, Counter):
-            cs = c if isinstance(c, Counter) else Counter({c: 1})
-            asum = a if isinstance(a, Counter) else Counter({a: 1})
-            return sum(
-                mc * ma * int(self.e1[ci][ai])
-                for ci, mc in cs.items()
-                for ai, ma in asum.items()
-            )
+            return _bilinear(self.e_dim, c, a)
         return int(self.e1[c][a])
 
     def ext_space(self, c_idx: int, a_idx: int):
@@ -509,38 +512,33 @@ class Context:
 
     def conflation_end(self, f: ModuleMap, dual: bool = False) -> Counter | None:
         """Object ids of the cocone of f when f is a deflation (with `dual`,
-        of the cone of f when it is an inflation), else None.  In an exact
-        root that means epi (mono); a triangulated root takes every map; a
+        of the cone of f when it is an inflation), else None.
+
+        In an exact root a deflation is an epi with its kernel as cocone (an
+        inflation a mono with its cokernel as cone).  A triangulated root
+        takes every map.  Its cone is `stable.cone`, and the cocone of
+        y: X0 -> C is the kernel K of (y, pi): X0 + P -> C, with pi: P -> C
+        the projective cover held by C's minimal resolution: the map is onto,
+        so 0 -> K -> X0 + P -> C -> 0 is exact, hence a triangle
+        K -> X0 -> C -> Sigma K in the stable category, where P is zero.  A
         sub-context also needs the cocone (cone) inside it."""
-        if self._root_kind() == "mod" and not (f.is_mono() if dual else f.is_epi()):
-            return None
+        if self.root_kind == "mod":
+            if not (f.is_mono() if dual else f.is_epi()):
+                return None
+            end = (cokernel if dual else kernel)(f)[0]
+        elif dual:
+            end = cone(f)
+        else:
+            res = minimal_resolution(f.target)
+            res.extend(0, syzygy=False)
+            _, _, (to_x0, to_cover) = direct_sum([f.source, res.terms[0]])
+            end = kernel(f.compose(to_x0).add(res.diffs[0].compose(to_cover)))[0]
         try:
-            return self.cone_ids(f) if dual else self.cocone_ids(f)
+            return self.identify_sum(end)
         except ContextError:
             if self.kind != "sub":
                 raise
             return None
-
-    def cocone_ids(self, y: ModuleMap) -> Counter:
-        """Object ids of the cocone of a deflation y: X0 -> C, normalized to
-        the context.  In an exact root that is the kernel of y.  In a
-        triangulated root it is the kernel K of (y, pi): X0 + P -> C, with
-        pi: P -> C the projective cover held by C's minimal resolution: the
-        map is onto, so 0 -> K -> X0 + P -> C -> 0 is exact, hence a triangle
-        K -> X0 -> C -> Sigma K in the stable category, where P is zero."""
-        if self._root_kind() != "mod":
-            _, cover_term, _, cover = loop_raw(y.target)
-            _, _, (to_x0, to_cover) = direct_sum([y.source, cover_term])
-            y = y.compose(to_x0).add(cover.compose(to_cover))
-        return self.identify_sum(kernel(y)[0])
-
-    def cone_ids(self, x: ModuleMap) -> Counter:
-        root = self._root_kind()
-        if root == "mod":
-            c = cokernel(x)[0]
-        else:
-            c = cone(x)
-        return self.identify_sum(c)
 
     def hom_support(self, idx: int, dual: bool = False) -> frozenset[int]:
         """The objects x with Hom(x, C) != 0 (with `dual`, Hom(C, x) != 0)
@@ -631,13 +629,7 @@ class Context:
         if k < 1:
             raise ContextError("extension degree must be >= 1")
         if isinstance(c, Counter) or isinstance(a, Counter):
-            cs = c if isinstance(c, Counter) else Counter({c: 1})
-            asum = a if isinstance(a, Counter) else Counter({a: 1})
-            return sum(
-                mc * ma * self.e_k_dim(k, ci, ai)
-                for ci, mc in cs.items()
-                for ai, ma in asum.items()
-            )
+            return _bilinear(lambda i, j: self.e_k_dim(k, i, j), c, a)
         if k == 1:
             return self.e_dim(c, a)
         hit = self._ek_cache.get((k, c, a))
@@ -690,9 +682,10 @@ class Context:
 
         X0 runs over the zero object when `zero_middle`, then over sums of at
         most max_multiplicity members; the map over every nonzero combination
-        of a basis of Hom(X0, C) (Hom(C, X0)), skipping Hom spaces with more
-        than exhaustion_bound elements.  Maps that are not deflations
-        (inflations) are left out."""
+        of a basis of Hom(X0, C) (Hom(C, X0)).  A Hom space with more than
+        exhaustion_bound elements raises, since skipping it could miss the
+        only conflation.  Maps that are not deflations (inflations) are left
+        out."""
         p = self.algebra.p
         middles = [Counter()] if zero_middle else []
         for size in range(1, self.config.max_multiplicity + 1):
@@ -705,7 +698,13 @@ class Context:
             else:
                 homs = hom_basis(c_rep, mid_rep) if dual else hom_basis(mid_rep, c_rep)
                 if p ** len(homs) > self.config.exhaustion_bound:
-                    continue
+                    ends = (c_rep.dims, mid_rep.dims) if dual else (mid_rep.dims, c_rep.dims)
+                    raise ContextError(
+                        "the exhaustive conflation search meets a Hom space from dimension vector "
+                        f"{ends[0]} to {ends[1]} with {p ** len(homs)} elements, above the "
+                        f"exhaustion bound {self.config.exhaustion_bound}; lower p, --mmax or the "
+                        "context size"
+                    )
                 maps = nonzero_combinations(homs)
             for f in maps:
                 try:
@@ -765,8 +764,7 @@ class StableContext(Context):
 
 class SubContext(Context):
     def __init__(self, parent: Context, parent_ids: list[int], config):
-        super().__init__("sub", parent.algebra, config)
-        self.parent = parent
+        super().__init__("sub", parent.algebra, config, parent)
         self.parent_ids = list(parent_ids)
 
     def _build_ext_space(self, c_idx, a_idx):
@@ -788,7 +786,7 @@ class SubContext(Context):
         if idx in forced:
             return {"map": identity_map(c_rep), key: Counter()}
         # the zero map: cocone Omega C (cone Sigma C) computed in the parent
-        if self._root_kind() == "stable":
+        if self.root_kind == "stable":
             pidx = self.parent_ids[idx]
             try:
                 ids = self.parent.shift(1, pidx, dual)

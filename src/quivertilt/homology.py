@@ -4,7 +4,8 @@ Covers are built from lifts of a basis of top(M) = M/rad M; hulls are covers
 of the dual module over the opposite algebra, dualized back.  Hulls are
 cached on the representation object, and so are minimal resolutions, which
 are extended lazily, so repeated Ext queries against the same module share
-work; Ext dimensions are read off Hom dimensions along the resolution.
+work; Ext dimensions are read off Hom dimensions along the resolution, and
+the syzygy of a module is the first one its resolution holds.
 Right and left approximations are one construction, `approximation`, with a
 `dual` switch.  The transpose Tr, and with it the Auslander-Reiten translates
 tau = D Tr and tau^- = Tr D, is read off the first two terms of the minimal
@@ -149,9 +150,9 @@ def ar_translate(m: Representation, inverse: bool = False) -> Representation:
 
 
 def syzygy(m: Representation) -> Representation:
-    """Kernel of the projective cover; zero for projectives."""
-    _, cover = projective_cover(m)
-    return kernel(cover)[0]
+    """Kernel of the projective cover, read off the cached minimal
+    resolution; zero for projectives."""
+    return minimal_resolution(m).syzygy_module(1)
 
 
 def cosyzygy(m: Representation) -> Representation:
@@ -265,19 +266,3 @@ def approximation(
     blocks = [np.concatenate([f.blocks[v] for _, f in summands], axis=0 if dual else 1)
               for v in range(len(c.dims))]
     return ModuleMap(*((c, total) if dual else (total, c)), blocks, validate=False)
-
-
-def right_approximation(
-    members: list[Representation], c: Representation, include_cover: bool = True
-) -> ModuleMap:
-    """Right approximation of c by add(members), made a surjection by an
-    added projective cover summand; with no members this is the cover alone."""
-    return approximation(members, c, extra=projective_cover(c)[1] if include_cover else None)
-
-
-def left_approximation(
-    members: list[Representation], c: Representation, include_hull: bool = True
-) -> ModuleMap:
-    """Left approximation of c by add(members), made injective by an added
-    injective hull summand."""
-    return approximation(members, c, dual=True, extra=injective_hull(c)[1] if include_hull else None)

@@ -196,12 +196,13 @@ def search_nakayama_stable(
                 if subset != frozenset(range(parent.n_objects))
                 else parent
             )
+            enough = sub.enough()[0] and sub.enough(dual=True)[0]
         except ContextError as exc:
             report["candidates_skipped"].append(
                 {"subset_size": len(subset), "reason": str(exc)}
             )
             continue
-        if not sub.enough()[0] or not sub.enough(dual=True)[0]:
+        if not enough:
             report["candidates_skipped"].append(
                 {"subset_size": len(subset), "reason": "not enough projectives/injectives"}
             )

@@ -10,7 +10,9 @@ Every short exact sequence of modules is a triangle in the stable category
 conflation with its maps realize it as a short exact sequence
 (`contexts.ExactExtSpace`).
 
-Loop and suspension need no stripping: over a self-injective algebra the
+Loop and suspension are `homology.syzygy` and `homology.cosyzygy` behind a
+self-injectivity guard, so Omega M is the one held by M's minimal
+resolution.  They need no stripping: over a self-injective algebra the
 kernel of a projective cover and the cokernel of an injective hull have no
 projective summands (Heller's lemma), so Omega M and Sigma M are already
 projective-free.  A cone may have projective summands; `strip_projectives`
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import BoundQuiverAlgebra, is_self_injective, projective_module
-from .homology import _map_from_projectives, injective_hull, minimal_resolution
+from .homology import _map_from_projectives, cosyzygy, injective_hull, syzygy
 from .modules import (
     HomQuotient,
     ModuleMap,
@@ -115,20 +117,14 @@ def suspension(m: Representation) -> Representation:
     """Cosyzygy, the cokernel of the injective hull; projective-free by
     Heller's lemma and quasi-inverse to loop on projective-free objects."""
     require_self_injective(m.algebra)
-    return cokernel(injective_hull(m)[1])[0]
-
-
-def loop_raw(m: Representation):
-    """Kernel of the projective cover: (omega, cover_term, incl, cover)."""
-    require_self_injective(m.algebra)
-    res = minimal_resolution(m)
-    res.extend(0)
-    return res.syzygies[0], res.terms[0], res.syzygy_incls[0], res.diffs[0]
+    return cosyzygy(m)
 
 
 def loop(m: Representation) -> Representation:
-    """Syzygy, projective-free by Heller's lemma."""
-    return loop_raw(m)[0]
+    """Syzygy, the kernel of the projective cover; projective-free by
+    Heller's lemma."""
+    require_self_injective(m.algebra)
+    return syzygy(m)
 
 
 def cone(f: ModuleMap) -> Representation:

@@ -25,7 +25,7 @@ from quivertilt import linalg
 from quivertilt.contexts import Conflation, Context, ContextError, ExactExtSpace
 from quivertilt.homology import minimal_resolution
 from quivertilt.modules import ModuleMap, Representation, hom_basis, linear_combination, zero_map
-from quivertilt.stable import StableHomSpace, loop_raw
+from quivertilt.stable import StableHomSpace, loop
 
 
 def syzygy_transport(f: ModuleMap) -> ModuleMap:
@@ -110,7 +110,7 @@ class _QuotientNode:
 
 def _covariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Representation, depth: int):
     """Node dims and in-row map matrices of the covariant sequence."""
-    root = ctx._root_kind()
+    root = ctx.root_kind
     reps = (conf.a_rep, conf.b_rep, conf.c_rep)
     maps = (conf.x, conf.y)
     nodes = []
@@ -128,7 +128,7 @@ def _covariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Representat
         anchors = [x_rep]
         cur = x_rep
         for k in range(1, depth + 1):
-            cur = loop_raw(cur)[0]
+            cur = loop(cur)
             anchors.append(cur)
         for k in range(0, depth + 1):
             nodes.append([_QuotientNode(StableHomSpace, anchors[k], r) for r in reps])
@@ -143,7 +143,7 @@ def _covariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Representat
 
 
 def _contravariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Representation, depth: int):
-    root = ctx._root_kind()
+    root = ctx.root_kind
     reps = (conf.c_rep, conf.b_rep, conf.a_rep)
     p = ctx.algebra.p
     # in the exact model the level-k Yoneda space is anchored at the (k-1)-st
@@ -166,7 +166,7 @@ def _contravariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Represe
         anchors = list(reps)
         nodes.append([_QuotientNode(StableHomSpace, a, x_rep) for a in anchors])
         for k in range(1, depth + 1):
-            anchors = [loop_raw(r)[0] for r in anchors]
+            anchors = [loop(r) for r in anchors]
             nodes.append([_QuotientNode(StableHomSpace, a, x_rep) for a in anchors])
     arrows = [
         (

@@ -96,7 +96,7 @@ from quivertilt.modules import (
     zero_map,
     zero_representation,
 )
-from quivertilt.stable import StableHomSpace, cone, loop, loop_raw
+from quivertilt.stable import StableHomSpace, cone, loop
 
 
 def _theta_offsets(m: Representation, n: Representation):
@@ -196,7 +196,7 @@ def identify_by_splitting(ctx, rep: Representation) -> Counter:
     out: Counter = Counter()
     if rep.total_dim == 0:
         return out
-    stable = ctx._root_kind() == "stable"
+    stable = ctx.root_kind == "stable"
     for piece, _, _ in summand_split(rep, seed):
         if stable and is_end_by_search(piece):
             continue
@@ -256,7 +256,7 @@ def greedy_step_by_full_approximation(ctx, x_ids, idx: int, dual: bool):
 def cocone_by_cone_and_loop(ctx, y) -> Counter:
     """Ids of the cocone of y in a triangulated context: Omega of cone(y)."""
     cone_raw = cone(y)
-    return ctx.identify_sum(loop_raw(cone_raw)[0] if cone_raw.total_dim else cone_raw)
+    return ctx.identify_sum(loop(cone_raw) if cone_raw.total_dim else cone_raw)
 
 
 def stable_realize_by_cone(c_rep: Representation, a_rep: Representation, coords, seed: int = 0):

@@ -42,6 +42,18 @@ def test_parse_errors_carry_location():
         parse_algebra("vertices 1\nrelation x*x")
 
 
+def test_paths_containing_a_relation_are_not_normal():
+    """A path is normal only when no subword of it reduces.  In the 3-cycle
+    with the single relation a1*a2, every path of length 4 contains a1*a2,
+    though the multiples of the relation at that length reduce to zero and
+    add no rule of their own."""
+    alg = parse_algebra("field 2\nvertices 1 2 3\narrow a1: 1 -> 2\narrow a2: 2 -> 3\n"
+                        "arrow a3: 3 -> 1\nrelation a1*a2\n")
+    assert alg.dim == 9
+    assert [alg.format_path(b) for b in alg.basis] == [
+        "e1", "e2", "e3", "a1", "a2", "a3", "a2*a3", "a3*a1", "a2*a3*a1"]
+
+
 def test_relation_terms_must_be_in_rad_square():
     with pytest.raises(AlgebraError, match="rad"):
         parse_algebra("field 2\nvertices 1\narrow x: 1->1\nrelation x")

@@ -9,15 +9,12 @@ from quivertilt.checkers import (
     EXCEEDS,
     _greedy_step,
     check_cluster_tilting,
-    check_left_n_cotorsion,
     check_n_cotorsion,
-    check_right_n_cotorsion,
-    coresdim,
+    check_n_cotorsion_side,
     enumerate_cluster_tilting,
     enumerate_cotorsion_diagonal,
     orthogonal,
     resdim,
-    vee,
     verify_left_pair_characterization,
     verify_orthogonal_containment,
     verify_theorem,
@@ -43,10 +40,10 @@ def test_orthogonal_examples(exact_contexts):
     ctx = exact_contexts["a2"]
     s1 = ctx.resolve_name("S1")
     s2 = ctx.resolve_name("S2")
-    assert orthogonal(ctx, [], "right", 1) == frozenset(range(3))
-    right = orthogonal(ctx, [s1], "right", 1)
+    assert orthogonal(ctx, [], 1) == frozenset(range(3))
+    right = orthogonal(ctx, [s1], 1)
     assert right == frozenset(range(3)) - {s2}
-    assert orthogonal(ctx, ctx.projective_ids, "right", 3) == frozenset(range(3))
+    assert orthogonal(ctx, ctx.projective_ids, 3) == frozenset(range(3))
 
 
 def test_resdim_examples(exact_contexts):
@@ -68,8 +65,8 @@ def test_coresdim_dual_examples(exact_contexts):
     ctx = exact_contexts["a2"]
     injs = sorted(ctx.injective_ids)
     s2 = ctx.resolve_name("S2")
-    assert coresdim(ctx, injs, s2, 3) == 1
-    assert vee(ctx, injs, 1) == frozenset(range(3))
+    assert resdim(ctx, injs, s2, 3, dual=True) == 1
+    assert wedge(ctx, injs, 1, dual=True) == frozenset(range(3))
 
 
 def test_wedge_examples(exact_contexts):
@@ -111,10 +108,10 @@ def test_exhaustive_resdim_in_triangulated_contexts(stable_contexts):
         for size in range(3):
             for members in itertools.combinations(range(n), size):
                 for target in range(n):
-                    for fn in (resdim, coresdim):
-                        greedy = fn(ctx, members, target, 2, exhaustive=False)
-                        brute = fn(ctx, members, target, 2, exhaustive=True)
-                        key = (name, fn.__name__, members, target, greedy, brute)
+                    for dual in (False, True):
+                        greedy = resdim(ctx, members, target, 2, exhaustive=False, dual=dual)
+                        brute = resdim(ctx, members, target, 2, exhaustive=True, dual=dual)
+                        key = (name, dual, members, target, greedy, brute)
                         if isinstance(greedy, int):
                             assert isinstance(brute, int), key
                             assert brute <= greedy, key
@@ -166,8 +163,8 @@ def test_cotorsion_failure_witness(exact_contexts):
 def test_left_right_components(exact_contexts):
     ctx = exact_contexts["a2"]
     everything = range(ctx.n_objects)
-    assert check_left_n_cotorsion(ctx, ctx.projective_ids, everything, 2).passed
-    assert check_right_n_cotorsion(ctx, everything, ctx.injective_ids, 2).passed
+    assert check_n_cotorsion_side(ctx, ctx.projective_ids, everything, 2).passed
+    assert check_n_cotorsion_side(ctx, everything, ctx.injective_ids, 2, dual=True).passed
 
 
 def test_cluster_tilting_examples(exact_contexts):
@@ -347,6 +344,19 @@ def test_exhaustive_clause3_only_adds_passes(exact_contexts, monkeypatch):
             plain = verify_theorem(ctx, n, exhaustive=False)
             assert verify_theorem(ctx, n, exhaustive=True) == plain, (name, n)
     assert entered
+
+
+def test_exhaustive_search_refuses_hom_spaces_above_the_bound():
+    """An exhaustive check that meets a Hom space with more elements than the
+    exhaustion bound raises instead of skipping it, since the skipped maps
+    could hold the only conflation that passes."""
+    ctx = build_exact_context(nakayama_cyclic(3, 2))
+    p2 = [ctx.resolve_name("P2")]
+    assert not check_n_cotorsion(ctx, p2, p2, 1, exhaustive=True).passed
+    ctx = build_exact_context(nakayama_cyclic(3, 2))
+    ctx.config.exhaustion_bound = 1
+    with pytest.raises(ContextError, match="above the exhaustion bound 1"):
+        check_n_cotorsion(ctx, p2, p2, 1, exhaustive=True)
 
 
 def test_orthogonal_containment_statement(exact_contexts):

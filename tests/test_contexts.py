@@ -323,7 +323,7 @@ def test_hom_vector_identification_matches_splitting(exact_contexts, stable_cont
                     assert conf.b_ids == identify_by_splitting(ctx, conf.b_rep), (name, conf.describe())
                 if stable:
                     for f in hom_basis(ctx.objects[c].rep, ctx.objects[a].rep):
-                        assert ctx.cone_ids(f) == identify_by_splitting(ctx, cone(f)), name
+                        assert ctx.conflation_end(f, dual=True) == identify_by_splitting(ctx, cone(f)), name
         for dual, key, end in ((False, "cocone", kernel), (True, "cone", cokernel)):
             _, witnesses = ctx.enough(dual)
             for idx, w in witnesses.items():

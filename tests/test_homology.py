@@ -7,13 +7,12 @@ from quivertilt.algebra import injective_module, parse_algebra, projective_modul
 from quivertilt.contexts import RunConfig, enumerate_indecomposables
 from quivertilt.decompose import indecomposable_isomorphic, is_isomorphic
 from quivertilt.homology import (
+    approximation,
     ar_translate,
     cosyzygy,
     ext_dim,
     injective_hull,
-    left_approximation,
     projective_cover,
-    right_approximation,
     syzygy,
 )
 from quivertilt.modules import Representation, direct_sum, hom_basis, kernel, radical_subspaces
@@ -149,11 +148,11 @@ def test_right_approximation_examples(a2):
     p1 = projective_module(a2, 1)
     p2 = projective_module(a2, 2)
     s1 = simple_module(a2, 1)
-    h = right_approximation([p1, p2], s1)
+    h = approximation([p1, p2], s1, extra=projective_cover(s1)[1])
     assert h.is_epi()
-    h_empty = right_approximation([], s1)
+    h_empty = approximation([], s1, extra=projective_cover(s1)[1])
     assert h_empty.is_epi() and is_isomorphic(h_empty.source, p1)
-    h_zero_homs = right_approximation([s1], p1)
+    h_zero_homs = approximation([s1], p1, extra=projective_cover(p1)[1])
     assert h_zero_homs.is_epi()
 
 
@@ -163,7 +162,7 @@ def test_right_approximation_factorization_law(a3_rad2):
     mods = _indecomposables(a3_rad2)
     members = [mods["P1"], mods["S1"], mods["S3"]]
     for target in mods.values():
-        h = right_approximation(members, target)
+        h = approximation(members, target, extra=projective_cover(target)[1])
         composed = [h.compose(g) for g in hom_basis(h.source, h.source)]
         hmat = np.stack(
             [h.compose(g).flatten() for g in hom_basis(h.source, h.source)], axis=1
@@ -181,9 +180,9 @@ def test_right_approximation_factorization_law(a3_rad2):
 def test_left_approximation_examples(a2):
     s1 = simple_module(a2, 1)
     p1 = projective_module(a2, 1)
-    g = left_approximation([s1], p1)
+    g = approximation([s1], p1, dual=True, extra=injective_hull(p1)[1])
     assert g.is_mono()
-    g2 = left_approximation([], s1)
+    g2 = approximation([], s1, dual=True, extra=injective_hull(s1)[1])
     assert g2.is_mono()
 
 

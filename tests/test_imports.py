@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every private module-level function of the package is used somewhere in it.
+every private function of the package, at module level or a method of a
+module-level class, is used somewhere in it.
 
 `__init__.py` is left out of the import scan: its imports are the package's
 re-exports."""
@@ -59,8 +60,10 @@ def test_no_unused_imports_in_the_package():
 
 
 def _dead_private_functions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions named `_name` (not dunder) that no code of the
-    given modules refers to outside the function's own body."""
+    """Functions named `_name` (not dunder), at module level or methods of a
+    module-level class, that no code of the given modules refers to outside
+    the bodies of the functions of that name (a method and its overrides
+    count as one)."""
     refs = Counter()
     defs = []
     for module, source in sources.items():
@@ -70,17 +73,18 @@ def _dead_private_functions(sources: dict[str, str]) -> list[str]:
                 refs[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 refs[node.attr] += 1
-        defs += [(module, node) for node in tree.body
+        scopes = [(module, tree.body)] + [(f"{module}.{node.name}", node.body) for node in tree.body
+                                          if isinstance(node, ast.ClassDef)]
+        defs += [(scope, node) for scope, body in scopes for node in body
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                  and node.name.startswith("_") and not node.name.startswith("__")]
-    dead = []
-    for module, node in defs:
-        own = sum(isinstance(n, ast.Name) and n.id == node.name
-                  or isinstance(n, ast.Attribute) and n.attr == node.name
-                  for n in ast.walk(node))
-        if refs[node.name] == own:
-            dead.append(f"{module}.{node.name} (line {node.lineno})")
-    return sorted(dead)
+    own = Counter()
+    for _, node in defs:
+        own[node.name] += sum(isinstance(n, ast.Name) and n.id == node.name
+                              or isinstance(n, ast.Attribute) and n.attr == node.name
+                              for n in ast.walk(node))
+    return sorted(f"{scope}.{node.name} (line {node.lineno})" for scope, node in defs
+                  if refs[node.name] == own[node.name])
 
 
 def test_scan_finds_a_dead_private_function():
@@ -89,6 +93,18 @@ def test_scan_finds_a_dead_private_function():
     assert _dead_private_functions({"a": live}) == []
     assert _dead_private_functions({"a": live, "b": planted}) == ["b._dead (line 1)"]
     assert _dead_private_functions({"a": live, "b": planted, "c": "import b\nb._dead(1)\n"}) == []
+
+
+def test_scan_finds_a_dead_private_method():
+    live = "class A:\n    def _used(self): pass\n    def f(self): return self._used()\n"
+    planted = "class B:\n    def _dead(self, n):\n        return self._dead(n - 1) if n else 0\n"
+    override = "class C(B):\n    def _dead(self, n): return n\n"
+    assert _dead_private_functions({"a": live}) == []
+    assert _dead_private_functions({"a": live, "b": planted}) == ["b.B._dead (line 2)"]
+    assert _dead_private_functions({"a": live, "b": planted, "c": override}) == [
+        "b.B._dead (line 2)", "c.C._dead (line 2)"]
+    calls = "def g(b): return b._dead(1)\n"
+    assert _dead_private_functions({"a": live, "b": planted, "c": override, "d": calls}) == []
 
 
 def test_no_dead_private_functions_in_the_package():

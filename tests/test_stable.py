@@ -10,7 +10,7 @@ from quivertilt import linalg, stable
 from quivertilt.algebra import nakayama_cyclic, parse_algebra, projective_module, simple_module
 from quivertilt.contexts import ExactExtSpace, build_stable_context
 from quivertilt.decompose import is_isomorphic, summand_split
-from quivertilt.homology import ext_dim
+from quivertilt.homology import ext_dim, minimal_resolution, syzygy
 from quivertilt.modules import direct_sum, hom_basis, identity_map, is_end, zero_map
 from quivertilt.stable import (
     NotSelfInjectiveError,
@@ -77,6 +77,14 @@ def test_loop_and_suspension_have_no_projective_summand(stable_contexts, stable_
             for shifted in (loop(o.rep), suspension(o.rep)):
                 pieces = summand_split(shifted)
                 assert len(pieces) == 1 and not is_end_by_search(pieces[0][0]), o.label
+
+
+def test_one_loop_per_module(stable_contexts):
+    """The loop, the syzygy and the first syzygy of the minimal resolution of
+    a module are one object, built once."""
+    for ctx in stable_contexts.values():
+        for o in ctx.objects:
+            assert loop(o.rep) is syzygy(o.rep) is minimal_resolution(o.rep).syzygy_module(1)
 
 
 def test_suspension_of_zero(dual_numbers):
@@ -149,7 +157,7 @@ def test_kernel_cocone_matches_loop_of_cone(stable_contexts, stable_nak104):
     for ctx, x_ids, idx in cases:
         y = ctx.approx(x_ids, idx, augment=True)
         assert ctx.conflation_end(y) is not None
-        assert ctx.cocone_ids(y) == cocone_by_cone_and_loop(ctx, y), (x_ids, idx)
+        assert ctx.conflation_end(y) == cocone_by_cone_and_loop(ctx, y), (x_ids, idx)
 
 
 @pytest.fixture(scope="module")
