@@ -9,33 +9,51 @@ detected projectives/injectives, enough-projectives witnesses, and
 context-relative syzygies.  Higher E-dimensions are always computed along
 both the syzygy and the cosyzygy route and must agree; a mismatch raises.
 
-The object list is knitted from the Auslander-Reiten quiver of mod L.
-Starting from the projectives, injectives and simples, each object brings in
-its translates tau M = D Tr M and tau^- M = Tr D M and the summands of the
-middle terms of Ext^1(tau^- M, M), among them the almost split sequence
-starting at M.  The finished list holds every projective and is closed under
-AR neighbours, so it contains the AR component of every block; a finite
-component of a connected algebra is its whole AR quiver (Auslander's
-theorem), so the list is every indecomposable.  Objects are numbered by
-sorting on (total_dim, dims, fingerprint), which is distinct on the list, so
-ids do not depend on the order of discovery.
+The object list is knitted from the Auslander-Reiten quiver of mod L, one
+orbit of the algebra's vertex automorphisms at a time (`_knit`).  Every
+module the knit meets brings in its twists (`modules.twist`), and the first
+module of each orbit leads it: it alone gets tau M = D Tr M, tau^- M =
+Tr D M and the middle term of the almost split sequence starting at M.
+Twisting is an exact autoequivalence that keeps projectives and commutes
+with tau, tau^- and almost split sequences, so the rest of the orbit gets
+the leader's answers moved along the twists.  The finished list holds every
+projective and is closed under AR neighbours, so it contains the AR
+component of every block; a finite component of a connected algebra is its
+whole AR quiver (Auslander's theorem), so the list is every indecomposable.
+Objects are numbered by sorting on (total_dim, dims, fingerprint), which is
+distinct on the list, so ids do not depend on the order of discovery.
+
+The knit also records the AR mesh: tau Z and the almost split middle term
+E_Z of each non-projective Z, and rad P of each projective P.  A root
+writes it as the mesh matrix R over all its modules, the projectives a
+stable root leaves out included: column Z is e_Z + e_{tau Z} - [E_Z] and
+column P is e_P - [rad P].  Applying Hom(X, -) to the almost split sequence
+ending at Z and to rad P -> P shows that the Hom matrix H[X][Y] =
+dim Hom(X, Y) satisfies H R = I (Auslander-Reiten-Smalo IV.2.14 and VI.5;
+the Auslander algebra has global dimension at most 2), so H is R^-1.  It
+is inverted once, exactly, and certified: R H = I over the integers, H >= 0,
+and the Yoneda row H[P_v][X] and column H[X][I_v] are dim X_v.  The E table
+is read off H for every pair: with P(C) the projective cover of C,
+dim E(C, A) = dim Hom(Omega C, A) - dim Hom(P(C), A) + dim Hom(C, A), and
+Omega C is named by the top of Omega C when it is projective, else by its
+Hom vector; one entry per object, E(C, tau C), is checked against
+`homology.ext_dim`.
 
 Objects are identified (middle terms, kernels, cokernels, cones named as
 multisets of object ids) one way in every root.  A module M is named by its
-Hom vector (dim Hom(X, M)) over every indecomposable module X: by Auslander
-(1982) that vector determines a module over a representation-finite
-algebra, and the vectors of the indecomposables are linearly independent.
-An exact root's objects are every indecomposable; a triangulated root keeps
-the indecomposable projectives its object list leaves out as extra columns.
-The answer is exact because the list is complete; the Hom matrix is
-inverted by fraction-free elimination over the integers, and an answer that
-is not a non-negative integer vector reproducing the Hom vector and the
-dimension vector of M raises.  A triangulated root first takes the
+Hom vector v (dim Hom(X, M)) over every indecomposable module X: by
+Auslander (1982) that vector determines a module over a
+representation-finite algebra, so M holds R v copies of each X.  An exact
+root's modules are its objects; a triangulated root keeps the
+indecomposable projectives its object list leaves out as extra columns.  An
+answer that is not a non-negative integer vector reproducing v under H and
+the dimension vector of M raises.  A triangulated root first takes the
 projective-free core of M (a cone may have projective summands;
 `stable.strip_projectives` reads their multiplicities off socle ranks) and
 raises if a projective is still named.  A sub-context pulls its root's
-answer back.  Loops and suspensions are not stripped: over a
-self-injective algebra they have no projective summands (Heller's lemma).
+answer back, and reads its Hom and E tables off its parent's.  Loops and
+suspensions are not stripped: over a self-injective algebra they have no
+projective summands (Heller's lemma).
 
 Stable conflations are short exact sequences.  Every short exact sequence
 of modules is a triangle in the stable category (Happel 1988), and E(C, A)
@@ -47,13 +65,14 @@ Cones are the modules of `stable.cone`.  Both ends come from one method,
 `Context.conflation_end`, with a `dual` switch; the kind of a context's root
 (`Context.root_kind`) is fixed when the context is built.
 
-Work is shared across automorphism orbits (`orbits`): an automorphism of
-L permutes a root's objects, and `Context.symmetries` holds these
-permutations, each certified against the E table.  The enough-projectives
-(-injectives) witnesses and `hom_support` are computed once per orbit, and
-the checkers key their per-object caches by orbit.  The E table itself is
-computed in full, since it certifies the permutations.  A sub-context has
-only the identity.
+Work is shared across automorphism orbits (`orbits`): the knit handles
+one module per orbit, and the E table takes Omega C once per orbit.  An
+automorphism of L permutes a root's objects, and `Context.symmetries` holds
+these permutations, each certified against the E table, which is therefore
+filled for every pair.  The enough-projectives (-injectives) witnesses are
+computed once per orbit, and the checkers key their per-object caches by
+orbit; `hom_support` reads the Hom table.  A sub-context has only the
+identity.
 """
 
 from __future__ import annotations
@@ -66,9 +85,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, orbits
 from .algebra import (
     BoundQuiverAlgebra,
+    induced_arrows,
     injective_module,
     projective_module,
     simple_module,
@@ -97,6 +117,7 @@ from .modules import (
     is_end,
     kernel,
     nonzero_combinations,
+    twist,
     zero_map,
     zero_representation,
 )
@@ -253,21 +274,21 @@ class HomVectors:
     """Multiplicities of indecomposables in a module, from Hom dimensions.
 
     Over a representation-finite algebra a module M is determined by the
-    vector v_j = dim Hom(X_j, M) as X_j runs over the indecomposables, and
-    those vectors are linearly independent (Auslander 1982).  So for a
-    complete list X_1..X_n, M is the sum of m_i copies of X_i where H m = v
-    and H[j][i] = dim Hom(X_j, X_i).  H is inverted once, exactly; every
-    answer is checked to be a non-negative integer vector that reproduces v
-    and the dimension vector of M, so an incomplete list raises instead of
-    naming a wrong module."""
+    vector v_j = dim Hom(X_j, M) as X_j runs over the indecomposables
+    (Auslander 1982).  So for a complete list X_1..X_n, M is the sum of m_i
+    copies of X_i where H m = v and H[j][i] = dim Hom(X_j, X_i).  H and its
+    inverse R come from the root's AR mesh (`_mesh_hom_vectors`), so
+    m = R v and no Hom matrix is solved here.  Every answer is checked to be
+    a non-negative integer vector with H m = v and the dimension vector of M,
+    so an incomplete list raises instead of naming a wrong module."""
 
-    def __init__(self, reps: list[Representation]):
+    def __init__(self, reps: list[Representation], h: np.ndarray, r: np.ndarray):
         self.reps = reps
+        self.h = h
+        self.r = r
         # Hom(P_v, M) = M_v (Yoneda): projective probes are read off dims
         self.probe_vertex = [end_vertex(x) for x in reps]
-        cols = [self.hom_vector(x) for x in self.reps]
-        self.h = [[col[j] for col in cols] for j in range(len(cols))]
-        self.inverse, self.denominator = _integer_inverse(self.h)
+        self.dims = np.array([x.dims for x in reps], dtype=np.int64).reshape(len(reps), -1)
 
     def hom_vector(self, m: Representation) -> list[int]:
         """(dim Hom(X_j, m))_j over the list."""
@@ -278,17 +299,11 @@ class HomVectors:
 
     def identify(self, m: Representation) -> Counter:
         """Object ids of m with multiplicities, in ascending id order."""
-        v = self.hom_vector(m)
-        solved = [divmod(sum(a * b for a, b in zip(row, v)), self.denominator) for row in self.inverse]
-        mult = [q for q, _ in solved]
-        dims = tuple(sum(k * x.dims[w] for k, x in zip(mult, self.reps)) for w in range(len(m.dims)))
-        if (
-            any(r or q < 0 for q, r in solved)
-            or any(sum(a * k for a, k in zip(row, mult)) != vj for row, vj in zip(self.h, v))
-            or dims != m.dims
-        ):
+        v = np.array(self.hom_vector(m), dtype=np.int64)
+        mult = self.r @ v
+        if (mult < 0).any() or not np.array_equal(self.h @ mult, v) or (mult @ self.dims).tolist() != list(m.dims):
             raise ContextError(f"module of dimension vector {m.dims} is not a sum of context objects")
-        return Counter({i: k for i, k in enumerate(mult) if k})
+        return Counter({i: k for i, k in enumerate(mult.tolist()) if k})
 
 
 def _integer_inverse(h: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -306,10 +321,7 @@ def _integer_inverse(h: list[list[int]]) -> tuple[list[list[int]], int]:
     for col in range(n):
         piv = next((i for i in range(col, n) if rows[i][col]), None)
         if piv is None:
-            raise ContextError(
-                "Hom matrix of the context objects is singular; the object list "
-                "is not a complete set of indecomposables"
-            )
+            raise ContextError("the AR mesh matrix of the modules is singular")
         rows[col], rows[piv] = rows[piv], rows[col]
         lead = rows[col][col]
         for i in range(n):
@@ -372,13 +384,14 @@ class Context:
         self.root_kind = kind if parent is None else parent.root_kind
         self.parent_ids: list[int] = []  # sub only: parent index per object
         self.e1: np.ndarray | None = None
+        self.hom: np.ndarray | None = None  # dim Hom(X, Y) over the objects, as modules
         self._ext_spaces: dict[tuple[int, int], object] = {}
         self._shift_cache: dict[tuple[bool, int, int], Counter] = {}
         self._ek_cache: dict[tuple[int, int, int], int] = {}
         self._sum_rep_cache: dict[tuple, tuple[Representation, list[int]]] = {}
         self._witnesses: dict[bool, dict[int, dict]] = {}
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
-        self._hom_vectors: HomVectors | None = None  # roots, built on first use
+        self._hom_vectors: HomVectors | None = None  # roots: read off the AR mesh
         self._symmetries: Symmetries | None = None  # built on first use
         self._ek_tables: dict[int, np.ndarray] = {}
         self.dropped_projectives: list[Representation] = []  # stable roots: every P_v
@@ -415,8 +428,6 @@ class Context:
             return self._pull_ids(self.parent.identify_sum(rep))
         if self.kind == "stable":
             rep = strip_projectives(rep)
-        if self._hom_vectors is None:
-            self._hom_vectors = HomVectors([o.rep for o in self.objects] + self.dropped_projectives)
         ids = self._hom_vectors.identify(rep)
         if any(i >= self.n_objects for i in ids):
             raise ContextError(f"module of dimension vector {rep.dims} has a projective summand")
@@ -542,20 +553,12 @@ class Context:
 
     def hom_support(self, idx: int, dual: bool = False) -> frozenset[int]:
         """The objects x with Hom(x, C) != 0 (with `dual`, Hom(C, x) != 0)
-        for the object C, as module maps; computed once per orbit and side."""
+        for the object C, as module maps, read off the Hom table."""
         key = (idx, dual)
         hit = self._hom_support.get(key)
         if hit is None:
-            k, low, _ = self.symmetries.least(idx)
-            if low != idx:
-                hit = self.symmetries.pull_set(k, self.hom_support(low, dual))
-            else:
-                c_rep = self.objects[idx].rep
-                hit = frozenset(
-                    o.index for o in self.objects
-                    if (hom_dim(c_rep, o.rep) if dual else hom_dim(o.rep, c_rep))
-                )
-            self._hom_support[key] = hit
+            hit = self._hom_support[key] = frozenset(
+                np.flatnonzero(self.hom[idx] if dual else self.hom[:, idx]).tolist())
         return hit
 
     def _pull_ids(self, parent_ids: Counter) -> Counter:
@@ -574,13 +577,9 @@ class Context:
     # -- projectives, injectives, witnesses ---------------------------------
 
     def detect_projectives(self):
-        n = self.n_objects
-        self.projective_ids = frozenset(
-            c for c in range(n) if all(self.e1[c][a] == 0 for a in range(n))
-        )
-        self.injective_ids = frozenset(
-            a for a in range(n) if all(self.e1[c][a] == 0 for c in range(n))
-        )
+        nonzero = self.e1 != 0
+        self.projective_ids = frozenset(np.flatnonzero(~nonzero.any(axis=1)).tolist())
+        self.injective_ids = frozenset(np.flatnonzero(~nonzero.any(axis=0)).tolist())
 
     def enough(self, dual: bool = False) -> tuple[bool, dict[int, dict]]:
         """Whether every object has a deflation from a context projective
@@ -852,10 +851,12 @@ class _Pool:
             )
         return self._append(rep)
 
-    def add_summands(self, rep: Representation, found_as: str):
-        if rep.total_dim:
-            for piece, _, _ in summand_split(rep, self.config.seed):
-                self.index(piece, "a summand of " + found_as)
+    def add_summands(self, rep: Representation, found_as: str) -> Counter:
+        """Pool indices of the summands of rep, with multiplicities."""
+        if not rep.total_dim:
+            return Counter()
+        return Counter(self.index(piece, "a summand of " + found_as)
+                       for piece, _, _ in summand_split(rep, self.config.seed))
 
 
 def _class_lines(p: int, d: int):
@@ -866,50 +867,182 @@ def _class_lines(p: int, d: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _knit(pool: _Pool, algebra: BoundQuiverAlgebra):
-    """Close the pool under the Auslander-Reiten quiver of mod L.
+@dataclass
+class _Mesh:
+    """The Auslander-Reiten mesh a knit records, by module id: tau Z and the
+    almost split middle term E_Z of each non-projective Z, rad P of each
+    projective P, and each module's twists along the algebra's vertex
+    automorphisms (the identity first)."""
 
-    The pool is seeded with every P_v, I_v and S_v and the summands of
-    rad P_v = Omega S_v and I_v / soc I_v = Sigma S_v.  Then each object M
-    gets tau M (unless projective) and tau^- M (unless injective), each
-    computed once, since tau^- M = N records tau N = M; and for non-injective
-    M the summands of the middle terms of Ext^1(tau^- M, M), one class per
-    line (lambda delta and delta have isomorphic middle terms).  The almost
-    split sequence starting at M is one of those classes."""
+    tau: dict[int, int] = field(default_factory=dict)
+    middle: dict[int, Counter] = field(default_factory=dict)
+    rad: dict[int, Counter] = field(default_factory=dict)
+    twists: dict[int, list[int]] = field(default_factory=dict)
+
+    def renumber(self, order: list[int]) -> "_Mesh":
+        """The mesh with module order[i] renamed i."""
+        new = {old: i for i, old in enumerate(order)}
+
+        def ids(c: Counter) -> Counter:
+            return Counter({new[j]: m for j, m in c.items()})
+
+        return _Mesh({new[z]: new[t] for z, t in self.tau.items()},
+                     {new[z]: ids(c) for z, c in self.middle.items()},
+                     {new[q]: ids(c) for q, c in self.rad.items()},
+                     {new[x]: [new[y] for y in ys] for x, ys in self.twists.items()})
+
+    def matrix(self, size: int) -> np.ndarray:
+        """R: column Z is e_Z + e_{tau Z} - [E_Z], column P is e_P - [rad P]."""
+        if sorted([*self.middle, *self.rad]) != list(range(size)) or self.tau.keys() != self.middle.keys():
+            raise ContextError("the knit recorded no mesh relation, or two, for some module")
+        r = np.eye(size, dtype=np.int64)
+        for z, t in self.tau.items():
+            r[t, z] += 1
+        for table in (self.middle, self.rad):
+            for col, ids in table.items():
+                for j, m in ids.items():
+                    r[j, col] -= m
+        return r
+
+
+def _almost_split_middle(z: Representation, m: Representation, config: RunConfig) -> Representation:
+    """The middle term B of the almost split sequence 0 -> M -> B -> Z -> 0,
+    Z = tau^- M.
+
+    Hom(Z, -) turns a class delta of Ext^1(Z, M) into the exact sequence
+    0 -> Hom(Z, M) -> Hom(Z, B) -> End(Z) -> Ext^1(Z, M), whose last map is
+    f -> delta f.  The class is almost split iff delta rad End(Z) = 0, that
+    is, iff it lies in the socle of Ext^1(Z, M) = D stable End(Z), which has
+    dimension [End(Z)/rad : F_p] (Auslander-Reiten-Smalo V.2).  With
+    End(Z)/rad = F_p that socle is the one line with hom(Z, B) =
+    hom(Z, M) + hom(Z, Z) - 1; and an Ext^1(Z, M) of one line is that
+    socle."""
+    p = m.algebra.p
+    space = ExactExtSpace(z, m)
+    lines = (p**space.dim - 1) // (p - 1)
+    if not lines:
+        raise ContextError(f"Ext^1(tau^- M, M) = 0 for M of dimension vector {m.dims}")
+    if lines > config.exhaustion_bound:
+        raise ContextError(
+            f"Ext^1(tau^- M, M) of dimension {space.dim} over F_{p} has {lines} "
+            f"classes up to scalars, above the bound {config.exhaustion_bound}"
+        )
+    middles = (space.realize(coords)[0] for coords in _class_lines(p, space.dim))
+    if lines == 1:
+        return next(middles)
+    want = hom_dim(z, m) + hom_dim(z, z) - 1
+    hits = [b for b in middles if hom_dim(z, b) == want]
+    if len(hits) != 1:
+        raise ContextError(
+            f"Ext^1(tau^- M, M) for M of dimension vector {m.dims} has {len(hits)} almost "
+            f"split lines, not one: End(tau^- M)/rad is larger than F_{p}"
+        )
+    return hits[0]
+
+
+def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
+    """Close the pool under the Auslander-Reiten quiver of mod L, one orbit
+    of the vertex automorphisms (`orbits.vertex_automorphisms`) at a time,
+    and return its mesh.
+
+    Every module the pool gains is placed: its twists along each
+    automorphism are looked up, which adds those not yet in the pool.  The
+    first module placed of each orbit leads it; in a pool given its
+    objects, that is the least id of each orbit.  The pool is seeded with
+    S_v, P_v and I_v and the summands of rad P_v = Omega S_v and
+    I_v / soc I_v = Sigma S_v, for one vertex v of each vertex orbit.  Then
+    each leader M gets tau M (unless projective) and tau^- M (unless
+    injective), each computed once, since tau^- M = N records tau N = M;
+    and, unless injective, the summands of the almost split middle term
+    E_Z, Z = tau^- M (`_almost_split_middle`).  Each answer is moved along
+    the twists to the rest of the orbit: twisting is an exact
+    autoequivalence that keeps projectives, so it commutes with tau, tau^-,
+    radicals and almost split sequences."""
     config = pool.config
-    p = algebra.p
-    simples = [simple_module(algebra, v) for v in algebra.quiver.vertex_ids]
-    for v, s in zip(algebra.quiver.vertex_ids, simples):
-        pool.index(s, f"S{v}")
-        pool.index(projective_module(algebra, v), f"P{v}")
-        pool.index(injective_module(algebra, v), f"I{v}")
-    for v, s in zip(algebra.quiver.vertex_ids, simples):
-        pool.add_summands(syzygy(s), f"rad P{v}")
-        pool.add_summands(cosyzygy(s), f"I{v} / soc I{v}")
-    tau: dict[int, int] = {}
+    autos = orbits.vertex_automorphisms(algebra)
+    arrows = [induced_arrows(algebra.quiver, s) for s in autos]
+    where = {s: k for k, s in enumerate(autos)}
+    # product[k][l]: the index of autos[k] after autos[l], when listed
+    product = [[where.get(tuple(s[v] for v in t)) for t in autos] for s in autos]
+    mesh = _Mesh()
+    leaders: set[int] = set()
     tau_inv: dict[int, int] = {}
+    placed = 0
+
+    def twist_of(i: int, k: int) -> int:
+        return pool.index(twist(pool.reps[i], autos[k], arrows[k]), "a twist of an object")
+
+    def place():
+        nonlocal placed
+        while placed < len(pool.reps):
+            i, placed = placed, placed + 1
+            if i in mesh.twists:
+                continue
+            leaders.add(i)
+            orbit = [i] + [twist_of(i, k) for k in range(1, len(autos))]
+            for l, j in enumerate(orbit):
+                if j not in mesh.twists:
+                    mesh.twists[j] = [orbit[kl] if kl is not None else twist_of(j, k)
+                                      for k, kl in enumerate(row[l] for row in product)]
+
+    def index(rep: Representation, found_as: str) -> int:
+        i = pool.index(rep, found_as)
+        place()
+        return i
+
+    def summands(rep: Representation, found_as: str) -> Counter:
+        ids = pool.add_summands(rep, found_as)
+        place()
+        return ids
+
+    def relate(t: int, z: int):
+        """t = tau z, and so along every twist."""
+        for a, b in zip(mesh.twists[t], mesh.twists[z]):
+            mesh.tau[b] = a
+            tau_inv[a] = b
+
+    def record(table: dict, key: int, ids: Counter):
+        """table[key] = ids, and so along every twist."""
+        for k, image in enumerate(mesh.twists[key]):
+            table[image] = Counter({mesh.twists[j][k]: m for j, m in ids.items()})
+
+    place()
+    covered: set[int] = set()
+    seeds = []
+    for v, vid in enumerate(algebra.quiver.vertex_ids):
+        if v not in covered:
+            covered.update(s[v] for s in autos)
+            simple = simple_module(algebra, vid)
+            index(simple, f"S{vid}")
+            seeds.append((vid, simple, index(projective_module(algebra, vid), f"P{vid}")))
+            index(injective_module(algebra, vid), f"I{vid}")
+    for vid, simple, pv in seeds:
+        record(mesh.rad, pv, summands(syzygy(simple), f"rad P{vid}"))
+        summands(cosyzygy(simple), f"I{vid} / soc I{vid}")
     i = 0
     while i < len(pool.reps):
         m = pool.reps[i]
-        if i not in tau and not is_end(m):
-            tau[i] = pool.index(ar_translate(m), "tau of an object")
-            tau_inv[tau[i]] = i
-        if not is_end(m, dual=True):
-            if i not in tau_inv:
-                tau_inv[i] = pool.index(ar_translate(m, inverse=True), "tau^- of an object")
-                tau[tau_inv[i]] = i
-            space = ExactExtSpace(pool.reps[tau_inv[i]], m)
-            lines = (p**space.dim - 1) // (p - 1)
-            if not lines:
-                raise ContextError(f"Ext^1(tau^- M, M) = 0 for M of dimension vector {m.dims}")
-            if lines > config.exhaustion_bound:
-                raise ContextError(
-                    f"Ext^1(tau^- M, M) of dimension {space.dim} over F_{p} has {lines} "
-                    f"classes up to scalars, above the bound {config.exhaustion_bound}"
-                )
-            for coords in _class_lines(p, space.dim):
-                pool.add_summands(space.realize(coords)[0], "a middle term of Ext^1(tau^- M, M)")
+        if i in leaders:
+            if i not in mesh.tau and not is_end(m):
+                relate(index(ar_translate(m), "tau of an object"), i)
+            if not is_end(m, dual=True):
+                if i not in tau_inv:
+                    relate(i, index(ar_translate(m, inverse=True), "tau^- of an object"))
+                z = tau_inv[i]
+                middle = _almost_split_middle(pool.reps[z], m, config)
+                record(mesh.middle, z, summands(middle, "an almost split middle term"))
         i += 1
+    return mesh
+
+
+def _knitted(algebra: BoundQuiverAlgebra, config: RunConfig) -> tuple[list[Representation], _Mesh]:
+    """The indecomposables sorted by (total_dim, dims, fingerprint), and
+    their mesh."""
+    pool = _Pool(config)
+    mesh = _knit(pool, algebra)
+    reps = pool.reps
+    order = sorted(range(len(reps)), key=lambda i: (reps[i].total_dim, reps[i].dims, fingerprint(reps[i])))
+    return [pool.reps[i] for i in order], mesh.renumber(order)
 
 
 def enumerate_indecomposables(
@@ -919,17 +1052,18 @@ def enumerate_indecomposables(
     (total_dim, dims, fingerprint).
 
     `_knit` closes the seeds under the Auslander-Reiten quiver: the list
-    holds every projective, and with each object its AR neighbours (the
-    summands of the almost split middle terms, of rad P for a projective
-    and of I / soc I for an injective).  So every AR component that meets
-    the list lies in it and is finite, and by Auslander's theorem a finite
-    component of a connected algebra is its whole AR quiver
-    (Auslander-Reiten-Smalo VI.1).  Every block has a projective in the
-    list, so the list is complete; the loop is the certificate.  On an
-    algebra of infinite type it stops at the enumeration budget."""
-    pool = _Pool(config)
-    _knit(pool, algebra)
-    return sorted(pool.reps, key=lambda r: (r.total_dim, r.dims, fingerprint(r)))
+    holds every projective (the seeded P_v and their twists, which are the
+    other P_w), and with each object its AR neighbours (the summands of
+    the almost split middle terms, of rad P for a projective and of
+    I / soc I for an injective).  A leader's neighbours are computed, and
+    those of the rest of its orbit are their twists, which the pool also
+    holds.  So every AR component that meets the list lies in it and is
+    finite, and by Auslander's theorem a finite component of a connected
+    algebra is its whole AR quiver (Auslander-Reiten-Smalo VI.1).  Every
+    block has a projective in the list, so the list is complete; the loop
+    is the certificate.  On an algebra of infinite type it stops at the
+    enumeration budget."""
+    return _knitted(algebra, config)[0]
 
 
 def _label_objects(ctx: Context):
@@ -945,18 +1079,81 @@ def _label_objects(ctx: Context):
         o.label = aliases[0] if aliases else f"m{o.index}"
 
 
-def _ext1_table(pool: list[Representation]) -> np.ndarray:
-    n = len(pool)
-    return np.array([[ext_dim(1, c, a) for a in pool] for c in pool], dtype=np.int64).reshape(n, n)
+def _mesh_hom_vectors(reps: list[Representation], mesh: _Mesh) -> HomVectors:
+    """HomVectors over a root's modules, with H = R^-1 for the mesh matrix
+    R, inverted exactly and certified: R H = I, H >= 0, and the Yoneda row
+    H[P_v][X] and column H[X][I_v] are dim X_v."""
+    r = mesh.matrix(len(reps))
+    k, d = _integer_inverse(r.tolist())
+    h = np.array(k, dtype=np.int64).reshape(r.shape)
+    hv = HomVectors(reps, h, r)
+    dims = hv.dims.T
+    at_p = {v: i for i, v in enumerate(hv.probe_vertex)}
+    at_i = {end_vertex(x, dual=True): i for i, x in enumerate(reps)}
+    rows, cols = [at_p.get(v) for v in range(len(dims))], [at_i.get(v) for v in range(len(dims))]
+    if (d != 1 or None in rows + cols or not np.array_equal(r @ h, np.eye(len(reps), dtype=np.int64))
+            or (h < 0).any() or not np.array_equal(h[rows], dims) or not np.array_equal(h[:, cols].T, dims)):
+        raise ContextError("the Auslander-Reiten mesh of the modules does not invert to a Hom table")
+    return hv
+
+
+def _e1_table(hv: HomVectors, n: int, mesh: _Mesh) -> np.ndarray:
+    """dim E(C, A) over the first n modules (the objects), read off H:
+    hom(Omega C, A) - hom(P(C), A) + hom(C, A), with hom(P_v, A) = dim A_v.
+
+    Omega C is the sum of top_v(Omega C) copies of P_v when it has the
+    dimension vector of that sum, its projective cover; otherwise it is
+    named by `HomVectors.identify`, once per orbit, and moved along the
+    twists.  E(C, tau C), the almost split class, is checked against
+    `homology.ext_dim` for each non-projective object C."""
+    reps = hv.reps
+    at_p = [hv.probe_vertex.index(v) for v in range(hv.dims.shape[1])]
+    moves = np.array([mesh.twists[x] for x in range(len(reps))], dtype=np.intp).T
+    omega = np.zeros((n, len(reps)), dtype=np.int64)
+    tops = np.zeros((n, len(at_p)), dtype=np.int64)
+    done = [False] * n
+    for c in range(n):
+        res = minimal_resolution(reps[c])
+        tops[c] = res.top_dims(0)
+        if done[c]:
+            continue
+        syz, syz_top = res.syzygy_module(1), res.top_dims(1)
+        if (np.array(syz_top) @ hv.dims[at_p]).tolist() == list(syz.dims):
+            omega[c, at_p] = syz_top
+        else:
+            for j, mult in hv.identify(syz).items():
+                omega[c, j] = mult
+        done[c] = True
+        for move in moves:
+            if move[c] < n and not done[move[c]]:
+                omega[move[c], move] = omega[c]
+                done[move[c]] = True
+    e1 = np.ascontiguousarray((omega @ hv.h - tops @ hv.dims.T + hv.h[:n])[:, :n])
+    for c in range(n):
+        t = mesh.tau.get(c)
+        if t is not None and (not e1[c, t] or e1[c, t] != ext_dim(1, reps[c], reps[t])):
+            raise ContextError(
+                f"E(C, tau C) read off the mesh disagrees with Ext^1 for C of dimension vector {reps[c].dims}"
+            )
+    return e1
+
+
+def _read_mesh(ctx: Context, reps: list[Representation], mesh: _Mesh):
+    """A root's Hom vectors and its Hom and E tables, from the mesh of its
+    modules: its objects, then any projectives it leaves out."""
+    n = ctx.n_objects
+    ctx._hom_vectors = _mesh_hom_vectors(reps, mesh)
+    ctx.hom = ctx._hom_vectors.h[:n, :n]
+    ctx.e1 = _e1_table(ctx._hom_vectors, n, mesh)
 
 
 def build_exact_context(algebra: BoundQuiverAlgebra, config: RunConfig | None = None) -> Context:
     config = config or RunConfig(field_char=algebra.p)
     config.validate()
     ctx = ExactContext(algebra, config)
-    pool = enumerate_indecomposables(algebra, config)
-    ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(pool)]
-    ctx.e1 = _ext1_table(pool)
+    reps, mesh = _knitted(algebra, config)
+    ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(reps)]
+    _read_mesh(ctx, reps, mesh)
     ctx.detect_projectives()
     _label_objects(ctx)
     return ctx
@@ -967,13 +1164,17 @@ def build_stable_context(algebra: BoundQuiverAlgebra, config: RunConfig | None =
     config.validate()
     require_self_injective(algebra)
     ctx = StableContext(algebra, config)
-    pool = []
-    for rep in enumerate_indecomposables(algebra, config):
-        (ctx.dropped_projectives if is_end(rep) else pool).append(rep)
-    ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(pool)]
+    reps, mesh = _knitted(algebra, config)
+    # the objects, then the projectives they leave out, each in sorted order
+    projective = [is_end(rep) for rep in reps]
+    order = sorted(range(len(reps)), key=projective.__getitem__)
+    reps = [reps[i] for i in order]
+    n = projective.count(False)
+    ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(reps[:n])]
+    ctx.dropped_projectives = reps[n:]
     # E(C, A) = stable Hom(Omega C, A); over a self-injective algebra this
     # equals module Ext^1.  Spaces built lazily re-check the dims.
-    ctx.e1 = _ext1_table(pool)
+    _read_mesh(ctx, reps, mesh.renumber(order))
     ctx.detect_projectives()
     if ctx.projective_ids or ctx.injective_ids:
         raise ContextError("a triangulated context detected nonzero projectives")
@@ -1022,10 +1223,7 @@ def build_sub_context(parent: Context, subset_ids, config: RunConfig | None = No
         ContextObject(i, parent.objects[pid].label, parent.objects[pid].rep, parent.objects[pid].aliases)
         for i, pid in enumerate(subset)
     ]
-    n = len(subset)
-    ctx.e1 = np.zeros((n, n), dtype=np.int64)
-    for c in range(n):
-        for a in range(n):
-            ctx.e1[c][a] = parent.e1[subset[c]][subset[a]]
+    ctx.e1 = parent.e1[np.ix_(subset, subset)]
+    ctx.hom = parent.hom[np.ix_(subset, subset)]
     ctx.detect_projectives()
     return ctx

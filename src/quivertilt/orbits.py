@@ -10,7 +10,9 @@ context's objects.  `automorphism_images` finds where, by looking up the
 fingerprint of each twisted object; the context certifies each permutation
 against its E table.  `Symmetries` holds the permutations and names the
 orbit-least key of a per-object computation, which is then done once per
-orbit and moved to the rest of it.
+orbit and moved to the rest of it.  The knit (`contexts._knit`) reads the
+automorphisms through `vertex_automorphisms` here and handles one module
+per orbit the same way.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ class Symmetries:
             return ids
         inv = self.inverses[k]
         return Counter(dict(sorted((inv[i], m) for i, m in ids.items())))
-
-    def pull_set(self, k: int, ids: frozenset[int]) -> frozenset[int]:
-        inv = self.inverses[k]
-        return frozenset(inv[i] for i in ids)
 
     def by_orbit(self, compute) -> list:
         """compute(idx), a multiset of object ids, for every object: computed

@@ -61,6 +61,11 @@ projections are set entry by entry.  `approximation_by_adds` is
 `homology.approximation` as it was before it wrote each block once: the sum
 of one composite with an inclusion (projection) of the direct sum per Hom
 basis map.
+
+`hom_matrix_by_systems` and `ext_table_by_pairs` are the Hom matrix that
+`contexts.HomVectors` inverted and the E table that root contexts filled
+before both were read off the Auslander-Reiten mesh: one intertwining system
+per pair of modules, and `homology.ext_dim` per pair of objects.
 """
 
 from __future__ import annotations
@@ -569,6 +574,16 @@ def integer_inverse_by_fractions(h: list[list[int]]) -> tuple[list[list[int]], i
     inverse = [row[n:] for row in rows]
     denominator = math.lcm(1, *(x.denominator for row in inverse for x in row))
     return [[int(x * denominator) for x in row] for row in inverse], denominator
+
+
+def hom_matrix_by_systems(reps: list[Representation]) -> list[list[int]]:
+    """H[j][i] = dim Hom(X_j, X_i), one intertwining system per pair."""
+    return [[hom_dim(x, y) for y in reps] for x in reps]
+
+
+def ext_table_by_pairs(reps: list[Representation]) -> list[list[int]]:
+    """dim Ext^1(C, A) by `homology.ext_dim` for every pair."""
+    return [[ext_dim(1, c, a) for a in reps] for c in reps]
 
 
 def strip_by_splitting(m: Representation, seed: int = 0) -> Representation:

@@ -7,7 +7,7 @@ import pytest
 
 from pathlib import Path
 
-from quivertilt import linalg
+from quivertilt import contexts, linalg
 from quivertilt.algebra import linear_quiver_radical_square, nakayama_cyclic, parse_algebra
 from quivertilt.contexts import (
     ContextError,
@@ -25,14 +25,15 @@ from quivertilt.contexts import (
     is_extension_closed,
 )
 from quivertilt.decompose import fingerprint, indecomposable_isomorphic, is_isomorphic
-from quivertilt.homology import ext_dim
 from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel
 from quivertilt.stable import cone, loop, suspension
 from conftest import DYNKIN
 from oracle import (
     all_class_coords,
     enumerate_by_ext_closure,
+    ext_table_by_pairs,
     extension_closed_by_all_classes,
+    hom_matrix_by_systems,
     identify_by_splitting,
     integer_inverse_by_fractions,
     labels_by_search,
@@ -280,7 +281,7 @@ def test_integer_inverse_matches_rational_elimination(exact_contexts, stable_con
     rationals on the Hom matrix of every root and on random nonsingular
     integer matrices, and both raise on singular ones."""
     roots = [*exact_contexts.values(), *stable_contexts.values(), stable_nak104]
-    matrices = [HomVectors([o.rep for o in ctx.objects] + ctx.dropped_projectives).h for ctx in roots]
+    matrices = [hom_matrix_by_systems([o.rep for o in ctx.objects] + ctx.dropped_projectives) for ctx in roots]
     rng = linalg.stable_rng(41)
     while len(matrices) < len(roots) + 40:
         n = rng.randrange(1, 9)
@@ -360,6 +361,11 @@ def test_hom_vectors_refuse_an_incomplete_object_list(a2):
     kept = [o for o in full.objects if o.index != p1]
     ctx = ExactContext(a2, full.config)
     ctx.objects = [ContextObject(i, o.label, o.rep, o.aliases) for i, o in enumerate(kept)]
+    keep = [o.index for o in kept]
+    h = full._hom_vectors.h[np.ix_(keep, keep)]
+    r, d = _integer_inverse(h.tolist())
+    assert d == 1
+    ctx._hom_vectors = HomVectors([o.rep for o in kept], h, np.array(r))
     s1 = ctx.resolve_name("S1")
     assert ctx.identify_sum(full.objects[full.resolve_name("S1")].rep) == Counter({s1: 1})
     with pytest.raises(ContextError, match="not a sum of context objects"):
@@ -368,9 +374,7 @@ def test_hom_vectors_refuse_an_incomplete_object_list(a2):
 
 def test_e1_equals_a_fresh_ext_table(exact_contexts, stable_contexts):
     for ctx in [*exact_contexts.values(), *stable_contexts.values()]:
-        reps = [o.rep for o in ctx.objects]
-        fresh = [[ext_dim(1, c, a) for a in reps] for c in reps]
-        assert ctx.e1.tolist() == fresh
+        assert ctx.e1.tolist() == ext_table_by_pairs([o.rep for o in ctx.objects])
 
 
 @pytest.mark.parametrize("name", sorted(DYNKIN))
@@ -420,3 +424,41 @@ def test_knitting_a_pool_with_an_object_missing_names_it(exact_contexts):
             with pytest.raises(ContextError, match="not closed") as err:
                 _knit(pool, ctx.algebra)
             assert str(reps[dropped].dims) in str(err.value), (name, ctx.object_names[dropped])
+
+
+def test_mesh_tables_match_the_direct_tables(exact_contexts, stable_contexts, stable_nak104):
+    """H read off the AR mesh is the Hom matrix of one intertwining system
+    per pair of modules, and the E table read off H is `ext_dim` per pair
+    of objects, on every tier-1 root, E6, mod nak(4,3) over F_3 and stable
+    nak(10,4)."""
+    e6 = parse_algebra((ROOT / "perfbench" / "data" / "e6.alg").read_text())
+    roots = [*exact_contexts.values(), *stable_contexts.values(), build_exact_context(e6),
+             build_exact_context(nakayama_cyclic(4, 3, 3)), stable_nak104]
+    for ctx in roots:
+        reps = [o.rep for o in ctx.objects] + ctx.dropped_projectives
+        assert ctx._hom_vectors.h.tolist() == hom_matrix_by_systems(reps)
+        assert np.array_equal(ctx.hom, ctx._hom_vectors.h[:ctx.n_objects, :ctx.n_objects])
+        assert ctx.e1.tolist() == ext_table_by_pairs(reps[:ctx.n_objects])
+
+
+def test_a_planted_fault_in_the_mesh_raises(monkeypatch):
+    """Two module ids swapped in one almost split middle term of R: the mesh
+    no longer inverts to a certified Hom table, or the E table it gives
+    fails the direct Ext check, for every such swap on mod nak(3,2) and
+    stable nak(4,3)."""
+    knit = contexts._knit
+    for build, algebra in ((build_exact_context, nakayama_cyclic(3, 2)),
+                           (build_stable_context, nakayama_cyclic(4, 3))):
+        mesh = knit(_Pool(RunConfig()), algebra)
+        swaps = [(z, a, b) for z in sorted(mesh.middle) for a in sorted(mesh.middle[z])
+                 for b in range(len(mesh.twists)) if mesh.middle[z].get(b) != mesh.middle[z][a]]
+        assert swaps
+        for z, a, b in swaps:
+            def planted(pool, algebra, z=z, swap={a: b, b: a}):
+                mesh = knit(pool, algebra)
+                mesh.middle[z] = Counter({swap.get(j, j): m for j, m in mesh.middle[z].items()})
+                return mesh
+
+            monkeypatch.setattr(contexts, "_knit", planted)
+            with pytest.raises(ContextError):
+                build(algebra)

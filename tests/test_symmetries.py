@@ -18,6 +18,8 @@ from quivertilt.algebra import (
 )
 from quivertilt.checkers import check_n_cotorsion, enumerate_cluster_tilting, enumerate_cotorsion_diagonal
 from quivertilt.contexts import ContextError, build_exact_context, build_stable_context
+from quivertilt.decompose import fingerprint, indecomposable_isomorphic
+from conftest import DYNKIN
 
 E6_SPEC = ("field 2\nvertices 1 2 3 4 5 6\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
            "arrow d: 4 -> 5\narrow e: 3 -> 6\n")
@@ -178,3 +180,62 @@ def test_checker_caches_are_keyed_by_orbit():
                     assert moved == {g[i]: m for i, m in step.items()}
                 assert (checkers._greedy_resdim(ctx, x, idx, 1, dual)
                         == checkers._greedy_resdim(ctx, gx, g[idx], 1, dual))
+
+
+def _orbit_count(algebra, reps) -> int:
+    """Orbits of the automorphisms' twists on the modules: the number of
+    modules that are least in their orbit."""
+    images = [list(range(len(reps)))] + [g for _, g in orbits.automorphism_images(algebra, reps)]
+    return sum(i == min(g[i] for g in images) for i in range(len(reps)))
+
+
+ORBIT_KNIT_ALGEBRAS = {
+    **{f"nak({n},{r}) F_{p}": (lambda n=n, r=r, p=p: nakayama_cyclic(n, r, p))
+       for n, r, p in ((2, 2, 2), (3, 3, 2), (4, 3, 2), (5, 3, 3), (6, 4, 2), (2, 4, 3))},
+    "D4": lambda: parse_algebra(DYNKIN["D4 subspace"][0]),
+    "commutative square": lambda: parse_algebra(SQUARE + "relation a*c - b*d\n"),
+}
+
+
+@pytest.mark.parametrize("build,name", [
+    *((build, name) for name in ORBIT_KNIT_ALGEBRAS if name.startswith("nak")
+      for build in (build_exact_context, build_stable_context)),
+    (build_exact_context, "D4"), (build_exact_context, "commutative square")])
+def test_orbit_knit_matches_the_identity_only_knit(build, name, monkeypatch):
+    """Knitting one leader per orbit finds the modules of the knit under the
+    identity alone, sorted alike and pairwise isomorphic, with the same E
+    and Hom tables, and translates at most twice per orbit: on mod and
+    stable cyclic Nakayama algebras (nak(2,4) over F_3 has Ext^1(tau^- M, M)
+    of more than one line), on D4 with its S3 and on the commutative
+    square."""
+    translate = contexts.ar_translate
+    calls = []
+
+    def counting(m, inverse=False):
+        calls.append(inverse)
+        return translate(m, inverse)
+
+    monkeypatch.setattr(contexts, "ar_translate", counting)
+    algebra = ORBIT_KNIT_ALGEBRAS[name]()
+    assert len(vertex_automorphisms(algebra)) > 1
+    ctx = build(algebra)
+    reps = [o.rep for o in ctx.objects] + ctx.dropped_projectives
+    assert len(calls) <= 2 * _orbit_count(algebra, reps)
+    monkeypatch.setattr(orbits, "vertex_automorphisms", _identity_only)
+    plain = build(algebra)
+    plain_reps = [o.rep for o in plain.objects] + plain.dropped_projectives
+    assert ([(r.dims, fingerprint(r)) for r in reps]
+            == [(r.dims, fingerprint(r)) for r in plain_reps])
+    assert all(indecomposable_isomorphic(a, b) for a, b in zip(reps, plain_reps))
+    assert np.array_equal(ctx.e1, plain.e1)
+    assert np.array_equal(ctx._hom_vectors.h, plain._hom_vectors.h)
+
+
+def test_no_single_almost_split_line_raises(monkeypatch):
+    """Ext^1(tau^- M, M) has more than one line on k[x]/x^4.  With every Hom
+    dimension one too large, no line reaches hom(Z, M) + hom(Z, Z) - 1,
+    which is what a residue field End(Z)/rad larger than F_p would give."""
+    hom_dim = contexts.hom_dim
+    monkeypatch.setattr(contexts, "hom_dim", lambda m, n: hom_dim(m, n) + 1)
+    with pytest.raises(ContextError, match=r"End\(tau\^- M\)/rad is larger than F_2"):
+        build_exact_context(nakayama_cyclic(1, 4))
