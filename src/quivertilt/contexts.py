@@ -325,8 +325,9 @@ def _integer_inverse(h: list[list[int]]) -> tuple[list[list[int]], int]:
         rows[col], rows[piv] = rows[piv], rows[col]
         lead = rows[col][col]
         for i in range(n):
-            if i != col:
-                f = rows[i][col]
+            f = rows[i][col]
+            # with f = 0 and lead = prev the step leaves the row as it is
+            if i != col and (f or lead != prev):
                 rows[i] = [(lead * x - f * y) // prev for x, y in zip(rows[i], rows[col])]
         prev = lead
     det = prev
