@@ -288,7 +288,7 @@ class HomVectors:
         self.r = r
         # Hom(P_v, M) = M_v (Yoneda): projective probes are read off dims
         self.probe_vertex = [end_vertex(x) for x in reps]
-        self.dims = np.array([x.dims for x in reps], dtype=np.int64).reshape(len(reps), -1)
+        self.dims = np.array([x.dims for x in reps], dtype=np.int64)
 
     def hom_vector(self, m: Representation) -> list[int]:
         """(dim Hom(X_j, m))_j over the list."""
@@ -1086,7 +1086,7 @@ def _mesh_hom_vectors(reps: list[Representation], mesh: _Mesh) -> HomVectors:
     H[P_v][X] and column H[X][I_v] are dim X_v."""
     r = mesh.matrix(len(reps))
     k, d = _integer_inverse(r.tolist())
-    h = np.array(k, dtype=np.int64).reshape(r.shape)
+    h = np.array(k, dtype=np.int64)
     hv = HomVectors(reps, h, r)
     dims = hv.dims.T
     at_p = {v: i for i, v in enumerate(hv.probe_vertex)}

@@ -430,10 +430,12 @@ def test_mesh_tables_match_the_direct_tables(exact_contexts, stable_contexts, st
     """H read off the AR mesh is the Hom matrix of one intertwining system
     per pair of modules, and the E table read off H is `ext_dim` per pair
     of objects, on every tier-1 root, E6, mod nak(4,3) over F_3 and stable
-    nak(10,4)."""
+    nak(10,4), and on k[x]/x^4 over F_3, where the knit picks the almost
+    split line among several."""
     e6 = parse_algebra((ROOT / "perfbench" / "data" / "e6.alg").read_text())
     roots = [*exact_contexts.values(), *stable_contexts.values(), build_exact_context(e6),
-             build_exact_context(nakayama_cyclic(4, 3, 3)), stable_nak104]
+             build_exact_context(nakayama_cyclic(4, 3, 3)), stable_nak104,
+             build_exact_context(nakayama_cyclic(1, 4, 3)), build_stable_context(nakayama_cyclic(1, 4, 3))]
     for ctx in roots:
         reps = [o.rep for o in ctx.objects] + ctx.dropped_projectives
         assert ctx._hom_vectors.h.tolist() == hom_matrix_by_systems(reps)
