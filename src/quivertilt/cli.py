@@ -180,6 +180,8 @@ def cmd_objects(args) -> int:
 
 
 def cmd_ext_table(args) -> int:
+    if args.kmax < 1:
+        raise ContextError("extension degree must be >= 1")
     config = _build_config(args)
     algebra = _load_algebra(args, config)
     ctx = _build_context(args, algebra, config)

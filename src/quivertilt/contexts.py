@@ -65,14 +65,16 @@ Cones are the modules of `stable.cone`.  Both ends come from one method,
 `Context.conflation_end`, with a `dual` switch; the kind of a context's root
 (`Context.root_kind`) is fixed when the context is built.
 
-Work is shared across automorphism orbits (`orbits`): the knit handles
-one module per orbit, and the E table takes Omega C once per orbit.  An
-automorphism of L permutes a root's objects, and `Context.symmetries` holds
-these permutations, each certified against the E table, which is therefore
-filled for every pair.  The enough-projectives (-injectives) witnesses are
-computed once per orbit, and the checkers key their per-object caches by
-orbit; `hom_support` reads the Hom table.  A sub-context has only the
-identity.
+Work is shared across automorphism orbits (`orbits`).  The knit handles
+one module per orbit and files every module's twists in its twist table,
+the one source of where each automorphism of L sends a root's modules.  The
+E table takes Omega C once per orbit and moves it along the table, and
+`Context.symmetries` holds the table's columns on the objects, each
+certified to permute the modules and the objects and to keep the E table,
+which is therefore filled for every pair.  The enough-projectives
+(-injectives) witnesses are computed once per orbit, and the checkers key
+their per-object caches by orbit; `hom_support` reads the Hom table.  A
+sub-context has only the identity.
 """
 
 from __future__ import annotations
@@ -85,13 +87,14 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg, orbits
+from . import linalg
 from .algebra import (
     BoundQuiverAlgebra,
     induced_arrows,
     injective_module,
     projective_module,
     simple_module,
+    vertex_automorphisms,
 )
 from .decompose import fingerprint, indecomposable_isomorphic, summand_split
 from .homology import (
@@ -121,7 +124,7 @@ from .modules import (
     zero_map,
     zero_representation,
 )
-from .orbits import Symmetries, automorphism_images
+from .orbits import Symmetries
 from .stable import (
     cone,
     loop,
@@ -148,7 +151,7 @@ class RunConfig:
     exhaustive: bool = False
 
     def validate(self):
-        if min(self.enumeration_budget, self.exhaustion_bound, self.max_multiplicity) <= 0:
+        if min(self.enumeration_budget, self.subset_budget, self.exhaustion_bound, self.max_multiplicity) <= 0:
             raise ContextError("budgets must be positive")
 
     def to_dict(self) -> dict:
@@ -351,19 +354,20 @@ def _bilinear(dim, c, a) -> int:
 # -- symmetries ----------------------------------------------------------------
 
 
-def _root_symmetries(ctx: "Context") -> Symmetries:
+def _root_symmetries(ctx: "Context", twists: np.ndarray, autos) -> Symmetries:
     """The permutations of a root's objects induced by the algebra's
-    automorphisms.  A twist is an exact autoequivalence, so each must
-    permute the objects (and the dropped projectives) and keep the E table;
-    one that does not raises."""
+    automorphisms autos, the identity first, read off the knit's twist
+    table: column k names the twist of each module (the objects, then the
+    dropped projectives) along autos[k].  A twist is an exact
+    autoequivalence, so each column must permute the modules and the
+    objects and keep the E table; one that does not raises."""
     n = ctx.n_objects
     perms = [tuple(range(n))]
-    reps = [o.rep for o in ctx.objects] + ctx.dropped_projectives
-    for sigma, images in automorphism_images(ctx.algebra, reps):
+    for sigma, images in zip(autos[1:], twists.T[1:].tolist()):
         pi = tuple(images[:n])
-        if None in images or sorted(images) != list(range(len(reps))) or sorted(pi) != list(perms[0]):
+        if sorted(images) != list(range(len(images))) or sorted(pi) != list(perms[0]):
             raise ContextError(f"the automorphism {sigma} of the algebra does not permute the context objects")
-        if not np.array_equal(ctx.e1[list(pi)][:, list(pi)], ctx.e1):
+        if not np.array_equal(ctx.e1[np.ix_(pi, pi)], ctx.e1):
             raise ContextError(f"the automorphism {sigma} of the algebra does not keep the E table")
         if pi not in perms:
             perms.append(pi)
@@ -393,7 +397,7 @@ class Context:
         self._witnesses: dict[bool, dict[int, dict]] = {}
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
         self._hom_vectors: HomVectors | None = None  # roots: read off the AR mesh
-        self._symmetries: Symmetries | None = None  # built on first use
+        self.symmetries: Symmetries | None = None  # object permutations by automorphisms of L
         self._ek_tables: dict[int, np.ndarray] = {}
         self.dropped_projectives: list[Representation] = []  # stable roots: every P_v
         self.projective_ids: frozenset[int] = frozenset()
@@ -433,15 +437,6 @@ class Context:
         if any(i >= self.n_objects for i in ids):
             raise ContextError(f"module of dimension vector {rep.dims} has a projective summand")
         return ids
-
-    @property
-    def symmetries(self) -> Symmetries:
-        """The object permutations induced by the algebra's automorphisms; a
-        sub-context has only the identity."""
-        if self._symmetries is None:
-            self._symmetries = (Symmetries([tuple(range(self.n_objects))]) if self.parent is not None
-                                else _root_symmetries(self))
-        return self._symmetries
 
     def sum_rep(self, ids: Counter) -> Representation:
         """Materialized direct sum for a multiset of object ids (cached)."""
@@ -873,12 +868,13 @@ class _Mesh:
     """The Auslander-Reiten mesh a knit records, by module id: tau Z and the
     almost split middle term E_Z of each non-projective Z, rad P of each
     projective P, and each module's twists along the algebra's vertex
-    automorphisms (the identity first)."""
+    automorphisms autos (the identity first)."""
 
     tau: dict[int, int] = field(default_factory=dict)
     middle: dict[int, Counter] = field(default_factory=dict)
     rad: dict[int, Counter] = field(default_factory=dict)
     twists: dict[int, list[int]] = field(default_factory=dict)
+    autos: list[tuple[int, ...]] = field(default_factory=list)
 
     def renumber(self, order: list[int]) -> "_Mesh":
         """The mesh with module order[i] renamed i."""
@@ -890,7 +886,7 @@ class _Mesh:
         return _Mesh({new[z]: new[t] for z, t in self.tau.items()},
                      {new[z]: ids(c) for z, c in self.middle.items()},
                      {new[q]: ids(c) for q, c in self.rad.items()},
-                     {new[x]: [new[y] for y in ys] for x, ys in self.twists.items()})
+                     {new[x]: [new[y] for y in ys] for x, ys in self.twists.items()}, self.autos)
 
     def matrix(self, size: int) -> np.ndarray:
         """R: column Z is e_Z + e_{tau Z} - [E_Z], column P is e_P - [rad P]."""
@@ -943,7 +939,7 @@ def _almost_split_middle(z: Representation, m: Representation, config: RunConfig
 
 def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
     """Close the pool under the Auslander-Reiten quiver of mod L, one orbit
-    of the vertex automorphisms (`orbits.vertex_automorphisms`) at a time,
+    of the vertex automorphisms (`algebra.vertex_automorphisms`) at a time,
     and return its mesh.
 
     Every module the pool gains is placed: its twists along each
@@ -960,12 +956,12 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
     autoequivalence that keeps projectives, so it commutes with tau, tau^-,
     radicals and almost split sequences."""
     config = pool.config
-    autos = orbits.vertex_automorphisms(algebra)
+    autos = vertex_automorphisms(algebra)
     arrows = [induced_arrows(algebra.quiver, s) for s in autos]
     where = {s: k for k, s in enumerate(autos)}
     # product[k][l]: the index of autos[k] after autos[l], when listed
     product = [[where.get(tuple(s[v] for v in t)) for t in autos] for s in autos]
-    mesh = _Mesh()
+    mesh = _Mesh(autos=autos)
     leaders: set[int] = set()
     tau_inv: dict[int, int] = {}
     placed = 0
@@ -1098,18 +1094,17 @@ def _mesh_hom_vectors(reps: list[Representation], mesh: _Mesh) -> HomVectors:
     return hv
 
 
-def _e1_table(hv: HomVectors, n: int, mesh: _Mesh) -> np.ndarray:
+def _e1_table(hv: HomVectors, n: int, mesh: _Mesh, twists: np.ndarray) -> np.ndarray:
     """dim E(C, A) over the first n modules (the objects), read off H:
     hom(Omega C, A) - hom(P(C), A) + hom(C, A), with hom(P_v, A) = dim A_v.
 
     Omega C is the sum of top_v(Omega C) copies of P_v when it has the
     dimension vector of that sum, its projective cover; otherwise it is
     named by `HomVectors.identify`, once per orbit, and moved along the
-    twists.  E(C, tau C), the almost split class, is checked against
-    `homology.ext_dim` for each non-projective object C."""
+    columns of the twist table.  E(C, tau C), the almost split class, is
+    checked against `homology.ext_dim` for each non-projective object C."""
     reps = hv.reps
     at_p = [hv.probe_vertex.index(v) for v in range(hv.dims.shape[1])]
-    moves = np.array([mesh.twists[x] for x in range(len(reps))], dtype=np.intp).T
     omega = np.zeros((n, len(reps)), dtype=np.int64)
     tops = np.zeros((n, len(at_p)), dtype=np.int64)
     done = [False] * n
@@ -1125,7 +1120,7 @@ def _e1_table(hv: HomVectors, n: int, mesh: _Mesh) -> np.ndarray:
             for j, mult in hv.identify(syz).items():
                 omega[c, j] = mult
         done[c] = True
-        for move in moves:
+        for move in twists.T:
             if move[c] < n and not done[move[c]]:
                 omega[move[c], move] = omega[c]
                 done[move[c]] = True
@@ -1140,12 +1135,15 @@ def _e1_table(hv: HomVectors, n: int, mesh: _Mesh) -> np.ndarray:
 
 
 def _read_mesh(ctx: Context, reps: list[Representation], mesh: _Mesh):
-    """A root's Hom vectors and its Hom and E tables, from the mesh of its
-    modules: its objects, then any projectives it leaves out."""
+    """A root's Hom vectors, its Hom and E tables and its symmetries, from
+    the mesh of its modules: its objects, then any projectives it leaves
+    out.  The twist table has row x mesh.twists[x], in that order."""
     n = ctx.n_objects
     ctx._hom_vectors = _mesh_hom_vectors(reps, mesh)
     ctx.hom = ctx._hom_vectors.h[:n, :n]
-    ctx.e1 = _e1_table(ctx._hom_vectors, n, mesh)
+    twists = np.array([mesh.twists[x] for x in range(len(reps))], dtype=np.intp)
+    ctx.e1 = _e1_table(ctx._hom_vectors, n, mesh, twists)
+    ctx.symmetries = _root_symmetries(ctx, twists, mesh.autos)
 
 
 def build_exact_context(algebra: BoundQuiverAlgebra, config: RunConfig | None = None) -> Context:
@@ -1226,5 +1224,6 @@ def build_sub_context(parent: Context, subset_ids, config: RunConfig | None = No
     ]
     ctx.e1 = parent.e1[np.ix_(subset, subset)]
     ctx.hom = parent.hom[np.ix_(subset, subset)]
+    ctx.symmetries = Symmetries([tuple(range(ctx.n_objects))])
     ctx.detect_projectives()
     return ctx

@@ -6,22 +6,17 @@ twists every module (`modules.twist`), and twisting is an exact
 autoequivalence of mod L that keeps projectives: it carries Hom bases,
 covers, kernels, cones, approximations and Hom-vector names to their
 counterparts.  So it permutes the indecomposables, and with them a root
-context's objects.  `automorphism_images` finds where, by looking up the
-fingerprint of each twisted object; the context certifies each permutation
-against its E table.  `Symmetries` holds the permutations and names the
-orbit-least key of a per-object computation, which is then done once per
-orbit and moved to the rest of it.  The knit (`contexts._knit`) reads the
-automorphisms through `vertex_automorphisms` here and handles one module
-per orbit the same way.
+context's objects.  The knit (`contexts._knit`) records where: its twist
+table, one row per module and one column per automorphism, is the one
+source of the action, and a root reads each permutation of its objects off
+a column, certified against its E table.  `Symmetries` holds the
+permutations and names the orbit-least key of a per-object computation,
+which is then done once per orbit and moved to the rest of it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-
-from .algebra import BoundQuiverAlgebra, induced_arrows, vertex_automorphisms
-from .decompose import fingerprint
-from .modules import Representation, twist
 
 
 class Symmetries:
@@ -67,35 +62,3 @@ class Symmetries:
             out.append(compute(idx) if low == idx else self.pull(k, out[low]))
         return out
 
-
-def twist_images(algebra: BoundQuiverAlgebra, reps: list[Representation], sigma) -> list[int | None]:
-    """Where twisting along the vertex automorphism sigma sends each of the
-    indecomposables reps: the index of the one with the twist's fingerprint,
-    or None.  The fingerprint is an isomorphism invariant and distinct on the
-    indecomposables (`contexts._Pool` raises otherwise), so the lookup names
-    the twist exactly."""
-    arrows = induced_arrows(algebra.quiver, sigma)
-    by_fp = {fingerprint(r): i for i, r in enumerate(reps)}
-    return [by_fp.get(fingerprint(twist(r, sigma, arrows))) for r in reps]
-
-
-def automorphism_images(algebra: BoundQuiverAlgebra, reps: list[Representation]):
-    """(sigma, `twist_images(algebra, reps, sigma)`) for each automorphism
-    sigma but the identity.  Twisting along tau and then rho is twisting
-    along rho o tau, so an automorphism that is such a composite of two
-    already placed gets the composite of their images; only the others are
-    looked up.  The caller stops at the first images that are not a
-    permutation."""
-    autos = [tuple(sigma) for sigma in vertex_automorphisms(algebra)]
-    placed = {autos[0]: list(range(len(reps)))}
-    for sigma in autos[1:]:
-        images = None
-        for tau, tau_images in placed.items():
-            rho = tuple(sigma[u] for u in sorted(range(len(tau)), key=tau.__getitem__))
-            if rho in placed:
-                images = [placed[rho][i] for i in tau_images]
-                break
-        if images is None:
-            images = twist_images(algebra, reps, sigma)
-        placed[sigma] = images
-        yield sigma, images

@@ -66,6 +66,13 @@ basis map.
 `contexts.HomVectors` inverted and the E table that root contexts filled
 before both were read off the Auslander-Reiten mesh: one intertwining system
 per pair of modules, and `homology.ext_dim` per pair of objects.
+
+`twist_images_by_fingerprint` and `automorphism_images_by_fingerprint` are
+how a root found where the algebra's vertex automorphisms send its modules
+before it read the knit's twist table: twist every module along each
+automorphism (`modules.twist`) and look the twist up by its fingerprint,
+which is distinct on the indecomposables; an automorphism that is the
+composite of two already placed gets the composite of their images.
 """
 
 from __future__ import annotations
@@ -79,7 +86,13 @@ import numpy as np
 import sympy
 
 from quivertilt import checkers, linalg
-from quivertilt.algebra import injective_module, projective_module, simple_module
+from quivertilt.algebra import (
+    induced_arrows,
+    injective_module,
+    projective_module,
+    simple_module,
+    vertex_automorphisms,
+)
 from quivertilt.contexts import ContextError, ExactExtSpace
 from quivertilt.decompose import (
     _random_invertible_combo,
@@ -98,6 +111,7 @@ from quivertilt.modules import (
     hom_dim,
     is_end,
     nonzero_combinations,
+    twist,
     zero_map,
     zero_representation,
 )
@@ -610,3 +624,33 @@ def labels_by_search(ctx) -> list[tuple[str, tuple[str, ...]]]:
                         if rep.dims == o.rep.dims and indecomposable_isomorphic(o.rep, rep, seed))
         out.append((aliases[0] if aliases else f"m{o.index}", aliases))
     return out
+
+
+def twist_images_by_fingerprint(algebra, reps: list[Representation], sigma) -> list[int | None]:
+    """Where twisting along the vertex automorphism sigma sends each of the
+    indecomposables reps: the index of the one with the twist's fingerprint,
+    or None."""
+    arrows = induced_arrows(algebra.quiver, sigma)
+    by_fp = {fingerprint(r): i for i, r in enumerate(reps)}
+    return [by_fp.get(fingerprint(twist(r, sigma, arrows))) for r in reps]
+
+
+def automorphism_images_by_fingerprint(algebra, reps: list[Representation]) -> list[list[int | None]]:
+    """`twist_images_by_fingerprint` for each vertex automorphism, the
+    identity first.  Twisting along tau and then rho is twisting along
+    rho o tau, so an automorphism that is such a composite of two already
+    placed gets the composite of their images; only the others are looked
+    up."""
+    autos = [tuple(sigma) for sigma in vertex_automorphisms(algebra)]
+    placed = {autos[0]: list(range(len(reps)))}
+    for sigma in autos[1:]:
+        images = None
+        for tau, tau_images in placed.items():
+            rho = tuple(sigma[u] for u in sorted(range(len(tau)), key=tau.__getitem__))
+            if rho in placed:
+                images = [placed[rho][i] for i in tau_images]
+                break
+        if images is None:
+            images = twist_images_by_fingerprint(algebra, reps, sigma)
+        placed[sigma] = images
+    return list(placed.values())

@@ -158,6 +158,27 @@ def test_subset_budget_names_its_flag(capsys):
                    "more than the subset budget 1; raise --subset-budget\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem", "--nakayama", "3,2", "-n", "1", "--subset-budget", "0"],
+    ["verify-theorem", "--nakayama", "3,2", "-n", "1", "--subset-budget", "-5"],
+    ["search-nakayama", "4", "3", "--ct-size", "2", "--ct-degree", "3", "--subset-budget", "0"],
+    ["search-nakayama", "4", "3", "--ct-size", "2", "--ct-degree", "3", "--subset-budget", "-5"],
+])
+def test_a_subset_budget_below_one_exits_2(argv, capsys):
+    status, out, err = _run(argv, capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: budgets must be positive\n"
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_ext_table_degree_below_one_exits_2(kmax, capsys):
+    status, out, err = _run(["ext-table", "--nakayama", "3,2", "--kmax", kmax], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: extension degree must be >= 1\n"
+
+
 def test_e6_verify_theorem_completes(capsys):
     """A projective and an injective of E6 already conflict, so both sides
     find no set; the subset walk refused this run (2^24 subsets)."""

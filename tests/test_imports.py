@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module, and
-every private function of the package, at module level or a method of a
-module-level class, is used somewhere in it.
+every function of the package, at module level or a method of a
+module-level class, is used somewhere in it: a private one anywhere in the
+package, a public one in a module other than `__init__`, unless it is on
+the commented allowlist of functions that only the tests reach.
 
 `__init__.py` is left out of the import scan: its imports are the package's
 re-exports."""
@@ -59,8 +61,9 @@ def test_no_unused_imports_in_the_package():
     assert unused == {}
 
 
-def _dead_private_functions(sources: dict[str, str]) -> list[str]:
-    """Functions named `_name` (not dunder), at module level or methods of a
+def _dead_functions(sources: dict[str, str], public: bool = False) -> list[str]:
+    """Functions named `_name` (not dunder), or with public set those whose
+    name has no leading underscore, at module level or methods of a
     module-level class, that no code of the given modules refers to outside
     the bodies of the functions of that name (a method and its overrides
     count as one)."""
@@ -77,7 +80,8 @@ def _dead_private_functions(sources: dict[str, str]) -> list[str]:
                                           if isinstance(node, ast.ClassDef)]
         defs += [(scope, node) for scope, body in scopes for node in body
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 and node.name.startswith("_") and not node.name.startswith("__")]
+                 and (not node.name.startswith("_") if public
+                      else node.name.startswith("_") and not node.name.startswith("__"))]
     own = Counter()
     for _, node in defs:
         own[node.name] += sum(isinstance(n, ast.Name) and n.id == node.name
@@ -90,23 +94,78 @@ def _dead_private_functions(sources: dict[str, str]) -> list[str]:
 def test_scan_finds_a_dead_private_function():
     live = "def _used(): pass\ndef f(): return _used()\n"
     planted = "def _dead(n):\n    return _dead(n - 1) if n else 0\n"
-    assert _dead_private_functions({"a": live}) == []
-    assert _dead_private_functions({"a": live, "b": planted}) == ["b._dead (line 1)"]
-    assert _dead_private_functions({"a": live, "b": planted, "c": "import b\nb._dead(1)\n"}) == []
+    assert _dead_functions({"a": live}) == []
+    assert _dead_functions({"a": live, "b": planted}) == ["b._dead (line 1)"]
+    assert _dead_functions({"a": live, "b": planted, "c": "import b\nb._dead(1)\n"}) == []
 
 
 def test_scan_finds_a_dead_private_method():
     live = "class A:\n    def _used(self): pass\n    def f(self): return self._used()\n"
     planted = "class B:\n    def _dead(self, n):\n        return self._dead(n - 1) if n else 0\n"
     override = "class C(B):\n    def _dead(self, n): return n\n"
-    assert _dead_private_functions({"a": live}) == []
-    assert _dead_private_functions({"a": live, "b": planted}) == ["b.B._dead (line 2)"]
-    assert _dead_private_functions({"a": live, "b": planted, "c": override}) == [
+    assert _dead_functions({"a": live}) == []
+    assert _dead_functions({"a": live, "b": planted}) == ["b.B._dead (line 2)"]
+    assert _dead_functions({"a": live, "b": planted, "c": override}) == [
         "b.B._dead (line 2)", "c.C._dead (line 2)"]
     calls = "def g(b): return b._dead(1)\n"
-    assert _dead_private_functions({"a": live, "b": planted, "c": override, "d": calls}) == []
+    assert _dead_functions({"a": live, "b": planted, "c": override, "d": calls}) == []
 
 
 def test_no_dead_private_functions_in_the_package():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _dead_private_functions(sources) == []
+    assert _dead_functions(sources) == []
+
+
+# Public functions that no module of the package but `__init__` refers to:
+# the tests reach them, and nothing else does.
+TEST_ONLY = {
+    # the A_m/rad^2 family the tests build; the benchmark reads a spec file
+    "algebra.linear_quiver_radical_square",
+    # the paper's auxiliary statements, checked against the main checkers
+    "checkers.verify_left_pair_characterization",
+    "checkers.verify_orthogonal_containment",
+    # the first failing clause of a verdict
+    "checkers.Verdict.first_failure",
+    # the knit's modules, without building a context
+    "contexts.enumerate_indecomposables",
+    # Krull-Schmidt summands with multiplicities, by splitting
+    "decompose.decompose",
+    # isomorphism of arbitrary modules; contexts name modules by Hom vectors
+    "decompose.is_isomorphic",
+    # the class of a map in a Hom quotient
+    "modules.HomQuotient.class_of",
+    # dim of stable Hom: maps modulo those through projectives
+    "stable.stable_hom_dim",
+}
+
+
+def test_scan_finds_a_dead_public_function():
+    live = "def used(): pass\ndef _f(): return used()\n"
+    planted = ("def dead(n):\n    return dead(n - 1) if n else 0\n"
+               "class B:\n    def gone(self): return self.gone()\n")
+    assert _dead_functions({"a": live}, public=True) == []
+    assert _dead_functions({"a": live, "b": planted}, public=True) == ["b.B.gone (line 4)", "b.dead (line 1)"]
+    assert _dead_functions({"a": live, "b": planted, "c": "import b\nb.dead(1)\nb.B().gone()\n"},
+                           public=True) == []
+
+
+def _dead_public_in_package(sources: dict[str, str]) -> set[str]:
+    """The public functions `_dead_functions` flags, by name, with the
+    references in `__init__` left out."""
+    found = _dead_functions({m: src for m, src in sources.items() if m != "__init__"}, public=True)
+    return {entry.split(" ")[0] for entry in found}
+
+
+def test_scan_finds_a_dead_public_function_planted_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    sources["orbits"] += "\n\ndef planted(perms):\n    return planted(perms[1:]) if perms else []\n"
+    sources["__init__"] += "\nfrom .orbits import planted\n"
+    assert _dead_public_in_package(sources) == TEST_ONLY | {"orbits.planted"}
+
+
+def test_no_dead_public_functions_in_the_package():
+    """The allowlist holds exactly the public functions that only tests reach:
+    a new one must be listed with its reason, and a listed one that the
+    package comes to use must leave the list."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_public_in_package(sources) == TEST_ONLY

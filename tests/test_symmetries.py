@@ -1,5 +1,6 @@
-"""Automorphism orbits: the finder, the object permutations it induces, and
-the checker caches keyed by orbit, compared with the identity-only group."""
+"""Automorphism orbits: the finder, the object permutations it induces, read
+off the knit's twist table and compared with the fingerprint lookup, and the
+checker caches keyed by orbit, compared with the identity-only group."""
 
 import contextlib
 import io
@@ -8,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from quivertilt import checkers, cli, contexts, orbits
+from quivertilt import checkers, cli, contexts
 from quivertilt.algebra import (
     is_automorphism,
     linear_quiver_radical_square,
@@ -20,6 +21,7 @@ from quivertilt.checkers import check_n_cotorsion, enumerate_cluster_tilting, en
 from quivertilt.contexts import ContextError, build_exact_context, build_stable_context
 from quivertilt.decompose import fingerprint, indecomposable_isomorphic
 from conftest import DYNKIN
+from oracle import automorphism_images_by_fingerprint
 
 E6_SPEC = ("field 2\nvertices 1 2 3 4 5 6\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
            "arrow d: 4 -> 5\narrow e: 3 -> 6\n")
@@ -59,6 +61,19 @@ def test_a_vertex_permutation_that_breaks_a_relation_is_rejected():
     assert not is_automorphism(linear_quiver_radical_square(3), (1, 0, 2))
 
 
+def _plant(monkeypatch, column):
+    """Hand `_root_symmetries` a twist table whose columns past the identity
+    are all the given column."""
+    read = contexts._root_symmetries
+
+    def planted(ctx, twists, autos):
+        twists = twists.copy()
+        twists[:, 1:] = np.array(column)[:, None]
+        return read(ctx, twists, autos)
+
+    monkeypatch.setattr(contexts, "_root_symmetries", planted)
+
+
 def test_a_planted_permutation_that_breaks_e1_raises(monkeypatch):
     ctx = build_stable_context(nakayama_cyclic(4, 3))
     total = ctx.n_objects + len(ctx.dropped_projectives)
@@ -66,13 +81,13 @@ def test_a_planted_permutation_that_breaks_e1_raises(monkeypatch):
                 if not np.array_equal(ctx.e1[[j, i]], ctx.e1[[i, j]]))
     planted = list(range(total))
     planted[swap[0]], planted[swap[1]] = swap[1], swap[0]
-    monkeypatch.setattr(orbits, "twist_images", lambda algebra, reps, sigma: planted)
+    _plant(monkeypatch, planted)
     with pytest.raises(ContextError, match="does not keep the E table"):
-        ctx.symmetries
-    ctx = build_stable_context(nakayama_cyclic(4, 3))
-    monkeypatch.setattr(orbits, "twist_images", lambda algebra, reps, sigma: [0] * total)
+        build_stable_context(nakayama_cyclic(4, 3))
+    monkeypatch.undo()
+    _plant(monkeypatch, [0] * total)
     with pytest.raises(ContextError, match="does not permute the context objects"):
-        ctx.symmetries
+        build_stable_context(nakayama_cyclic(4, 3))
 
 
 def test_object_permutations_form_the_rotation_group():
@@ -136,7 +151,7 @@ def test_orbit_caches_match_the_identity_only_group(build, n, r, monkeypatch):
     with_orbits = _observations(ctx)
     shared = len(approximations)
     approximations.clear()
-    monkeypatch.setattr(orbits, "vertex_automorphisms", _identity_only)
+    monkeypatch.setattr(contexts, "vertex_automorphisms", _identity_only)
     plain = build(nakayama_cyclic(n, r))
     assert len(plain.symmetries.perms) == 1
     without = _observations(plain)
@@ -159,7 +174,7 @@ def test_search_job_output_does_not_depend_on_the_orbits(monkeypatch):
     the rotation group is compared with its output under the identity."""
     normal = _search_stdout()
     assert '"theorem_concurs": true' in normal
-    monkeypatch.setattr(orbits, "vertex_automorphisms", _identity_only)
+    monkeypatch.setattr(contexts, "vertex_automorphisms", _identity_only)
     assert _search_stdout() == normal
 
 
@@ -183,9 +198,9 @@ def test_checker_caches_are_keyed_by_orbit():
 
 
 def _orbit_count(algebra, reps) -> int:
-    """Orbits of the automorphisms' twists on the modules: the number of
-    modules that are least in their orbit."""
-    images = [list(range(len(reps)))] + [g for _, g in orbits.automorphism_images(algebra, reps)]
+    """Orbits of the automorphisms' twists on the modules, by the fingerprint
+    lookup: the number of modules that are least in their orbit."""
+    images = automorphism_images_by_fingerprint(algebra, reps)
     return sum(i == min(g[i] for g in images) for i in range(len(reps)))
 
 
@@ -221,7 +236,7 @@ def test_orbit_knit_matches_the_identity_only_knit(build, name, monkeypatch):
     ctx = build(algebra)
     reps = [o.rep for o in ctx.objects] + ctx.dropped_projectives
     assert len(calls) <= 2 * _orbit_count(algebra, reps)
-    monkeypatch.setattr(orbits, "vertex_automorphisms", _identity_only)
+    monkeypatch.setattr(contexts, "vertex_automorphisms", _identity_only)
     plain = build(algebra)
     plain_reps = [o.rep for o in plain.objects] + plain.dropped_projectives
     assert ([(r.dims, fingerprint(r)) for r in reps]
@@ -229,6 +244,28 @@ def test_orbit_knit_matches_the_identity_only_knit(build, name, monkeypatch):
     assert all(indecomposable_isomorphic(a, b) for a, b in zip(reps, plain_reps))
     assert np.array_equal(ctx.e1, plain.e1)
     assert np.array_equal(ctx._hom_vectors.h, plain._hom_vectors.h)
+
+
+@pytest.mark.parametrize("build,name", [
+    *((build, name) for name in ORBIT_KNIT_ALGEBRAS if name.startswith("nak")
+      for build in (build_exact_context, build_stable_context)),
+    (build_exact_context, "D4"), (build_exact_context, "commutative square"),
+    (build_exact_context, "E6")])
+def test_symmetries_match_the_fingerprint_lookup(build, name):
+    """The permutations read off the twist table are those the fingerprint
+    lookup finds, restricted to the objects and deduplicated, element for
+    element and in order: `Symmetries.least` breaks ties by position.  E6
+    has only the identity."""
+    algebra = parse_algebra(E6_SPEC) if name == "E6" else ORBIT_KNIT_ALGEBRAS[name]()
+    ctx = build(algebra)
+    n = ctx.n_objects
+    perms = [tuple(range(n))]
+    reps = [o.rep for o in ctx.objects] + ctx.dropped_projectives
+    for images in automorphism_images_by_fingerprint(algebra, reps):
+        if tuple(images[:n]) not in perms:
+            perms.append(tuple(images[:n]))
+    assert ctx.symmetries.perms == perms
+    assert len(perms) == (1 if name == "E6" else len(vertex_automorphisms(algebra)))
 
 
 def test_no_single_almost_split_line_raises(monkeypatch):
