@@ -13,10 +13,12 @@ The object list is knitted from the Auslander-Reiten quiver of mod L, one
 orbit of the algebra's vertex automorphisms at a time (`_knit`).  Every
 module the knit meets brings in its twists (`modules.twist`), and the first
 module of each orbit leads it: it alone gets tau M = D Tr M, tau^- M =
-Tr D M and the middle term of the almost split sequence starting at M.
-Twisting is an exact autoequivalence that keeps projectives and commutes
-with tau, tau^- and almost split sequences, so the rest of the orbit gets
-the leader's answers moved along the twists.  The finished list holds every
+Tr D M and the middle term of the almost split sequence starting at M,
+read off the middle term before it (or rad M) by the knitting rule, and
+realized only to seed a periodic tau-orbit.  Twisting is an exact
+autoequivalence that keeps projectives and commutes with tau, tau^- and
+almost split sequences, so the rest of the orbit gets the leader's answers
+moved along the twists.  The finished list holds every
 projective and is closed under AR neighbours, so it contains the AR
 component of every block; a finite component of a connected algebra is its
 whole AR quiver (Auslander's theorem), so the list is every indecomposable.
@@ -901,10 +903,26 @@ class _Mesh:
                     r[j, col] -= m
         return r
 
+    def successors(self, m: int, tau_inv) -> Counter:
+        """The summands of E_{tau^- m}, read off the term before m: tau^- of
+        each non-injective summand of E_m (rad m for a projective m), and
+        each projective P with m a summand of rad P, with the same
+        multiplicities.  tau_inv(y) is tau^- y, or None for an injective y."""
+        out = Counter()
+        for y, mult in (self.rad[m] if m in self.rad else self.middle[m]).items():
+            z = tau_inv(y)
+            if z is not None:
+                out[z] += mult
+        for q, rad in self.rad.items():
+            if m in rad:
+                out[q] += rad[m]
+        return out
+
 
 def _almost_split_middle(z: Representation, m: Representation, config: RunConfig) -> Representation:
     """The middle term B of the almost split sequence 0 -> M -> B -> Z -> 0,
-    Z = tau^- M.
+    Z = tau^- M.  `_knit` realizes it only to seed a periodic tau-orbit, one
+    whose middle terms cannot be read off a projective's radical.
 
     Hom(Z, -) turns a class delta of Ext^1(Z, M) into the exact sequence
     0 -> Hom(Z, M) -> Hom(Z, B) -> End(Z) -> Ext^1(Z, M), whose last map is
@@ -949,12 +967,28 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
     S_v, P_v and I_v and the summands of rad P_v = Omega S_v and
     I_v / soc I_v = Sigma S_v, for one vertex v of each vertex orbit.  Then
     each leader M gets tau M (unless projective) and tau^- M (unless
-    injective), each computed once, since tau^- M = N records tau N = M;
-    and, unless injective, the summands of the almost split middle term
-    E_Z, Z = tau^- M (`_almost_split_middle`).  Each answer is moved along
-    the twists to the rest of the orbit: twisting is an exact
-    autoequivalence that keeps projectives, so it commutes with tau, tau^-,
-    radicals and almost split sequences."""
+    injective), and, unless injective, the almost split middle term E_Z,
+    Z = tau^- M.  Each translate is computed once per orbit, on demand,
+    since tau^- M = N records tau N = M.
+
+    E_Z is read off the mesh, not realized (`_Mesh.successors`): it is
+    tau^- of the non-injective summands of the term before M (E_M, or rad M
+    for a projective M) and each projective P with M a summand of rad P, with
+    the same multiplicities (Gabriel 1980; Auslander-Reiten-Smalo VII).
+    That needs the term before M, so it walks tau down from Z until a
+    recorded term or a projective's radical.  Only a periodic orbit with no
+    recorded term, where the walk comes back to Z, realizes one
+    (`_almost_split_middle`) and splits it; its seed is to it what rad P is
+    to the orbit of P.  The rule holds when End(X)/rad = F_p for every
+    indecomposable X, so that arrows of the AR quiver carry equal
+    multiplicities both ways.  Were a residue field larger, multiplicities
+    would scale: a derived E_Z must have the dimension vector of Z plus
+    that of tau Z, or the knit raises (and the mesh would not invert to a
+    certified Hom table).
+
+    Each answer is moved along the twists to the rest of the orbit:
+    twisting is an exact autoequivalence that keeps projectives, so it
+    commutes with tau, tau^-, radicals and almost split sequences."""
     config = pool.config
     autos = vertex_automorphisms(algebra)
     arrows = [induced_arrows(algebra.quiver, s) for s in autos]
@@ -963,6 +997,7 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
     product = [[where.get(tuple(s[v] for v in t)) for t in autos] for s in autos]
     mesh = _Mesh(autos=autos)
     leaders: set[int] = set()
+    injective: set[int] = set()
     tau_inv: dict[int, int] = {}
     placed = 0
 
@@ -998,10 +1033,47 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
             mesh.tau[b] = a
             tau_inv[a] = b
 
+    def translate(i: int, inverse: bool = False) -> int | None:
+        """tau i (tau^- i), or None for a projective (injective) i."""
+        known, ends = (tau_inv, injective) if inverse else (mesh.tau, mesh.rad)
+        if i in ends:
+            return None
+        if i not in known:
+            found_as = "tau^- of an object" if inverse else "tau of an object"
+            j = index(ar_translate(pool.reps[i], inverse), found_as)
+            relate(*((i, j) if inverse else (j, i)))
+        return known[i]
+
     def record(table: dict, key: int, ids: Counter):
         """table[key] = ids, and so along every twist."""
         for k, image in enumerate(mesh.twists[key]):
             table[image] = Counter({mesh.twists[j][k]: m for j, m in ids.items()})
+
+    def derive(z: int):
+        """Record E_z, and first each middle term down z's tau-orbit it needs."""
+        walk = [z]
+        while walk[-1] not in mesh.middle:
+            t = translate(walk[-1])
+            if t in mesh.rad:
+                break
+            if t == z:
+                middle = _almost_split_middle(pool.reps[z], pool.reps[mesh.tau[z]], config)
+                record(mesh.middle, z, summands(middle, "an almost split middle term"))
+                break
+            walk.append(t)
+        for w in reversed(walk):
+            if w in mesh.middle:
+                continue
+            ids = mesh.successors(mesh.tau[w], lambda y: translate(y, inverse=True))
+            want = np.add(pool.reps[w].dims, pool.reps[mesh.tau[w]].dims)
+            got = sum((m * np.array(pool.reps[j].dims) for j, m in ids.items()), np.zeros_like(want))
+            if not np.array_equal(got, want):
+                raise ContextError(
+                    f"the middle term read off the mesh for Z of dimension vector {pool.reps[w].dims} "
+                    f"has dimension vector {tuple(got.tolist())}, not that of Z plus tau Z: "
+                    "End/rad of some module is larger than F_p"
+                )
+            record(mesh.middle, w, ids)
 
     place()
     covered: set[int] = set()
@@ -1012,22 +1084,17 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
             simple = simple_module(algebra, vid)
             index(simple, f"S{vid}")
             seeds.append((vid, simple, index(projective_module(algebra, vid), f"P{vid}")))
-            index(injective_module(algebra, vid), f"I{vid}")
+            injective.update(mesh.twists[index(injective_module(algebra, vid), f"I{vid}")])
     for vid, simple, pv in seeds:
         record(mesh.rad, pv, summands(syzygy(simple), f"rad P{vid}"))
         summands(cosyzygy(simple), f"I{vid} / soc I{vid}")
     i = 0
     while i < len(pool.reps):
-        m = pool.reps[i]
         if i in leaders:
-            if i not in mesh.tau and not is_end(m):
-                relate(index(ar_translate(m), "tau of an object"), i)
-            if not is_end(m, dual=True):
-                if i not in tau_inv:
-                    relate(i, index(ar_translate(m, inverse=True), "tau^- of an object"))
-                z = tau_inv[i]
-                middle = _almost_split_middle(pool.reps[z], m, config)
-                record(mesh.middle, z, summands(middle, "an almost split middle term"))
+            translate(i)
+            z = translate(i, inverse=True)
+            if z is not None:
+                derive(z)
         i += 1
     return mesh
 
@@ -1050,16 +1117,21 @@ def enumerate_indecomposables(
 
     `_knit` closes the seeds under the Auslander-Reiten quiver: the list
     holds every projective (the seeded P_v and their twists, which are the
-    other P_w), and with each object its AR neighbours (the summands of
-    the almost split middle terms, of rad P for a projective and of
-    I / soc I for an injective).  A leader's neighbours are computed, and
-    those of the rest of its orbit are their twists, which the pool also
-    holds.  So every AR component that meets the list lies in it and is
-    finite, and by Auslander's theorem a finite component of a connected
-    algebra is its whole AR quiver (Auslander-Reiten-Smalo VI.1).  Every
-    block has a projective in the list, so the list is complete; the loop
-    is the certificate.  On an algebra of infinite type it stops at the
-    enumeration budget."""
+    other P_w), and with each object M its AR neighbours: the summands of
+    E_M (of rad M for a projective M) and of E_{tau^- M} (of M / soc M,
+    seeded, for an injective M).  A middle term read off the mesh names
+    only modules the knit has added: tau^- of a summand of the term before
+    it, which the knit translates, or a projective; a realized one is split
+    and its summands added.  A leader's neighbours are computed, and those
+    of the rest of its orbit are their twists, which the pool also holds.
+    So every AR component that meets the list lies in it and is finite, and
+    by Auslander's theorem a finite component of a connected algebra is its
+    whole AR quiver (Auslander-Reiten-Smalo VI.1).  Every block has a
+    projective in the list, so the list is complete; the loop is the
+    certificate.  Reading middle terms off the mesh assumes End(X)/rad =
+    F_p for every indecomposable X; the knit checks each derived term's
+    dimension vector, and the mesh must invert to a certified Hom table.
+    On an algebra of infinite type it stops at the enumeration budget."""
     return _knitted(algebra, config)[0]
 
 

@@ -151,6 +151,12 @@ def search_nakayama_stable(
 ) -> dict:
     """Search extension-closed sub-contexts of the stable Nakayama context for
     cluster-tilting subcategories of the requested size and degree."""
+    if ct_degree < 2:
+        raise ContextError("cluster-tilting degree must be >= 2")
+    if ct_size < 1:
+        raise ContextError("cluster-tilting size must be >= 1")
+    if generator_samples < 0:
+        raise ContextError("generator samples must be >= 0")
     config = config or RunConfig()
     algebra = nakayama_cyclic(n_vertices, nilpotency, config.field_char)
     parent = build_stable_context(algebra, config)

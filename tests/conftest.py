@@ -32,6 +32,15 @@ DYNKIN = {
            "arrow d: 4 -> 5\n", 20),
 }
 
+# The path algebras of E7 and E8, with Gabriel's count (one indecomposable
+# per positive root): a chain of 6 (7) vertices with one arrow 3 -> 7 (8).
+EXCEPTIONAL = {
+    "E7": ("field 2\nvertices 1 2 3 4 5 6 7\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
+           "arrow d: 4 -> 5\narrow e: 5 -> 6\narrow f: 3 -> 7\n", 63),
+    "E8": ("field 2\nvertices 1 2 3 4 5 6 7 8\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
+           "arrow d: 4 -> 5\narrow e: 5 -> 6\narrow f: 6 -> 7\narrow g: 3 -> 8\n", 120),
+}
+
 
 @pytest.fixture(scope="session")
 def a2():

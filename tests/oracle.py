@@ -67,6 +67,11 @@ basis map.
 before both were read off the Auslander-Reiten mesh: one intertwining system
 per pair of modules, and `homology.ext_dim` per pair of objects.
 
+`middle_terms_by_splitting` is how the knit found each almost split middle
+term before it read them off the mesh: realize the almost split sequence
+ending at every non-projective module (`contexts._almost_split_middle`),
+split its middle term and identify each piece by isomorphism.
+
 `twist_images_by_fingerprint` and `automorphism_images_by_fingerprint` are
 how a root found where the algebra's vertex automorphisms send its modules
 before it read the knit's twist table: twist every module along each
@@ -93,7 +98,7 @@ from quivertilt.algebra import (
     simple_module,
     vertex_automorphisms,
 )
-from quivertilt.contexts import ContextError, ExactExtSpace
+from quivertilt.contexts import ContextError, ExactExtSpace, _almost_split_middle
 from quivertilt.decompose import (
     _random_invertible_combo,
     fingerprint,
@@ -101,7 +106,7 @@ from quivertilt.decompose import (
     is_isomorphic,
     summand_split,
 )
-from quivertilt.homology import cosyzygy, ext_dim, injective_hull, syzygy
+from quivertilt.homology import ar_translate, cosyzygy, ext_dim, injective_hull, syzygy
 from quivertilt.modules import (
     ModuleMap,
     Representation,
@@ -623,6 +628,24 @@ def labels_by_search(ctx) -> list[tuple[str, tuple[str, ...]]]:
         aliases = tuple(name for name, rep in named
                         if rep.dims == o.rep.dims and indecomposable_isomorphic(o.rep, rep, seed))
         out.append((aliases[0] if aliases else f"m{o.index}", aliases))
+    return out
+
+
+def middle_terms_by_splitting(reps: list[Representation], config) -> dict[int, Counter]:
+    """E_Z by index into reps, every indecomposable once, for each
+    non-projective Z: the middle term of the realized almost split sequence
+    0 -> tau Z -> E_Z -> Z -> 0, split, each piece matched by isomorphism."""
+    def identify(piece):
+        matches = [j for j, x in enumerate(reps) if indecomposable_isomorphic(x, piece, config.seed)]
+        if len(matches) != 1:
+            raise AssertionError(f"summand {piece.dims} matches modules {matches}")
+        return matches[0]
+
+    out = {}
+    for z, rep in enumerate(reps):
+        if not is_end_by_search(rep):
+            middle = _almost_split_middle(rep, ar_translate(rep), config)
+            out[z] = Counter(identify(piece) for piece, _, _ in summand_split(middle, config.seed))
     return out
 
 

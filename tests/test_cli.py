@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quivertilt import cli
+from quivertilt import cli, search
 from quivertilt.decompose import DecompositionError
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -177,6 +177,22 @@ def test_ext_table_degree_below_one_exits_2(kmax, capsys):
     assert status == 2
     assert out == ""
     assert err == "error: extension degree must be >= 1\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--ct-size", "2", "--ct-degree", "0"], "cluster-tilting degree must be >= 2"),
+    (["--ct-size", "2", "--ct-degree", "1"], "cluster-tilting degree must be >= 2"),
+    (["--ct-size", "0", "--ct-degree", "3"], "cluster-tilting size must be >= 1"),
+    (["--ct-size", "2", "--ct-degree", "3", "--generator-samples", "-1"], "generator samples must be >= 0"),
+])
+def test_invalid_search_arguments_exit_2(flags, message, capsys, monkeypatch):
+    """Each is refused before the parent context is built, not skipped per
+    candidate or read as an empty search."""
+    monkeypatch.setattr(search, "build_stable_context", None)
+    status, out, err = _run(["search-nakayama", "4", "3", *flags, "--format", "structured"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_e6_verify_theorem_completes(capsys):

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from pathlib import Path
 
 from quivertilt import contexts, linalg
-from quivertilt.algebra import linear_quiver_radical_square, nakayama_cyclic, parse_algebra
+from quivertilt.algebra import linear_quiver_radical_square, nakayama_cyclic, parse_algebra, simple_module
 from quivertilt.contexts import (
     ContextError,
     ContextObject,
@@ -25,9 +27,10 @@ from quivertilt.contexts import (
     is_extension_closed,
 )
 from quivertilt.decompose import fingerprint, indecomposable_isomorphic, is_isomorphic
+from quivertilt.homology import cosyzygy, syzygy
 from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel
 from quivertilt.stable import cone, loop, suspension
-from conftest import DYNKIN
+from conftest import DYNKIN, EXCEPTIONAL
 from oracle import (
     all_class_coords,
     enumerate_by_ext_closure,
@@ -37,7 +40,9 @@ from oracle import (
     identify_by_splitting,
     integer_inverse_by_fractions,
     labels_by_search,
+    middle_terms_by_splitting,
 )
+from test_symmetries import ORBIT_KNIT_ALGEBRAS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -384,10 +389,12 @@ def test_gabriel_counts(name):
 
 
 def test_gabriel_counts_e6_and_radical_square():
-    """The path algebra of E6 has 36 indecomposables, one per positive root,
-    and kA_m/rad^2 has 2m-1."""
+    """The path algebras of E6, E7 and E8 have 36, 63 and 120
+    indecomposables, one per positive root, and kA_m/rad^2 has 2m-1."""
     e6 = parse_algebra((ROOT / "perfbench" / "data" / "e6.alg").read_text())
     assert build_exact_context(e6).n_objects == 36
+    for spec, count in EXCEPTIONAL.values():
+        assert build_exact_context(parse_algebra(spec)).n_objects == count
     for m in (2, 4, 5):
         assert build_exact_context(linear_quiver_radical_square(m)).n_objects == 2 * m - 1
 
@@ -464,3 +471,83 @@ def test_a_planted_fault_in_the_mesh_raises(monkeypatch):
             monkeypatch.setattr(contexts, "_knit", planted)
             with pytest.raises(ContextError):
                 build(algebra)
+
+
+def test_mesh_middle_terms_match_splitting(monkeypatch):
+    """The middle terms the knit reads off the mesh, as each root reads
+    them, are those of the almost split sequences realized and split, Counter
+    for Counter: on E6, E7, D4 with its S3, the commutative square,
+    A9/rad^2, mod nak(4,3) over F_3, mod and stable nak(1,4) over F_3 (where
+    Ext^1(tau^- M, M) has several lines) and stable nak(10,4)."""
+    read = contexts._read_mesh
+    seen = []
+
+    def recording(ctx, reps, mesh):
+        seen.append((ctx, reps, mesh))
+        read(ctx, reps, mesh)
+
+    monkeypatch.setattr(contexts, "_read_mesh", recording)
+    e6 = parse_algebra((ROOT / "perfbench" / "data" / "e6.alg").read_text())
+    for algebra in (e6, parse_algebra(EXCEPTIONAL["E7"][0]), ORBIT_KNIT_ALGEBRAS["D4"](),
+                    ORBIT_KNIT_ALGEBRAS["commutative square"](), linear_quiver_radical_square(9),
+                    nakayama_cyclic(4, 3, 3), nakayama_cyclic(1, 4, 3)):
+        build_exact_context(algebra)
+    for algebra in (nakayama_cyclic(1, 4, 3), nakayama_cyclic(10, 4)):
+        build_stable_context(algebra)
+    assert len(seen) == 9
+    for ctx, reps, mesh in seen:
+        assert mesh.middle == middle_terms_by_splitting(reps, ctx.config), ctx.algebra
+
+
+@pytest.mark.parametrize("name", ["E6", "A9/rad^2"])
+def test_a_doubled_multiplicity_in_a_derived_middle_term_raises(name, monkeypatch):
+    """With one summand's multiplicity doubled in any one middle term read
+    off the mesh, the knit raises, naming Z and the dimension vector of the
+    planted E_Z, which is that of Z plus tau Z plus the doubled summand."""
+    if name == "E6":
+        algebra = parse_algebra((ROOT / "perfbench" / "data" / "e6.alg").read_text())
+    else:
+        algebra = linear_quiver_radical_square(9)
+    reps, mesh = contexts._knitted(algebra, RunConfig(field_char=algebra.p))
+    at = {r.dims: i for i, r in enumerate(reps)}
+    assert len(at) == len(reps)
+    successors = contexts._Mesh.successors
+    for k in range(len(mesh.middle)):
+        calls = []
+
+        def planted(self, m, tau_inv, k=k):
+            ids = successors(self, m, tau_inv)
+            calls.append(m)
+            if len(calls) == k + 1:
+                ids[min(ids)] *= 2
+            return ids
+
+        monkeypatch.setattr(contexts._Mesh, "successors", planted)
+        with pytest.raises(ContextError, match="not that of Z plus tau Z") as err:
+            build_exact_context(algebra)
+        named = re.findall(r"dimension vector (\([\d, ]*\))", str(err.value))
+        z, got = (ast.literal_eval(t) for t in named)
+        want = np.add(z, reps[mesh.tau[at[z]]].dims)
+        assert any(np.array_equal(got, want + reps[j].dims) for j in mesh.middle[at[z]]), (k, named)
+    assert len(calls) == len(mesh.middle) == len(mesh.tau)
+
+
+def test_e6_realizes_no_almost_split_sequence(monkeypatch):
+    """E6 has no periodic tau-orbit, so its build realizes no almost split
+    sequence and splits only the seeds rad P_v and I_v / soc I_v that are
+    not zero."""
+    split, realized = contexts.summand_split, []
+    split_dims = []
+
+    def counting_split(rep, seed=0):
+        split_dims.append(rep.dims)
+        return split(rep, seed)
+
+    monkeypatch.setattr(contexts, "summand_split", counting_split)
+    monkeypatch.setattr(contexts, "_almost_split_middle", lambda *args: realized.append(args))
+    e6 = parse_algebra((ROOT / "perfbench" / "data" / "e6.alg").read_text())
+    assert build_exact_context(e6).n_objects == 36
+    assert realized == []
+    seeds = [f(simple_module(e6, v)) for v in e6.quiver.vertex_ids for f in (syzygy, cosyzygy)]
+    assert sorted(split_dims) == sorted(m.dims for m in seeds if m.total_dim)
+    assert len(split_dims) == 9
