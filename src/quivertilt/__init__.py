@@ -15,10 +15,9 @@ from .algebra import (
     ParseError,
     parse_algebra,
     nakayama_cyclic,
-    linear_quiver_radical_square,
 )
-from .modules import Representation, ModuleMap, direct_sum, hom_basis, kernel, cokernel, image
-from .decompose import is_isomorphic, fingerprint, DecompositionError
+from .modules import Representation, ModuleMap, direct_sum, hom_basis, kernel, cokernel
+from .decompose import fingerprint, DecompositionError
 from .homology import (
     projective_cover,
     injective_hull,
@@ -27,10 +26,9 @@ from .homology import (
     ext_dim,
     approximation,
 )
-from .stable import stable_hom_dim, suspension, loop, cone, NotSelfInjectiveError
+from .stable import suspension, loop, cone, NotSelfInjectiveError
 from .contexts import (
     Context,
-    Conflation,
     RunConfig,
     build_exact_context,
     build_stable_context,
@@ -42,7 +40,6 @@ from .checkers import (
     Verdict,
     orthogonal,
     resdim,
-    wedge,
     EXCEEDS,
     check_n_cotorsion_side,
     check_n_cotorsion,
@@ -50,8 +47,6 @@ from .checkers import (
     enumerate_cluster_tilting,
     enumerate_cotorsion_diagonal,
     verify_theorem,
-    verify_orthogonal_containment,
-    verify_left_pair_characterization,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -106,7 +106,7 @@ class BoundQuiverAlgebra:
             cleaned = {path: c % field_char for path, c in rel.items() if c % field_char}
             if not cleaned:
                 continue
-            endpoints = {(path[0], self._path_target(path)) for path in cleaned}
+            endpoints = {(path[0], self.path_target(path)) for path in cleaned}
             if len(endpoints) != 1:
                 raise AlgebraError("relation mixes non-parallel paths")
             if any(len(path[1]) < 2 for path in cleaned):
@@ -123,14 +123,11 @@ class BoundQuiverAlgebra:
 
     # -- construction ---------------------------------------------------
 
-    def _path_target(self, path: Path) -> int:
+    def path_target(self, path: Path) -> int:
         v = path[0]
         for a in path[1]:
             v = self.quiver.arrow_target[a]
         return v
-
-    def path_target(self, path: Path) -> int:
-        return self._path_target(path)
 
     def _build_basis(self):
         q = self.quiver
@@ -148,7 +145,7 @@ class BoundQuiverAlgebra:
                 )
             candidates = []
             for b in layers[length - 1]:
-                for a in q.arrows_from(self._path_target(b)):
+                for a in q.arrows_from(self.path_target(b)):
                     candidates.append((b[0], b[1] + (a,)))
             candidates.sort(key=path_key)
             # relation multiples u*g*v whose longest term has this length
@@ -182,7 +179,7 @@ class BoundQuiverAlgebra:
         for rel in self.relations:
             longest = max(len(pth[1]) for pth in rel)
             src = next(iter(rel))[0]
-            tgt = self._path_target(next(iter(rel)))
+            tgt = self.path_target(next(iter(rel)))
             budget = length - longest
             if budget < 0:
                 continue
@@ -192,7 +189,7 @@ class BoundQuiverAlgebra:
                     b
                     for layer in layers[: ulen + 1]
                     for b in layer
-                    if len(b[1]) == ulen and self._path_target(b) == src
+                    if len(b[1]) == ulen and self.path_target(b) == src
                 ]
                 vs = [
                     b
@@ -284,7 +281,7 @@ class BoundQuiverAlgebra:
             hit = [[] for _ in range(self.quiver.n_vertices)]
             for b in self.basis:
                 if b[0] == vertex_idx:
-                    hit[self._path_target(b)].append(b)
+                    hit[self.path_target(b)].append(b)
             for group in hit:
                 group.sort(key=path_key)
             self._by_target[vertex_idx] = hit
@@ -307,7 +304,7 @@ class BoundQuiverAlgebra:
                 op_rel: dict[Path, int] = {}
                 for pth, c in rel.items():
                     rev = tuple(reversed(pth[1]))
-                    op_rel[(self._path_target(pth), rev)] = c
+                    op_rel[(self.path_target(pth), rev)] = c
                 op_rels.append(op_rel)
             op = BoundQuiverAlgebra(op_q, self.p, op_rels, self.max_path_length)
             op._op = self
@@ -518,17 +515,6 @@ def nakayama_cyclic(n: int, r: int, field_char: int = 2) -> BoundQuiverAlgebra:
         arrows = tuple((start + k) % n for k in range(r))
         relations.append({(start, arrows): 1})
     return BoundQuiverAlgebra(quiver, field_char, relations, max_path_length=max(r + 1, 4))
-
-
-def linear_quiver_radical_square(n: int, field_char: int = 2) -> BoundQuiverAlgebra:
-    """A_n with linear orientation 1 -> 2 -> ... -> n and rad^2 = 0."""
-    if n < 1:
-        raise AlgebraError("need at least one vertex")
-    vertex_ids = tuple(range(1, n + 1))
-    names = tuple(f"a{i + 1}" for i in range(n - 1))
-    quiver = Quiver(vertex_ids, names, tuple(range(n - 1)), tuple(range(1, n)))
-    relations = [{(i, (i, i + 1)): 1} for i in range(n - 2)]
-    return BoundQuiverAlgebra(quiver, field_char, relations)
 
 
 # -- the algebra spec language ---------------------------------------------

@@ -11,9 +11,8 @@ while the cotorsion checker constructs approximation conflations and
 resolution chains.  The theorem verifier runs both and compares.  Each
 left/right pair of notions is one function with a `dual` switch: the right
 cotorsion check is the dual of the left one (`check_n_cotorsion_side`), as
-the coresolution dimension is of the resolution dimension (`resdim`), the
-vee class of the wedge class (`wedge`) and the left orthogonal of the right
-one (`orthogonal`).
+the coresolution dimension is of the resolution dimension (`resdim`) and
+the left orthogonal of the right one (`orthogonal`).
 
 The canonical approximation conflation of an object C by add(X) is computed
 once per distinct input, not once per X.  `homology.approximation` sums a
@@ -122,12 +121,6 @@ class Verdict:
 
     def to_dict(self) -> dict:
         return {"pass": self.passed, "clauses": [c.to_dict() for c in self.clauses]}
-
-    def first_failure(self) -> Clause | None:
-        for c in self.clauses:
-            if not c.passed:
-                return c
-        return None
 
 
 # -- orthogonal complements ---------------------------------------------------
@@ -282,16 +275,6 @@ def resdim(ctx: Context, x_ids, target, bound: int, exhaustive: bool | None = No
     if isinstance(greedy, int) and isinstance(brute, int):
         return min(greedy, brute)
     return brute if isinstance(brute, int) else greedy
-
-
-def wedge(ctx: Context, y_ids, m: int, exhaustive: bool | None = None,
-          dual: bool = False) -> frozenset[int]:
-    """Objects of resolution dimension <= m with respect to add(Y); with
-    `dual`, of coresolution dimension <= m (the vee class)."""
-    y_ids = frozenset(int(i) for i in y_ids)
-    return frozenset(
-        i for i in range(ctx.n_objects) if within(resdim(ctx, y_ids, i, m, exhaustive, dual), m)
-    )
 
 
 # -- cotorsion checkers -------------------------------------------------------
@@ -633,7 +616,7 @@ def enumerate_cotorsion_diagonal(ctx: Context, n: int, exhaustive=None) -> list[
     return hits
 
 
-# -- the main equivalence and the auxiliary statements ------------------------
+# -- the main equivalence ------------------------------------------------------
 
 
 def verify_theorem(ctx: Context, n: int, exhaustive=None) -> dict:
@@ -667,41 +650,3 @@ def verify_theorem(ctx: Context, n: int, exhaustive=None) -> dict:
             )
         report["diagnostics"] = diagnostics
     return report
-
-
-def verify_orthogonal_containment(ctx: Context, x_ids, n: int, exhaustive=None) -> tuple[bool, dict]:
-    """The intersection of the first n left orthogonals of X is contained in
-    the first left orthogonal of the class of objects of X-resolution
-    dimension <= n-1."""
-    x_ids = frozenset(int(i) for i in x_ids)
-    lhs = orthogonal(ctx, x_ids, n, dual=True)
-    wedge_set = wedge(ctx, x_ids, n - 1, exhaustive)
-    rhs = orthogonal(ctx, wedge_set, 1, dual=True) if wedge_set else frozenset(range(ctx.n_objects))
-    ok = lhs <= rhs
-    detail = {
-        "lhs": sorted(ctx.object_names[i] for i in lhs),
-        "rhs": sorted(ctx.object_names[i] for i in rhs),
-        "wedge": sorted(ctx.object_names[i] for i in wedge_set),
-    }
-    if not ok:
-        detail["witness"] = sorted(ctx.object_names[i] for i in lhs - rhs)
-    return ok, detail
-
-
-def verify_left_pair_characterization(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) -> tuple[bool, dict]:
-    """The left cotorsion checker agrees with the reformulation: X equals the
-    intersection of the first n left orthogonals of Y, together with the
-    approximation-conflation clause."""
-    x_ids = frozenset(int(i) for i in x_ids)
-    y_ids = frozenset(int(i) for i in y_ids)
-    if exhaustive is None:
-        exhaustive = ctx.config.exhaustive
-    checker = check_n_cotorsion_side(ctx, x_ids, y_ids, n, exhaustive).passed
-    orth = orthogonal(ctx, y_ids, n, dual=True)
-    clause3 = _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual=False)[0]
-    reformulated = (x_ids == orth) and clause3
-    return checker == reformulated, {
-        "checker": checker,
-        "orthogonal_equality": x_ids == orth,
-        "clause3": clause3,
-    }

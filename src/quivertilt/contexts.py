@@ -4,10 +4,13 @@ Three concrete models share one interface: the exact model (all of mod L for
 a finite-representation-type algebra L), the triangulated model (the stable
 category of a self-injective L), and extension-closed subcategories of either.
 A Context owns a finite list of indecomposable objects, an E-dimension table,
-lazily built extension-class coordinate spaces with conflation realizations,
-detected projectives/injectives, enough-projectives witnesses, and
-context-relative syzygies.  Higher E-dimensions are always computed along
-both the syzygy and the cosyzygy route and must agree; a mismatch raises.
+lazily built extension-class coordinate spaces, detected
+projectives/injectives, enough-projectives witnesses, and context-relative
+syzygies.  Higher E-dimensions are always computed along both the syzygy and
+the cosyzygy route and must agree; a mismatch raises.  A class of E(C, A) is
+realized as a conflation A -> B -> C only as far as its callers read it:
+`Context.realize` returns the object ids of the middle term B, cached per
+class, and forms neither map of the conflation.
 
 The object list is knitted from the Auslander-Reiten quiver of mod L, one
 orbit of the algebra's vertex automorphisms at a time (`_knit`).  Every
@@ -85,11 +88,9 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from . import linalg
 from .algebra import (
     BoundQuiverAlgebra,
     induced_arrows,
@@ -176,43 +177,6 @@ class ContextObject:
     aliases: tuple[str, ...] = ()
 
 
-@dataclass
-class Conflation:
-    """A -> B -> C with the class coordinates.  The maps x: A -> B and
-    y: B -> C are formed on first use, from the projection of P0 + A onto B
-    that realized the class."""
-
-    ctx: "Context"
-    a_idx: int
-    c_idx: int
-    delta: tuple[int, ...]
-    a_rep: Representation
-    b_rep: Representation
-    c_rep: Representation
-    b_ids: Counter
-    space: "ExactExtSpace" = field(repr=False)
-    onto_b: ModuleMap = field(repr=False)
-
-    @cached_property
-    def maps(self) -> tuple[ModuleMap, ModuleMap]:
-        """(x, y), formed on first use."""
-        return self.space.maps(self.onto_b)
-
-    x = property(lambda self: self.maps[0])
-    y = property(lambda self: self.maps[1])
-
-    def describe(self) -> str:
-        names = self.ctx.object_names
-        mid = "+".join(
-            names[i] if m == 1 else f"{m}*{names[i]}"
-            for i, m in sorted(self.b_ids.items())
-        ) or "0"
-        return (
-            f"{names[self.a_idx]} -> {mid} -> {names[self.c_idx]} "
-            f"(delta={list(self.delta)})"
-        )
-
-
 # -- extension-class coordinate spaces --------------------------------------
 
 
@@ -227,8 +191,6 @@ class ExactExtSpace(HomQuotient):
         res = minimal_resolution(c_rep)
         res.extend(0)
         self.p0 = res.terms[0]
-        self.cover = res.diffs[0]
-        self.omega = res.syzygies[0]
         self.j = res.syzygy_incls[0]
         super().__init__(self.j, a_rep)
 
@@ -239,12 +201,6 @@ class ExactExtSpace(HomQuotient):
         _, (incl_p0, incl_a), _ = direct_sum([self.p0, self.a])
         glue = incl_p0.compose(self.j).add(incl_a.compose(t).negate())
         return cokernel(glue)
-
-    def maps(self, onto_b: ModuleMap) -> tuple[ModuleMap, ModuleMap]:
-        """x: A -> B and y: B -> C of the conflation `realize` returned with
-        the projection onto_b: P0 + A -> B."""
-        _, (_, incl_a), (proj_p0, _) = direct_sum([self.p0, self.a])
-        return onto_b.compose(incl_a), _factor_through_projection(onto_b, self.cover.compose(proj_p0))
 
 
 class StableExtSpace(ExactExtSpace):
@@ -258,18 +214,6 @@ class StableExtSpace(ExactExtSpace):
     # bound in the class itself: perfbench traces the stable realizations
     # apart from the exact ones, reading the method from the class __dict__
     realize = ExactExtSpace.realize
-
-
-def _factor_through_projection(proj: ModuleMap, through: ModuleMap) -> ModuleMap:
-    """g with g o proj = through (proj a vertex-wise surjection)."""
-    p = proj.p
-    blocks = []
-    for v in range(len(proj.blocks)):
-        sol = linalg.solve(proj.blocks[v].T, through.blocks[v].T, p)
-        if sol is None:
-            raise ContextError("map does not factor through the projection")
-        blocks.append(sol.T % p)
-    return ModuleMap(proj.target, through.target, blocks, validate=False)
 
 
 # -- identification by Hom vectors ------------------------------------------
@@ -393,6 +337,7 @@ class Context:
         self.e1: np.ndarray | None = None
         self.hom: np.ndarray | None = None  # dim Hom(X, Y) over the objects, as modules
         self._ext_spaces: dict[tuple[int, int], object] = {}
+        self._conflation_cache: dict[tuple[int, int, tuple[int, ...]], Counter] = {}  # middle-term ids
         self._shift_cache: dict[tuple[bool, int, int], Counter] = {}
         self._ek_cache: dict[tuple[int, int, int], int] = {}
         self._sum_rep_cache: dict[tuple, tuple[Representation, list[int]]] = {}
@@ -478,29 +423,15 @@ class Context:
             raise ContextError("extension coordinates disagree with the E table")
         return space
 
-    def realize(self, c_idx: int, a_idx: int, coords) -> Conflation:
-        """Conflation realizing the class with the given coordinates (cached)."""
+    def realize(self, c_idx: int, a_idx: int, coords) -> Counter:
+        """Object ids of the middle term of the class of E(c, a) with the
+        given coordinates (cached); no map of the conflation is formed."""
         key = (c_idx, a_idx, tuple(int(v) for v in coords))
-        cache = self.__dict__.setdefault("_conflation_cache", {})
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        space = self.ext_space(c_idx, a_idx)
-        b, onto_b = space.realize(coords)
-        conf = Conflation(
-            ctx=self,
-            a_idx=a_idx,
-            c_idx=c_idx,
-            delta=key[2],
-            a_rep=self.objects[a_idx].rep,
-            b_rep=b,
-            c_rep=self.objects[c_idx].rep,
-            b_ids=self.identify_sum(b),
-            space=space,
-            onto_b=onto_b,
-        )
-        cache[key] = conf
-        return conf
+        hit = self._conflation_cache.get(key)
+        if hit is None:
+            b = self.ext_space(c_idx, a_idx).realize(coords)[0]
+            hit = self._conflation_cache[key] = self.identify_sum(b)
+        return hit
 
     def class_lines(self, c_idx: int, a_idx: int):
         """One class per line of E(c, a), in lexicographic order: the nonzero
@@ -988,7 +919,20 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
 
     Each answer is moved along the twists to the rest of the orbit:
     twisting is an exact autoequivalence that keeps projectives, so it
-    commutes with tau, tau^-, radicals and almost split sequences."""
+    commutes with tau, tau^-, radicals and almost split sequences.
+
+    The closed pool is every indecomposable.  It holds every projective
+    (the seeded P_v and their twists, which are the other P_w), and with
+    each module M its AR neighbours: the summands of E_M (of rad M for a
+    projective M) and of E_{tau^- M} (of M / soc M, seeded, for an
+    injective M).  A middle term read off the mesh names only modules the
+    knit has added, and a realized one is split and its summands added.  So
+    every AR component that meets the pool lies in it and is finite, and a
+    finite component of a connected algebra is its whole AR quiver
+    (Auslander's theorem; Auslander-Reiten-Smalo VI.1).  Every block has a
+    projective in the pool, so the loop is the certificate of completeness.
+    On an algebra of infinite type the pool grows until the enumeration
+    budget raises."""
     config = pool.config
     autos = vertex_automorphisms(algebra)
     arrows = [induced_arrows(algebra.quiver, s) for s in autos]
@@ -1107,32 +1051,6 @@ def _knitted(algebra: BoundQuiverAlgebra, config: RunConfig) -> tuple[list[Repre
     reps = pool.reps
     order = sorted(range(len(reps)), key=lambda i: (reps[i].total_dim, reps[i].dims, fingerprint(reps[i])))
     return [pool.reps[i] for i in order], mesh.renumber(order)
-
-
-def enumerate_indecomposables(
-    algebra: BoundQuiverAlgebra, config: RunConfig
-) -> list[Representation]:
-    """Every indecomposable of mod L, one per isomorphism class, sorted by
-    (total_dim, dims, fingerprint).
-
-    `_knit` closes the seeds under the Auslander-Reiten quiver: the list
-    holds every projective (the seeded P_v and their twists, which are the
-    other P_w), and with each object M its AR neighbours: the summands of
-    E_M (of rad M for a projective M) and of E_{tau^- M} (of M / soc M,
-    seeded, for an injective M).  A middle term read off the mesh names
-    only modules the knit has added: tau^- of a summand of the term before
-    it, which the knit translates, or a projective; a realized one is split
-    and its summands added.  A leader's neighbours are computed, and those
-    of the rest of its orbit are their twists, which the pool also holds.
-    So every AR component that meets the list lies in it and is finite, and
-    by Auslander's theorem a finite component of a connected algebra is its
-    whole AR quiver (Auslander-Reiten-Smalo VI.1).  Every block has a
-    projective in the list, so the list is complete; the loop is the
-    certificate.  Reading middle terms off the mesh assumes End(X)/rad =
-    F_p for every indecomposable X; the knit checks each derived term's
-    dimension vector, and the mesh must invert to a certified Hom table.
-    On an algebra of infinite type it stops at the enumeration budget."""
-    return _knitted(algebra, config)[0]
 
 
 def _label_objects(ctx: Context):
@@ -1263,11 +1181,9 @@ def is_extension_closed(parent: Context, subset_ids) -> tuple[bool, dict | None]
     for c in subset:
         for a in subset:
             for coords in parent.class_lines(c, a):
-                conf = parent.realize(c, a, coords)
-                if any(i not in inside for i in conf.b_ids):
-                    outside = [
-                        parent.object_names[i] for i in conf.b_ids if i not in inside
-                    ]
+                middle = parent.realize(c, a, coords)
+                if any(i not in inside for i in middle):
+                    outside = [parent.object_names[i] for i in middle if i not in inside]
                     return False, {
                         "c": parent.object_names[c],
                         "a": parent.object_names[a],

@@ -371,21 +371,6 @@ def _split_rec(piece, incl, retr, out, rng, bound, depth=0):
     _split_rec(b, incl.compose(ib), rb.compose(retr), out, rng, bound, depth + 1)
 
 
-def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, int]]:
-    """Non-isomorphic indecomposable summands with multiplicities."""
-    pieces = [t[0] for t in summand_split(m, seed)]
-    groups: list[tuple[Representation, int]] = []
-    for piece in pieces:
-        for i, (rep, mult) in enumerate(groups):
-            if indecomposable_isomorphic(rep, piece, seed=seed):
-                groups[i] = (rep, mult + 1)
-                break
-        else:
-            groups.append((piece, 1))
-    groups.sort(key=lambda t: (t[0].dims, fingerprint(t[0])))
-    return groups
-
-
 # -- isomorphism testing -----------------------------------------------------
 
 
@@ -421,36 +406,6 @@ def indecomposable_isomorphic(a: Representation, b: Representation, seed: int = 
     return any(g.compose(f).is_iso() for f in ab for g in ba)
 
 
-def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
-    if m.algebra is not n.algebra:
-        raise ValueError("representations live over different algebras")
-    if m.dims != n.dims:
-        return False
-    if m.total_dim == 0:
-        return True
-    p = m.algebra.p
-    maps = hom_basis(m, n)
-    back = hom_basis(n, m)
-    if len(maps) != len(back) or not maps:
-        return False
-    rng = linalg.stable_rng(seed, 3, m.dims)
-    if _random_invertible_combo(maps, rng, p, 24) is not None:
-        return True
-    left = [t[0] for t in summand_split(m, seed)]
-    right = [t[0] for t in summand_split(n, seed)]
-    if len(left) != len(right):
-        return False
-    used = [False] * len(right)
-    for piece in left:
-        for j, other in enumerate(right):
-            if not used[j] and indecomposable_isomorphic(piece, other, seed):
-                used[j] = True
-                break
-        else:
-            return False
-    return True
-
-
 # -- fingerprints ------------------------------------------------------------
 
 
@@ -469,7 +424,7 @@ def _probes(algebra) -> tuple[list[Representation], list[int | None]]:
 def fingerprint(m: Representation) -> tuple:
     """Isomorphism-invariant index key: dimension vector, Hom profile against
     the simples and projectives, arrow matrix ranks.  Collisions are resolved
-    by is_isomorphic; the fingerprint is never the final arbiter.
+    by `indecomposable_isomorphic`; the fingerprint is never the final arbiter.
 
     The profile is read off dimensions where it can be: hom(P_v, M) = dim M_v
     (Yoneda), hom(S_v, M) = dim soc(M)_v, hom(M, S_v) = dim top(M)_v, and

@@ -58,9 +58,6 @@ class Representation:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def is_zero(self) -> bool:
-        return self.total_dim == 0
-
     def path_matrix(self, path: Path) -> np.ndarray:
         """Matrix of the path acting from its source space to its target space."""
         alg = self.algebra
@@ -273,12 +270,6 @@ class HomQuotient:
             raise ValueError("map does not lie in this hom space")
         return sol.reshape(-1)
 
-    def class_of(self, f: ModuleMap) -> np.ndarray:
-        """Coordinates of the class of f: m -> n."""
-        if not self.basis:
-            return np.zeros(0, dtype=np.int64)
-        return self.quot.to_coords(self._basis_coords(f))
-
     def representative(self, coords) -> ModuleMap:
         """The canonical map m -> n in the class with the given coordinates."""
         if self.dim == 0:
@@ -310,13 +301,6 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     p = f.p
     bases = [linalg.nullspace(b, p) for b in f.blocks]
     return _subspace_with_induced_action(f.source, bases)
-
-
-def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """Image as a subrepresentation of the target; returns (im, inclusion)."""
-    p = f.p
-    bases = [linalg.column_space_basis(b, p) for b in f.blocks]
-    return _subspace_with_induced_action(f.target, bases)
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:

@@ -126,8 +126,7 @@ def close_under_operations(
         for c in sorted(current):
             for a in sorted(current):
                 for coords in ctx.class_lines(c, a):
-                    conf = ctx.realize(c, a, coords)
-                    for j in conf.b_ids:
+                    for j in ctx.realize(c, a, coords):
                         if j not in current:
                             current.add(j)
                             added = True
@@ -157,6 +156,8 @@ def search_nakayama_stable(
         raise ContextError("cluster-tilting size must be >= 1")
     if generator_samples < 0:
         raise ContextError("generator samples must be >= 0")
+    if max_candidates < 0:
+        raise ContextError("max candidates must be >= 0")
     config = config or RunConfig()
     algebra = nakayama_cyclic(n_vertices, nilpotency, config.field_char)
     parent = build_stable_context(algebra, config)
@@ -186,7 +187,7 @@ def search_nakayama_stable(
     rng = linalg.stable_rng(config.seed, 7, n_vertices, nilpotency)
     for _ in range(generator_samples):
         size = rng.randrange(2, max(3, parent.n_objects // 3))
-        gens = rng.sample(range(parent.n_objects), size)
+        gens = rng.sample(range(parent.n_objects), min(size, parent.n_objects))
         closed = close_under_operations(parent, gens, close_loops=close_loops)
         if closed is None:
             report["candidates_skipped"].append({"generators": sorted(gens), "reason": "budget"})

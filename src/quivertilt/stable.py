@@ -1,14 +1,12 @@
 """Stable module category of a self-injective algebra.
 
-Morphisms are module maps modulo those factoring through projectives
-(= injectives here); the factoring subspace is computed as the image of
-composition with the injective hull inclusion.  Suspension is the cokernel
-of the hull, loop the kernel of the cover, and the cone of f: M -> N is the
-cokernel of the mapping cylinder M -> I(M) + N, returned as a module alone.
-Every short exact sequence of modules is a triangle in the stable category
-(Happel 1988), so no connecting map is formed here: callers that need a
-conflation with its maps realize it as a short exact sequence
-(`contexts.ExactExtSpace`).
+Suspension is the cokernel of the injective hull, loop the kernel of the
+projective cover, and the cone of f: M -> N is the cokernel of the mapping
+cylinder M -> I(M) + N, returned as a module alone.  No stable Hom space and
+no connecting map is formed here.  Every short exact sequence of modules is
+a triangle in the stable category (Happel 1988), so a context realizes its
+conflations as short exact sequences, and reads stable Hom(Omega C, A) as
+module Ext^1(C, A) (`contexts.StableExtSpace`).
 
 Loop and suspension are `homology.syzygy` and `homology.cosyzygy` behind a
 self-injectivity guard, so Omega M is the one held by M's minimal
@@ -32,7 +30,6 @@ from . import linalg
 from .algebra import BoundQuiverAlgebra, is_self_injective, projective_module
 from .homology import _map_from_projectives, cosyzygy, injective_hull, syzygy
 from .modules import (
-    HomQuotient,
     ModuleMap,
     Representation,
     cokernel,
@@ -97,20 +94,6 @@ def strip_projectives(m: Representation) -> Representation:
     if not mono.is_mono():
         raise RuntimeError("the projective summands found by socle ranks do not embed")
     return cokernel(mono)[0]
-
-
-class StableHomSpace(HomQuotient):
-    """Hom(m, n) modulo maps factoring through projectives, with coordinates;
-    over a self-injective algebra these are the maps factoring through the
-    injective hull of m."""
-
-    def __init__(self, m: Representation, n: Representation):
-        require_self_injective(m.algebra)
-        super().__init__(injective_hull(m)[1], n)
-
-
-def stable_hom_dim(m: Representation, n: Representation) -> int:
-    return StableHomSpace(m, n).dim
 
 
 def suspension(m: Representation) -> Representation:

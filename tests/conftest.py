@@ -1,7 +1,9 @@
 import pytest
 
 from quivertilt.algebra import (
-    linear_quiver_radical_square,
+    AlgebraError,
+    BoundQuiverAlgebra,
+    Quiver,
     nakayama_cyclic,
     parse_algebra,
 )
@@ -40,6 +42,17 @@ EXCEPTIONAL = {
     "E8": ("field 2\nvertices 1 2 3 4 5 6 7 8\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
            "arrow d: 4 -> 5\narrow e: 5 -> 6\narrow f: 6 -> 7\narrow g: 3 -> 8\n", 120),
 }
+
+
+def linear_quiver_radical_square(n: int, field_char: int = 2) -> BoundQuiverAlgebra:
+    """A_n with linear orientation 1 -> 2 -> ... -> n and rad^2 = 0."""
+    if n < 1:
+        raise AlgebraError("need at least one vertex")
+    vertex_ids = tuple(range(1, n + 1))
+    names = tuple(f"a{i + 1}" for i in range(n - 1))
+    quiver = Quiver(vertex_ids, names, tuple(range(n - 1)), tuple(range(1, n)))
+    relations = [{(i, (i, i + 1)): 1} for i in range(n - 2)]
+    return BoundQuiverAlgebra(quiver, field_char, relations)
 
 
 @pytest.fixture(scope="session")

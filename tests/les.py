@@ -22,10 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from quivertilt import linalg
-from quivertilt.contexts import Conflation, Context, ContextError, ExactExtSpace
+from quivertilt.contexts import Context, ContextError, ExactExtSpace
 from quivertilt.homology import minimal_resolution
 from quivertilt.modules import ModuleMap, Representation, hom_basis, linear_combination, zero_map
-from quivertilt.stable import StableHomSpace, loop
+from quivertilt.stable import loop
+from oracle import Conflation, StableHomSpace, class_of
 
 
 def syzygy_transport(f: ModuleMap) -> ModuleMap:
@@ -104,7 +105,7 @@ class _QuotientNode:
             coords = linalg.zeros(self.dim, 1).reshape(-1)
             coords[i] = 1
             rep_map = self.space.representative(coords)
-            mat[:, i] = target.space.class_of(f.compose(rep_map))
+            mat[:, i] = class_of(target.space, f.compose(rep_map))
         return mat
 
 
@@ -188,7 +189,7 @@ def _precompose_matrix(src_node, tgt_node, f: ModuleMap, p: int) -> np.ndarray:
             mat[:, i] = _hom_class(tgt_node, rep_map.compose(f), p)
         else:
             rep_map = src_node.space.representative(coords)
-            mat[:, i] = tgt_node.space.class_of(rep_map.compose(f))
+            mat[:, i] = class_of(tgt_node.space, rep_map.compose(f))
     return mat
 
 

@@ -78,6 +78,30 @@ before it read the knit's twist table: twist every module along each
 automorphism (`modules.twist`) and look the twist up by its fingerprint,
 which is distinct on the indecomposables; an automorphism that is the
 composite of two already placed gets the composite of their images.
+
+`is_isomorphic` and `decompose` are the isomorphism test of arbitrary modules
+and the Krull-Schmidt decomposition with multiplicities, which the
+`decompose` module exported before contexts named modules by Hom vectors: a
+seeded random search for an invertible map, then splitting the modules and
+matching the pieces with `decompose.indecomposable_isomorphic`.  They draw
+from the same `linalg.stable_rng` streams as before.
+
+`StableHomSpace` and `stable_hom_dim` are stable Hom as `stable` computed it
+before stable conflations became short exact sequences: Hom(m, n) modulo the
+maps that factor through the injective hull of m, which over a
+self-injective algebra are the maps through projectives.
+
+`class_of` is the inverse of `modules.HomQuotient.representative`: the
+coordinates of the class of a map in a Hom quotient.  `image` is the image
+of a module map as a subrepresentation of its target.
+
+`conflation` is what `Context.realize` returned before it returned only the
+object ids of the middle term: the conflation A -> B -> C of a class, with
+its three modules, its Ext space, the projection of P0 + A onto B that
+realized it, and the maps x: A -> B and y: B -> C, formed on first use by
+`ext_space_maps`; y is found by factoring P0 + A -> P0 -> C through that
+projection.  It realizes the class afresh with `ExactExtSpace.realize` and
+reads the middle term's ids from `Context.realize`.
 """
 
 from __future__ import annotations
@@ -85,7 +109,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import sympy
@@ -98,18 +124,19 @@ from quivertilt.algebra import (
     simple_module,
     vertex_automorphisms,
 )
-from quivertilt.contexts import ContextError, ExactExtSpace, _almost_split_middle
+from quivertilt.contexts import Context, ContextError, ExactExtSpace, _almost_split_middle
 from quivertilt.decompose import (
     _random_invertible_combo,
     fingerprint,
     indecomposable_isomorphic,
-    is_isomorphic,
     summand_split,
 )
-from quivertilt.homology import ar_translate, cosyzygy, ext_dim, injective_hull, syzygy
+from quivertilt.homology import ar_translate, cosyzygy, ext_dim, injective_hull, minimal_resolution, syzygy
 from quivertilt.modules import (
+    HomQuotient,
     ModuleMap,
     Representation,
+    _subspace_with_induced_action,
     cokernel,
     direct_sum,
     hom_basis,
@@ -120,7 +147,7 @@ from quivertilt.modules import (
     zero_map,
     zero_representation,
 )
-from quivertilt.stable import StableHomSpace, cone, loop
+from quivertilt.stable import cone, loop, require_self_injective
 
 
 def _theta_offsets(m: Representation, n: Representation):
@@ -479,9 +506,9 @@ def extension_closed_by_all_classes(parent, subset_ids):
     for c in subset:
         for a in subset:
             for coords in all_class_coords(parent, c, a):
-                conf = parent.realize(c, a, coords)
-                if any(i not in inside for i in conf.b_ids):
-                    outside = [parent.object_names[i] for i in conf.b_ids if i not in inside]
+                middle = parent.realize(c, a, coords)
+                if any(i not in inside for i in middle):
+                    outside = [parent.object_names[i] for i in middle if i not in inside]
                     return False, {
                         "c": parent.object_names[c],
                         "a": parent.object_names[a],
@@ -677,3 +704,143 @@ def automorphism_images_by_fingerprint(algebra, reps: list[Representation]) -> l
             images = twist_images_by_fingerprint(algebra, reps, sigma)
         placed[sigma] = images
     return list(placed.values())
+
+
+def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
+    if m.algebra is not n.algebra:
+        raise ValueError("representations live over different algebras")
+    if m.dims != n.dims:
+        return False
+    if m.total_dim == 0:
+        return True
+    p = m.algebra.p
+    maps = hom_basis(m, n)
+    back = hom_basis(n, m)
+    if len(maps) != len(back) or not maps:
+        return False
+    rng = linalg.stable_rng(seed, 3, m.dims)
+    if _random_invertible_combo(maps, rng, p, 24) is not None:
+        return True
+    left = [t[0] for t in summand_split(m, seed)]
+    right = [t[0] for t in summand_split(n, seed)]
+    if len(left) != len(right):
+        return False
+    used = [False] * len(right)
+    for piece in left:
+        for j, other in enumerate(right):
+            if not used[j] and indecomposable_isomorphic(piece, other, seed):
+                used[j] = True
+                break
+        else:
+            return False
+    return True
+
+
+def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, int]]:
+    """Non-isomorphic indecomposable summands with multiplicities."""
+    pieces = [t[0] for t in summand_split(m, seed)]
+    groups: list[tuple[Representation, int]] = []
+    for piece in pieces:
+        for i, (rep, mult) in enumerate(groups):
+            if indecomposable_isomorphic(rep, piece, seed=seed):
+                groups[i] = (rep, mult + 1)
+                break
+        else:
+            groups.append((piece, 1))
+    groups.sort(key=lambda t: (t[0].dims, fingerprint(t[0])))
+    return groups
+
+
+class StableHomSpace(HomQuotient):
+    """Hom(m, n) modulo maps factoring through projectives, with coordinates;
+    over a self-injective algebra these are the maps factoring through the
+    injective hull of m."""
+
+    def __init__(self, m: Representation, n: Representation):
+        require_self_injective(m.algebra)
+        super().__init__(injective_hull(m)[1], n)
+
+
+def stable_hom_dim(m: Representation, n: Representation) -> int:
+    return StableHomSpace(m, n).dim
+
+
+def class_of(space: HomQuotient, f: ModuleMap) -> np.ndarray:
+    """Coordinates of the class of f: space.m -> space.n."""
+    if not space.basis:
+        return np.zeros(0, dtype=np.int64)
+    return space.quot.to_coords(space._basis_coords(f))
+
+
+def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
+    """Image as a subrepresentation of the target; returns (im, inclusion)."""
+    p = f.p
+    bases = [linalg.column_space_basis(b, p) for b in f.blocks]
+    return _subspace_with_induced_action(f.target, bases)
+
+
+@dataclass
+class Conflation:
+    """A -> B -> C with the class coordinates.  The maps x: A -> B and
+    y: B -> C are formed on first use, from the projection of P0 + A onto B
+    that realized the class."""
+
+    ctx: Context
+    a_idx: int
+    c_idx: int
+    delta: tuple[int, ...]
+    a_rep: Representation
+    b_rep: Representation
+    c_rep: Representation
+    b_ids: Counter
+    space: ExactExtSpace = field(repr=False)
+    onto_b: ModuleMap = field(repr=False)
+
+    @cached_property
+    def maps(self) -> tuple[ModuleMap, ModuleMap]:
+        """(x, y), formed on first use."""
+        return ext_space_maps(self.space, self.onto_b)
+
+    x = property(lambda self: self.maps[0])
+    y = property(lambda self: self.maps[1])
+
+    def describe(self) -> str:
+        names = self.ctx.object_names
+        mid = "+".join(
+            names[i] if m == 1 else f"{m}*{names[i]}"
+            for i, m in sorted(self.b_ids.items())
+        ) or "0"
+        return (
+            f"{names[self.a_idx]} -> {mid} -> {names[self.c_idx]} "
+            f"(delta={list(self.delta)})"
+        )
+
+
+def conflation(ctx: Context, c_idx: int, a_idx: int, coords) -> Conflation:
+    """The conflation realizing the class of E(c, a) with the given
+    coordinates, with the middle term's ids that `Context.realize` names."""
+    space = ctx.ext_space(c_idx, a_idx)
+    b, onto_b = space.realize(coords)
+    delta = tuple(int(v) for v in coords)
+    return Conflation(ctx, a_idx, c_idx, delta, ctx.objects[a_idx].rep, b, ctx.objects[c_idx].rep,
+                      ctx.realize(c_idx, a_idx, delta), space, onto_b)
+
+
+def ext_space_maps(space: ExactExtSpace, onto_b: ModuleMap) -> tuple[ModuleMap, ModuleMap]:
+    """x: A -> B and y: B -> C of the conflation `ExactExtSpace.realize`
+    returned with the projection onto_b: P0 + A -> B."""
+    cover = minimal_resolution(space.c).diffs[0]
+    _, (_, incl_a), (proj_p0, _) = direct_sum([space.p0, space.a])
+    return onto_b.compose(incl_a), _factor_through_projection(onto_b, cover.compose(proj_p0))
+
+
+def _factor_through_projection(proj: ModuleMap, through: ModuleMap) -> ModuleMap:
+    """g with g o proj = through (proj a vertex-wise surjection)."""
+    p = proj.p
+    blocks = []
+    for v in range(len(proj.blocks)):
+        sol = linalg.solve(proj.blocks[v].T, through.blocks[v].T, p)
+        if sol is None:
+            raise ContextError("map does not factor through the projection")
+        blocks.append(sol.T % p)
+    return ModuleMap(proj.target, through.target, blocks, validate=False)

@@ -6,7 +6,6 @@ from quivertilt.algebra import (
     ParseError,
     injective_module,
     is_self_injective,
-    linear_quiver_radical_square,
     nakayama_cyclic,
     parse_algebra,
     path_key,
@@ -14,7 +13,7 @@ from quivertilt.algebra import (
     simple_module,
 )
 from quivertilt.decompose import _probes
-from conftest import DYNKIN
+from conftest import DYNKIN, linear_quiver_radical_square
 from oracle import probes_by_search, self_injective_by_search
 
 

@@ -13,12 +13,10 @@ from quivertilt.checkers import (
     check_n_cotorsion_side,
     enumerate_cluster_tilting,
     enumerate_cotorsion_diagonal,
+    _approximation_clause,
     orthogonal,
     resdim,
-    verify_left_pair_characterization,
-    verify_orthogonal_containment,
     verify_theorem,
-    wedge,
     within,
 )
 from quivertilt.contexts import (
@@ -34,6 +32,56 @@ from oracle import (
     greedy_step_by_full_approximation,
     rigid_supersets_by_subset_walk,
 )
+
+
+# The paper's auxiliary statements, checked here against the main checkers.
+
+
+def wedge(ctx, y_ids, m: int, exhaustive=None, dual: bool = False) -> frozenset[int]:
+    """Objects of resolution dimension <= m with respect to add(Y); with
+    `dual`, of coresolution dimension <= m (the vee class)."""
+    y_ids = frozenset(int(i) for i in y_ids)
+    return frozenset(
+        i for i in range(ctx.n_objects) if within(resdim(ctx, y_ids, i, m, exhaustive, dual), m)
+    )
+
+
+def verify_orthogonal_containment(ctx, x_ids, n: int, exhaustive=None) -> tuple[bool, dict]:
+    """The intersection of the first n left orthogonals of X is contained in
+    the first left orthogonal of the class of objects of X-resolution
+    dimension <= n-1."""
+    x_ids = frozenset(int(i) for i in x_ids)
+    lhs = orthogonal(ctx, x_ids, n, dual=True)
+    wedge_set = wedge(ctx, x_ids, n - 1, exhaustive)
+    rhs = orthogonal(ctx, wedge_set, 1, dual=True) if wedge_set else frozenset(range(ctx.n_objects))
+    ok = lhs <= rhs
+    detail = {
+        "lhs": sorted(ctx.object_names[i] for i in lhs),
+        "rhs": sorted(ctx.object_names[i] for i in rhs),
+        "wedge": sorted(ctx.object_names[i] for i in wedge_set),
+    }
+    if not ok:
+        detail["witness"] = sorted(ctx.object_names[i] for i in lhs - rhs)
+    return ok, detail
+
+
+def verify_left_pair_characterization(ctx, x_ids, y_ids, n: int, exhaustive=None) -> tuple[bool, dict]:
+    """The left cotorsion checker agrees with the reformulation: X equals the
+    intersection of the first n left orthogonals of Y, together with the
+    approximation-conflation clause."""
+    x_ids = frozenset(int(i) for i in x_ids)
+    y_ids = frozenset(int(i) for i in y_ids)
+    if exhaustive is None:
+        exhaustive = ctx.config.exhaustive
+    checker = check_n_cotorsion_side(ctx, x_ids, y_ids, n, exhaustive).passed
+    orth = orthogonal(ctx, y_ids, n, dual=True)
+    clause3 = _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual=False)[0]
+    reformulated = (x_ids == orth) and clause3
+    return checker == reformulated, {
+        "checker": checker,
+        "orthogonal_equality": x_ids == orth,
+        "clause3": clause3,
+    }
 
 
 def test_orthogonal_examples(exact_contexts):
@@ -153,7 +201,7 @@ def test_cotorsion_failure_witness(exact_contexts):
     ctx = exact_contexts["a2"]
     verdict = check_n_cotorsion(ctx, range(3), range(3), 1)
     assert not verdict.passed
-    failure = verdict.first_failure()
+    failure = next(c for c in verdict.clauses if not c.passed)
     assert failure.clause == "left.orthogonality"
     assert failure.witness["witness_object"] == "I1"
     assert failure.witness["against"] == "P2"
@@ -178,7 +226,8 @@ def test_cluster_tilting_examples(exact_contexts):
     # X = all objects fails with a witness naming the extension
     verdict = check_cluster_tilting(ctx, range(3), 2)
     assert not verdict.passed
-    assert verdict.first_failure().witness["extra"] or verdict.first_failure().witness["missing"]
+    failure = next(c for c in verdict.clauses if not c.passed)
+    assert failure.witness["extra"] or failure.witness["missing"]
 
 
 def test_cluster_tilting_degree_bound(exact_contexts):

@@ -184,6 +184,7 @@ def test_ext_table_degree_below_one_exits_2(kmax, capsys):
     (["--ct-size", "2", "--ct-degree", "1"], "cluster-tilting degree must be >= 2"),
     (["--ct-size", "0", "--ct-degree", "3"], "cluster-tilting size must be >= 1"),
     (["--ct-size", "2", "--ct-degree", "3", "--generator-samples", "-1"], "generator samples must be >= 0"),
+    (["--ct-size", "2", "--ct-degree", "3", "--max-candidates", "-1"], "max candidates must be >= 0"),
 ])
 def test_invalid_search_arguments_exit_2(flags, message, capsys, monkeypatch):
     """Each is refused before the parent context is built, not skipped per
@@ -193,6 +194,15 @@ def test_invalid_search_arguments_exit_2(flags, message, capsys, monkeypatch):
     assert status == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_search_on_a_one_object_parent(capsys):
+    """Stable nak(1,2) has one object: a generator set is drawn from it alone
+    rather than sampled past the population."""
+    status, out, err = _run(["search-nakayama", "1", "2", "--ct-size", "1", "--ct-degree", "2",
+                             "--format", "structured"], capsys)
+    assert status == 0, err
+    assert json.loads(out)["result"]["parent_objects"] == 1
 
 
 def test_e6_verify_theorem_completes(capsys):

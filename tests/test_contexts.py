@@ -10,7 +10,7 @@ import pytest
 from pathlib import Path
 
 from quivertilt import contexts, linalg
-from quivertilt.algebra import linear_quiver_radical_square, nakayama_cyclic, parse_algebra, simple_module
+from quivertilt.algebra import nakayama_cyclic, parse_algebra, simple_module
 from quivertilt.contexts import (
     ContextError,
     ContextObject,
@@ -19,20 +19,21 @@ from quivertilt.contexts import (
     RunConfig,
     _integer_inverse,
     _knit,
+    _knitted,
     _Pool,
     build_exact_context,
     build_stable_context,
     build_sub_context,
-    enumerate_indecomposables,
     is_extension_closed,
 )
-from quivertilt.decompose import fingerprint, indecomposable_isomorphic, is_isomorphic
+from quivertilt.decompose import fingerprint, indecomposable_isomorphic
 from quivertilt.homology import cosyzygy, syzygy
 from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel
 from quivertilt.stable import cone, loop, suspension
-from conftest import DYNKIN, EXCEPTIONAL
+from conftest import DYNKIN, EXCEPTIONAL, linear_quiver_radical_square
 from oracle import (
     all_class_coords,
+    conflation,
     enumerate_by_ext_closure,
     ext_table_by_pairs,
     extension_closed_by_all_classes,
@@ -96,8 +97,7 @@ def test_split_conflation(exact_contexts):
     ctx = exact_contexts["a2"]
     s1 = ctx.resolve_name("S1")
     s2 = ctx.resolve_name("S2")
-    conf = ctx.realize(s1, s2, (0,))
-    assert conf.b_ids == Counter({s1: 1, s2: 1})
+    assert ctx.realize(s1, s2, (0,)) == Counter({s1: 1, s2: 1})
 
 
 def test_nonsplit_conflation_has_no_retraction(exact_contexts, stable_contexts):
@@ -107,7 +107,7 @@ def test_nonsplit_conflation_has_no_retraction(exact_contexts, stable_contexts):
         for c in range(ctx.n_objects):
             for a in range(ctx.n_objects):
                 for coords in all_class_coords(ctx, c, a):
-                    conf = ctx.realize(c, a, coords)
+                    conf = conflation(ctx, c, a, coords)
                     # solve r o x = id_A over Hom(B, A)
                     basis = hom_basis(conf.b_rep, conf.a_rep)
                     from quivertilt.modules import identity_map
@@ -127,7 +127,7 @@ def test_conflation_middle_dims_add_up(exact_contexts, stable_contexts):
         for c in range(ctx.n_objects):
             for a in range(ctx.n_objects):
                 for coords in all_class_coords(ctx, c, a, include_zero=True):
-                    conf = ctx.realize(c, a, coords)
+                    conf = conflation(ctx, c, a, coords)
                     assert conf.b_rep.total_dim == (
                         conf.a_rep.total_dim + conf.c_rep.total_dim
                     )
@@ -135,18 +135,19 @@ def test_conflation_middle_dims_add_up(exact_contexts, stable_contexts):
 
 
 def test_conflation_maps_are_formed_on_first_use(exact_contexts, stable_contexts):
-    """`realize` names the middle term only; x and y, formed when first
-    read, compose to zero."""
+    """`realize` names the middle term only, by the object ids it caches per
+    class, and forms no map; x and y of the same class, formed by the
+    oracle, compose to zero."""
     for ctx in [*exact_contexts.values(), *stable_contexts.values()]:
         for c, a in itertools.product(range(ctx.n_objects), repeat=2):
             for coords in all_class_coords(ctx, c, a, include_zero=True):
-                conf = ctx.realize(c, a, coords)
+                conf = conflation(ctx, c, a, coords)
                 assert conf.y.compose(conf.x).is_zero()
     ctx = build_exact_context(nakayama_cyclic(3, 2))
-    conf = ctx.realize(0, 1, (0,) * ctx.e_dim(0, 1))
-    assert "maps" not in conf.__dict__
-    conf.y
-    assert "maps" in conf.__dict__
+    coords = (0,) * ctx.e_dim(0, 1)
+    ids = ctx.realize(0, 1, coords)
+    assert type(ids) is Counter
+    assert ctx.realize(0, 1, coords) is ids
 
 
 def test_extension_closure_examples(exact_contexts):
@@ -325,7 +326,7 @@ def test_hom_vector_identification_matches_splitting(exact_contexts, stable_cont
         for c in range(ctx.n_objects):
             for a in range(ctx.n_objects):
                 for coords in all_class_coords(ctx, c, a, include_zero=True):
-                    conf = ctx.realize(c, a, coords)
+                    conf = conflation(ctx, c, a, coords)
                     assert conf.b_ids == identify_by_splitting(ctx, conf.b_rep), (name, conf.describe())
                 if stable:
                     for f in hom_basis(ctx.objects[c].rep, ctx.objects[a].rep):
@@ -351,7 +352,7 @@ def test_stable_sub_context_pulls_the_root_answer_back():
     sub = build_sub_context(parent, members)
     for c, a in itertools.product(range(sub.n_objects), repeat=2):
         for coords in sub.class_lines(c, a):
-            conf = parent.realize(members[c], members[a], coords)
+            conf = conflation(parent, members[c], members[a], coords)
             want = Counter({members.index(i): m for i, m in conf.b_ids.items()})
             assert sub.identify_sum(conf.b_rep) == want
     with pytest.raises(ContextError, match="falls outside the subcategory"):
@@ -408,7 +409,7 @@ def _same_pool(ours, theirs):
 def test_knitted_pool_equals_the_all_pairs_closure(test_algebras):
     algebras = {**test_algebras, "nak43_f3": nakayama_cyclic(4, 3, 3)}
     for name, alg in algebras.items():
-        _same_pool(enumerate_indecomposables(alg, RunConfig(field_char=alg.p)),
+        _same_pool(_knitted(alg, RunConfig(field_char=alg.p))[0],
                    enumerate_by_ext_closure(alg))
 
 

@@ -4,8 +4,8 @@ import sympy
 
 from quivertilt import homology, linalg
 from quivertilt.algebra import injective_module, parse_algebra, projective_module, simple_module
-from quivertilt.contexts import RunConfig, enumerate_indecomposables
-from quivertilt.decompose import indecomposable_isomorphic, is_isomorphic
+from quivertilt.contexts import RunConfig, _knitted
+from quivertilt.decompose import indecomposable_isomorphic
 from quivertilt.homology import (
     approximation,
     ar_translate,
@@ -18,7 +18,7 @@ from quivertilt.homology import (
 from quivertilt.modules import Representation, direct_sum, hom_basis, kernel, radical_subspaces
 
 from conftest import DYNKIN
-from oracle import ext1_dim_oracle
+from oracle import ext1_dim_oracle, is_isomorphic
 
 
 def _indecomposables(alg):
@@ -187,7 +187,7 @@ def test_left_approximation_examples(a2):
 
 
 def _pool(alg):
-    return enumerate_indecomposables(alg, RunConfig(field_char=alg.p))
+    return _knitted(alg, RunConfig(field_char=alg.p))[0]
 
 
 def test_inverse_translate_follows_the_inverse_coxeter_matrix(a2):

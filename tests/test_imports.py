@@ -1,11 +1,17 @@
 """Every name a module of the package imports is used in that module, and
 every function of the package, at module level or a method of a
 module-level class, is used somewhere in it: a private one anywhere in the
-package, a public one in a module other than `__init__`, unless it is on
-the commented allowlist of functions that only the tests reach.
+package, a public one in a module other than `__init__`.  A function that
+only the tests reach lives in the tests.
 
 `__init__.py` is left out of the import scan: its imports are the package's
-re-exports."""
+re-exports.
+
+The scan matches by name, not by binding: a method counts as referenced
+whenever any function or method of the same name is referenced.  So a dead
+method whose name another class also uses escapes it; `Conflation.describe`
+(masked by `Context.describe`) and `Representation.is_zero` (masked by
+`ModuleMap.is_zero`) did."""
 
 import ast
 from collections import Counter
@@ -116,29 +122,6 @@ def test_no_dead_private_functions_in_the_package():
     assert _dead_functions(sources) == []
 
 
-# Public functions that no module of the package but `__init__` refers to:
-# the tests reach them, and nothing else does.
-TEST_ONLY = {
-    # the A_m/rad^2 family the tests build; the benchmark reads a spec file
-    "algebra.linear_quiver_radical_square",
-    # the paper's auxiliary statements, checked against the main checkers
-    "checkers.verify_left_pair_characterization",
-    "checkers.verify_orthogonal_containment",
-    # the first failing clause of a verdict
-    "checkers.Verdict.first_failure",
-    # the knit's modules, without building a context
-    "contexts.enumerate_indecomposables",
-    # Krull-Schmidt summands with multiplicities, by splitting
-    "decompose.decompose",
-    # isomorphism of arbitrary modules; contexts name modules by Hom vectors
-    "decompose.is_isomorphic",
-    # the class of a map in a Hom quotient
-    "modules.HomQuotient.class_of",
-    # dim of stable Hom: maps modulo those through projectives
-    "stable.stable_hom_dim",
-}
-
-
 def test_scan_finds_a_dead_public_function():
     live = "def used(): pass\ndef _f(): return used()\n"
     planted = ("def dead(n):\n    return dead(n - 1) if n else 0\n"
@@ -160,12 +143,11 @@ def test_scan_finds_a_dead_public_function_planted_in_the_package():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     sources["orbits"] += "\n\ndef planted(perms):\n    return planted(perms[1:]) if perms else []\n"
     sources["__init__"] += "\nfrom .orbits import planted\n"
-    assert _dead_public_in_package(sources) == TEST_ONLY | {"orbits.planted"}
+    assert _dead_public_in_package(sources) == {"orbits.planted"}
 
 
 def test_no_dead_public_functions_in_the_package():
-    """The allowlist holds exactly the public functions that only tests reach:
-    a new one must be listed with its reason, and a listed one that the
-    package comes to use must leave the list."""
+    """Every public function is reached from the package itself; one that
+    only the tests reach belongs in the tests."""
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _dead_public_in_package(sources) == TEST_ONLY
+    assert _dead_public_in_package(sources) == set()

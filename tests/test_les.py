@@ -1,12 +1,12 @@
 from les import les_bookkeeping
-from oracle import all_class_coords
+from oracle import all_class_coords, conflation
 
 
 def _all_conflations(ctx):
     for c in range(ctx.n_objects):
         for a in range(ctx.n_objects):
             for coords in all_class_coords(ctx, c, a, include_zero=True):
-                yield ctx.realize(c, a, coords)
+                yield conflation(ctx, c, a, coords)
 
 
 def test_exact_context_sequences(exact_contexts):

@@ -13,14 +13,13 @@ from quivertilt.modules import (
     hom_basis,
     hom_dim,
     identity_map,
-    image,
     is_end,
     kernel,
     radical_subspaces,
     socle_subspaces,
     zero_representation,
 )
-from oracle import is_end_by_search
+from oracle import image, is_end_by_search
 
 
 def test_relation_violation_rejected(dual_numbers):

@@ -12,7 +12,6 @@ import pytest
 from quivertilt import checkers, cli, contexts
 from quivertilt.algebra import (
     is_automorphism,
-    linear_quiver_radical_square,
     nakayama_cyclic,
     parse_algebra,
     vertex_automorphisms,
@@ -20,7 +19,7 @@ from quivertilt.algebra import (
 from quivertilt.checkers import check_n_cotorsion, enumerate_cluster_tilting, enumerate_cotorsion_diagonal
 from quivertilt.contexts import ContextError, build_exact_context, build_stable_context
 from quivertilt.decompose import fingerprint, indecomposable_isomorphic
-from conftest import DYNKIN
+from conftest import DYNKIN, linear_quiver_radical_square
 from oracle import automorphism_images_by_fingerprint
 
 E6_SPEC = ("field 2\nvertices 1 2 3 4 5 6\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"

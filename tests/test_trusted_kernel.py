@@ -11,7 +11,6 @@ import pytest
 from quivertilt import modules
 from quivertilt.algebra import (
     injective_module,
-    linear_quiver_radical_square,
     nakayama_cyclic,
     parse_algebra,
     projective_module,
@@ -35,7 +34,7 @@ from quivertilt.modules import (
     zero_map,
     zero_representation,
 )
-from conftest import A2_SPEC, DUAL_SPEC
+from conftest import A2_SPEC, DUAL_SPEC, linear_quiver_radical_square
 from oracle import approximation_by_adds, cokernel_by_unit_vectors, direct_sum_by_entries
 
 FIELDS = (2, 3, 5, 65521)
