@@ -79,21 +79,28 @@ automorphism (`modules.twist`) and look the twist up by its fingerprint,
 which is distinct on the indecomposables; an automorphism that is the
 composite of two already placed gets the composite of their images.
 
-`is_isomorphic` and `decompose` are the isomorphism test of arbitrary modules
-and the Krull-Schmidt decomposition with multiplicities, which the
-`decompose` module exported before contexts named modules by Hom vectors: a
-seeded random search for an invertible map, then splitting the modules and
-matching the pieces with `decompose.indecomposable_isomorphic`.  They draw
-from the same `linalg.stable_rng` streams as before.
+`is_isomorphic` was `decompose.is_isomorphic`, the isomorphism test of
+arbitrary modules from before contexts named modules by Hom vectors: a
+seeded random search for an invertible map (`linalg.stable_rng` tag 3, as
+before), then splitting both modules and matching the pieces with
+`decompose.indecomposable_isomorphic`.
+
+`decompose` was `decompose.decompose`: the Krull-Schmidt summands of a
+module with multiplicities, split by `decompose.summand_split` with the
+given seed and grouped by `indecomposable_isomorphic`.
 
 `StableHomSpace` and `stable_hom_dim` are stable Hom as `stable` computed it
 before stable conflations became short exact sequences: Hom(m, n) modulo the
 maps that factor through the injective hull of m, which over a
 self-injective algebra are the maps through projectives.
 
-`class_of` is the inverse of `modules.HomQuotient.representative`: the
-coordinates of the class of a map in a Hom quotient.  `image` is the image
-of a module map as a subrepresentation of its target.
+`class_of` was the method `modules.HomQuotient.class_of`, the inverse of
+`HomQuotient.representative`: the coordinates of the class of a map in a
+Hom quotient.  Only the tests ask for a map's class.
+
+`image` was `modules.image`: the image of a module map as a
+subrepresentation of its target, from a column basis of each block.  No
+command forms an image; kernels and cokernels are enough.
 
 `conflation` is what `Context.realize` returned before it returned only the
 object ids of the middle term: the conflation A -> B -> C of a class, with
