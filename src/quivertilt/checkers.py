@@ -234,8 +234,7 @@ def _exhaustive_resdim(ctx: Context, x_ids: frozenset, target: Counter, bound: i
     if bound == 0:
         return EXCEEDS
     best = EXCEEDS
-    zero_middle = ctx.root_kind == "stable"
-    for _, _, k_ids in ctx.conflation_candidates(x_ids, ctx.sum_rep(target), dual, zero_middle):
+    for k_ids in ctx.conflation_candidates(x_ids, ctx.sum_rep(target), dual):
         sub = _exhaustive_resdim(ctx, x_ids, k_ids, bound - 1, dual, memo)
         if isinstance(sub, int) and (not isinstance(best, int) or sub + 1 < best):
             best = sub + 1
@@ -315,9 +314,8 @@ def _clause3_object(ctx, x_ids, y_ids, n, c_idx, exhaustive, dual):
 def _clause3_exhaustive(ctx, x_ids, y_ids, n, c_idx, dual) -> bool:
     """Whether some bounded conflation with end C and middle in add(X) has
     its other end within Y-(co)resolution dimension n-1."""
-    zero_middle = ctx.root_kind == "stable"
-    candidates = ctx.conflation_candidates(x_ids, ctx.objects[c_idx].rep, dual, zero_middle)
-    return any(within(resdim(ctx, y_ids, k_ids, n - 1, True, dual), n - 1) for _, _, k_ids in candidates)
+    candidates = ctx.conflation_candidates(x_ids, ctx.objects[c_idx].rep, dual)
+    return any(within(resdim(ctx, y_ids, k_ids, n - 1, True, dual), n - 1) for k_ids in candidates)
 
 
 def _ids_str(ctx, ids: Counter) -> str:

@@ -55,7 +55,7 @@ def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
     parser.add_argument("--budget", type=int, default=10000, help="most indecomposables to enumerate")
     parser.add_argument("--subset-budget", type=int, default=1 << 20,
                         help="most candidate subcategories each side of verify-theorem may visit; "
-                        "search-nakayama skips a sub-context with more than 1/64 of it")
+                        "search-nakayama spends it in the cluster-tilting enumeration of each sub-context")
     parser.add_argument("--mmax", type=int, default=2, help="multiplicity bound for exhaustive conflation search")
     parser.add_argument("--exhaustive", action="store_true")
     parser.add_argument("--format", choices=["text", "structured"], default="text")
@@ -200,11 +200,11 @@ def cmd_check(args) -> int:
     algebra = _load_algebra(args, config)
     ctx = _build_context(args, algebra, config)
     x_ids = _resolve_members(ctx, args.x)
+    y_ids = _resolve_members(ctx, args.y) if args.mode == "cotorsion" and args.y else None
     if args.mode == "ct":
         verdict = check_cluster_tilting(ctx, x_ids, args.degree)
     else:
-        y_ids = _resolve_members(ctx, args.y) if args.y else x_ids
-        verdict = check_n_cotorsion(ctx, x_ids, y_ids, args.degree)
+        verdict = check_n_cotorsion(ctx, x_ids, x_ids if y_ids is None else y_ids, args.degree)
     payload = {
         "context": args.context,
         "mode": args.mode,
@@ -212,8 +212,8 @@ def cmd_check(args) -> int:
         "x": sorted(ctx.object_names[i] for i in x_ids),
         "verdict": verdict.to_dict(),
     }
-    if args.mode == "cotorsion" and args.y:
-        payload["y"] = sorted(ctx.object_names[i] for i in _resolve_members(ctx, args.y))
+    if y_ids is not None:
+        payload["y"] = sorted(ctx.object_names[i] for i in y_ids)
     _emit(args, config, algebra, payload, "check")
     return 0 if verdict.passed else 1
 

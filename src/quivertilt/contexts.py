@@ -340,7 +340,7 @@ class Context:
         self._conflation_cache: dict[tuple[int, int, tuple[int, ...]], Counter] = {}  # middle-term ids
         self._shift_cache: dict[tuple[bool, int, int], Counter] = {}
         self._ek_cache: dict[tuple[int, int, int], int] = {}
-        self._sum_rep_cache: dict[tuple, tuple[Representation, list[int]]] = {}
+        self._sum_rep_cache: dict[tuple, Representation] = {}
         self._witnesses: dict[bool, dict[int, dict]] = {}
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
         self._hom_vectors: HomVectors | None = None  # roots: read off the AR mesh
@@ -389,17 +389,11 @@ class Context:
         """Materialized direct sum for a multiset of object ids (cached)."""
         key = tuple(sorted(ids.items()))
         hit = self._sum_rep_cache.get(key)
-        if hit is not None:
-            return hit[0]
-        reps = []
-        order = []
-        for idx, mult in sorted(ids.items()):
-            for _ in range(mult):
-                reps.append(self.objects[idx].rep)
-                order.append(idx)
-        rep = direct_sum(reps)[0] if reps else zero_representation(self.algebra)
-        self._sum_rep_cache[key] = (rep, order)
-        return rep
+        if hit is None:
+            reps = [self.objects[idx].rep for idx, mult in key for _ in range(mult)]
+            hit = direct_sum(reps)[0] if reps else zero_representation(self.algebra)
+            self._sum_rep_cache[key] = hit
+        return hit
 
     # -- E-dimensions ------------------------------------------------------
 
@@ -603,19 +597,22 @@ class Context:
             extra = witnesses.get(c_idx, {}).get("map")
         return approximation(members, c_rep, dual, extra)
 
-    def conflation_candidates(self, member_ids, c_rep: Representation, dual: bool,
-                              zero_middle: bool):
-        """Bounded exhaustive candidates for a conflation K -> X0 -> C with X0
-        in add(members) (with `dual`, C -> X0 -> L), as (X0, map, K or L).
+    def conflation_candidates(self, member_ids, c_rep: Representation, dual: bool):
+        """Bounded exhaustive search for conflations K -> X0 -> C with X0 in
+        add(members) (with `dual`, C -> X0 -> L), yielding the ids of K (L);
+        `--exhaustive` runs it to look for chains shorter than the canonical.
 
-        X0 runs over the zero object when `zero_middle`, then over sums of at
-        most max_multiplicity members; the map over every nonzero combination
-        of a basis of Hom(X0, C) (Hom(C, X0)).  A Hom space with more than
-        exhaustion_bound elements raises, since skipping it could miss the
-        only conflation.  Maps that are not deflations (inflations) are left
-        out."""
+        X0 runs over the zero object in a triangulated root, then over sums
+        of at most max_multiplicity members; the map over every nonzero
+        combination of a basis of Hom(X0, C) (Hom(C, X0)).  A Hom space with
+        more than exhaustion_bound elements raises, since skipping it could
+        miss the only conflation.  Maps that are not deflations (inflations)
+        are left out.  Over the projectives P of a sub-context it finds an
+        end only where the canonical approximation does, since a deflation
+        from add(P) with cocone K is a right add(P)-approximation, as
+        E(P, K) = 0 (`SubContext._witness_for`; dually for add(I))."""
         p = self.algebra.p
-        middles = [Counter()] if zero_middle else []
+        middles = [Counter()] if self.root_kind == "stable" else []
         for size in range(1, self.config.max_multiplicity + 1):
             for combo in itertools.combinations_with_replacement(sorted(member_ids), size):
                 middles.append(Counter(combo))
@@ -640,7 +637,7 @@ class Context:
                 except ContextError:
                     continue
                 if ids is not None:
-                    yield mid, f, ids
+                    yield ids
 
     def describe(self) -> dict:
         return {
@@ -707,6 +704,14 @@ class SubContext(Context):
         return out
 
     def _witness_for(self, idx: int, dual: bool):
+        """A deflation from add(P), P the context projectives, onto the
+        object with cocone in the sub-context (with `dual`, an inflation into
+        add(I) with cone in it), or None.  The canonical approximation h is
+        the only map from add(P) to try: a deflation f from add(P) with
+        cocone K in the sub-context is a right add(P)-approximation, as
+        E(P, K) = 0, so f and h are each the minimal approximation plus a
+        zero map from add(P), and h has cocone K_min + P'', in the
+        sub-context with K (dually for inflations into add(I))."""
         forced = sorted(self.injective_ids if dual else self.projective_ids)
         key = "cone" if dual else "cocone"
         c_rep = self.objects[idx].rep
@@ -727,9 +732,6 @@ class SubContext(Context):
             ids = self.conflation_end(h, dual)
             if ids is not None:
                 return {"map": h, key: ids}
-        # bounded exhaustive search over maps from small sums of projectives
-        for _, f, ids in self.conflation_candidates(forced, c_rep, dual, zero_middle=False):
-            return {"map": f, key: ids}
         return None
 
 

@@ -152,11 +152,6 @@ def row_space_basis(a: np.ndarray, p: int) -> np.ndarray:
     return r[: len(pivots)].copy()
 
 
-def in_span(vectors: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """True if column vector v lies in the column span of `vectors`."""
-    return solve(vectors, v, p) is not None
-
-
 class QuotientSpace:
     """Coordinates on F_p^dim / span(columns of sub).
 

@@ -4,20 +4,20 @@ subcategories of a stable Nakayama context.
 Candidate subcategories come from two sources: complements of subquotient
 cones of single objects (a structured family that captures wedge-shaped
 deletions from the AR quiver), and seeded random generator sets closed under
-extensions and optionally syzygy/cosyzygy.  Every candidate is checked for
-extension closure; inside each surviving sub-context the checker looks for
-cluster-tilting subcategories of the requested size, and every hit is
-cross-checked with the full theorem verifier.
+extensions and optionally syzygy/cosyzygy.  Subquotients are read off each
+module's top vertex and length, since every indecomposable over a Nakayama
+algebra is uniserial.  Every candidate is checked for extension closure;
+inside each surviving sub-context `checkers.enumerate_cluster_tilting` lists
+the cluster-tilting subcategories, within `subset_budget`, and those of the
+requested size are the hits, in the order of their sorted object ids.  Every
+hit is cross-checked with the full theorem verifier.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
 from . import linalg
 from .algebra import nakayama_cyclic
-from .checkers import check_cluster_tilting, check_n_cotorsion, verify_theorem
+from .checkers import check_cluster_tilting, check_n_cotorsion, enumerate_cluster_tilting, verify_theorem
 from .contexts import (
     Context,
     ContextError,
@@ -26,68 +26,19 @@ from .contexts import (
     build_sub_context,
     is_extension_closed,
 )
-from .modules import Representation, hom_basis, nonzero_combinations
+from .modules import Representation, top_dims
 
 
-def _submodule_vertex_choices(rep: Representation):
-    """Arrow-invariant vertex-subspace tuples; feasible for small dims only."""
-    import numpy as np
-
-    p = rep.algebra.p
-    q = rep.algebra.quiver
-    per_vertex: list[list] = []
-    for v in range(q.n_vertices):
-        d = rep.dims[v]
-        subs = []
-        # all subspaces of F_p^d, enumerated via spanning sets
-        vectors = list(itertools.product(range(p), repeat=d))[1:]
-        seen = set()
-        for size in range(0, d + 1):
-            for combo in itertools.combinations(vectors, size):
-                mat = np.array(combo, dtype=np.int64).T if combo else linalg.zeros(d, 0)
-                basis = linalg.column_space_basis(mat, p)
-                key = basis.tobytes() + bytes([basis.shape[1]])
-                if key not in seen:
-                    seen.add(key)
-                    subs.append(basis)
-        per_vertex.append(subs)
-    for choice in itertools.product(*per_vertex):
-        yield list(choice)
-
-
-def _invariant(rep: Representation, bases) -> bool:
-    p = rep.algebra.p
-    q = rep.algebra.quiver
-    for a in range(q.n_arrows):
-        s, t = q.arrow_source[a], q.arrow_target[a]
-        img = linalg.matmul(rep.matrices[a], bases[s], p)
-        for col in range(img.shape[1]):
-            if not linalg.in_span(bases[t], img[:, col : col + 1], p):
-                return False
-    return True
-
-
-def is_subquotient(m: Representation, n: Representation, dim_budget: int = 6) -> bool:
-    """True iff m is a quotient of a submodule of n (small modules only)."""
-    if m.total_dim > n.total_dim:
-        return False
-    if n.total_dim > dim_budget:
-        raise ContextError("subquotient test is limited to small modules")
-    from .modules import _subspace_with_induced_action
-
-    p = n.algebra.p
-    for bases in _submodule_vertex_choices(n):
-        if sum(b.shape[1] for b in bases) < m.total_dim:
-            continue
-        if not _invariant(n, bases):
-            continue
-        sub, _ = _subspace_with_induced_action(n, bases)
-        homs = hom_basis(sub, m)
-        if p ** len(homs) > 4096:
-            continue
-        if any(f.is_epi() for f in nonzero_combinations(homs)):
-            return True
-    return False
+def is_subquotient(m: Representation, n: Representation) -> bool:
+    """True iff the indecomposable m is a quotient of a submodule of the
+    indecomposable n, over a cyclic Nakayama algebra.  There every
+    indecomposable is uniserial, fixed by its top vertex t and its length l,
+    and the subquotients of n are the rad^a n / rad^(a+l) n, whose top is a
+    steps along the arrows from t_n.  So m is one iff l_m <= l_n and
+    (t_m - t_n) mod |Q_0| <= l_n - l_m."""
+    t_m, t_n = top_dims(m).index(1), top_dims(n).index(1)
+    l_m, l_n = m.total_dim, n.total_dim
+    return l_m <= l_n and (t_m - t_n) % len(n.dims) <= l_n - l_m
 
 
 def _structured_candidates(ctx: Context) -> list[frozenset[int]]:
@@ -95,10 +46,7 @@ def _structured_candidates(ctx: Context) -> list[frozenset[int]]:
     {M : Z sub of M}, for each object Z."""
     out = []
     n = ctx.n_objects
-    table = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = is_subquotient(ctx.objects[i].rep, ctx.objects[j].rep)
+    table = [[is_subquotient(a.rep, b.rep) for b in ctx.objects] for a in ctx.objects]
     for z in range(n):
         cone = frozenset(i for i in range(n) if table[i][z])
         cocone = frozenset(i for i in range(n) if table[z][i])
@@ -214,31 +162,16 @@ def search_nakayama_stable(
                 {"subset_size": len(subset), "reason": "not enough projectives/injectives"}
             )
             continue
-        forced = sorted(sub.projective_ids | sub.injective_ids)
-        if len(forced) > ct_size:
+        if len(sub.projective_ids | sub.injective_ids) > ct_size:
             continue
-        free = [i for i in range(sub.n_objects) if i not in forced]
-        n_combos = math.comb(len(free), ct_size - len(forced))
-        if n_combos > config.subset_budget // 64:
-            report["candidates_skipped"].append(
-                {
-                    "subset_size": len(subset),
-                    "reason": f"{n_combos} candidate subcategories exceed the budget",
-                }
-            )
+        try:
+            tilting = [s.ids for s in enumerate_cluster_tilting(sub, ct_degree) if len(s.ids) == ct_size]
+        except ContextError as exc:
+            report["candidates_skipped"].append({"subset_size": len(subset), "reason": str(exc)})
             continue
         theorem = None  # one verify_theorem report per sub-context, shared by its hits
-        for extra in itertools.combinations(free, ct_size - len(forced)):
-            x_ids = frozenset(forced) | frozenset(extra)
-            try:
-                verdict = check_cluster_tilting(sub, x_ids, ct_degree)
-            except ContextError as exc:
-                report["candidates_skipped"].append(
-                    {"subset_size": len(subset), "reason": str(exc)}
-                )
-                break
-            if not verdict.passed:
-                continue
+        for x_ids in sorted(tilting, key=sorted):
+            verdict = check_cluster_tilting(sub, x_ids, ct_degree)
             cot = check_n_cotorsion(sub, x_ids, x_ids, ct_degree - 1)
             hit = {
                 "context_objects": sorted(parent.object_names[i] for i in subset),

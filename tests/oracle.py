@@ -109,6 +109,18 @@ realized it, and the maps x: A -> B and y: B -> C, formed on first use by
 `ext_space_maps`; y is found by factoring P0 + A -> P0 -> C through that
 projection.  It realizes the class afresh with `ExactExtSpace.realize` and
 reads the middle term's ids from `Context.realize`.
+
+`is_subquotient_by_submodules` is `search.is_subquotient` as it was before it
+read the answer off top vertices and lengths: a search over every
+arrow-invariant tuple of vertex subspaces and every map from that submodule
+onto m.  It enumerates each subspace once, by its reduced echelon basis,
+and has neither the old refusal above total dimension 6 nor its cap of 4096
+maps.
+
+`cluster_tilting_by_combinations` is how `search.search_nakayama_stable`
+found its hits before it took them from `checkers.enumerate_cluster_tilting`:
+`check_cluster_tilting` on every set of the requested size through the
+projectives and injectives.
 """
 
 from __future__ import annotations
@@ -851,3 +863,43 @@ def _factor_through_projection(proj: ModuleMap, through: ModuleMap) -> ModuleMap
             raise ContextError("map does not factor through the projection")
         blocks.append(sol.T % p)
     return ModuleMap(proj.target, through.target, blocks, validate=False)
+
+
+def _subspaces(d: int, p: int, min_dim: int):
+    """Every subspace of F_p^d of dimension at least min_dim, once each, as
+    the columns of its reduced echelon basis."""
+    for k in range(min_dim, d + 1):
+        for pivots in itertools.combinations(range(d), k):
+            free = [(i, c) for i, pc in enumerate(pivots) for c in range(pc + 1, d) if c not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = np.zeros((k, d), dtype=np.int64)
+                rows[range(k), pivots] = 1
+                for (i, c), v in zip(free, values):
+                    rows[i, c] = v
+                yield rows.T
+
+
+def is_subquotient_by_submodules(m: Representation, n: Representation) -> bool:
+    """Whether m is a quotient of a submodule of n: some arrow-invariant
+    tuple of vertex subspaces of n, at least as large as m at each vertex,
+    has a nonzero map onto m."""
+    p = n.algebra.p
+    for bases in itertools.product(*(_subspaces(d, p, e) for d, e in zip(n.dims, m.dims))):
+        try:
+            sub, _ = _subspace_with_induced_action(n, list(bases))
+        except ValueError:  # not arrow-invariant
+            continue
+        if any(f.is_epi() for f in nonzero_combinations(hom_basis(sub, m))):
+            return True
+    return False
+
+
+def cluster_tilting_by_combinations(ctx, size: int, n: int) -> list[list[str]]:
+    """The n-cluster-tilting sets of the given size, as sorted names, in
+    lexicographic order of their ids outside the projectives and
+    injectives."""
+    forced = ctx.projective_ids | ctx.injective_ids
+    free = [i for i in range(ctx.n_objects) if i not in forced]
+    return [sorted(ctx.object_names[i] for i in forced | set(extra))
+            for extra in itertools.combinations(free, size - len(forced))
+            if checkers.check_cluster_tilting(ctx, forced | set(extra), n).passed]

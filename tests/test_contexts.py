@@ -28,7 +28,7 @@ from quivertilt.contexts import (
 )
 from quivertilt.decompose import fingerprint, indecomposable_isomorphic
 from quivertilt.homology import cosyzygy, syzygy
-from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel
+from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel, zero_map
 from quivertilt.stable import cone, loop, suspension
 from conftest import DYNKIN, EXCEPTIONAL, linear_quiver_radical_square
 from oracle import (
@@ -552,3 +552,47 @@ def test_e6_realizes_no_almost_split_sequence(monkeypatch):
     seeds = [f(simple_module(e6, v)) for v in e6.quiver.vertex_ids for f in (syzygy, cosyzygy)]
     assert sorted(split_dims) == sorted(m.dims for m in seeds if m.total_dim)
     assert len(split_dims) == 9
+
+
+def _witness_gaps(parent) -> list[tuple]:
+    """(subset, object, dual) wherever, in the sub-context on an
+    extension-closed subset of the parent, the exhaustive conflation search
+    over the context projectives (with `dual`, injectives) finds an end and
+    `SubContext._witness_for` finds no witness."""
+    gaps = []
+    for k in range(1, parent.n_objects + 1):
+        for subset in itertools.combinations(range(parent.n_objects), k):
+            if not is_extension_closed(parent, subset)[0]:
+                continue
+            sub = build_sub_context(parent, list(subset))
+            for dual, o in itertools.product((False, True), sub.objects):
+                forced = sub.injective_ids if dual else sub.projective_ids
+                found = next(iter(sub.conflation_candidates(forced, o.rep, dual)), None)
+                if found is not None and sub._witness_for(o.index, dual) is None:
+                    gaps.append((subset, o.label, dual))
+    return gaps
+
+
+@pytest.mark.parametrize("build, n", [(build_exact_context, 3), (build_exact_context, 2),
+                                      (build_stable_context, 5)])
+def test_sub_context_witnesses_need_no_conflation_search(build, n):
+    """A deflation from add(P), P the context projectives, with cocone in a
+    sub-context is a right add(P)-approximation, so the canonical one is a
+    deflation with cocone in it too (`SubContext._witness_for`), and dually.
+    So the exhaustive search finds an end only where the canonical step
+    found a witness, on every extension-closed subset of nak(n, 3)."""
+    assert _witness_gaps(build(nakayama_cyclic(n, 3))) == []
+
+
+def test_witness_check_catches_a_canonical_step_that_fails(monkeypatch):
+    """With the canonical approximation replaced by a zero map, which is no
+    deflation, the exhaustive search finds the ends the witness misses."""
+    parent = build_exact_context(nakayama_cyclic(2, 3))
+
+    def planted(self, member_ids, c_idx, augment, dual=False):
+        ends = self.sum_rep(Counter(member_ids)), self.objects[c_idx].rep
+        return zero_map(*(ends[::-1] if dual else ends))
+
+    monkeypatch.setattr(contexts.SubContext, "approx", planted)
+    gaps = _witness_gaps(parent)
+    assert gaps and {dual for _, _, dual in gaps} == {False, True}

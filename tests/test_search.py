@@ -1,14 +1,18 @@
+import itertools
+
 import pytest
 
+from quivertilt import cli, search
 from quivertilt.algebra import nakayama_cyclic
 from quivertilt.contexts import (
-    ContextError,
     RunConfig,
     build_exact_context,
     build_stable_context,
     is_extension_closed,
 )
+from quivertilt.checkers import enumerate_cluster_tilting
 from quivertilt.search import close_under_operations, is_subquotient, search_nakayama_stable
+from oracle import cluster_tilting_by_combinations, is_subquotient_by_submodules
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +62,23 @@ def test_subquotients_of_uniserial_modules():
             assert sum(m.total_dim == 2 for m in found) == 2
 
 
-def test_subquotient_test_refuses_large_modules():
-    mods = [o.rep for o in build_exact_context(nakayama_cyclic(3, 3)).objects]
-    big = max(mods, key=lambda r: r.total_dim)
-    with pytest.raises(ContextError):
-        is_subquotient(big, big, dim_budget=big.total_dim - 1)
+@pytest.mark.parametrize("n, r, p", [(1, 3, 2), (2, 3, 2), (3, 3, 2), (4, 3, 2), (3, 4, 2), (2, 4, 3),
+                                     (5, 3, 2), (1, 5, 2), (2, 5, 2), (3, 2, 3), (4, 6, 2)])
+def test_subquotients_match_the_submodule_search(n, r, p):
+    """The top-and-length rule agrees with a search over every submodule
+    and every map onto m, on each pair of objects of total dimension at
+    most 6 in mod and stable nak(n, r) over F_p."""
+    for build in (build_exact_context, build_stable_context):
+        reps = [o.rep for o in build(nakayama_cyclic(n, r, p), RunConfig(field_char=p)).objects
+                if o.rep.total_dim <= 6]
+        for m, big in itertools.product(reps, repeat=2):
+            assert is_subquotient(m, big) == is_subquotient_by_submodules(m, big), (m.dims, big.dims)
+
+
+def test_search_reaches_modules_of_any_length():
+    """nak(3,8) has modules of length 7; the subquotient rule takes them."""
+    assert cli.main(["search-nakayama", "3", "8", "--ct-size", "1", "--ct-degree", "2",
+                     "--generator-samples", "2"]) == 0
 
 
 def test_seeded_search_hits_concur_with_the_theorem():
@@ -73,3 +89,26 @@ def test_seeded_search_hits_concur_with_the_theorem():
         assert hit["theorem_concurs"] is True
         assert hit["cluster_tilting_verdict"]["pass"] is True
         assert hit["tilting_objects"] in hit["theorem_report"]["cluster_tilting"]
+
+
+@pytest.mark.parametrize("n, ct_size, ct_degree, seed, want", [(4, 2, 3, 0, 12), (3, 1, 2, 5, 4)])
+def test_search_hits_match_every_combination(monkeypatch, n, ct_size, ct_degree, seed, want):
+    """In each sub-context the search examines, its hits are the sets of the
+    requested size that `check_cluster_tilting` passes among all sets of
+    that size through the projectives and injectives, in the same order."""
+    examined = []
+
+    def recording(ctx, degree):
+        examined.append(ctx)
+        return enumerate_cluster_tilting(ctx, degree)
+
+    monkeypatch.setattr(search, "enumerate_cluster_tilting", recording)
+    report = search_nakayama_stable(n, 3, ct_size, ct_degree, config=RunConfig(seed=seed))
+    assert report["hit_count"] == want
+    hits = {}
+    for hit in report["hits"]:
+        hits.setdefault(tuple(hit["context_objects"]), []).append(hit["tilting_objects"])
+    names = [tuple(sorted(ctx.object_names)) for ctx in examined]
+    assert set(hits) <= set(names)
+    for ctx, key in zip(examined, names):
+        assert hits.get(key, []) == cluster_tilting_by_combinations(ctx, ct_size, ct_degree), key
