@@ -14,6 +14,36 @@ cotorsion check is the dual of the left one (`check_n_cotorsion_side`), as
 the coresolution dimension is of the resolution dimension (`resdim`) and
 the left orthogonal of the right one (`orthogonal`).
 
+The approximation clause of an n-cotorsion pair asks, for every object C,
+for a conflation K -> X0 -> C with X0 in add X and K of Y-resolution
+dimension <= n-1 (dually C -> Y0 -> L on the right).  It is decided from
+minimal approximations once the orthogonality clause, E^k(X, Y) = 0 for
+1 <= k <= n, has passed.  E^k is E after k-1 syzygies, with the long exact
+sequences of Liu-Nakaoka (J. Algebra 2019) that the source paper uses;
+recalled, not checked against the text.
+- Such a K has E(X, K) = 0, by dimension shifting along its resolution.  So
+  X0 -> C is a right add(X)-approximation, and K = K_min + X'' with K_min the
+  cocone of the minimal one and X'' in add X (a map is a right minimal one
+  plus a zero map, Auslander-Reiten-Smalo I.2).  A map is a deflation iff
+  its cocone lies in the context, so if the canonical approximation is none,
+  no approximation is, and the clause fails.
+- Lemma: if E^k(Y, Y) = 0 for 1 <= k <= r and K has a Y-resolution of
+  length r, the canonical chain of each summand of K has length <= r.  By
+  induction on r: the first cocone K1 of the resolution has one of length
+  r-1, so E(Y, K1) = 0 as above, and the first deflation is a right
+  approximation, so K1 = K_min(K) + Y''.  K_min(K) is the sum of the K_min
+  of the summands of K, so their chains have length <= r-1 by induction.
+- So if the resolving class Y is (n-1)-rigid, the clause holds iff the
+  canonical chain of K_min by add Y has length <= n-1, since a summand X''
+  only lengthens it.  That covers n = 1, the diagonal X = Y (which the
+  orthogonality clause makes n-rigid) and every n-rigid Y.  Otherwise a
+  chain that is too long proves nothing: `check_n_cotorsion` raises
+  "undecided", unless a side fails outright.
+`Context.approximation_surplus` names the X'' of the canonical
+approximation, so K_min is the canonical cocone less it, as multisets of
+ids (Krull-Schmidt).  When add X lies in add Y, X'' changes no chain and is
+left in, so the diagonal runs the canonical chain as it is.
+
 The canonical approximation conflation of an object C by add(X) is computed
 once per distinct input, not once per X.  `homology.approximation` sums a
 basis of Hom(x, C) over the members x (with `dual`, of Hom(C, x)), so a member
@@ -101,7 +131,7 @@ class Subcat:
 class Clause:
     clause: str
     passed: bool
-    mode: str  # "structural" | "tested"
+    mode: str  # "structural" | "tested" | "undecided"
     witness: dict | None = None
     note: str = ""
 
@@ -221,101 +251,45 @@ def _greedy_chain(ctx: Context, x_ids: frozenset, idx: int, bound: int, dual: bo
     return value
 
 
-def _exhaustive_resdim(ctx: Context, x_ids: frozenset, target: Counter, bound: int, dual: bool, memo):
-    """Minimum length over all bounded conflation chains with middle terms in
-    add(X); middles carry total multiplicity <= max_multiplicity."""
-    key = (tuple(sorted(target.items())), bound)
-    if key in memo:
-        return memo[key]
-    memo[key] = EXCEEDS  # cycle guard
-    if _in_add(x_ids, target):
-        memo[key] = 0
-        return 0
-    if bound == 0:
-        return EXCEEDS
-    best = EXCEEDS
-    for k_ids in ctx.conflation_candidates(x_ids, ctx.sum_rep(target), dual):
-        sub = _exhaustive_resdim(ctx, x_ids, k_ids, bound - 1, dual, memo)
-        if isinstance(sub, int) and (not isinstance(best, int) or sub + 1 < best):
-            best = sub + 1
-            if best == 1:
-                break
-    memo[key] = best
-    return best
+def _minimal_step(ctx: Context, x_ids: frozenset, idx: int, dual: bool):
+    """The cocone (resp. cone) of the minimal approximation conflation of
+    one indecomposable: the canonical one less the approximation's surplus
+    summands (`Context.approximation_surplus`), as multisets of ids
+    (Krull-Schmidt); None when no canonical conflation exists.  Keyed as
+    `_greedy_step` is."""
+    step = _greedy_step(ctx, x_ids, idx, dual)
+    if step is None:
+        return None
+    forced = ctx.injective_ids if dual else ctx.projective_ids
+    members = x_ids & ctx.hom_support(idx, dual)
+    key = (members, idx, dual, forced <= x_ids)
+    cache = ctx.__dict__.setdefault("_minimal_step_cache", {})
+    if key not in cache:
+        surplus = ctx.approximation_surplus(sorted(members), idx, forced <= x_ids, dual)
+        if surplus - step:
+            raise ContextError("the canonical approximation lacks summands of its own surplus; "
+                               "this is a bug, not a mathematical outcome")
+        cache[key] = step - surplus
+    return cache[key]
 
 
-def resdim(ctx: Context, x_ids, target, bound: int, exhaustive: bool | None = None,
-           dual: bool = False):
-    """Resolution dimension of target by add(X), up to the bound; with
-    `dual`, the coresolution dimension.
-
-    Greedy canonical chains (approximation deflations and their cocones;
-    inflations and their cones) give an upper bound; with the exhaustive flag
-    the bounded brute-force search over all conflation chains is run as well
-    and the minimum returned.
-    """
+def resdim(ctx: Context, x_ids, target, bound: int, dual: bool = False):
+    """Length of the greedy canonical chain of target by add(X), up to the
+    bound (approximation deflations and their cocones); with `dual`, of the
+    coresolution chain (inflations and their cones).  It is the resolution
+    dimension whenever that is at most the bound and E^k(X, X) = 0 for
+    k <= bound (module docstring), and an upper bound on it otherwise."""
     x_ids = frozenset(int(i) for i in x_ids)
     counter = _as_counter(target)
-    if exhaustive is None:
-        exhaustive = ctx.config.exhaustive
     if bound < 0:
         raise ContextError("resolution bound must be >= 0")
-    if not counter:
-        return 0
-    greedy_vals = [_greedy_resdim(ctx, x_ids, i, bound, dual) for i in counter]
-    if all(isinstance(v, int) for v in greedy_vals):
-        greedy = max(greedy_vals)
-    else:
-        greedy = EXCEEDS
-    if not exhaustive:
-        return greedy
-    memo = ctx.__dict__.setdefault("_exh_resdim_cache", {}).setdefault((x_ids, dual), {})
-    brute = _exhaustive_resdim(ctx, x_ids, counter, bound, dual, memo)
-    if isinstance(greedy, int) and isinstance(brute, int):
-        return min(greedy, brute)
-    return brute if isinstance(brute, int) else greedy
+    values = [_greedy_resdim(ctx, x_ids, i, bound, dual) for i in counter]
+    if all(isinstance(v, int) for v in values):
+        return max(values, default=0)
+    return EXCEEDS
 
 
 # -- cotorsion checkers -------------------------------------------------------
-
-
-def _clause3_object(ctx, x_ids, y_ids, n, c_idx, exhaustive, dual):
-    """Evaluate the approximation-conflation clause for one object.
-
-    Returns (ok, fallback, witness): whether the clause holds, whether only
-    the exhaustive search found a conflation, and a witness when it fails.
-    Left side (dual=False): conflation K -> X0 -> C with X0 in add(X), K of
-    Y-resolution dimension <= n-1.  Right side (dual=True): conflation
-    C -> Y0 -> L with L of X-coresolution dimension <= n-1; callers pass
-    swapped class arguments accordingly.
-    """
-    if c_idx in x_ids:
-        return True, False, None
-    step = _greedy_step(ctx, x_ids, c_idx, dual)
-    if step is not None:
-        value = resdim(ctx, y_ids, step, n - 1, exhaustive, dual)
-        if within(value, n - 1):
-            return True, False, None
-    if exhaustive and _clause3_exhaustive(ctx, x_ids, y_ids, n, c_idx, dual):
-        return True, True, None
-    if step is None:
-        return False, False, {
-            "witness_object": ctx.object_names[c_idx],
-            "conflation": None,
-            "note": "no canonical approximation conflation",
-        }
-    return False, False, {
-        "witness_object": ctx.object_names[c_idx],
-        "conflation": _ids_str(ctx, step),
-        "resolution_dim": repr(value),
-    }
-
-
-def _clause3_exhaustive(ctx, x_ids, y_ids, n, c_idx, dual) -> bool:
-    """Whether some bounded conflation with end C and middle in add(X) has
-    its other end within Y-(co)resolution dimension n-1."""
-    candidates = ctx.conflation_candidates(x_ids, ctx.objects[c_idx].rep, dual)
-    return any(within(resdim(ctx, y_ids, k_ids, n - 1, True, dual), n - 1) for k_ids in candidates)
 
 
 def _ids_str(ctx, ids: Counter) -> str:
@@ -349,30 +323,45 @@ def _orthogonality_witness(ctx, x_ids, y_ids, n):
     return None
 
 
-def _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual):
-    """The approximation-conflation clause over every object: (ok, witness of
-    the first failure, whether some object needed the exhaustive fallback).
-    The right side (dual) approximates by add(Y) and coresolves by add(X)."""
+def _approximation_clause(ctx, x_ids, y_ids, n, dual):
+    """The approximation-conflation clause over every object: (ok, witness
+    of the first failure, whether that failure is undecided).  The right
+    side (dual) approximates by add(Y) and coresolves by add(X).  The
+    minimal step is the canonical one when the approximating class lies in
+    the resolving one, and a failure is exact when the resolving class is
+    (n-1)-rigid (module docstring); an undecided one does not stop the walk
+    for an exact one."""
     approx_ids, res_ids = (y_ids, x_ids) if dual else (x_ids, y_ids)
-    flagged = False
+    step_of = _greedy_step if approx_ids <= res_ids else _minimal_step
+    exact = undecided = None
     for c_idx in range(ctx.n_objects):
-        ok, fallback, witness = _clause3_object(ctx, approx_ids, res_ids, n, c_idx, exhaustive, dual)
-        flagged |= fallback
-        if not ok:
-            return False, witness, flagged
-    return True, None, flagged
+        if c_idx in approx_ids:
+            continue
+        step = step_of(ctx, approx_ids, c_idx, dual)
+        if step is None:
+            return False, {"witness_object": ctx.object_names[c_idx], "conflation": None,
+                           "note": "no canonical approximation conflation"}, False
+        value = resdim(ctx, res_ids, step, n - 1, dual)
+        if within(value, n - 1):
+            continue
+        witness = {"witness_object": ctx.object_names[c_idx], "conflation": _ids_str(ctx, step),
+                   "resolution_dim": repr(value)}
+        if exact is None:
+            exact = approx_ids == res_ids or _orthogonality_witness(ctx, res_ids, res_ids, n - 1) is None
+        if exact:
+            return False, witness, False
+        undecided = undecided or witness
+    return undecided is None, undecided, undecided is not None
 
 
-def check_n_cotorsion_side(ctx: Context, x_ids, y_ids, n: int, exhaustive=None,
-                           dual: bool = False) -> Verdict:
+def check_n_cotorsion_side(ctx: Context, x_ids, y_ids, n: int, dual: bool = False) -> Verdict:
     """Left n-cotorsion check for (add X, add Y); with `dual`, the right
-    one."""
+    one.  An undecided approximation clause fails with mode "undecided";
+    `check_n_cotorsion` settles it."""
     if n < 1:
         raise ContextError("cotorsion degree must be >= 1")
     x_ids = frozenset(int(i) for i in x_ids)
     y_ids = frozenset(int(i) for i in y_ids)
-    if exhaustive is None:
-        exhaustive = ctx.config.exhaustive
     clauses = [
         Clause(
             "summand-closure",
@@ -385,22 +374,31 @@ def check_n_cotorsion_side(ctx: Context, x_ids, y_ids, n: int, exhaustive=None,
     ok2 = witness2 is None
     clauses.append(Clause("orthogonality", ok2, "tested", witness2))
     if ok2:
-        ok3, witness3, flagged = _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual)
+        ok3, witness3, undecided = _approximation_clause(ctx, x_ids, y_ids, n, dual)
     else:
-        ok3, witness3, flagged = False, {"note": "skipped after orthogonality failure"}, False
-    note3 = "some objects needed the exhaustive fallback" if flagged else ""
+        ok3, witness3, undecided = False, {"note": "skipped after orthogonality failure"}, False
     name3 = "coapproximation-conflations" if dual else "approximation-conflations"
-    clauses.append(Clause(name3, ok3, "tested", witness3, note3))
+    clauses.append(Clause(name3, ok3, "undecided" if undecided else "tested", witness3))
     return Verdict(ok2 and ok3, clauses)
 
 
-def check_n_cotorsion(ctx: Context, x_ids, y_ids, n: int, exhaustive=None) -> Verdict:
-    """Both sides, with their clauses named `left.` and `right.`."""
-    sides = [(side, check_n_cotorsion_side(ctx, x_ids, y_ids, n, exhaustive, dual))
+def check_n_cotorsion(ctx: Context, x_ids, y_ids, n: int) -> Verdict:
+    """Both sides, with their clauses named `left.` and `right.`.  A side
+    that fails exactly fails the pair; otherwise an undecided side raises."""
+    sides = [(side, check_n_cotorsion_side(ctx, x_ids, y_ids, n, dual))
              for side, dual in (("left", False), ("right", True))]
     clauses = [Clause(f"{side}.{c.clause}", c.passed, c.mode, c.witness, c.note)
                for side, verdict in sides for c in verdict.clauses]
-    return Verdict(all(verdict.passed for _, verdict in sides), clauses)
+    passed = all(verdict.passed for _, verdict in sides)
+    if passed or any(not c.passed and c.mode == "tested" for c in clauses):
+        return Verdict(passed, clauses)
+    c = next(c for c in clauses if c.mode == "undecided")
+    raise ContextError(
+        f"cotorsion verdict undecided: {c.clause} at {c.witness['witness_object']}, whose minimal "
+        f"approximation conflation ends in {c.witness['conflation']}, with no chain of length "
+        f"<= {n - 1} found; a longer chain proves no failure unless E^k vanishes on the resolving "
+        f"class for 1 <= k <= {n - 1}, and it does not"
+    )
 
 
 # -- cluster tilting ----------------------------------------------------------
@@ -590,7 +588,7 @@ def enumerate_cluster_tilting(ctx: Context, n: int) -> list[Subcat]:
     return hits
 
 
-def enumerate_cotorsion_diagonal(ctx: Context, n: int, exhaustive=None) -> list[Subcat]:
+def enumerate_cotorsion_diagonal(ctx: Context, n: int) -> list[Subcat]:
     """All X with (X, X) an n-cotorsion pair.  The candidates are the
     supersets of the projectives and injectives that pass the orthogonality
     clause, E^k(X, X) = 0 for k <= n, found by backtracking; the full checker
@@ -607,7 +605,7 @@ def enumerate_cotorsion_diagonal(ctx: Context, n: int, exhaustive=None) -> list[
     rigid.sort(key=lambda s: (len(s), sorted(s)))
     hits = []
     for subset in rigid:
-        verdict = check_n_cotorsion(ctx, subset, subset, n, exhaustive)
+        verdict = check_n_cotorsion(ctx, subset, subset, n)
         if verdict.passed:
             hits.append(Subcat.of(ctx, subset))
     hits.sort(key=lambda s: (len(s.ids), s.names()))
@@ -617,11 +615,11 @@ def enumerate_cotorsion_diagonal(ctx: Context, n: int, exhaustive=None) -> list[
 # -- the main equivalence ------------------------------------------------------
 
 
-def verify_theorem(ctx: Context, n: int, exhaustive=None) -> dict:
+def verify_theorem(ctx: Context, n: int) -> dict:
     """Compare {X : (X,X) n-cotorsion} with {X : X is (n+1)-cluster-tilting},
     computed by independent code paths.  A mismatch is reported, never
     reconciled."""
-    cotorsion = enumerate_cotorsion_diagonal(ctx, n, exhaustive)
+    cotorsion = enumerate_cotorsion_diagonal(ctx, n)
     tilting = enumerate_cluster_tilting(ctx, n + 1)
     cot_sets = [sorted(s.names()) for s in cotorsion]
     ct_sets = [sorted(s.names()) for s in tilting]
@@ -642,7 +640,7 @@ def verify_theorem(ctx: Context, n: int, exhaustive=None) -> dict:
             diagnostics.append(
                 {
                     "candidate": names,
-                    "cotorsion": check_n_cotorsion(ctx, ids, ids, n, exhaustive).to_dict(),
+                    "cotorsion": check_n_cotorsion(ctx, ids, ids, n).to_dict(),
                     "cluster_tilting": check_cluster_tilting(ctx, ids, n + 1).to_dict(),
                 }
             )

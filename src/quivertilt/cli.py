@@ -9,7 +9,9 @@ sub-contexts of a stable Nakayama category).
 Reports are reproducible: the configuration (including the seed) is echoed
 into every structured report, output ordering is canonical, and two runs
 with the same flags produce byte-identical output.  Exit status: 0 = pass,
-1 = checked property fails, 2 = usage or construction error.
+1 = checked property fails, 2 = usage or construction error, or a cotorsion
+verdict that no argument here settles (an "undecided" error; see
+`checkers`).
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
     parser.add_argument("--subset-budget", type=int, default=1 << 20,
                         help="most candidate subcategories each side of verify-theorem may visit; "
                         "search-nakayama spends it in the cluster-tilting enumeration of each sub-context")
-    parser.add_argument("--mmax", type=int, default=2, help="multiplicity bound for exhaustive conflation search")
-    parser.add_argument("--exhaustive", action="store_true")
     parser.add_argument("--format", choices=["text", "structured"], default="text")
     if with_context:
         parser.add_argument("--context", choices=["mod", "stable", "sub"], default="mod")
@@ -72,8 +72,6 @@ def _build_config(args) -> RunConfig:
         seed=args.seed,
         enumeration_budget=args.budget,
         subset_budget=args.subset_budget,
-        max_multiplicity=args.mmax,
-        exhaustive=args.exhaustive,
     )
 
 
@@ -222,7 +220,7 @@ def cmd_verify_theorem(args) -> int:
     config = _build_config(args)
     algebra = _load_algebra(args, config)
     ctx = _build_context(args, algebra, config)
-    report = verify_theorem(ctx, args.degree, config.exhaustive)
+    report = verify_theorem(ctx, args.degree)
     report["context"] = args.context
     _emit(args, config, algebra, report, "verify-theorem")
     return 0 if report["sets_equal"] else 1

@@ -99,7 +99,8 @@ from .algebra import (
     simple_module,
     vertex_automorphisms,
 )
-from .decompose import fingerprint, indecomposable_isomorphic, summand_split
+from . import linalg
+from .decompose import fingerprint, indecomposable_isomorphic, radical_basis, summand_split
 from .homology import (
     approximation,
     ar_translate,
@@ -122,10 +123,8 @@ from .modules import (
     identity_map,
     is_end,
     kernel,
-    nonzero_combinations,
+    linear_combination,
     twist,
-    zero_map,
-    zero_representation,
 )
 from .orbits import Symmetries
 from .stable import (
@@ -141,6 +140,11 @@ class ContextError(Exception):
     pass
 
 
+# The most classes up to scalars that a walk over the lines of one E(C, A)
+# (or Ext^1(tau^- M, M) in the knit) takes.
+EXHAUSTION_BOUND = 4096
+
+
 @dataclass
 class RunConfig:
     """Budgets and reproducibility knobs shared by builders, checkers and CLI."""
@@ -149,13 +153,11 @@ class RunConfig:
     seed: int = 0
     enumeration_budget: int = 10000
     subset_budget: int = 1 << 20
-    exhaustion_bound: int = 4096
-    max_multiplicity: int = 2
-    exhaustive: bool = False
 
     def validate(self):
-        if min(self.enumeration_budget, self.subset_budget, self.exhaustion_bound, self.max_multiplicity) <= 0:
-            raise ContextError("budgets must be positive")
+        for flag, value in (("--budget", self.enumeration_budget), ("--subset-budget", self.subset_budget)):
+            if value < 1:
+                raise ContextError(f"{flag} must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -163,9 +165,6 @@ class RunConfig:
             "seed": self.seed,
             "enumeration_budget": self.enumeration_budget,
             "subset_budget": self.subset_budget,
-            "exhaustion_bound": self.exhaustion_bound,
-            "max_multiplicity": self.max_multiplicity,
-            "exhaustive": self.exhaustive,
         }
 
 
@@ -340,7 +339,6 @@ class Context:
         self._conflation_cache: dict[tuple[int, int, tuple[int, ...]], Counter] = {}  # middle-term ids
         self._shift_cache: dict[tuple[bool, int, int], Counter] = {}
         self._ek_cache: dict[tuple[int, int, int], int] = {}
-        self._sum_rep_cache: dict[tuple, Representation] = {}
         self._witnesses: dict[bool, dict[int, dict]] = {}
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
         self._hom_vectors: HomVectors | None = None  # roots: read off the AR mesh
@@ -385,16 +383,6 @@ class Context:
             raise ContextError(f"module of dimension vector {rep.dims} has a projective summand")
         return ids
 
-    def sum_rep(self, ids: Counter) -> Representation:
-        """Materialized direct sum for a multiset of object ids (cached)."""
-        key = tuple(sorted(ids.items()))
-        hit = self._sum_rep_cache.get(key)
-        if hit is None:
-            reps = [self.objects[idx].rep for idx, mult in key for _ in range(mult)]
-            hit = direct_sum(reps)[0] if reps else zero_representation(self.algebra)
-            self._sum_rep_cache[key] = hit
-        return hit
-
     # -- E-dimensions ------------------------------------------------------
 
     def e_dim(self, c, a) -> int:
@@ -434,11 +422,11 @@ class Context:
         d = self.e_dim(c_idx, a_idx)
         p = self.algebra.p
         lines = (p**d - 1) // (p - 1)
-        if lines > self.config.exhaustion_bound:
+        if lines > EXHAUSTION_BOUND:
             raise ContextError(
                 f"E({self.object_names[c_idx]}, {self.object_names[a_idx]}) has "
                 f"{lines} classes up to scalars, above the exhaustion bound "
-                f"{self.config.exhaustion_bound}; lower p or the context size"
+                f"{EXHAUSTION_BOUND}; lower p or the context size"
             )
         return _class_lines(p, d)
 
@@ -584,60 +572,55 @@ class Context:
 
     def approx(self, member_ids, c_idx: int, augment: bool, dual: bool = False) -> ModuleMap:
         """Canonical right (with `dual`, left) approximation of the object by
-        add(members); when `augment`, a deflation from a context projective
-        (inflation into a context injective) is added so the total map is a
-        deflation (inflation): the approximation-deflation construction."""
+        add(members); when `augment`, the `augmentation` is added so the total
+        map is a deflation (inflation): the approximation-deflation
+        construction."""
         c_rep = self.objects[c_idx].rep
         members = [self.objects[i].rep for i in sorted(set(member_ids))]
-        extra = None
-        if augment and self.kind == "mod":
-            extra = (injective_hull(c_rep) if dual else projective_cover(c_rep))[1]
-        elif augment:
-            ok, witnesses = self.enough(dual)
-            extra = witnesses.get(c_idx, {}).get("map")
-        return approximation(members, c_rep, dual, extra)
+        return approximation(members, c_rep, dual, self.augmentation(c_idx, dual) if augment else None)
 
-    def conflation_candidates(self, member_ids, c_rep: Representation, dual: bool):
-        """Bounded exhaustive search for conflations K -> X0 -> C with X0 in
-        add(members) (with `dual`, C -> X0 -> L), yielding the ids of K (L);
-        `--exhaustive` runs it to look for chains shorter than the canonical.
+    def augmentation(self, c_idx: int, dual: bool = False) -> ModuleMap | None:
+        """The deflation from a context projective (with `dual`, inflation
+        into a context injective) that an augmented `approx` adds: the
+        projective cover (injective hull) in an exact root, the enough-
+        projectives (-injectives) witness elsewhere, None for a zero map."""
+        if self.kind == "mod":
+            return (injective_hull if dual else projective_cover)(self.objects[c_idx].rep)[1]
+        return self.enough(dual)[1].get(c_idx, {}).get("map")
 
-        X0 runs over the zero object in a triangulated root, then over sums
-        of at most max_multiplicity members; the map over every nonzero
-        combination of a basis of Hom(X0, C) (Hom(C, X0)).  A Hom space with
-        more than exhaustion_bound elements raises, since skipping it could
-        miss the only conflation.  Maps that are not deflations (inflations)
-        are left out.  Over the projectives P of a sub-context it finds an
-        end only where the canonical approximation does, since a deflation
-        from add(P) with cocone K is a right add(P)-approximation, as
-        E(P, K) = 0 (`SubContext._witness_for`; dually for add(I))."""
-        p = self.algebra.p
-        middles = [Counter()] if self.root_kind == "stable" else []
-        for size in range(1, self.config.max_multiplicity + 1):
-            for combo in itertools.combinations_with_replacement(sorted(member_ids), size):
-                middles.append(Counter(combo))
-        for mid in middles:
-            mid_rep = self.sum_rep(mid)
-            if mid_rep.total_dim == 0:
-                maps = [zero_map(c_rep, mid_rep) if dual else zero_map(mid_rep, c_rep)]
-            else:
-                homs = hom_basis(c_rep, mid_rep) if dual else hom_basis(mid_rep, c_rep)
-                if p ** len(homs) > self.config.exhaustion_bound:
-                    ends = (c_rep.dims, mid_rep.dims) if dual else (mid_rep.dims, c_rep.dims)
-                    raise ContextError(
-                        "the exhaustive conflation search meets a Hom space from dimension vector "
-                        f"{ends[0]} to {ends[1]} with {p ** len(homs)} elements, above the "
-                        f"exhaustion bound {self.config.exhaustion_bound}; lower p, --mmax or the "
-                        "context size"
-                    )
-                maps = nonzero_combinations(homs)
-            for f in maps:
-                try:
-                    ids = self.conflation_end(f, dual)
-                except ContextError:
-                    continue
-                if ids is not None:
-                    yield ids
+    def approximation_surplus(self, member_ids, c_idx: int, augment: bool, dual: bool = False) -> Counter:
+        """The summands by which the source of `approx` (with `dual`, its
+        target) exceeds that of the minimal approximation of the object C.
+
+        `approx` takes dim Hom(x, C) copies of each member x, and the minimal
+        right approximation dim Hom(x, C) - dim rad_X(x, C), where rad_X(x, C)
+        is spanned by the composites x -> y -> C with y a member and x -> y
+        radical: any map when y != x, rad End(x) when y = x (End(x)/rad = F_p,
+        as the knit requires).  In a stable root the maps through a
+        projective, through x -> I(x), are radical too.  Every summand of
+        the augmentation is surplus: the members already hold the context
+        projectives it maps from.  Dually for left approximations."""
+        c, p = self.objects[c_idx].rep, self.algebra.p
+        reps = {i: self.objects[i].rep for i in member_ids}
+
+        def maps(a, b):  # a basis of the maps a -> b, read against the approximation
+            return hom_basis(b, a) if dual else hom_basis(a, b)
+
+        out = Counter()
+        for x, rep in reps.items():
+            endos = hom_basis(rep, rep)
+            links = [(y, maps(rep, y)) for i, y in reps.items() if i != x]
+            links.append((rep, [linear_combination(endos, v) for v in radical_basis(endos, p)]))
+            if self.root_kind == "stable":
+                end, f = (projective_cover if dual else injective_hull)(rep)
+                links.append((end, [f]))
+            flat = [(r.compose(g) if dual else g.compose(r)).flatten()
+                    for y, rs in links for r in rs for g in maps(y, c)]
+            out[x] = linalg.rank(np.stack(flat), p) if flat else 0
+        extra = self.augmentation(c_idx, dual) if augment else None
+        if extra is not None:
+            out += self.identify_sum(extra.target if dual else extra.source)
+        return +out
 
     def describe(self) -> dict:
         return {
@@ -852,7 +835,7 @@ class _Mesh:
         return out
 
 
-def _almost_split_middle(z: Representation, m: Representation, config: RunConfig) -> Representation:
+def _almost_split_middle(z: Representation, m: Representation) -> Representation:
     """The middle term B of the almost split sequence 0 -> M -> B -> Z -> 0,
     Z = tau^- M.  `_knit` realizes it only to seed a periodic tau-orbit, one
     whose middle terms cannot be read off a projective's radical.
@@ -870,10 +853,10 @@ def _almost_split_middle(z: Representation, m: Representation, config: RunConfig
     lines = (p**space.dim - 1) // (p - 1)
     if not lines:
         raise ContextError(f"Ext^1(tau^- M, M) = 0 for M of dimension vector {m.dims}")
-    if lines > config.exhaustion_bound:
+    if lines > EXHAUSTION_BOUND:
         raise ContextError(
             f"Ext^1(tau^- M, M) of dimension {space.dim} over F_{p} has {lines} "
-            f"classes up to scalars, above the bound {config.exhaustion_bound}"
+            f"classes up to scalars, above the bound {EXHAUSTION_BOUND}"
         )
     middles = (space.realize(coords)[0] for coords in _class_lines(p, space.dim))
     if lines == 1:
@@ -935,7 +918,6 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
     projective in the pool, so the loop is the certificate of completeness.
     On an algebra of infinite type the pool grows until the enumeration
     budget raises."""
-    config = pool.config
     autos = vertex_automorphisms(algebra)
     arrows = [induced_arrows(algebra.quiver, s) for s in autos]
     where = {s: k for k, s in enumerate(autos)}
@@ -1003,7 +985,7 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
             if t in mesh.rad:
                 break
             if t == z:
-                middle = _almost_split_middle(pool.reps[z], pool.reps[mesh.tau[z]], config)
+                middle = _almost_split_middle(pool.reps[z], pool.reps[mesh.tau[z]])
                 record(mesh.middle, z, summands(middle, "an almost split middle term"))
                 break
             walk.append(t)

@@ -236,15 +236,6 @@ def linear_combination(maps: list[ModuleMap], coeffs) -> ModuleMap:
     return ModuleMap(source, target, blocks, validate=False)
 
 
-def nonzero_combinations(maps: list[ModuleMap]):
-    """The combinations of maps with a nonzero coefficient vector, coefficient
-    vectors in lexicographic order."""
-    if maps:
-        for coeffs in itertools.product(range(maps[0].p), repeat=len(maps)):
-            if any(coeffs):
-                yield linear_combination(maps, coeffs)
-
-
 class HomQuotient:
     """Hom(m, n) modulo the maps g o k that factor through k: m -> k.target,
     with coordinates on the quotient and canonical representatives."""

@@ -57,13 +57,12 @@ def _structured_candidates(ctx: Context) -> list[frozenset[int]]:
     return out
 
 
-def close_under_operations(
-    ctx: Context, seed_ids, close_loops: bool = True, budget: int = 200
-) -> frozenset[int] | None:
+def close_under_operations(ctx: Context, seed_ids, close_loops: bool = True) -> frozenset[int]:
     """Closure of a generator set under extensions (and loop/suspension when
-    requested); None when the closure exceeds the budget."""
+    requested).  Each pass adds an object or returns, so there are at most
+    as many passes as objects."""
     current = set(int(i) for i in seed_ids)
-    for _ in range(budget):
+    while True:
         added = False
         if close_loops:
             for i in list(current):
@@ -82,7 +81,6 @@ def close_under_operations(
             return frozenset(current)
         if len(current) >= ctx.n_objects:
             return frozenset(range(ctx.n_objects))
-    return None
 
 
 def search_nakayama_stable(
@@ -121,8 +119,6 @@ def search_nakayama_stable(
     seen: set[frozenset[int]] = set()
 
     def push(subset):
-        if subset is None:
-            return
         subset = frozenset(subset)
         if subset and subset not in seen:
             seen.add(subset)
@@ -136,11 +132,7 @@ def search_nakayama_stable(
     for _ in range(generator_samples):
         size = rng.randrange(2, max(3, parent.n_objects // 3))
         gens = rng.sample(range(parent.n_objects), min(size, parent.n_objects))
-        closed = close_under_operations(parent, gens, close_loops=close_loops)
-        if closed is None:
-            report["candidates_skipped"].append({"generators": sorted(gens), "reason": "budget"})
-            continue
-        push(closed)
+        push(close_under_operations(parent, gens, close_loops=close_loops))
     push(frozenset(range(parent.n_objects)))
 
     for subset in candidates[:max_candidates]:
@@ -162,7 +154,12 @@ def search_nakayama_stable(
                 {"subset_size": len(subset), "reason": "not enough projectives/injectives"}
             )
             continue
-        if len(sub.projective_ids | sub.injective_ids) > ct_size:
+        n_forced = len(sub.projective_ids | sub.injective_ids)
+        if n_forced > ct_size:
+            report["candidates_skipped"].append({
+                "subset_size": len(subset),
+                "reason": f"{n_forced} projectives and injectives, more than --ct-size {ct_size}",
+            })
             continue
         try:
             tilting = [s.ids for s in enumerate_cluster_tilting(sub, ct_degree) if len(s.ids) == ct_size]

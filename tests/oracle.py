@@ -28,6 +28,15 @@ profile was read off dimensions: one intertwining system per probe.
 `cocone_by_cone_and_loop` names the cocone of a map in a triangulated context
 as the loop of its mapping cone.
 
+`conflation_candidates`, `resdim_by_search`, `clause3_by_search` and
+`cotorsion_by_search` are the bounded conflation search that `check
+--exhaustive` ran before the approximation clause was decided by minimal
+approximations: every map onto (from) the object from (to) a sum of at most
+two members, with the resolution dimension the least over the chains it
+finds.  A pass names actual conflations; a failure may be the bound's.
+`sum_rep` and `nonzero_combinations` were `Context.sum_rep` and
+`modules.nonzero_combinations`, which only the search used.
+
 `stable_realize_by_cone` is how a stable context realized a class of E(C, A)
 before it used the short exact sequences of `contexts.ExactExtSpace`: the
 mapping cone of the class representative t: Omega C -> A in stable
@@ -161,7 +170,7 @@ from quivertilt.modules import (
     hom_basis,
     hom_dim,
     is_end,
-    nonzero_combinations,
+    linear_combination,
     twist,
     zero_map,
     zero_representation,
@@ -321,6 +330,119 @@ def greedy_step_by_full_approximation(ctx, x_ids, idx: int, dual: bool):
     forced = ctx.injective_ids if dual else ctx.projective_ids
     h = ctx.approx(sorted(x_ids), idx, augment=forced <= frozenset(x_ids), dual=dual)
     return ctx.conflation_end(h, dual)
+
+
+def nonzero_combinations(maps: list[ModuleMap]):
+    """The combinations of maps with a nonzero coefficient vector, coefficient
+    vectors in lexicographic order."""
+    if maps:
+        for coeffs in itertools.product(range(maps[0].p), repeat=len(maps)):
+            if any(coeffs):
+                yield linear_combination(maps, coeffs)
+
+
+def sum_rep(ctx, ids: Counter) -> Representation:
+    """The direct sum of the context objects in a multiset of ids."""
+    reps = [ctx.objects[i].rep for i, m in sorted(ids.items()) for _ in range(m)]
+    return direct_sum(reps)[0] if reps else zero_representation(ctx.algebra)
+
+
+def conflation_candidates(ctx, member_ids, c_rep: Representation, dual: bool,
+                          max_multiplicity: int = 2, bound: int = 4096):
+    """The ids of K over the conflations K -> X0 -> C with X0 in add(members)
+    (with `dual`, of L over C -> X0 -> L) that a bounded search meets: X0
+    runs over the zero object in a triangulated root, then over the sums of
+    at most max_multiplicity members, and the map over every nonzero
+    combination of a basis of Hom(X0, C) (Hom(C, X0)).  A Hom space with more
+    than `bound` elements raises, since skipping it could miss the only
+    conflation."""
+    p = ctx.algebra.p
+    middles = [Counter()] if ctx.root_kind == "stable" else []
+    for size in range(1, max_multiplicity + 1):
+        for combo in itertools.combinations_with_replacement(sorted(member_ids), size):
+            middles.append(Counter(combo))
+    for mid in middles:
+        mid_rep = sum_rep(ctx, mid)
+        if mid_rep.total_dim == 0:
+            maps = [zero_map(c_rep, mid_rep) if dual else zero_map(mid_rep, c_rep)]
+        else:
+            homs = hom_basis(c_rep, mid_rep) if dual else hom_basis(mid_rep, c_rep)
+            if p ** len(homs) > bound:
+                raise ContextError(f"a Hom space of the conflation search has {p ** len(homs)} elements, "
+                                   f"above the bound {bound}")
+            maps = nonzero_combinations(homs)
+        for f in maps:
+            try:
+                ids = ctx.conflation_end(f, dual)
+            except ContextError:
+                continue
+            if ids is not None:
+                yield ids
+
+
+def _searched_resdim(ctx, x_ids: frozenset, target: Counter, bound: int, dual: bool, memo):
+    """Least length over the bounded conflation chains of target with
+    middle terms in add(X) (`conflation_candidates`)."""
+    key = (tuple(sorted(target.items())), bound)
+    if key in memo:
+        return memo[key]
+    memo[key] = checkers.EXCEEDS  # cycle guard
+    if all(i in x_ids for i in target):
+        memo[key] = 0
+        return 0
+    if bound == 0:
+        return checkers.EXCEEDS
+    best = checkers.EXCEEDS
+    for k_ids in conflation_candidates(ctx, x_ids, sum_rep(ctx, target), dual):
+        sub = _searched_resdim(ctx, x_ids, k_ids, bound - 1, dual, memo)
+        if isinstance(sub, int) and (not isinstance(best, int) or sub + 1 < best):
+            best = sub + 1
+            if best == 1:
+                break
+    memo[key] = best
+    return best
+
+
+def resdim_by_search(ctx, x_ids, target, bound: int, dual: bool = False):
+    """The least of `checkers.resdim` and the bounded search's length: what
+    `resdim(..., exhaustive=True)` returned."""
+    x_ids = frozenset(int(i) for i in x_ids)
+    counter = target if isinstance(target, Counter) else Counter({int(target): 1})
+    greedy = checkers.resdim(ctx, x_ids, counter, bound, dual)
+    memo = ctx.__dict__.setdefault("_searched_resdim_cache", {}).setdefault((x_ids, dual), {})
+    brute = _searched_resdim(ctx, x_ids, counter, bound, dual, memo)
+    if isinstance(greedy, int) and isinstance(brute, int):
+        return min(greedy, brute)
+    return brute if isinstance(brute, int) else greedy
+
+
+def clause3_by_search(ctx, x_ids, y_ids, n: int, c_idx: int, dual: bool) -> bool:
+    """Whether some conflation of the bounded search, with end the object
+    and middle in add(X), has its other end within Y-(co)resolution
+    dimension n-1."""
+    candidates = conflation_candidates(ctx, x_ids, ctx.objects[c_idx].rep, dual)
+    return any(checkers.within(resdim_by_search(ctx, y_ids, k, n - 1, dual), n - 1) for k in candidates)
+
+
+def cotorsion_by_search(ctx, x_ids, y_ids, n: int) -> bool:
+    """Whether (X, Y) passed the n-cotorsion check as `--exhaustive` ran it:
+    both orthogonality clauses, then for each object outside the
+    approximating class the canonical step with `resdim_by_search`, or else
+    `clause3_by_search`.  A pass names actual conflations; a failure may be
+    the search's bound."""
+    x_ids = frozenset(int(i) for i in x_ids)
+    y_ids = frozenset(int(i) for i in y_ids)
+    if any(ctx.e_k_dim(k, x, y) for x in x_ids for y in y_ids for k in range(1, n + 1)):
+        return False
+    for dual in (False, True):
+        approx_ids, res_ids = (y_ids, x_ids) if dual else (x_ids, y_ids)
+        for c_idx in set(range(ctx.n_objects)) - approx_ids:
+            step = checkers._greedy_step(ctx, approx_ids, c_idx, dual)
+            if step is not None and checkers.within(resdim_by_search(ctx, res_ids, step, n - 1, dual), n - 1):
+                continue
+            if not clause3_by_search(ctx, approx_ids, res_ids, n, c_idx, dual):
+                return False
+    return True
 
 
 def cocone_by_cone_and_loop(ctx, y) -> Counter:
@@ -503,10 +625,10 @@ def rigid_supersets_by_subset_walk(ctx, n: int) -> list[frozenset[int]]:
     return out
 
 
-def cotorsion_diagonal_by_subset_walk(ctx, n: int, exhaustive=None) -> list:
+def cotorsion_diagonal_by_subset_walk(ctx, n: int) -> list:
     """Every rigid superset X of the forced set with (X, X) n-cotorsion."""
     hits = [checkers.Subcat.of(ctx, subset) for subset in rigid_supersets_by_subset_walk(ctx, n)
-            if checkers.check_n_cotorsion(ctx, subset, subset, n, exhaustive).passed]
+            if checkers.check_n_cotorsion(ctx, subset, subset, n).passed]
     hits.sort(key=lambda s: (len(s.ids), s.names()))
     return hits
 
@@ -690,7 +812,7 @@ def middle_terms_by_splitting(reps: list[Representation], config) -> dict[int, C
     out = {}
     for z, rep in enumerate(reps):
         if not is_end_by_search(rep):
-            middle = _almost_split_middle(rep, ar_translate(rep), config)
+            middle = _almost_split_middle(rep, ar_translate(rep))
             out[z] = Counter(identify(piece) for piece, _, _ in summand_split(middle, config.seed))
     return out
 

@@ -1,9 +1,10 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
 
-from quivertilt import checkers, linalg
+from quivertilt import checkers, cli, linalg
 from quivertilt.algebra import nakayama_cyclic, parse_algebra
 from quivertilt.checkers import (
     EXCEEDS,
@@ -26,10 +27,13 @@ from quivertilt.contexts import (
     build_sub_context,
     is_extension_closed,
 )
+import oracle
 from oracle import (
     cluster_tilting_by_subset_walk,
+    cotorsion_by_search,
     cotorsion_diagonal_by_subset_walk,
     greedy_step_by_full_approximation,
+    resdim_by_search,
     rigid_supersets_by_subset_walk,
 )
 
@@ -37,22 +41,22 @@ from oracle import (
 # The paper's auxiliary statements, checked here against the main checkers.
 
 
-def wedge(ctx, y_ids, m: int, exhaustive=None, dual: bool = False) -> frozenset[int]:
+def wedge(ctx, y_ids, m: int, dual: bool = False) -> frozenset[int]:
     """Objects of resolution dimension <= m with respect to add(Y); with
     `dual`, of coresolution dimension <= m (the vee class)."""
     y_ids = frozenset(int(i) for i in y_ids)
     return frozenset(
-        i for i in range(ctx.n_objects) if within(resdim(ctx, y_ids, i, m, exhaustive, dual), m)
+        i for i in range(ctx.n_objects) if within(resdim(ctx, y_ids, i, m, dual), m)
     )
 
 
-def verify_orthogonal_containment(ctx, x_ids, n: int, exhaustive=None) -> tuple[bool, dict]:
+def verify_orthogonal_containment(ctx, x_ids, n: int) -> tuple[bool, dict]:
     """The intersection of the first n left orthogonals of X is contained in
     the first left orthogonal of the class of objects of X-resolution
     dimension <= n-1."""
     x_ids = frozenset(int(i) for i in x_ids)
     lhs = orthogonal(ctx, x_ids, n, dual=True)
-    wedge_set = wedge(ctx, x_ids, n - 1, exhaustive)
+    wedge_set = wedge(ctx, x_ids, n - 1)
     rhs = orthogonal(ctx, wedge_set, 1, dual=True) if wedge_set else frozenset(range(ctx.n_objects))
     ok = lhs <= rhs
     detail = {
@@ -65,17 +69,15 @@ def verify_orthogonal_containment(ctx, x_ids, n: int, exhaustive=None) -> tuple[
     return ok, detail
 
 
-def verify_left_pair_characterization(ctx, x_ids, y_ids, n: int, exhaustive=None) -> tuple[bool, dict]:
+def verify_left_pair_characterization(ctx, x_ids, y_ids, n: int) -> tuple[bool, dict]:
     """The left cotorsion checker agrees with the reformulation: X equals the
     intersection of the first n left orthogonals of Y, together with the
     approximation-conflation clause."""
     x_ids = frozenset(int(i) for i in x_ids)
     y_ids = frozenset(int(i) for i in y_ids)
-    if exhaustive is None:
-        exhaustive = ctx.config.exhaustive
-    checker = check_n_cotorsion_side(ctx, x_ids, y_ids, n, exhaustive).passed
+    checker = check_n_cotorsion_side(ctx, x_ids, y_ids, n).passed
     orth = orthogonal(ctx, y_ids, n, dual=True)
-    clause3 = _approximation_clause(ctx, x_ids, y_ids, n, exhaustive, dual=False)[0]
+    clause3 = _approximation_clause(ctx, x_ids, y_ids, n, dual=False)[0]
     reformulated = (x_ids == orth) and clause3
     return checker == reformulated, {
         "checker": checker,
@@ -106,7 +108,7 @@ def test_resdim_examples(exact_contexts):
     lam = ctxd.resolve_name("P1")
     s = ctxd.resolve_name("S1")
     assert resdim(ctxd, [lam], s, 5) is EXCEEDS
-    assert resdim(ctxd, [lam], s, 5, exhaustive=True) is EXCEEDS
+    assert resdim_by_search(ctxd, [lam], s, 5) is EXCEEDS
 
 
 def test_coresdim_dual_examples(exact_contexts):
@@ -136,15 +138,16 @@ def test_wedge_monotone(exact_contexts):
 
 
 def test_greedy_equals_exhaustive_resdim(exact_contexts):
-    """Spec default oracle scope: multiplicity bound 2, depth bound 4."""
+    """The greedy chain against the bounded conflation search of the oracle
+    (multiplicity bound 2, depth bound 4), over every X."""
     for name in ("a2", "dual_numbers", "nak22"):
         ctx = exact_contexts[name]
         n = ctx.n_objects
         for r in range(1, n + 1):
             for members in itertools.combinations(range(n), r):
                 for target in range(n):
-                    greedy = resdim(ctx, members, target, 4, exhaustive=False)
-                    brute = resdim(ctx, members, target, 4, exhaustive=True)
+                    greedy = resdim(ctx, members, target, 4)
+                    brute = resdim_by_search(ctx, members, target, 4)
                     assert greedy == brute, (name, members, target, greedy, brute)
 
 
@@ -157,8 +160,8 @@ def test_exhaustive_resdim_in_triangulated_contexts(stable_contexts):
             for members in itertools.combinations(range(n), size):
                 for target in range(n):
                     for dual in (False, True):
-                        greedy = resdim(ctx, members, target, 2, exhaustive=False, dual=dual)
-                        brute = resdim(ctx, members, target, 2, exhaustive=True, dual=dual)
+                        greedy = resdim(ctx, members, target, 2, dual=dual)
+                        brute = resdim_by_search(ctx, members, target, 2, dual=dual)
                         key = (name, dual, members, target, greedy, brute)
                         if isinstance(greedy, int):
                             assert isinstance(brute, int), key
@@ -261,9 +264,9 @@ def test_enumerators_match_the_subset_walk(exact_contexts, stable_contexts, monk
     checked = []
     check = checkers.check_n_cotorsion
 
-    def recording(ctx, x_ids, y_ids, n, exhaustive=None):
+    def recording(ctx, x_ids, y_ids, n):
         checked.append(frozenset(x_ids))
-        return check(ctx, x_ids, y_ids, n, exhaustive)
+        return check(ctx, x_ids, y_ids, n)
 
     monkeypatch.setattr(checkers, "check_n_cotorsion", recording)
     for name, ctx in _enumeration_contexts(exact_contexts, stable_contexts).items():
@@ -367,17 +370,18 @@ def test_theorem_on_every_extension_closed_subcategory(exact_contexts):
 
 
 def test_exhaustive_clause3_only_adds_passes(exact_contexts, monkeypatch):
-    """Every superset of the forced set through the cotorsion checker, with and
-    without the exhaustive conflation search: the search is entered, and a
-    pair the greedy check accepts is accepted by the search too."""
+    """Every superset of the forced set through the cotorsion checker and
+    through the oracle's bounded conflation search: on the diagonal the
+    canonical chain is exact (the lemma in the `checkers` docstring), so the
+    search, which is entered, passes exactly the pairs the checker passes."""
     entered = []
-    search = checkers._clause3_exhaustive
+    search = oracle.clause3_by_search
 
     def counting(*args):
         entered.append(args)
         return search(*args)
 
-    monkeypatch.setattr(checkers, "_clause3_exhaustive", counting)
+    monkeypatch.setattr(oracle, "clause3_by_search", counting)
     contexts = {"mod nak32": exact_contexts["nak32"],
                 "stable nak33": build_stable_context(nakayama_cyclic(3, 3))}
     for name, ctx in contexts.items():
@@ -387,25 +391,9 @@ def test_exhaustive_clause3_only_adds_passes(exact_contexts, monkeypatch):
             for size in range(len(free) + 1):
                 for extra in itertools.combinations(free, size):
                     x = sorted(forced | set(extra))
-                    greedy = check_n_cotorsion(ctx, x, x, n, exhaustive=False).passed
-                    searched = check_n_cotorsion(ctx, x, x, n, exhaustive=True).passed
-                    assert searched or not greedy, (name, n, x)
-            plain = verify_theorem(ctx, n, exhaustive=False)
-            assert verify_theorem(ctx, n, exhaustive=True) == plain, (name, n)
+                    checked = check_n_cotorsion(ctx, x, x, n).passed
+                    assert cotorsion_by_search(ctx, x, x, n) == checked, (name, n, x)
     assert entered
-
-
-def test_exhaustive_search_refuses_hom_spaces_above_the_bound():
-    """An exhaustive check that meets a Hom space with more elements than the
-    exhaustion bound raises instead of skipping it, since the skipped maps
-    could hold the only conflation that passes."""
-    ctx = build_exact_context(nakayama_cyclic(3, 2))
-    p2 = [ctx.resolve_name("P2")]
-    assert not check_n_cotorsion(ctx, p2, p2, 1, exhaustive=True).passed
-    ctx = build_exact_context(nakayama_cyclic(3, 2))
-    ctx.config.exhaustion_bound = 1
-    with pytest.raises(ContextError, match="above the exhaustion bound 1"):
-        check_n_cotorsion(ctx, p2, p2, 1, exhaustive=True)
 
 
 def test_orthogonal_containment_statement(exact_contexts):
@@ -443,3 +431,56 @@ def test_left_pair_characterization_exhaustive_small(exact_contexts):
 def test_within_helper():
     assert within(2, 3) and within(3, 3)
     assert not within(4, 3) and not within(EXCEEDS, 3)
+
+
+def _orthogonal_pairs(ctx, n):
+    """Every (X, Y) with E^k(X, Y) = 0 for k in 1..n."""
+    subsets = [frozenset(c) for r in range(ctx.n_objects + 1)
+               for c in itertools.combinations(range(ctx.n_objects), r)]
+    for x in subsets:
+        for y in subsets:
+            if not any(ctx.e_k_dim(k, a, b) for a in x for b in y for k in range(1, n + 1)):
+                yield x, y
+
+
+def _verdict(ctx, x, y, n):
+    """The checker's verdict, or the resolving class of the side it calls
+    undecided."""
+    try:
+        return check_n_cotorsion(ctx, x, y, n).passed
+    except ContextError as exc:
+        side = re.match(r"cotorsion verdict undecided: (left|right)\.", str(exc))
+        assert side, exc
+        return y if side[1] == "left" else x
+
+
+def test_off_diagonal_verdicts_agree_with_the_conflation_search():
+    """Every orthogonal pair of stable nak(3,3) at n = 1, 2 and mod nak(2,3)
+    at n = 1, against the oracle's bounded conflation search: a pass is a
+    pass of the search, a failure is a failure of it, and an undecided pair
+    has n >= 2 and a resolving class (Y on the left, X on the right) that
+    is not (n-1)-rigid."""
+    counts = Counter()
+    for ctx, degrees in ((build_stable_context(nakayama_cyclic(3, 3)), (1, 2)),
+                         (build_exact_context(nakayama_cyclic(2, 3)), (1,))):
+        for n in degrees:
+            for x, y in _orthogonal_pairs(ctx, n):
+                got = _verdict(ctx, x, y, n)
+                key = (ctx.kind, sorted(x), sorted(y), n)
+                if isinstance(got, bool):
+                    counts[got] += 1
+                    assert got == cotorsion_by_search(ctx, x, y, n), key
+                else:
+                    counts["undecided"] += 1
+                    assert n >= 2 and any(ctx.e_k_dim(k, a, b) for a in got for b in got
+                                          for k in range(1, n)), key
+    assert counts == {True: 44, False: 1172, "undecided": 12}
+
+
+def test_the_sweep_catches_a_canonical_first_step(monkeypatch):
+    """With the surplus left in the first step's cocone, two 1-cotorsion
+    pairs fail."""
+    monkeypatch.setattr(checkers, "_minimal_step", checkers._greedy_step)
+    for argv in (["--nakayama", "2,3", "--x", "S2,P2,P1", "--y", "S2,m3,P2,P1"],
+                 ["--nakayama", "3,3", "--context", "stable", "--x", "S3", "--y", "S3,S2,m3,m4"]):
+        assert cli.main(["check", *argv, "-n", "1", "--mode", "cotorsion"]) == 1

@@ -125,12 +125,13 @@ def test_one_class_per_line_at_large_p(capsys):
 
 
 # sha256 of the structured stdout as the all-pairs Ext^1 closure printed it,
-# before enumeration knitted the Auslander-Reiten quiver, with the line of the
-# `les_depth` key (no longer part of the echoed config) taken out.
+# before enumeration knitted the Auslander-Reiten quiver, with the lines of the
+# keys no longer part of the echoed config taken out: `les_depth`, and
+# `exhaustion_bound`, `exhaustive` and `max_multiplicity`.
 ALL_PAIRS_DIGESTS = {
-    "2": "eea491cf19b20d52783f0c6b29b036ebe9627c237a9b2ad3d218a8037f85dad3",
-    "3": "bbed6cd777ba77dd45e5fa7a2aa6efe30efebbdce846c077ec28022bcdbe8314",
-    "5": "3ba3c300023aadb397fdcf2bf68e5da0123ca9a904fe684c2feccd76e9d86059",
+    "2": "f3b5b0cfefe69ef978e2c11f5b2e373fc2e1301c01cc813c277f1b155a7de053",
+    "3": "3e7c73ab5d38c2c7c8f306f23ef4839a18aa579187813b6b5959186b583f4101",
+    "5": "bdcc78cc6ff1c1f05dfb41e99f041409808561f06dee33720feee6986c2ea980",
 }
 
 
@@ -168,7 +169,14 @@ def test_a_subset_budget_below_one_exits_2(argv, capsys):
     status, out, err = _run(argv, capsys)
     assert status == 2
     assert out == ""
-    assert err == "error: budgets must be positive\n"
+    assert err == "error: --subset-budget must be >= 1\n"
+
+
+def test_an_enumeration_budget_below_one_exits_2(capsys):
+    status, out, err = _run(["objects", "--nakayama", "3,2", "--budget", "0"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: --budget must be >= 1\n"
 
 
 @pytest.mark.parametrize("kmax", ["0", "-1"])
@@ -214,3 +222,37 @@ def test_e6_verify_theorem_completes(capsys):
     result = json.loads(out)["result"]
     assert result["sets_equal"] is True
     assert result["cluster_tilting"] == result["cotorsion_diagonal"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--nakayama", "2,3", "--x", "S2,P2,P1", "--y", "S2,m3,P2,P1", "-n", "1"],
+    ["--nakayama", "3,3", "--context", "stable", "--x", "S3", "--y", "S3,S2,m3,m4", "-n", "1"],
+])
+def test_off_diagonal_cotorsion_pairs_pass(argv, capsys):
+    """Two 1-cotorsion pairs that the canonical approximation failed: its
+    cocone kept surplus summands outside the resolving class."""
+    status, out, err = _run(["check", *argv, "--mode", "cotorsion", "--format", "structured"], capsys)
+    assert status == 0, err
+    assert json.loads(out)["result"]["verdict"]["pass"] is True
+
+
+def test_undecided_cotorsion_verdict_exits_2(capsys):
+    """Y = {S2, m4} is not 1-rigid, so at n = 2 a canonical chain that is too
+    long proves no failure."""
+    status, out, err = _run(["check", "--nakayama", "3,3", "--context", "stable", "--x", "S3",
+                             "--y", "S2,m4", "-n", "2", "--mode", "cotorsion"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: cotorsion verdict undecided: ")
+
+
+def test_a_rigid_resolving_class_decides_the_verdict(capsys):
+    """Y = {S2} is 1-rigid, so at n = 2 the minimal approximation decides:
+    the pair fails with a witness."""
+    status, out, err = _run(["check", "--nakayama", "3,3", "--context", "stable", "--x", "S3",
+                             "--y", "S2", "-n", "2", "--mode", "cotorsion", "--format", "structured"], capsys)
+    assert status == 1, err
+    clauses = json.loads(out)["result"]["verdict"]["clauses"]
+    failed = [c for c in clauses if not c["passed"]]
+    assert failed and {c["mode"] for c in failed} == {"tested"}
+    assert failed[0]["witness"]["conflation"] == "m3"

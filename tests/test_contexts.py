@@ -34,6 +34,7 @@ from conftest import DYNKIN, EXCEPTIONAL, linear_quiver_radical_square
 from oracle import (
     all_class_coords,
     conflation,
+    conflation_candidates,
     enumerate_by_ext_closure,
     ext_table_by_pairs,
     extension_closed_by_all_classes,
@@ -42,6 +43,7 @@ from oracle import (
     integer_inverse_by_fractions,
     labels_by_search,
     middle_terms_by_splitting,
+    sum_rep,
 )
 from test_symmetries import ORBIT_KNIT_ALGEBRAS
 
@@ -340,7 +342,7 @@ def test_hom_vector_identification_matches_splitting(exact_contexts, stable_cont
                     rep = end(w["map"])[0]
                 assert w[key] == identify_by_splitting(ctx, rep), (name, key, ctx.object_names[idx])
         ids = Counter({i: 1 + i % 3 for i in range(ctx.n_objects)})
-        assert ctx.identify_sum(ctx.sum_rep(ids)) == ids, name
+        assert ctx.identify_sum(sum_rep(ctx, ids)) == ids, name
 
 
 def test_stable_sub_context_pulls_the_root_answer_back():
@@ -556,8 +558,8 @@ def test_e6_realizes_no_almost_split_sequence(monkeypatch):
 
 def _witness_gaps(parent) -> list[tuple]:
     """(subset, object, dual) wherever, in the sub-context on an
-    extension-closed subset of the parent, the exhaustive conflation search
-    over the context projectives (with `dual`, injectives) finds an end and
+    extension-closed subset of the parent, the oracle's bounded conflation
+    search over the context projectives (with `dual`, injectives) finds an end and
     `SubContext._witness_for` finds no witness."""
     gaps = []
     for k in range(1, parent.n_objects + 1):
@@ -567,7 +569,7 @@ def _witness_gaps(parent) -> list[tuple]:
             sub = build_sub_context(parent, list(subset))
             for dual, o in itertools.product((False, True), sub.objects):
                 forced = sub.injective_ids if dual else sub.projective_ids
-                found = next(iter(sub.conflation_candidates(forced, o.rep, dual)), None)
+                found = next(iter(conflation_candidates(sub, forced, o.rep, dual)), None)
                 if found is not None and sub._witness_for(o.index, dual) is None:
                     gaps.append((subset, o.label, dual))
     return gaps
@@ -579,18 +581,18 @@ def test_sub_context_witnesses_need_no_conflation_search(build, n):
     """A deflation from add(P), P the context projectives, with cocone in a
     sub-context is a right add(P)-approximation, so the canonical one is a
     deflation with cocone in it too (`SubContext._witness_for`), and dually.
-    So the exhaustive search finds an end only where the canonical step
+    So the bounded search finds an end only where the canonical step
     found a witness, on every extension-closed subset of nak(n, 3)."""
     assert _witness_gaps(build(nakayama_cyclic(n, 3))) == []
 
 
 def test_witness_check_catches_a_canonical_step_that_fails(monkeypatch):
     """With the canonical approximation replaced by a zero map, which is no
-    deflation, the exhaustive search finds the ends the witness misses."""
+    deflation, the bounded search finds the ends the witness misses."""
     parent = build_exact_context(nakayama_cyclic(2, 3))
 
     def planted(self, member_ids, c_idx, augment, dual=False):
-        ends = self.sum_rep(Counter(member_ids)), self.objects[c_idx].rep
+        ends = sum_rep(self, Counter(member_ids)), self.objects[c_idx].rep
         return zero_map(*(ends[::-1] if dual else ends))
 
     monkeypatch.setattr(contexts.SubContext, "approx", planted)
