@@ -26,7 +26,7 @@ from .homology import (
     ext_dim,
     approximation,
 )
-from .stable import suspension, loop, cone, NotSelfInjectiveError
+from .stable import cone, NotSelfInjectiveError
 from .contexts import (
     Context,
     RunConfig,

@@ -44,14 +44,25 @@ approximation, so K_min is the canonical cocone less it, as multisets of
 ids (Krull-Schmidt).  When add X lies in add Y, X'' changes no chain and is
 left in, so the diagonal runs the canonical chain as it is.
 
+The canonical approximation h is taken as it is, with no deflation w from
+the context projectives P added as one more summand.  Where X holds P,
+that summand would change nothing: w factors through h, w = h s, because h
+sums a basis of each Hom(x, C), so (h, w) is (h, 0) after the automorphism
+(a, b) -> (a + s b, b) of its source, and its cocone is cocone(h) plus the
+source of w.  So the deflation test gives the same answer (a sub-context
+holds cocone(h) plus an object of add P iff it holds cocone(h)); every
+chain has the same length, as the source of w lies in add P, inside add X,
+and the approximation clause takes the canonical step only when add X lies
+in add Y; and the minimal cocone is the same.  Dually for inflations into
+add(I).
+
 The canonical approximation conflation of an object C by add(X) is computed
 once per distinct input, not once per X.  `homology.approximation` sums a
 basis of Hom(x, C) over the members x (with `dual`, of Hom(C, x)), so a member
 with no maps to C (from C) adds no summand: X and X intersected with the
-Hom support of C build the same map, not merely an isomorphic one.  Whether
-the context projectives (injectives) lie in X decides the augmenting summand,
-so a step is keyed by that intersection, C, the side and that flag.  The key
-depends on X, C and Hom(-, C) (Hom(C, -)) alone, never on a verdict.
+Hom support of C build the same map, not merely an isomorphic one.  So a
+step is keyed by that intersection, C and the side.  The key depends on X,
+C and Hom(-, C) (Hom(C, -)) alone, never on a verdict.
 
 Steps and chain lengths are also shared across the automorphism orbits of
 the context (`Context.symmetries`, see `contexts`): for a permutation g
@@ -195,18 +206,15 @@ def _greedy_step(ctx: Context, x_ids: frozenset, idx: int, dual: bool):
     indecomposable; None when no usable canonical conflation exists.  Keyed
     by the members with maps to (from) the object, and built only for the
     orbit-least key; see the module docstring."""
-    forced = ctx.injective_ids if dual else ctx.projective_ids
-    augment = forced <= x_ids
     members = x_ids & ctx.hom_support(idx, dual)
-    key = (members, idx, dual, augment)
+    key = (members, idx, dual)
     cache = ctx.__dict__.setdefault("_greedy_step_cache", {})
     if key in cache:
         return cache[key]
     k, low, low_members = ctx.symmetries.least(idx, members)
-    low_key = (low_members, low, dual, augment)
+    low_key = (low_members, low, dual)
     if low_key not in cache:
-        h = ctx.approx(sorted(low_members), low, augment=augment, dual=dual)
-        cache[low_key] = ctx.conflation_end(h, dual)
+        cache[low_key] = ctx.conflation_end(ctx.approx(sorted(low_members), low, dual), dual)
     step = cache[low_key]
     cache[key] = None if step is None else ctx.symmetries.pull(k, step)
     return cache[key]
@@ -260,12 +268,11 @@ def _minimal_step(ctx: Context, x_ids: frozenset, idx: int, dual: bool):
     step = _greedy_step(ctx, x_ids, idx, dual)
     if step is None:
         return None
-    forced = ctx.injective_ids if dual else ctx.projective_ids
     members = x_ids & ctx.hom_support(idx, dual)
-    key = (members, idx, dual, forced <= x_ids)
+    key = (members, idx, dual)
     cache = ctx.__dict__.setdefault("_minimal_step_cache", {})
     if key not in cache:
-        surplus = ctx.approximation_surplus(sorted(members), idx, forced <= x_ids, dual)
+        surplus = ctx.approximation_surplus(sorted(members), idx, dual)
         if surplus - step:
             raise ContextError("the canonical approximation lacks summands of its own surplus; "
                                "this is a bug, not a mathematical outcome")

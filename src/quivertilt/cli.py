@@ -93,6 +93,8 @@ def _load_algebra(args, config: RunConfig) -> BoundQuiverAlgebra:
 
 
 def _build_context(args, algebra: BoundQuiverAlgebra, config: RunConfig) -> Context:
+    if args.objects is not None and args.context != "sub":
+        raise ContextError("--objects applies only to --context sub")
     if args.context == "mod":
         return build_exact_context(algebra, config)
     if args.context == "stable":
@@ -194,11 +196,13 @@ def cmd_ext_table(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.mode == "ct" and args.y is not None:
+        raise ContextError("--y applies only to --mode cotorsion")
     config = _build_config(args)
     algebra = _load_algebra(args, config)
     ctx = _build_context(args, algebra, config)
     x_ids = _resolve_members(ctx, args.x)
-    y_ids = _resolve_members(ctx, args.y) if args.mode == "cotorsion" and args.y else None
+    y_ids = _resolve_members(ctx, args.y) if args.y else None
     if args.mode == "ct":
         verdict = check_cluster_tilting(ctx, x_ids, args.degree)
     else:

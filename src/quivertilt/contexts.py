@@ -3,12 +3,15 @@
 Three concrete models share one interface: the exact model (all of mod L for
 a finite-representation-type algebra L), the triangulated model (the stable
 category of a self-injective L), and extension-closed subcategories of either.
-A Context owns a finite list of indecomposable objects, an E-dimension table,
-lazily built extension-class coordinate spaces, detected
-projectives/injectives, enough-projectives witnesses, and context-relative
-syzygies.  Higher E-dimensions are always computed along both the syzygy and
-the cosyzygy route and must agree; a mismatch raises.  A class of E(C, A) is
-realized as a conflation A -> B -> C only as far as its callers read it:
+Both roots are the class `Context`, told apart by `kind` ("mod", "stable");
+a sub-context is a `SubContext`.  A Context owns a finite list of
+indecomposable objects, an E-dimension table, lazily built extension-class
+coordinate spaces, detected projectives/injectives, enough-projectives
+witnesses kept as the object ids of their cocones (Omega C in a root; the
+witnesses' maps are never read), and context-relative syzygies.  Higher
+E-dimensions are always computed along both the syzygy and the cosyzygy
+route and must agree; a mismatch raises.  A class of E(C, A) is realized as
+a conflation A -> B -> C only as far as its callers read it:
 `Context.realize` returns the object ids of the middle term B, cached per
 class, and forms neither map of the conflation.
 
@@ -56,9 +59,9 @@ the dimension vector of M raises.  A triangulated root first takes the
 projective-free core of M (a cone may have projective summands;
 `stable.strip_projectives` reads their multiplicities off socle ranks) and
 raises if a projective is still named.  A sub-context pulls its root's
-answer back, and reads its Hom and E tables off its parent's.  Loops and
-suspensions are not stripped: over a self-injective algebra they have no
-projective summands (Heller's lemma).
+answer back, and reads its Hom and E tables off its parent's.  A stable
+root's Omega C and Sigma C are not stripped: over a self-injective algebra
+they have no projective summands (Heller's lemma).
 
 Stable conflations are short exact sequences.  Every short exact sequence
 of modules is a triangle in the stable category (Happel 1988), and E(C, A)
@@ -120,20 +123,13 @@ from .modules import (
     end_vertex,
     hom_basis,
     hom_dim,
-    identity_map,
     is_end,
     kernel,
     linear_combination,
     twist,
 )
 from .orbits import Symmetries
-from .stable import (
-    cone,
-    loop,
-    require_self_injective,
-    strip_projectives,
-    suspension,
-)
+from .stable import cone, require_self_injective, strip_projectives
 
 
 class ContextError(Exception):
@@ -339,7 +335,7 @@ class Context:
         self._conflation_cache: dict[tuple[int, int, tuple[int, ...]], Counter] = {}  # middle-term ids
         self._shift_cache: dict[tuple[bool, int, int], Counter] = {}
         self._ek_cache: dict[tuple[int, int, int], int] = {}
-        self._witnesses: dict[bool, dict[int, dict]] = {}
+        self._witnesses: dict[bool, dict[int, Counter]] = {}
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
         self._hom_vectors: HomVectors | None = None  # roots: read off the AR mesh
         self.symmetries: Symmetries | None = None  # object permutations by automorphisms of L
@@ -400,7 +396,8 @@ class Context:
         return space
 
     def _build_ext_space(self, c_idx: int, a_idx: int):
-        space = self.ext_space_class(self.objects[c_idx].rep, self.objects[a_idx].rep)
+        space_class = StableExtSpace if self.kind == "stable" else ExactExtSpace
+        space = space_class(self.objects[c_idx].rep, self.objects[a_idx].rep)
         if space.dim != self.e1[c_idx][a_idx]:
             raise ContextError("extension coordinates disagree with the E table")
         return space
@@ -492,17 +489,23 @@ class Context:
         self.projective_ids = frozenset(np.flatnonzero(~nonzero.any(axis=1)).tolist())
         self.injective_ids = frozenset(np.flatnonzero(~nonzero.any(axis=0)).tolist())
 
-    def enough(self, dual: bool = False) -> tuple[bool, dict[int, dict]]:
+    def enough(self, dual: bool = False) -> tuple[bool, dict[int, Counter]]:
         """Whether every object has a deflation from a context projective
         (with `dual`, an inflation into a context injective), and the
-        witnesses found, by object id."""
+        cocone (cone) ids of the witnesses found, by object id."""
         if dual not in self._witnesses:
             self._witnesses[dual] = self._find_enough_witnesses(dual)
         witnesses = self._witnesses[dual]
         return all(idx in witnesses for idx in range(self.n_objects)), witnesses
 
-    def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
-        raise NotImplementedError
+    def _find_enough_witnesses(self, dual: bool) -> dict[int, Counter]:
+        """A root's witness for C is the projective cover (injective hull)
+        in an exact root and the zero map 0 -> C (C -> 0) in a triangulated
+        one.  Either way its cocone is Omega C (its cone Sigma C), named
+        through the cached `homology.syzygy` (`cosyzygy`) once per orbit."""
+        shift = cosyzygy if dual else syzygy
+        ends = self.symmetries.by_orbit(lambda i: self.identify_sum(shift(self.objects[i].rep)))
+        return dict(enumerate(ends))
 
     # -- context-relative syzygies ------------------------------------------
 
@@ -524,8 +527,7 @@ class Context:
                     + ("inflation into an injective" if dual else "deflation from a projective")
                 )
             forced = self.injective_ids if dual else self.projective_ids
-            ends = witnesses[idx]["cone" if dual else "cocone"]
-            hit = Counter({i: m for i, m in ends.items() if i not in forced})
+            hit = Counter({i: m for i, m in witnesses[idx].items() if i not in forced})
         else:
             hit = Counter()
             for i, m in self.shift(k - 1, idx, dual).items():
@@ -570,25 +572,14 @@ class Context:
 
     # -- approximations within the context ------------------------------------
 
-    def approx(self, member_ids, c_idx: int, augment: bool, dual: bool = False) -> ModuleMap:
+    def approx(self, member_ids, c_idx: int, dual: bool = False) -> ModuleMap:
         """Canonical right (with `dual`, left) approximation of the object by
-        add(members); when `augment`, the `augmentation` is added so the total
-        map is a deflation (inflation): the approximation-deflation
-        construction."""
+        add(members)."""
         c_rep = self.objects[c_idx].rep
         members = [self.objects[i].rep for i in sorted(set(member_ids))]
-        return approximation(members, c_rep, dual, self.augmentation(c_idx, dual) if augment else None)
+        return approximation(members, c_rep, dual)
 
-    def augmentation(self, c_idx: int, dual: bool = False) -> ModuleMap | None:
-        """The deflation from a context projective (with `dual`, inflation
-        into a context injective) that an augmented `approx` adds: the
-        projective cover (injective hull) in an exact root, the enough-
-        projectives (-injectives) witness elsewhere, None for a zero map."""
-        if self.kind == "mod":
-            return (injective_hull if dual else projective_cover)(self.objects[c_idx].rep)[1]
-        return self.enough(dual)[1].get(c_idx, {}).get("map")
-
-    def approximation_surplus(self, member_ids, c_idx: int, augment: bool, dual: bool = False) -> Counter:
+    def approximation_surplus(self, member_ids, c_idx: int, dual: bool = False) -> Counter:
         """The summands by which the source of `approx` (with `dual`, its
         target) exceeds that of the minimal approximation of the object C.
 
@@ -597,9 +588,8 @@ class Context:
         is spanned by the composites x -> y -> C with y a member and x -> y
         radical: any map when y != x, rad End(x) when y = x (End(x)/rad = F_p,
         as the knit requires).  In a stable root the maps through a
-        projective, through x -> I(x), are radical too.  Every summand of
-        the augmentation is surplus: the members already hold the context
-        projectives it maps from.  Dually for left approximations."""
+        projective, through x -> I(x), are radical too.  Dually for left
+        approximations."""
         c, p = self.objects[c_idx].rep, self.algebra.p
         reps = {i: self.objects[i].rep for i in member_ids}
 
@@ -617,9 +607,6 @@ class Context:
             flat = [(r.compose(g) if dual else g.compose(r)).flatten()
                     for y, rs in links for r in rs for g in maps(y, c)]
             out[x] = linalg.rank(np.stack(flat), p) if flat else 0
-        extra = self.augmentation(c_idx, dual) if augment else None
-        if extra is not None:
-            out += self.identify_sum(extra.target if dual else extra.source)
         return +out
 
     def describe(self) -> dict:
@@ -639,37 +626,6 @@ class Context:
         }
 
 
-# -- exact model -------------------------------------------------------------
-
-
-class ExactContext(Context):
-    ext_space_class = ExactExtSpace
-
-    def __init__(self, algebra, config):
-        super().__init__("mod", algebra, config)
-
-    def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
-        maps = [(injective_hull(o.rep) if dual else projective_cover(o.rep))[1] for o in self.objects]
-        ends = self.symmetries.by_orbit(lambda i: self.identify_sum((cokernel if dual else kernel)(maps[i])[0]))
-        key = "cone" if dual else "cocone"
-        return {i: {"map": f, key: end} for i, (f, end) in enumerate(zip(maps, ends))}
-
-
-class StableContext(Context):
-    ext_space_class = StableExtSpace
-
-    def __init__(self, algebra, config):
-        super().__init__("stable", algebra, config)
-
-    def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
-        # triangulated: the zero map 0 -> C (C -> 0) is always a deflation
-        # (inflation), with cocone the loop (cone the suspension) of C
-        shift = suspension if dual else loop
-        key = "cone" if dual else "cocone"
-        ends = self.symmetries.by_orbit(lambda i: self.identify_sum(shift(self.objects[i].rep)))
-        return {i: {"map": None, key: end} for i, end in enumerate(ends)}
-
-
 class SubContext(Context):
     def __init__(self, parent: Context, parent_ids: list[int], config):
         super().__init__("sub", parent.algebra, config, parent)
@@ -678,44 +634,32 @@ class SubContext(Context):
     def _build_ext_space(self, c_idx, a_idx):
         return self.parent.ext_space(self.parent_ids[c_idx], self.parent_ids[a_idx])
 
-    def _find_enough_witnesses(self, dual: bool) -> dict[int, dict]:
-        out = {}
-        for o in self.objects:
-            w = self._witness_for(o.index, dual)
-            if w is not None:
-                out[o.index] = w
-        return out
+    def _find_enough_witnesses(self, dual: bool) -> dict[int, Counter]:
+        found = {o.index: self._witness_for(o.index, dual) for o in self.objects}
+        return {i: ends for i, ends in found.items() if ends is not None}
 
-    def _witness_for(self, idx: int, dual: bool):
-        """A deflation from add(P), P the context projectives, onto the
-        object with cocone in the sub-context (with `dual`, an inflation into
-        add(I) with cone in it), or None.  The canonical approximation h is
-        the only map from add(P) to try: a deflation f from add(P) with
-        cocone K in the sub-context is a right add(P)-approximation, as
-        E(P, K) = 0, so f and h are each the minimal approximation plus a
-        zero map from add(P), and h has cocone K_min + P'', in the
-        sub-context with K (dually for inflations into add(I))."""
+    def _witness_for(self, idx: int, dual: bool) -> Counter | None:
+        """The cocone ids of a deflation from add(P), P the context
+        projectives, onto the object with cocone in the sub-context (with
+        `dual`, the cone ids of an inflation into add(I) with cone in it),
+        or None.  The canonical approximation h is the only map from add(P)
+        to try: a deflation f from add(P) with cocone K in the sub-context
+        is a right add(P)-approximation, as E(P, K) = 0, so f and h are each
+        the minimal approximation plus a zero map from add(P), and h has
+        cocone K_min + P'', in the sub-context with K (dually for
+        inflations into add(I))."""
         forced = sorted(self.injective_ids if dual else self.projective_ids)
-        key = "cone" if dual else "cocone"
-        c_rep = self.objects[idx].rep
         # objects that are themselves projective/injective: identity works
         if idx in forced:
-            return {"map": identity_map(c_rep), key: Counter()}
+            return Counter()
         # the zero map: cocone Omega C (cone Sigma C) computed in the parent
         if self.root_kind == "stable":
-            pidx = self.parent_ids[idx]
             try:
-                ids = self.parent.shift(1, pidx, dual)
-                return {"map": None, key: self._pull_ids(ids + Counter())}
+                return self._pull_ids(self.parent.shift(1, self.parent_ids[idx], dual))
             except ContextError:
                 pass
         # canonical: approximation by the context projectives/injectives
-        if forced:
-            h = self.approx(forced, idx, augment=False, dual=dual)
-            ids = self.conflation_end(h, dual)
-            if ids is not None:
-                return {"map": h, key: ids}
-        return None
+        return self.conflation_end(self.approx(forced, idx, dual), dual) if forced else None
 
 
 # -- object enumeration and builders ----------------------------------------
@@ -1123,7 +1067,7 @@ def _read_mesh(ctx: Context, reps: list[Representation], mesh: _Mesh):
 def build_exact_context(algebra: BoundQuiverAlgebra, config: RunConfig | None = None) -> Context:
     config = config or RunConfig(field_char=algebra.p)
     config.validate()
-    ctx = ExactContext(algebra, config)
+    ctx = Context("mod", algebra, config)
     reps, mesh = _knitted(algebra, config)
     ctx.objects = [ContextObject(i, f"m{i}", rep) for i, rep in enumerate(reps)]
     _read_mesh(ctx, reps, mesh)
@@ -1136,7 +1080,7 @@ def build_stable_context(algebra: BoundQuiverAlgebra, config: RunConfig | None =
     config = config or RunConfig(field_char=algebra.p)
     config.validate()
     require_self_injective(algebra)
-    ctx = StableContext(algebra, config)
+    ctx = Context("stable", algebra, config)
     reps, mesh = _knitted(algebra, config)
     # the objects, then the projectives they leave out, each in sorted order
     projective = [is_end(rep) for rep in reps]

@@ -164,7 +164,7 @@ def cosyzygy(m: Representation) -> Representation:
 class MinimalResolution:
     """Lazily extended minimal projective resolution of a module.
 
-    terms[k] is P_k, diffs[k]: P_k -> P_{k-1} (diffs[0] is the augmentation
+    terms[k] is P_k, diffs[k]: P_k -> P_{k-1} (diffs[0] is the cover
     P_0 -> M), syzygy_incls[k]: Omega^{k+1} -> P_k, tops[k] the top
     dimensions of Omega^k (Omega^0 = M), filled by `top_dims`.  The kernel
     Omega^{k+1} of the cover P_k -> Omega^k is taken only when asked for.
@@ -243,20 +243,16 @@ def ext_dim(k: int, m: Representation, n: Representation) -> int:
     return hom_dim(res.syzygies[k - 1], n) - hom_cover + hom_dim(prev, n)
 
 
-def approximation(
-    members: list[Representation], c: Representation, dual: bool = False,
-    extra: ModuleMap | None = None,
-) -> ModuleMap:
+def approximation(members: list[Representation], c: Representation, dual: bool = False) -> ModuleMap:
     """Right approximation of c by add(members): the sum of a basis of each
-    Hom(x, c), with `extra` (a map into c) as one more summand.  With `dual`,
-    the left approximation c -> sum of a basis of each Hom(c, x), with
-    `extra` a map out of c."""
+    Hom(x, c), so every map from a member factors through it.  With `dual`,
+    the left approximation c -> sum of a basis of each Hom(c, x).  A member
+    with no maps adds no summand, and with none at all the map is from
+    (into) 0."""
     summands: list[tuple[Representation, ModuleMap]] = []
     for x in members:
         for f in hom_basis(c, x) if dual else hom_basis(x, c):
             summands.append((x, f))
-    if extra is not None:
-        summands.append((extra.target if dual else extra.source, extra))
     if not summands:
         z = zero_representation(c.algebra)
         return zero_map(c, z) if dual else zero_map(z, c)

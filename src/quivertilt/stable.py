@@ -1,34 +1,36 @@
 """Stable module category of a self-injective algebra.
 
-Suspension is the cokernel of the injective hull, loop the kernel of the
-projective cover, and the cone of f: M -> N is the cokernel of the mapping
-cylinder M -> I(M) + N, returned as a module alone.  No stable Hom space and
-no connecting map is formed here.  Every short exact sequence of modules is
-a triangle in the stable category (Happel 1988), so a context realizes its
-conflations as short exact sequences, and reads stable Hom(Omega C, A) as
-module Ext^1(C, A) (`contexts.StableExtSpace`).
+Suspension is the cokernel of the injective hull and loop the kernel of the
+projective cover, `homology.cosyzygy` and `homology.syzygy`; the cone of
+f: M -> N is the cokernel of the mapping cylinder M -> I(M) + N, returned
+as a module alone.  No stable Hom space and no connecting map is formed
+here.  Every short exact sequence of modules is a triangle in the stable
+category (Happel 1988), so a context realizes its conflations as short
+exact sequences, and reads stable Hom(Omega C, A) as module Ext^1(C, A)
+(`contexts.StableExtSpace`).
 
-Loop and suspension are `homology.syzygy` and `homology.cosyzygy` behind a
-self-injectivity guard, so Omega M is the one held by M's minimal
-resolution.  They need no stripping: over a self-injective algebra the
-kernel of a projective cover and the cokernel of an injective hull have no
-projective summands (Heller's lemma), so Omega M and Sigma M are already
-projective-free.  A cone may have projective summands; `strip_projectives`
-removes them without splitting M.  Each P_v is injective with simple socle
-S_w, w = nu(v), spanned by one combination omega_v of paths v -> w, so a map
-P_v -> M is mono iff it does not kill omega_v, and a mono out of an
-injective module splits (injective modules are direct summands of every
-module containing them; Auslander-Reiten-Smalo IV.3).  So the multiplicity
-of P_v in M is the rank of M(omega_v): M_v -> M_w, and generators at the
-pivot columns give a split mono from the sum of those projectives whose
-cokernel is the projective-free core.
+A stable context names Omega M and Sigma M through those two functions,
+once it has checked that the algebra is self-injective, so Omega M is the
+one held by M's minimal resolution.  They need no stripping: over a
+self-injective algebra the kernel of a projective cover and the cokernel of
+an injective hull have no projective summands (Heller's lemma), so Omega M
+and Sigma M are already projective-free.  A cone may have projective
+summands; `strip_projectives` removes them without splitting M.  Each P_v
+is injective with simple socle S_w, w = nu(v), spanned by one combination
+omega_v of paths v -> w, so a map P_v -> M is mono iff it does not kill
+omega_v, and a mono out of an injective module splits (injective modules
+are direct summands of every module containing them;
+Auslander-Reiten-Smalo IV.3).  So the multiplicity of P_v in M is the rank
+of M(omega_v): M_v -> M_w, and generators at the pivot columns give a split
+mono from the sum of those projectives whose cokernel is the
+projective-free core.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from .algebra import BoundQuiverAlgebra, is_self_injective, projective_module
-from .homology import _map_from_projectives, cosyzygy, injective_hull, syzygy
+from .homology import _map_from_projectives, injective_hull
 from .modules import (
     ModuleMap,
     Representation,
@@ -94,20 +96,6 @@ def strip_projectives(m: Representation) -> Representation:
     if not mono.is_mono():
         raise RuntimeError("the projective summands found by socle ranks do not embed")
     return cokernel(mono)[0]
-
-
-def suspension(m: Representation) -> Representation:
-    """Cosyzygy, the cokernel of the injective hull; projective-free by
-    Heller's lemma and quasi-inverse to loop on projective-free objects."""
-    require_self_injective(m.algebra)
-    return cosyzygy(m)
-
-
-def loop(m: Representation) -> Representation:
-    """Syzygy, the kernel of the projective cover; projective-free by
-    Heller's lemma."""
-    require_self_injective(m.algebra)
-    return syzygy(m)
 
 
 def cone(f: ModuleMap) -> Representation:

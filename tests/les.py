@@ -25,8 +25,7 @@ from quivertilt import linalg
 from quivertilt.contexts import Context, ContextError, ExactExtSpace
 from quivertilt.homology import minimal_resolution
 from quivertilt.modules import ModuleMap, Representation, hom_basis, linear_combination, zero_map
-from quivertilt.stable import loop
-from oracle import Conflation, StableHomSpace, class_of
+from oracle import Conflation, StableHomSpace, class_of, loop
 
 
 def syzygy_transport(f: ModuleMap) -> ModuleMap:

@@ -26,7 +26,14 @@ profile was read off dimensions: one intertwining system per probe.
 `greedy_step_by_full_approximation` is the canonical approximation step of
 `checkers._greedy_step` computed from the whole of X, uncached;
 `cocone_by_cone_and_loop` names the cocone of a map in a triangulated context
-as the loop of its mapping cone.
+as the loop of its mapping cone.  `loop` and `suspension` were
+`stable.loop` and `stable.suspension`, which the enough-projectives
+witnesses of a stable context used before they named Omega C (Sigma C)
+through `homology.syzygy` (`cosyzygy`) in every root.
+
+`approximation_by_adds` is `homology.approximation` summed one map at a
+time, with `extra` as one more summand: the augmented approximation that
+`Context.approx` built before a plain one was shown to do.
 
 `conflation_candidates`, `resdim_by_search`, `clause3_by_search` and
 `cotorsion_by_search` are the bounded conflation search that `check
@@ -175,7 +182,7 @@ from quivertilt.modules import (
     zero_map,
     zero_representation,
 )
-from quivertilt.stable import cone, loop, require_self_injective
+from quivertilt.stable import cone, require_self_injective
 
 
 def _theta_offsets(m: Representation, n: Representation):
@@ -325,11 +332,8 @@ def fingerprint_by_hom_probes(m: Representation) -> tuple:
 
 def greedy_step_by_full_approximation(ctx, x_ids, idx: int, dual: bool):
     """Cocone (with `dual`, cone) ids of the approximation of object idx by
-    every member of X, augmented when X holds the context projectives
-    (injectives); None when the map is not a deflation (inflation)."""
-    forced = ctx.injective_ids if dual else ctx.projective_ids
-    h = ctx.approx(sorted(x_ids), idx, augment=forced <= frozenset(x_ids), dual=dual)
-    return ctx.conflation_end(h, dual)
+    every member of X; None when the map is not a deflation (inflation)."""
+    return ctx.conflation_end(ctx.approx(sorted(x_ids), idx, dual), dual)
 
 
 def nonzero_combinations(maps: list[ModuleMap]):
@@ -443,6 +447,20 @@ def cotorsion_by_search(ctx, x_ids, y_ids, n: int) -> bool:
             if not clause3_by_search(ctx, approx_ids, res_ids, n, c_idx, dual):
                 return False
     return True
+
+
+def suspension(m: Representation) -> Representation:
+    """Cosyzygy, the cokernel of the injective hull; projective-free by
+    Heller's lemma and quasi-inverse to loop on projective-free objects."""
+    require_self_injective(m.algebra)
+    return cosyzygy(m)
+
+
+def loop(m: Representation) -> Representation:
+    """Syzygy, the kernel of the projective cover; projective-free by
+    Heller's lemma."""
+    require_self_injective(m.algebra)
+    return syzygy(m)
 
 
 def cocone_by_cone_and_loop(ctx, y) -> Counter:

@@ -27,6 +27,7 @@ from quivertilt.contexts import (
     build_sub_context,
     is_extension_closed,
 )
+from quivertilt.homology import injective_hull, projective_cover
 import oracle
 from oracle import (
     cluster_tilting_by_subset_walk,
@@ -179,8 +180,7 @@ def _rigid_subsets(ctx, n):
 def test_greedy_steps_keyed_by_hom_support_match_full_approximations(exact_contexts, stable_contexts):
     """Steps served from one cache per context, filled over every rigid X of
     degrees 1 and 2, equal the step computed from the whole of X: the key may
-    drop neither a member with maps to (from) the object nor whether X holds
-    the context projectives (injectives)."""
+    drop no member with maps to (from) the object."""
     for name, ctx in [*exact_contexts.items(), *stable_contexts.items()]:
         ctx.__dict__.pop("_greedy_step_cache", None)
         for n in (1, 2):
@@ -190,6 +190,56 @@ def test_greedy_steps_keyed_by_hom_support_match_full_approximations(exact_conte
                         want = greedy_step_by_full_approximation(ctx, x_ids, idx, dual)
                         got = _greedy_step(ctx, x_ids, idx, dual)
                         assert got == want, (name, ctx.kind, sorted(x_ids), idx, dual)
+
+
+def _augmented_cases():
+    """(name, context, side) over mod nak(2,3), nak(3,2), nak(3,3) and the
+    extension-closed sub-contexts of mod nak(2,3) with enough projectives
+    (with `dual`, injectives)."""
+    roots = {f"mod nak{n}{r}": build_exact_context(nakayama_cyclic(n, r)) for n, r in ((2, 3), (3, 2), (3, 3))}
+    for name, ctx in roots.items():
+        yield name, ctx, False
+        yield name, ctx, True
+    parent = roots["mod nak23"]
+    for size in range(1, parent.n_objects):
+        for ids in itertools.combinations(range(parent.n_objects), size):
+            if is_extension_closed(parent, ids)[0]:
+                sub = build_sub_context(parent, ids)
+                for dual in (False, True):
+                    if sub.enough(dual)[0]:
+                        yield f"sub {ids}", sub, dual
+
+
+def test_a_plain_approximation_by_a_class_holding_the_projectives_is_a_deflation():
+    """When X holds the context projectives (injectives), the canonical
+    approximation h of every object C outside X is a deflation (inflation),
+    and its cocone (cone) is that of h augmented by a deflation w from
+    add(P) less the source of w: w factors through h, so (h, w) is (h, 0) up
+    to an automorphism of its source (the argument in the `checkers`
+    docstring)."""
+    count = 0
+    for name, ctx, dual in _augmented_cases():
+        forced = ctx.injective_ids if dual else ctx.projective_ids
+        free = [i for i in range(ctx.n_objects) if i not in forced]
+        x_sets = [sorted(forced | set(extra)) for size in range(len(free) + 1)
+                  for extra in itertools.combinations(free, size)]
+        for idx in range(ctx.n_objects):
+            # what an augmented approximation added: the projective cover
+            # (injective hull) in a root, the approximation by the context
+            # projectives (injectives) in a sub-context
+            w = (ctx.approx(forced, idx, dual) if ctx.kind == "sub"
+                 else (injective_hull if dual else projective_cover)(ctx.objects[idx].rep)[1])
+            assert ctx.conflation_end(w, dual) is not None, (name, dual, idx)
+            w_ids = ctx.identify_sum(w.target if dual else w.source)
+            for x_ids in (x for x in x_sets if idx not in x):
+                plain = ctx.conflation_end(ctx.approx(x_ids, idx, dual), dual)
+                members = [ctx.objects[i].rep for i in x_ids]
+                augmented = oracle.approximation_by_adds(members, ctx.objects[idx].rep, dual, w)
+                end = ctx.conflation_end(augmented, dual)
+                assert plain is not None and end is not None, (name, dual, x_ids, idx)
+                assert not w_ids - end and plain == end - w_ids, (name, dual, x_ids, idx)
+                count += 1
+    assert count == 488
 
 
 def test_trivial_pairs(exact_contexts):

@@ -256,3 +256,33 @@ def test_a_rigid_resolving_class_decides_the_verdict(capsys):
     failed = [c for c in clauses if not c["passed"]]
     assert failed and {c["mode"] for c in failed} == {"tested"}
     assert failed[0]["witness"]["conflation"] == "m3"
+
+
+def test_a_failing_approximation_clause_names_the_plain_cocone(capsys):
+    """X = {S1, P1, P2} holds the projectives, which are the injectives, so
+    the canonical approximation of S2 by add X is already a deflation (and
+    its left one an inflation): the witness names its cocone (cone) with no
+    projective cover (injective hull) summand, as m2 (m3), not m2+P2
+    (m3+P2)."""
+    status, out, err = _run(["check", "--nakayama", "2,3", "--x", "S1,P1,P2", "-n", "1", "--mode", "cotorsion",
+                             "--format", "structured"], capsys)
+    assert status == 1, err
+    clauses = {c["clause"]: c for c in json.loads(out)["result"]["verdict"]["clauses"]}
+    for clause, end in (("left.approximation-conflations", "m2"), ("right.coapproximation-conflations", "m3")):
+        assert clauses[clause]["witness"] == {"witness_object": "S2", "conflation": end,
+                                              "resolution_dim": "EXCEEDS"}, clause
+
+
+def test_y_outside_cotorsion_mode_exits_2(capsys):
+    status, out, err = _run(["check", "--nakayama", "2,3", "--x", "all", "--y", "S1", "-n", "2",
+                             "--mode", "ct"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: --y applies only to --mode cotorsion\n"
+
+
+def test_objects_outside_a_sub_context_exits_2(capsys):
+    status, out, err = _run(["objects", "--nakayama", "2,3", "--objects", "S1"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: --objects applies only to --context sub\n"

@@ -148,12 +148,11 @@ def test_right_approximation_examples(a2):
     p1 = projective_module(a2, 1)
     p2 = projective_module(a2, 2)
     s1 = simple_module(a2, 1)
-    h = approximation([p1, p2], s1, extra=projective_cover(s1)[1])
+    h = approximation([p1, p2], s1)
     assert h.is_epi()
-    h_empty = approximation([], s1, extra=projective_cover(s1)[1])
-    assert h_empty.is_epi() and is_isomorphic(h_empty.source, p1)
-    h_zero_homs = approximation([s1], p1, extra=projective_cover(p1)[1])
-    assert h_zero_homs.is_epi()
+    # Hom(S1, P1) = 0, so S1 adds no summand: the map is from 0
+    h_zero_homs = approximation([s1], p1)
+    assert h_zero_homs.source.total_dim == 0 and not h_zero_homs.is_epi()
 
 
 def test_right_approximation_factorization_law(a3_rad2):
@@ -162,7 +161,7 @@ def test_right_approximation_factorization_law(a3_rad2):
     mods = _indecomposables(a3_rad2)
     members = [mods["P1"], mods["S1"], mods["S3"]]
     for target in mods.values():
-        h = approximation(members, target, extra=projective_cover(target)[1])
+        h = approximation(members, target)
         composed = [h.compose(g) for g in hom_basis(h.source, h.source)]
         hmat = np.stack(
             [h.compose(g).flatten() for g in hom_basis(h.source, h.source)], axis=1
@@ -180,10 +179,11 @@ def test_right_approximation_factorization_law(a3_rad2):
 def test_left_approximation_examples(a2):
     s1 = simple_module(a2, 1)
     p1 = projective_module(a2, 1)
-    g = approximation([s1], p1, dual=True, extra=injective_hull(p1)[1])
-    assert g.is_mono()
-    g2 = approximation([], s1, dual=True, extra=injective_hull(s1)[1])
-    assert g2.is_mono()
+    g = approximation([s1], p1, dual=True)
+    assert is_isomorphic(g.target, s1) and g.is_epi() and not g.is_mono()
+    # members holding the injectives S1 = I1 and P1 = I2 give an inflation
+    g_inj = approximation([s1, p1], simple_module(a2, 2), dual=True)
+    assert g_inj.is_mono()
 
 
 def _pool(alg):
