@@ -94,8 +94,8 @@ class BoundQuiverAlgebra:
     ):
         if field_char > linalg.MAX_FIELD_CHAR:
             raise AlgebraError(
-                f"field characteristic {field_char} exceeds {linalg.MAX_FIELD_CHAR}, the largest "
-                f"for which {linalg.MIN_TERMS} products of residues fit in int64"
+                f"field characteristic {field_char} exceeds {linalg.MAX_FIELD_CHAR}, "
+                "the largest characteristic accepted"
             )
         if field_char < 2 or any(field_char % d == 0 for d in range(2, int(field_char**0.5) + 1)):
             raise AlgebraError(f"field characteristic {field_char} is not prime")
@@ -432,7 +432,7 @@ def projective_module(algebra: BoundQuiverAlgebra, vertex_id: int):
     """P_i: spanned by normal paths with source i, arrows act by appending.
 
     Cached per algebra and vertex: every call returns the same object, whose
-    matrices are read-only, so no caller can mutate the shared module."""
+    matrices, like every `linalg.Matrix`, are immutable."""
     hit = algebra._projectives.get(vertex_id)
     if hit is None:
         hit = algebra._projectives[vertex_id] = _build_projective(algebra, vertex_id)
@@ -449,15 +449,12 @@ def _build_projective(algebra: BoundQuiverAlgebra, vertex_id: int):
     mats = []
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
-        m = linalg.zeros(dims[t], dims[s])
+        m = [[0] * dims[s] for _ in range(dims[t])]
         for col, b in enumerate(by_vertex[s]):
             for w, c in algebra.right_multiply(b, a).items():
-                m[index[w][1], col] = c
-        mats.append(m)
-    rep = Representation(algebra, dims, mats)
-    for m in rep.matrices:
-        m.flags.writeable = False
-    return rep
+                m[index[w][1]][col] = c
+        mats.append(linalg.Matrix(tuple(map(tuple, m)), dims[s]))
+    return Representation(algebra, dims, mats)
 
 
 def simple_module(algebra: BoundQuiverAlgebra, vertex_id: int):
@@ -476,16 +473,12 @@ def simple_module(algebra: BoundQuiverAlgebra, vertex_id: int):
 def injective_module(algebra: BoundQuiverAlgebra, vertex_id: int):
     """I_i: the dual of the opposite-algebra projective at i.
 
-    Cached per algebra and vertex with read-only matrices, like
-    `projective_module`."""
+    Cached per algebra and vertex, like `projective_module`."""
     from .modules import dual_representation
 
     hit = algebra._injectives.get(vertex_id)
     if hit is None:
-        hit = dual_representation(projective_module(algebra.opposite(), vertex_id))
-        for m in hit.matrices:
-            m.flags.writeable = False
-        algebra._injectives[vertex_id] = hit
+        hit = algebra._injectives[vertex_id] = dual_representation(projective_module(algebra.opposite(), vertex_id))
     return hit
 
 

@@ -99,8 +99,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .contexts import Context, ContextError, _as_counter
 
 
@@ -468,11 +466,10 @@ def _orth_bitmasks(ctx: Context, k_max: int) -> tuple[list[int], list[int]]:
     cache = ctx.__dict__.setdefault("_orth_bitmasks_cache", {})
     hit = cache.get(k_max)
     if hit is None:
-        vanish = np.ones((ctx.n_objects, ctx.n_objects), dtype=bool)
-        for k in range(1, k_max + 1):
-            vanish &= ctx.e_k_table(k) == 0
-        hit = cache[k_max] = ([_mask(np.flatnonzero(row).tolist()) for row in vanish],
-                              [_mask(np.flatnonzero(col).tolist()) for col in vanish.T])
+        tables = [ctx.e_k_table(k) for k in range(1, k_max + 1)]
+        vanish = [[not any(t[i][j] for t in tables) for j in range(ctx.n_objects)] for i in range(ctx.n_objects)]
+        hit = cache[k_max] = ([_mask(j for j, v in enumerate(row) if v) for row in vanish],
+                              [_mask(i for i, v in enumerate(col) if v) for col in zip(*vanish)])
     return hit
 
 

@@ -61,8 +61,8 @@ def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
     parser.add_argument("--format", choices=["text", "structured"], default="text")
     if with_context:
         parser.add_argument("--context", choices=["mod", "stable", "sub"], default="mod")
-        parser.add_argument("--parent", choices=["mod", "stable"], default="mod",
-                            help="ambient model for --context sub")
+        parser.add_argument("--parent", choices=["mod", "stable"],
+                            help="ambient model for --context sub (default: mod)")
         parser.add_argument("--objects", help="comma-separated object ids for --context sub")
 
 
@@ -93,15 +93,16 @@ def _load_algebra(args, config: RunConfig) -> BoundQuiverAlgebra:
 
 
 def _build_context(args, algebra: BoundQuiverAlgebra, config: RunConfig) -> Context:
-    if args.objects is not None and args.context != "sub":
-        raise ContextError("--objects applies only to --context sub")
+    for flag, value in (("--objects", args.objects), ("--parent", args.parent)):
+        if value is not None and args.context != "sub":
+            raise ContextError(f"{flag} applies only to --context sub")
     if args.context == "mod":
         return build_exact_context(algebra, config)
     if args.context == "stable":
         return build_stable_context(algebra, config)
     parent = (
         build_exact_context(algebra, config)
-        if args.parent == "mod"
+        if args.parent in (None, "mod")
         else build_stable_context(algebra, config)
     )
     if not args.objects:
@@ -189,7 +190,7 @@ def cmd_ext_table(args) -> int:
     for k in range(1, args.kmax + 1):
         tables[f"E^{k}"] = {
             "rows": ctx.object_names,
-            "table": ctx.e_k_table(k).tolist(),
+            "table": [list(row) for row in ctx.e_k_table(k)],
         }
     _emit(args, config, algebra, {"context": args.context, "tables": tables}, "ext-table")
     return 0

@@ -91,8 +91,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import mul
 
 from .algebra import (
     BoundQuiverAlgebra,
@@ -224,15 +223,19 @@ class HomVectors:
     inverse R come from the root's AR mesh (`_mesh_hom_vectors`), so
     m = R v and no Hom matrix is solved here.  Every answer is checked to be
     a non-negative integer vector with H m = v and the dimension vector of M,
-    so an incomplete list raises instead of naming a wrong module."""
+    so an incomplete list raises instead of naming a wrong module.  H and R
+    are tuples of rows."""
 
-    def __init__(self, reps: list[Representation], h: np.ndarray, r: np.ndarray):
+    def __init__(self, reps: list[Representation], h: tuple, r: tuple):
         self.reps = reps
         self.h = h
         self.r = r
         # Hom(P_v, M) = M_v (Yoneda): projective probes are read off dims
         self.probe_vertex = [end_vertex(x) for x in reps]
-        self.dims = np.array([x.dims for x in reps], dtype=np.int64)
+        self.dims = [x.dims for x in reps]
+        # R is sparse, a few mesh terms per row; H is read by columns
+        self._r_terms = [[(j, x) for j, x in enumerate(row) if x] for row in r]
+        self._h_cols = list(zip(*h))
 
     def hom_vector(self, m: Representation) -> list[int]:
         """(dim Hom(X_j, m))_j over the list."""
@@ -243,11 +246,27 @@ class HomVectors:
 
     def identify(self, m: Representation) -> Counter:
         """Object ids of m with multiplicities, in ascending id order."""
-        v = np.array(self.hom_vector(m), dtype=np.int64)
-        mult = self.r @ v
-        if (mult < 0).any() or not np.array_equal(self.h @ mult, v) or (mult @ self.dims).tolist() != list(m.dims):
+        v = self.hom_vector(m)
+        mult = [sum(x * v[j] for j, x in terms) for terms in self._r_terms]
+        if (min(mult) < 0 or _row_combination(mult, self._h_cols, len(v)) != v
+                or _row_combination(mult, self.dims, len(m.dims)) != list(m.dims)):
             raise ContextError(f"module of dimension vector {m.dims} is not a sum of context objects")
-        return Counter({i: k for i, k in enumerate(mult.tolist()) if k})
+        return Counter({i: k for i, k in enumerate(mult) if k})
+
+
+def _row_combination(coeffs, rows, width: int) -> list[int]:
+    """sum c_j rows[j] over the nonzero integers c_j, cut to its first width
+    entries."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+def _submatrix(table: tuple, ids) -> tuple:
+    """The rows and columns ids of a square table, in that order."""
+    return tuple(tuple(table[i][j] for j in ids) for i in ids)
 
 
 def _integer_inverse(h: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -295,20 +314,20 @@ def _bilinear(dim, c, a) -> int:
 # -- symmetries ----------------------------------------------------------------
 
 
-def _root_symmetries(ctx: "Context", twists: np.ndarray, autos) -> Symmetries:
+def _root_symmetries(ctx: "Context", moves: list[tuple[int, ...]], autos) -> Symmetries:
     """The permutations of a root's objects induced by the algebra's
-    automorphisms autos, the identity first, read off the knit's twist
-    table: column k names the twist of each module (the objects, then the
-    dropped projectives) along autos[k].  A twist is an exact
-    autoequivalence, so each column must permute the modules and the
+    automorphisms autos, the identity first, read off the columns of the
+    knit's twist table: moves[k] names the twist of each module (the
+    objects, then the dropped projectives) along autos[k].  A twist is an
+    exact autoequivalence, so each column must permute the modules and the
     objects and keep the E table; one that does not raises."""
     n = ctx.n_objects
     perms = [tuple(range(n))]
-    for sigma, images in zip(autos[1:], twists.T[1:].tolist()):
-        pi = tuple(images[:n])
+    for sigma, images in zip(autos[1:], moves[1:]):
+        pi = images[:n]
         if sorted(images) != list(range(len(images))) or sorted(pi) != list(perms[0]):
             raise ContextError(f"the automorphism {sigma} of the algebra does not permute the context objects")
-        if not np.array_equal(ctx.e1[np.ix_(pi, pi)], ctx.e1):
+        if _submatrix(ctx.e1, pi) != ctx.e1:
             raise ContextError(f"the automorphism {sigma} of the algebra does not keep the E table")
         if pi not in perms:
             perms.append(pi)
@@ -329,8 +348,9 @@ class Context:
         # the kind of the root context: "mod" | "stable"
         self.root_kind = kind if parent is None else parent.root_kind
         self.parent_ids: list[int] = []  # sub only: parent index per object
-        self.e1: np.ndarray | None = None
-        self.hom: np.ndarray | None = None  # dim Hom(X, Y) over the objects, as modules
+        # Integer tables over the objects are tuples of rows.
+        self.e1: tuple | None = None
+        self.hom: tuple | None = None  # dim Hom(X, Y) over the objects, as modules
         self._ext_spaces: dict[tuple[int, int], object] = {}
         self._conflation_cache: dict[tuple[int, int, tuple[int, ...]], Counter] = {}  # middle-term ids
         self._shift_cache: dict[tuple[bool, int, int], Counter] = {}
@@ -339,7 +359,7 @@ class Context:
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
         self._hom_vectors: HomVectors | None = None  # roots: read off the AR mesh
         self.symmetries: Symmetries | None = None  # object permutations by automorphisms of L
-        self._ek_tables: dict[int, np.ndarray] = {}
+        self._ek_tables: dict[int, tuple] = {}
         self.dropped_projectives: list[Representation] = []  # stable roots: every P_v
         self.projective_ids: frozenset[int] = frozenset()
         self.injective_ids: frozenset[int] = frozenset()
@@ -385,7 +405,7 @@ class Context:
         """dim E(c, a); arguments are object ids or Counters over ids."""
         if isinstance(c, Counter) or isinstance(a, Counter):
             return _bilinear(self.e_dim, c, a)
-        return int(self.e1[c][a])
+        return self.e1[c][a]
 
     def ext_space(self, c_idx: int, a_idx: int):
         key = (c_idx, a_idx)
@@ -465,8 +485,8 @@ class Context:
         key = (idx, dual)
         hit = self._hom_support.get(key)
         if hit is None:
-            hit = self._hom_support[key] = frozenset(
-                np.flatnonzero(self.hom[idx] if dual else self.hom[:, idx]).tolist())
+            row = self.hom[idx] if dual else [r[idx] for r in self.hom]
+            hit = self._hom_support[key] = frozenset(i for i, x in enumerate(row) if x)
         return hit
 
     def _pull_ids(self, parent_ids: Counter) -> Counter:
@@ -485,9 +505,8 @@ class Context:
     # -- projectives, injectives, witnesses ---------------------------------
 
     def detect_projectives(self):
-        nonzero = self.e1 != 0
-        self.projective_ids = frozenset(np.flatnonzero(~nonzero.any(axis=1)).tolist())
-        self.injective_ids = frozenset(np.flatnonzero(~nonzero.any(axis=0)).tolist())
+        self.projective_ids = frozenset(i for i, row in enumerate(self.e1) if not any(row))
+        self.injective_ids = frozenset(j for j, col in enumerate(zip(*self.e1)) if not any(col))
 
     def enough(self, dual: bool = False) -> tuple[bool, dict[int, Counter]]:
         """Whether every object has a deflation from a context projective
@@ -558,16 +577,13 @@ class Context:
         self._ek_cache[(k, c, a)] = omega_route
         return omega_route
 
-    def e_k_table(self, k: int) -> np.ndarray:
+    def e_k_table(self, k: int) -> tuple:
         """The table of dim E^k over every pair of objects, built once per
-        context and degree (read-only)."""
+        context and degree."""
         out = self._ek_tables.get(k)
         if out is None:
             n = self.n_objects
-            out = np.array([[self.e_k_dim(k, c, a) for a in range(n)] for c in range(n)],
-                           dtype=np.int64).reshape(n, n)
-            out.flags.writeable = False
-            self._ek_tables[k] = out
+            out = self._ek_tables[k] = tuple(tuple(self.e_k_dim(k, c, a) for a in range(n)) for c in range(n))
         return out
 
     # -- approximations within the context ------------------------------------
@@ -606,7 +622,7 @@ class Context:
                 links.append((end, [f]))
             flat = [(r.compose(g) if dual else g.compose(r)).flatten()
                     for y, rs in links for r in rs for g in maps(y, c)]
-            out[x] = linalg.rank(np.stack(flat), p) if flat else 0
+            out[x] = linalg.rank(linalg.Matrix(tuple(flat), len(flat[0])), p) if flat else 0
         return +out
 
     def describe(self) -> dict:
@@ -750,18 +766,18 @@ class _Mesh:
                      {new[q]: ids(c) for q, c in self.rad.items()},
                      {new[x]: [new[y] for y in ys] for x, ys in self.twists.items()}, self.autos)
 
-    def matrix(self, size: int) -> np.ndarray:
+    def matrix(self, size: int) -> tuple:
         """R: column Z is e_Z + e_{tau Z} - [E_Z], column P is e_P - [rad P]."""
         if sorted([*self.middle, *self.rad]) != list(range(size)) or self.tau.keys() != self.middle.keys():
             raise ContextError("the knit recorded no mesh relation, or two, for some module")
-        r = np.eye(size, dtype=np.int64)
+        r = [[int(i == j) for j in range(size)] for i in range(size)]
         for z, t in self.tau.items():
-            r[t, z] += 1
+            r[t][z] += 1
         for table in (self.middle, self.rad):
             for col, ids in table.items():
                 for j, m in ids.items():
-                    r[j, col] -= m
-        return r
+                    r[j][col] -= m
+        return tuple(map(tuple, r))
 
     def successors(self, m: int, tau_inv) -> Counter:
         """The summands of E_{tau^- m}, read off the term before m: tau^- of
@@ -937,12 +953,12 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
             if w in mesh.middle:
                 continue
             ids = mesh.successors(mesh.tau[w], lambda y: translate(y, inverse=True))
-            want = np.add(pool.reps[w].dims, pool.reps[mesh.tau[w]].dims)
-            got = sum((m * np.array(pool.reps[j].dims) for j, m in ids.items()), np.zeros_like(want))
-            if not np.array_equal(got, want):
+            want = [x + y for x, y in zip(pool.reps[w].dims, pool.reps[mesh.tau[w]].dims)]
+            got = _row_combination(ids.values(), [pool.reps[j].dims for j in ids], len(want))
+            if got != want:
                 raise ContextError(
                     f"the middle term read off the mesh for Z of dimension vector {pool.reps[w].dims} "
-                    f"has dimension vector {tuple(got.tolist())}, not that of Z plus tau Z: "
+                    f"has dimension vector {tuple(got)}, not that of Z plus tau Z: "
                     "End/rad of some module is larger than F_p"
                 )
             record(mesh.middle, w, ids)
@@ -998,21 +1014,24 @@ def _mesh_hom_vectors(reps: list[Representation], mesh: _Mesh) -> HomVectors:
     """HomVectors over a root's modules, with H = R^-1 for the mesh matrix
     R, inverted exactly and certified: R H = I, H >= 0, and the Yoneda row
     H[P_v][X] and column H[X][I_v] are dim X_v."""
-    r = mesh.matrix(len(reps))
-    k, d = _integer_inverse(r.tolist())
-    h = np.array(k, dtype=np.int64)
+    size = len(reps)
+    r = mesh.matrix(size)
+    k, d = _integer_inverse(r)
+    h = tuple(map(tuple, k))
     hv = HomVectors(reps, h, r)
-    dims = hv.dims.T
+    dims = list(zip(*hv.dims))  # dims[v][x] = dim X_v
     at_p = {v: i for i, v in enumerate(hv.probe_vertex)}
     at_i = {end_vertex(x, dual=True): i for i, x in enumerate(reps)}
     rows, cols = [at_p.get(v) for v in range(len(dims))], [at_i.get(v) for v in range(len(dims))]
-    if (d != 1 or None in rows + cols or not np.array_equal(r @ h, np.eye(len(reps), dtype=np.int64))
-            or (h < 0).any() or not np.array_equal(h[rows], dims) or not np.array_equal(h[:, cols].T, dims)):
+    if (d != 1 or None in rows + cols
+            or [_row_combination(row, h, size) for row in r] != [[int(i == j) for j in range(size)] for i in range(size)]
+            or any(x < 0 for row in h for x in row)
+            or [h[i] for i in rows] != dims or [hv._h_cols[i] for i in cols] != dims):
         raise ContextError("the Auslander-Reiten mesh of the modules does not invert to a Hom table")
     return hv
 
 
-def _e1_table(hv: HomVectors, n: int, mesh: _Mesh, twists: np.ndarray) -> np.ndarray:
+def _e1_table(hv: HomVectors, n: int, mesh: _Mesh, moves: list[tuple[int, ...]]) -> tuple:
     """dim E(C, A) over the first n modules (the objects), read off H:
     hom(Omega C, A) - hom(P(C), A) + hom(C, A), with hom(P_v, A) = dim A_v.
 
@@ -1022,30 +1041,35 @@ def _e1_table(hv: HomVectors, n: int, mesh: _Mesh, twists: np.ndarray) -> np.nda
     columns of the twist table.  E(C, tau C), the almost split class, is
     checked against `homology.ext_dim` for each non-projective object C."""
     reps = hv.reps
-    at_p = [hv.probe_vertex.index(v) for v in range(hv.dims.shape[1])]
-    omega = np.zeros((n, len(reps)), dtype=np.int64)
-    tops = np.zeros((n, len(at_p)), dtype=np.int64)
+    at_p = [hv.probe_vertex.index(v) for v in range(len(reps[0].dims))]
+    omega = [[0] * len(reps) for _ in range(n)]  # omega[c][j]: copies of module j in Omega C
+    tops = []
     done = [False] * n
     for c in range(n):
         res = minimal_resolution(reps[c])
-        tops[c] = res.top_dims(0)
+        tops.append(res.top_dims(0))
         if done[c]:
             continue
         syz, syz_top = res.syzygy_module(1), res.top_dims(1)
-        if (np.array(syz_top) @ hv.dims[at_p]).tolist() == list(syz.dims):
-            omega[c, at_p] = syz_top
+        if _row_combination(syz_top, [hv.dims[j] for j in at_p], len(syz.dims)) == list(syz.dims):
+            for j, t in zip(at_p, syz_top):
+                omega[c][j] = t
         else:
             for j, mult in hv.identify(syz).items():
-                omega[c, j] = mult
+                omega[c][j] = mult
         done[c] = True
-        for move in twists.T:
+        for move in moves:
             if move[c] < n and not done[move[c]]:
-                omega[move[c], move] = omega[c]
+                for j, mult in enumerate(omega[c]):
+                    omega[move[c]][move[j]] = mult
                 done[move[c]] = True
-    e1 = np.ascontiguousarray((omega @ hv.h - tops @ hv.dims.T + hv.h[:n])[:, :n])
+    e1 = tuple(
+        tuple(x - sum(map(mul, tops[c], reps[a].dims)) + y
+              for a, (x, y) in enumerate(zip(_row_combination(omega[c], hv.h, n), hv.h[c])))
+        for c in range(n))
     for c in range(n):
         t = mesh.tau.get(c)
-        if t is not None and (not e1[c, t] or e1[c, t] != ext_dim(1, reps[c], reps[t])):
+        if t is not None and (not e1[c][t] or e1[c][t] != ext_dim(1, reps[c], reps[t])):
             raise ContextError(
                 f"E(C, tau C) read off the mesh disagrees with Ext^1 for C of dimension vector {reps[c].dims}"
             )
@@ -1058,10 +1082,10 @@ def _read_mesh(ctx: Context, reps: list[Representation], mesh: _Mesh):
     out.  The twist table has row x mesh.twists[x], in that order."""
     n = ctx.n_objects
     ctx._hom_vectors = _mesh_hom_vectors(reps, mesh)
-    ctx.hom = ctx._hom_vectors.h[:n, :n]
-    twists = np.array([mesh.twists[x] for x in range(len(reps))], dtype=np.intp)
-    ctx.e1 = _e1_table(ctx._hom_vectors, n, mesh, twists)
-    ctx.symmetries = _root_symmetries(ctx, twists, mesh.autos)
+    ctx.hom = tuple(row[:n] for row in ctx._hom_vectors.h[:n])
+    moves = list(zip(*(mesh.twists[x] for x in range(len(reps)))))  # the columns of the twist table
+    ctx.e1 = _e1_table(ctx._hom_vectors, n, mesh, moves)
+    ctx.symmetries = _root_symmetries(ctx, moves, mesh.autos)
 
 
 def build_exact_context(algebra: BoundQuiverAlgebra, config: RunConfig | None = None) -> Context:
@@ -1138,8 +1162,8 @@ def build_sub_context(parent: Context, subset_ids, config: RunConfig | None = No
         ContextObject(i, parent.objects[pid].label, parent.objects[pid].rep, parent.objects[pid].aliases)
         for i, pid in enumerate(subset)
     ]
-    ctx.e1 = parent.e1[np.ix_(subset, subset)]
-    ctx.hom = parent.hom[np.ix_(subset, subset)]
+    ctx.e1 = _submatrix(parent.e1, subset)
+    ctx.hom = _submatrix(parent.hom, subset)
     ctx.symmetries = Symmetries([tuple(range(ctx.n_objects))])
     ctx.detect_projectives()
     return ctx

@@ -29,8 +29,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
-
 from . import linalg
 from .algebra import projective_module
 from .modules import (
@@ -53,24 +51,24 @@ class DecompositionError(Exception):
 # -- endomorphism algebra helpers -------------------------------------------
 
 
-def action_matrix(f: ModuleMap) -> np.ndarray:
+def action_matrix(f: ModuleMap) -> linalg.Matrix:
     """Block-diagonal matrix of f on the total space of its source."""
     n = f.source.total_dim
-    out = linalg.zeros(n, n)
+    rows = []
     pos = 0
-    for v, b in enumerate(f.blocks):
-        d = f.source.dims[v]
-        out[pos : pos + d, pos : pos + d] = b
-        pos += d
-    return out
+    for b in f.blocks:
+        left, right = (0,) * pos, (0,) * (n - pos - b.ncols)
+        rows += [left + row + right for row in b.rows]
+        pos += b.ncols
+    return linalg.Matrix(tuple(rows), n)
 
 
-def _char_coeff(a: np.ndarray, idx: int, p: int) -> int:
+def _char_coeff(a: linalg.Matrix, idx: int, p: int) -> int:
     poly = linalg.char_poly(a, p)
     return poly[idx] if 0 <= idx < len(poly) else 0
 
 
-def radical_basis(endos: list[ModuleMap], p: int) -> list[np.ndarray]:
+def radical_basis(endos: list[ModuleMap], p: int) -> list[tuple]:
     """Coordinate vectors (over the given endo basis) spanning rad End.
 
     Chain: I_0 = End, I_{k+1} = {x in I_k : c_{p^k}(xy) = 0 for all y in I_k},
@@ -82,16 +80,11 @@ def radical_basis(endos: list[ModuleMap], p: int) -> list[np.ndarray]:
     n = endos[0].source.total_dim
     dim_e = len(endos)
     acts = [action_matrix(f) for f in endos]
-    basis_flat = np.stack([a.reshape(-1) for a in acts], axis=1) % p
 
-    cur = [linalg.eye(dim_e)[:, i] for i in range(dim_e)]  # coords over endo basis
+    cur = list(linalg.eye(dim_e).rows)  # coords over endo basis
 
     def coord_to_matrix(c):
-        m = linalg.zeros(n, n)
-        for i, ci in enumerate(c):
-            if ci % p:
-                m = (m + (ci % p) * acts[i]) % p
-        return m
+        return linalg.combination(c, acts, p, (n, n))
 
     k = 0
     while p**k <= n and cur:
@@ -103,36 +96,25 @@ def radical_basis(endos: list[ModuleMap], p: int) -> list[np.ndarray]:
                 _char_coeff(linalg.matmul(x, y, p), n - pk, p)
                 for x in mats
             ]
-            rows.append(row)
-        constraint = np.array(rows, dtype=np.int64) % p
-        null = linalg.nullspace(constraint, p)
-        new = []
-        for j in range(null.shape[1]):
-            combo = linalg.zeros(dim_e, 1).reshape(-1)
-            for i, c in enumerate(cur):
-                if null[i, j] % p:
-                    combo = (combo + null[i, j] * c) % p
-            new.append(combo)
-        cur = new
+            rows.append(tuple(row))
+        null = linalg.nullspace(linalg.Matrix(tuple(rows), len(mats)), p)
+        cur = list(linalg.matmul(null.T, linalg.Matrix(tuple(cur), dim_e), p).rows)
         k += 1
 
     rad = cur
     # certification: two-sided ideal, nilpotent
-    rad_flat = (
-        np.stack([coord_to_matrix(c).reshape(-1) for c in rad], axis=1) % p
-        if rad
-        else linalg.zeros(n * n, 0)
-    )
+    rad_mats = [coord_to_matrix(c) for c in rad]
+    # the flattened radical, one column per member (rows transposed)
+    rad_flat = linalg.Matrix(tuple(sum(m.rows, ()) for m in rad_mats), n * n).T
 
     def in_rad_span(mat):
-        return linalg.solve(rad_flat, mat.reshape(-1, 1), p) is not None if rad else not np.any(mat)
+        return linalg.solve(rad_flat, sum(mat.rows, ()), p) is not None if rad else mat.is_zero()
 
-    rad_mats = [coord_to_matrix(c) for c in rad]
     for r in rad_mats:
         for b in acts:
             if not in_rad_span(linalg.matmul(r, b, p)) or not in_rad_span(linalg.matmul(b, r, p)):
                 raise DecompositionError("radical chain did not produce an ideal")
-    power = [m for m in rad_mats if np.any(m)]
+    power = [m for m in rad_mats if not m.is_zero()]
     for _ in range(dim_e + 1):
         if not power:
             break
@@ -140,14 +122,13 @@ def radical_basis(endos: list[ModuleMap], p: int) -> list[np.ndarray]:
         for a in power:
             for r in rad_mats:
                 prod = linalg.matmul(a, r, p)
-                if np.any(prod):
+                if not prod.is_zero():
                     prods.append(prod)
         if not prods:
             power = []
             break
-        flat = np.stack([m.reshape(-1) for m in prods], axis=0) % p
-        span = linalg.row_space_basis(flat, p)
-        power = [span[i].reshape(n, n) for i in range(span.shape[0])]
+        span = linalg.row_space_basis(linalg.Matrix(tuple(sum(m.rows, ()) for m in prods), n * n), p)
+        power = [linalg.from_flat(row, n, n) for row in span.rows]
     if power:
         raise DecompositionError("radical chain did not produce a nilpotent ideal")
     return rad
@@ -156,72 +137,62 @@ def radical_basis(endos: list[ModuleMap], p: int) -> list[np.ndarray]:
 class _QuotientAlgebra:
     """End modulo a certified ideal, with multiplication and Frobenius."""
 
-    def __init__(self, endos: list[ModuleMap], rad_coords: list[np.ndarray], p: int):
+    def __init__(self, endos: list[ModuleMap], rad_coords: list[tuple], p: int):
         self.p = p
         self.endos = endos
         dim_e = len(endos)
-        sub = (
-            np.stack(rad_coords, axis=1) % p if rad_coords else linalg.zeros(dim_e, 0)
-        )
-        self.quot = linalg.QuotientSpace(dim_e, sub, p)
+        self.quot = linalg.QuotientSpace(dim_e, linalg.Matrix(tuple(rad_coords), dim_e).T, p)
         self.dim = self.quot.dim
-        flats = [f.flatten() for f in endos]
-        self.basis_flat = np.stack(flats, axis=1) % p if flats else linalg.zeros(0, 0)
+        flats = tuple(f.flatten() for f in endos)
+        self.basis_flat = linalg.Matrix(flats, len(flats[0])).T
         self.acts = [action_matrix(f) for f in endos]
 
-    def lift(self, qcoords: np.ndarray) -> np.ndarray:
+    def lift(self, qcoords) -> tuple:
         return self.quot.lift(qcoords)
 
-    def to_q(self, ecoords: np.ndarray) -> np.ndarray:
+    def to_q(self, ecoords) -> tuple:
         return self.quot.to_coords(ecoords)
 
-    def mult_e(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mult_e(self, a, b) -> tuple:
         """Product in End, both in endo-basis coordinates."""
         p = self.p
-        n = self.acts[0].shape[0] if self.acts else 0
-        ma = linalg.zeros(n, n)
-        mb = linalg.zeros(n, n)
-        for i in range(len(self.endos)):
-            if a[i] % p:
-                ma = (ma + (a[i] % p) * self.acts[i]) % p
-            if b[i] % p:
-                mb = (mb + (b[i] % p) * self.acts[i]) % p
+        n = len(self.acts[0].rows) if self.acts else 0
+        ma = linalg.combination(a, self.acts, p, (n, n))
+        mb = linalg.combination(b, self.acts, p, (n, n))
         prod = linalg.matmul(ma, mb, p)
         # products of endomorphisms are endomorphisms: expand over the basis
-        flat_blocks = []
+        flat = []
         pos = 0
-        src = self.endos[0].source
-        for v in range(len(src.dims)):
-            d = src.dims[v]
-            flat_blocks.append(prod[pos : pos + d, pos : pos + d].reshape(-1))
+        for d in self.endos[0].source.dims:
+            flat += [x for row in prod.rows[pos : pos + d] for x in row[pos : pos + d]]
             pos += d
-        flat = np.concatenate(flat_blocks) if flat_blocks else np.zeros(0, dtype=np.int64)
-        sol = linalg.solve(self.basis_flat, flat.reshape(-1, 1), self.p)
+        sol = linalg.solve(self.basis_flat, flat, self.p)
         if sol is None:
             raise DecompositionError("endomorphism product escaped the algebra")
-        return sol.reshape(-1)
+        return sol
 
     def is_commutative(self) -> bool:
-        reps = [self.lift(linalg.eye(self.dim)[:, i]) for i in range(self.dim)]
+        reps = [self.lift(e) for e in linalg.eye(self.dim).rows]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 ab = self.to_q(self.mult_e(reps[i], reps[j]))
                 ba = self.to_q(self.mult_e(reps[j], reps[i]))
-                if not np.array_equal(ab, ba):
+                if ab != ba:
                     return False
         return True
 
     def frobenius_fixed_dim(self) -> int:
         """dim of {x : x^p = x}; counts the simple factors when commutative."""
         cols = []
-        for i in range(self.dim):
-            e = self.lift(linalg.eye(self.dim)[:, i])
+        for unit in linalg.eye(self.dim).rows:
+            e = self.lift(unit)
             power = e
             for _ in range(self.p - 1):
                 power = self.mult_e(power, e)
             cols.append(self.to_q(power))
-        frob = np.stack(cols, axis=1) % self.p
-        return int(linalg.nullspace((frob - linalg.eye(self.dim)) % self.p, self.p).shape[1])
+        frob = linalg.Matrix(tuple(cols), self.dim).T
+        ident = linalg.eye(self.dim)
+        return linalg.nullspace(linalg.combination((1, -1), (frob, ident), self.p, frob.shape), self.p).ncols
 
 
 # -- idempotent hunting ------------------------------------------------------
@@ -271,13 +242,12 @@ def _split_by_idempotent(m: Representation, e: ModuleMap):
     retr_a_blocks = []
     retr_b_blocks = []
     for v in range(len(m.dims)):
-        joint = np.concatenate([bases_a[v], bases_b[v]], axis=1)
-        inv = linalg.inverse(joint, p)
+        inv = linalg.inverse(linalg.hstack([bases_a[v], bases_b[v]]), p)
         if inv is None:
             raise DecompositionError("idempotent images do not split the module")
-        da = bases_a[v].shape[1]
-        retr_a_blocks.append(inv[:da])
-        retr_b_blocks.append(inv[da:])
+        da = bases_a[v].ncols
+        retr_a_blocks.append(linalg.Matrix(inv.rows[:da], inv.ncols))
+        retr_b_blocks.append(linalg.Matrix(inv.rows[da:], inv.ncols))
     retr_a = ModuleMap(m, a_rep, retr_a_blocks, validate=False)
     retr_b = ModuleMap(m, b_rep, retr_b_blocks, validate=False)
     return a_rep, a_incl, retr_a, b_rep, b_incl, retr_b
@@ -435,7 +405,7 @@ def fingerprint(m: Representation) -> tuple:
         return cached
     p = m.algebra.p
     projs, as_injective = _probes(m.algebra)
-    socle = [b.shape[1] for b in socle_subspaces(m)]
+    socle = [b.ncols for b in socle_subspaces(m)]
     top = top_dims(m)
     profile = []
     for v in range(len(m.dims)):

@@ -14,8 +14,6 @@ resolution.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import linalg
 from .algebra import projective_module
 from .modules import (
@@ -35,17 +33,14 @@ from .modules import (
 )
 
 
-def top_generator_lifts(m: Representation) -> list[tuple[int, np.ndarray]]:
+def top_generator_lifts(m: Representation) -> list[tuple[int, linalg.Matrix]]:
     """(vertex, column) pairs projecting to a basis of top(M), in vertex order."""
     p = m.algebra.p
     rad = radical_subspaces(m)
     out = []
     for v in range(len(m.dims)):
         quot = linalg.QuotientSpace(m.dims[v], rad[v], p)
-        for free_col in quot.free:
-            e = linalg.zeros(m.dims[v], 1)
-            e[free_col, 0] = 1
-            out.append((v, e))
+        out += [(v, linalg.unit_rows([c], m.dims[v]).T) for c in quot.free]
     return out
 
 
@@ -62,7 +57,7 @@ def projective_cover(m: Representation) -> tuple[Representation, ModuleMap]:
 
 
 def _map_from_projectives(
-    m: Representation, gens: list[tuple[int, np.ndarray]]
+    m: Representation, gens: list[tuple[int, linalg.Matrix]]
 ) -> tuple[Representation, ModuleMap]:
     """(P, f): P is the sum of one P_v per (vertex v, column gen of m_v)
     pair, in order, and f sends the trivial path of each summand to its gen,
@@ -70,11 +65,11 @@ def _map_from_projectives(
     alg = m.algebra
     n = alg.quiver.n_vertices
     total = direct_sum([projective_module(alg, alg.quiver.vertex_ids[v]) for v, _ in gens])[0]
-    cols: list[list[np.ndarray]] = [[] for _ in range(n)]
+    cols: list[list[linalg.Matrix]] = [[] for _ in range(n)]
     for v, gen in gens:
         for w, paths in enumerate(alg.basis_by_target(v)):
             cols[w] += [linalg.matmul(m.path_matrix(q), gen, alg.p) for q in paths]
-    blocks = [np.concatenate(c, axis=1) if c else linalg.zeros(m.dims[w], 0) for w, c in enumerate(cols)]
+    blocks = [linalg.hstack(c) if c else linalg.zeros(m.dims[w], 0) for w, c in enumerate(cols)]
     return total, ModuleMap(total, m, blocks, validate=False)
 
 
@@ -124,7 +119,7 @@ def transpose(m: Representation) -> Representation:
     d1 = res.diffs[1].blocks
     gens = []
     for i, v in enumerate(tops0):
-        gen = linalg.zeros(p1_star.dims[v], 1)
+        gen = [0] * p1_star.dims[v]
         for j, w in enumerate(tops1):
             # the trivial path of the j-th summand of P1 leads its columns at
             # w, and the i-th summand of P0 holds the paths v -> w at w
@@ -133,12 +128,12 @@ def transpose(m: Representation) -> Representation:
             out = sum(len(op.basis_by_target(x)[v]) for x in tops1[:j])
             op_paths = op.basis_by_target(w)[v]
             for k, path in enumerate(alg.basis_by_target(v)[w]):
-                c = int(d1[w][row + k, col])
+                c = d1[w].rows[row + k][col]
                 if c:
                     for rev, c_rev in op.reduce_path((w, path[1][::-1])).items():
                         r = out + op_paths.index(rev)
-                        gen[r, 0] = (gen[r, 0] + c * c_rev) % alg.p
-        gens.append((v, gen))
+                        gen[r] = (gen[r] + c * c_rev) % alg.p
+        gens.append((v, linalg.column(gen)))
     return cokernel(_map_from_projectives(p1_star, gens)[1])[0]
 
 
@@ -259,6 +254,6 @@ def approximation(members: list[Representation], c: Representation, dual: bool =
     total = direct_sum([s for s, _ in summands])[0]
     # The summands take their coordinates of the sum in order, so each block
     # is theirs side by side (stacked, with `dual`).
-    blocks = [np.concatenate([f.blocks[v] for _, f in summands], axis=0 if dual else 1)
+    blocks = [(linalg.vstack if dual else linalg.hstack)([f.blocks[v] for _, f in summands])
               for v in range(len(c.dims))]
     return ModuleMap(*((c, total) if dual else (total, c)), blocks, validate=False)

@@ -1,25 +1,24 @@
 """Exact linear algebra over the prime field F_p.
 
-Matrices are numpy int64 arrays with entries normalized to [0, p).  All
-routines are deterministic: pivots are chosen by first-nonzero scan, so
-echelon forms, nullspace bases and solution vectors are reproducible.
+A matrix is a `Matrix`: a tuple of rows, each a tuple of Python ints in
+[0, p), and its column count, which a matrix with no rows keeps.  Matrices
+are immutable, so blocks may be shared.  Python ints do not overflow, so
+every product and sum is exact before it is reduced mod p.  All routines
+are deterministic: pivots are chosen by first-nonzero scan, so echelon
+forms, nullspace bases and solution vectors are reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random
+from operator import mul
 
-import numpy as np
-
-# Residues are int64 values in [0, p).  A matrix product adds up one product
-# of two residues, each at most (p - 1)**2, per term of its inner dimension
-# before reducing, so the sum must stay within int64.  A characteristic is
-# accepted only if 2**20 such products fit; `matmul` checks its own length.
-INT64_MAX = 2**63 - 1
-MIN_TERMS = 2**20
-MAX_FIELD_CHAR = math.isqrt(INT64_MAX // MIN_TERMS) + 1  # 2,965,821
+# The largest field characteristic the parser accepts.  Entries are Python
+# ints, so no characteristic can overflow a product or a sum; the bound is
+# the one an int64 kernel needed (2**20 products of residues within int64),
+# kept so that the accepted primes stay the same.
+MAX_FIELD_CHAR = 2_965_821
 
 
 def stable_rng(seed: int, *tags) -> random.Random:
@@ -29,67 +28,143 @@ def stable_rng(seed: int, *tags) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def normalize(a: np.ndarray, p: int) -> np.ndarray:
-    return np.mod(np.asarray(a, dtype=np.int64), p)
+class Matrix:
+    """An immutable matrix: `rows`, a tuple of equal-length tuples of ints,
+    and `ncols`.  The routines of this module take and return residues in
+    [0, p); `normalize` reduces anything else."""
+
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows: tuple, ncols: int):
+        self.rows = rows
+        self.ncols = ncols
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.ncols
+
+    @property
+    def T(self) -> "Matrix":
+        if not self.rows:
+            return Matrix(((),) * self.ncols, 0)
+        return Matrix(tuple(zip(*self.rows)), len(self.rows))
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.rows))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Matrix) and self.ncols == other.ncols and self.rows == other.rows
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Matrix({self.rows!r}, {self.ncols})"
 
 
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
+def normalize(a, p: int) -> Matrix:
+    """a reduced mod p, as a Matrix.  a is a Matrix or a sequence of rows,
+    a numpy array included; its column count is read off `shape` when it
+    has one, so that an array with no rows keeps it."""
+    rows = a.rows if isinstance(a, Matrix) else a.tolist() if hasattr(a, "tolist") else a
+    shape = a.shape if hasattr(a, "shape") else (len(rows), len(rows[0]) if len(rows) else 0)
+    if len(shape) != 2 or any(len(row) != shape[1] for row in rows):
+        raise ValueError(f"not a matrix: shape {shape}")
+    return Matrix(tuple(tuple(int(x) % p for x in row) for row in rows), shape[1])
 
 
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix(((0,) * cols,) * rows, cols)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    terms = a.shape[1]
-    if terms * (p - 1) ** 2 > INT64_MAX:
-        raise ValueError(
-            f"F_{p} matrix product with inner dimension {terms} could overflow int64: "
-            f"at most {INT64_MAX // (p - 1) ** 2} terms fit"
-        )
-    return np.mod(a @ b, p)
+def unit_rows(cols, n: int) -> Matrix:
+    """The len(cols) x n matrix whose row i is the unit vector e_{cols[i]}."""
+    return Matrix(tuple((0,) * c + (1,) + (0,) * (n - c - 1) for c in cols), n)
+
+
+def eye(n: int) -> Matrix:
+    return unit_rows(range(n), n)
+
+
+def column(v) -> Matrix:
+    """The vector v as a one-column matrix."""
+    return Matrix(tuple((x,) for x in v), 1)
+
+
+def from_flat(flat: tuple, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix with row-major entries flat."""
+    return Matrix(tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)), cols)
+
+
+def columns(a: Matrix, idx) -> Matrix:
+    """The columns idx of a, in that order."""
+    return Matrix(tuple(tuple(row[j] for j in idx) for row in a.rows), len(idx))
+
+
+def hstack(mats: list[Matrix]) -> Matrix:
+    """A nonempty list of matrices with equal row counts, side by side."""
+    return Matrix(tuple(sum(rs, ()) for rs in zip(*(m.rows for m in mats))), sum(m.ncols for m in mats))
+
+
+def vstack(mats: list[Matrix]) -> Matrix:
+    """A nonempty list of matrices with equal column counts, stacked."""
+    return Matrix(sum((m.rows for m in mats), ()), mats[0].ncols)
+
+
+def combination(coeffs, mats: list[Matrix], p: int, shape: tuple[int, int]) -> Matrix:
+    """sum c_i m_i over matrices of the given shape; the zero matrix when
+    every c_i is zero."""
+    terms = [(int(c) % p, m.rows) for c, m in zip(coeffs, mats) if int(c) % p]
+    if not terms:
+        return zeros(*shape)
+    cs = [c for c, _ in terms]
+    return Matrix(tuple(tuple(sum(map(mul, cs, entries)) % p for entries in zip(*rs))
+                        for rs in zip(*(rows for _, rows in terms))), shape[1])
+
+
+def matmul(a: Matrix, b: Matrix, p: int) -> Matrix:
+    cols = b.T.rows
+    return Matrix(tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a.rows), b.ncols)
 
 
 def inv_mod(x: int, p: int) -> int:
     return pow(int(x) % p, p - 2, p)
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def rref(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    r = normalize(a, p)  # a fresh reduced copy: np.mod never returns its input
-    rows, cols = r.shape
+    # Every update builds a new row, so the rows of a are never written.
+    r = list(a.rows)
+    nrows = len(r)
     pivots: list[int] = []
     row = 0
-    for col in range(cols):
-        if row >= rows:
+    for col in range(a.ncols):
+        if row >= nrows:
             break
-        nz = r[row:, col].nonzero()[0]
-        if nz.size == 0:
+        piv = next((i for i in range(row, nrows) if r[i][col]), None)
+        if piv is None:
             continue
-        piv = row + int(nz[0])
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        lead = int(r[row, col])
+        r[row], r[piv] = r[piv], r[row]
+        prow = r[row]
+        lead = prow[col]
         if lead != 1:
-            r[row] = (r[row] * inv_mod(lead, p)) % p
-        if rows > 1:  # clear the pivot column in the other rows
-            factors = r[:, col].copy()
-            factors[row] = 0
-            r -= factors[:, None] * r[row]
-            r %= p
+            inv = inv_mod(lead, p)
+            prow = r[row] = [x * inv % p for x in prow]
+        for i in range(nrows):  # clear the pivot column in the other rows
+            f = r[i][col]
+            if f and i != row:
+                r[i] = [(x - f * y) % p for x, y in zip(r[i], prow)]
         pivots.append(col)
         row += 1
-    return r, pivots
+    return Matrix(tuple(map(tuple, r)), a.ncols), pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
+def rank(a: Matrix, p: int) -> int:
+    if not a.rows or not a.ncols:
         return 0
     return len(rref(a, p)[1])
 
 
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
+def nullspace(a: Matrix, p: int) -> Matrix:
     """Basis of the right kernel as columns, in free-variable order."""
     rows, cols = a.shape
     if cols == 0:
@@ -98,31 +173,34 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
         return eye(cols)
     r, pivots = rref(a, p)
     free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(cols, len(free))
-    basis[free, range(len(free))] = 1
-    basis[pivots] = -r[: len(pivots), free] % p
-    return basis
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of a @ x = b (columns of b solved jointly), or None."""
-    rows, cols = a.shape
-    b = np.asarray(b)
-    if b.ndim == 1:
-        b = b.reshape(rows, 1)
-    r, pivots = rref(np.concatenate([a, b], axis=1), p)
-    ncols_b = b.shape[1]
-    for pc in pivots:
-        if pc >= cols:
-            return None
-    x = zeros(cols, ncols_b)
+    out = [()] * cols
+    for c, unit in zip(free, eye(len(free)).rows):
+        out[c] = unit
     for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols:]
-    return x
+        out[pc] = tuple(-r.rows[i][c] % p for c in free)
+    return Matrix(tuple(out), len(free))
 
 
-def inverse(a: np.ndarray, p: int) -> np.ndarray | None:
-    n = a.shape[0]
+def solve(a: Matrix, b, p: int):
+    """One solution x of a @ x = b, or None.  b is a Matrix, whose columns
+    are solved jointly, or a vector, which gives a vector x."""
+    vector = not isinstance(b, Matrix)
+    if vector:
+        b = column(b)
+    cols = a.ncols
+    if len(a.rows) != len(b.rows):
+        raise ValueError(f"solve: {len(a.rows)} equations for {len(b.rows)} right-hand sides")
+    r, pivots = rref(Matrix(tuple(x + y for x, y in zip(a.rows, b.rows)), cols + b.ncols), p)
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = [(0,) * b.ncols] * cols
+    for i, pc in enumerate(pivots):
+        x[pc] = r.rows[i][cols:]
+    return tuple(row[0] for row in x) if vector else Matrix(tuple(x), b.ncols)
+
+
+def inverse(a: Matrix, p: int) -> Matrix | None:
+    n = len(a.rows)
     if a.shape != (n, n):
         return None
     if n == 0:
@@ -130,26 +208,25 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray | None:
     x = solve(a, eye(n), p)
     if x is None:
         return None
-    if not np.array_equal(matmul(a, x, p), eye(n)):
+    if matmul(a, x, p) != eye(n):
         return None
     return x
 
 
-def is_invertible(a: np.ndarray, p: int) -> bool:
-    return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
+def is_invertible(a: Matrix, p: int) -> bool:
+    return len(a.rows) == a.ncols and rank(a, p) == a.ncols
 
 
-def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
+def column_space_basis(a: Matrix, p: int) -> Matrix:
     """Columns of a restricted to a basis of the column space (original vectors)."""
-    if a.shape[1] == 0:
-        return a.copy()
-    _, piv_cols = rref(a, p)
-    return a[:, piv_cols].copy()
+    if a.ncols == 0:
+        return a
+    return columns(a, rref(a, p)[1])
 
 
-def row_space_basis(a: np.ndarray, p: int) -> np.ndarray:
+def row_space_basis(a: Matrix, p: int) -> Matrix:
     r, pivots = rref(a, p)
-    return r[: len(pivots)].copy()
+    return Matrix(r.rows[: len(pivots)], a.ncols)
 
 
 class QuotientSpace:
@@ -157,41 +234,43 @@ class QuotientSpace:
 
     Used for Ext-class coordinates and stable-Hom classes: `to_coords`
     reduces an ambient vector modulo the subspace, `lift` picks the
-    canonical representative of a coordinate vector.
+    canonical representative of a coordinate vector.  Vectors are tuples.
     """
 
-    def __init__(self, dim: int, sub: np.ndarray, p: int):
+    def __init__(self, dim: int, sub: Matrix, p: int):
         self.p = p
         self.ambient_dim = dim
-        r, pivots = rref(sub.T if sub.size else zeros(0, dim), p)
-        self.sub_rows = r[: len(pivots)]  # echelon basis of subspace, as rows
+        r, pivots = rref(sub.T, p)
+        self.sub_rows = r.rows[: len(pivots)]  # echelon basis of subspace, as rows
         self.sub_pivots = pivots
         self.free = [c for c in range(dim) if c not in pivots]
         self.dim = len(self.free)
 
-    def to_coords(self, v: np.ndarray) -> np.ndarray:
+    def to_coords(self, v) -> tuple:
         """Reduce v modulo the subspace; coordinates are the free positions."""
-        v = normalize(v, self.p).reshape(-1).copy()
-        for i, pc in enumerate(self.sub_pivots):
-            if v[pc]:
-                v = (v - v[pc] * self.sub_rows[i]) % self.p
-        return v[self.free]
+        p = self.p
+        v = [x % p for x in v]
+        for row, pc in zip(self.sub_rows, self.sub_pivots):
+            f = v[pc]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        return tuple(v[c] for c in self.free)
 
-    def lift(self, coords: np.ndarray) -> np.ndarray:
-        v = zeros(self.ambient_dim, 1).reshape(-1)
+    def lift(self, coords) -> tuple:
+        v = [0] * self.ambient_dim
         for k, fc in enumerate(self.free):
             v[fc] = coords[k] % self.p
-        return v
+        return tuple(v)
 
 
-def char_poly(a: np.ndarray, p: int) -> list[int]:
+def char_poly(a: Matrix, p: int) -> list[int]:
     """Characteristic polynomial of a over F_p, low-degree-first coefficients.
 
     Hessenberg reduction by similarity transforms, then the standard
     leading-principal-minor recurrence.  Exact over F_p.
     """
-    n = a.shape[0]
-    h = [[int(x) % p for x in row] for row in a.tolist()]
+    n = len(a.rows)
+    h = [list(row) for row in a.rows]
     for j in range(n - 2):
         piv = None
         for i in range(j + 1, n):
@@ -416,35 +495,29 @@ def poly_factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def poly_eval_matrix(f: list[int], a: np.ndarray, p: int) -> np.ndarray:
+def poly_eval_matrix(f: list[int], a: Matrix, p: int) -> Matrix:
     """Evaluate polynomial (low-first coefficients) at a square matrix."""
-    n = a.shape[0]
-    out = zeros(n, n)
-    power = eye(n)
-    for c in f:
-        if c % p:
-            out = (out + (c % p) * power) % p
-        power = matmul(power, a, p)
-    return out
+    n = len(a.rows)
+    powers = [eye(n)]
+    for _ in f[1:]:
+        powers.append(matmul(powers[-1], a, p))
+    return combination(f, powers, p, (n, n))
 
 
-def min_poly(a: np.ndarray, p: int) -> list[int]:
+def min_poly(a: Matrix, p: int) -> list[int]:
     """Minimal polynomial of a over F_p via Krylov chains, low-first, monic."""
-    n = a.shape[0]
+    n = len(a.rows)
     if n == 0:
         return [0, 1]
     result = [1]
     for start in range(n):
-        e = zeros(n, 1)
-        e[start, 0] = 1
-        krylov = [e]
-        vec = e
+        vec = unit_rows([start], n).T
+        krylov = [vec]
         while True:
             vec = matmul(a, vec, p)
-            stacked = np.concatenate(krylov, axis=1)
-            sol = solve(stacked, vec, p)
+            sol = solve(hstack(krylov), vec, p)
             if sol is not None:
-                local = [(-int(sol[i, 0])) % p for i in range(len(krylov))] + [1]
+                local = [-x % p for x in sol.T.rows[0]] + [1]
                 break
             krylov.append(vec)
         result = poly_lcm(result, local, p)

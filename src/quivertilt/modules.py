@@ -7,19 +7,18 @@ equations.  Everything is immutable by convention: no routine mutates a
 Representation or ModuleMap after construction.
 
 Both constructors take `validate`.  With `validate=True` (the default) the
-matrices or blocks are reduced mod p into fresh int64 arrays, their shapes are
-checked, and then the relations (for a Representation) or the intertwining
-equations (for a ModuleMap) are checked.  `validate=False` is the trusted path
-for the package's own constructions: the caller hands int64 ndarrays with
-entries already in [0, p) and of the declared shapes, which are stored as
-given.  Nothing is normalized and nothing is checked but the shapes.
+matrices or blocks, given as `linalg.Matrix`es or as sequences of rows, are
+reduced mod p into fresh `linalg.Matrix`es, their shapes are checked, and
+then the relations (for a Representation) or the intertwining equations (for
+a ModuleMap) are checked.  `validate=False` is the trusted path for the
+package's own constructions: the caller hands `linalg.Matrix`es with entries
+already in [0, p) and of the declared shapes, which are stored as given.
+Nothing is normalized and nothing is checked but the shapes.
 """
 
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
 
 from . import linalg
 from .algebra import BoundQuiverAlgebra, Path, projective_module
@@ -47,18 +46,15 @@ class Representation:
 
     def _check_relations(self):
         for rel in self.algebra.relations:
-            acc = None
-            for path, coeff in rel.items():
-                m = (coeff * self.path_matrix(path)) % self.algebra.p
-                acc = m if acc is None else (acc + m) % self.algebra.p
-            if acc is not None and np.any(acc):
+            mats = [self.path_matrix(path) for path in rel]
+            if mats and not linalg.combination(rel.values(), mats, self.algebra.p, mats[0].shape).is_zero():
                 raise ValueError("relation matrix does not vanish on this representation")
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def path_matrix(self, path: Path) -> np.ndarray:
+    def path_matrix(self, path: Path) -> linalg.Matrix:
         """Matrix of the path acting from its source space to its target space."""
         alg = self.algebra
         v = path[0]
@@ -101,7 +97,7 @@ class ModuleMap:
             s, t = q.arrow_source[a], q.arrow_target[a]
             lhs = linalg.matmul(self.blocks[t], self.source.matrices[a], self.p)
             rhs = linalg.matmul(self.target.matrices[a], self.blocks[s], self.p)
-            if not np.array_equal(lhs, rhs):
+            if lhs != rhs:
                 raise ValueError(f"blocks do not intertwine arrow {q.arrow_names[a]}")
 
     def compose(self, first: "ModuleMap") -> "ModuleMap":
@@ -112,18 +108,18 @@ class ModuleMap:
         return ModuleMap(first.source, self.target, blocks, validate=False)
 
     def add(self, other: "ModuleMap") -> "ModuleMap":
-        blocks = [(a + b) % self.p for a, b in zip(self.blocks, other.blocks)]
+        blocks = [linalg.combination((1, 1), pair, self.p, pair[0].shape) for pair in zip(self.blocks, other.blocks)]
         return ModuleMap(self.source, self.target, blocks, validate=False)
 
     def scale(self, c: int) -> "ModuleMap":
-        blocks = [(c * b) % self.p for b in self.blocks]
+        blocks = [linalg.combination((c,), (b,), self.p, b.shape) for b in self.blocks]
         return ModuleMap(self.source, self.target, blocks, validate=False)
 
     def negate(self) -> "ModuleMap":
         return self.scale(self.p - 1)
 
     def is_zero(self) -> bool:
-        return all(not np.any(b) for b in self.blocks)
+        return all(b.is_zero() for b in self.blocks)
 
     def is_epi(self) -> bool:
         return all(linalg.rank(b, self.p) == self.target.dims[v] for v, b in enumerate(self.blocks))
@@ -136,20 +132,16 @@ class ModuleMap:
             linalg.is_invertible(b, self.p) for b in self.blocks
         )
 
-    def flatten(self) -> np.ndarray:
+    def flatten(self) -> tuple:
         """Row-major concatenation of all blocks; coordinates for hom spaces."""
-        parts = [b.reshape(-1) for b in self.blocks]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return tuple(x for b in self.blocks for row in b.rows for x in row)
 
     def __repr__(self):
         return f"ModuleMap({self.source!r} -> {self.target!r})"
 
 
 def identity_map(m: Representation) -> ModuleMap:
-    # The blocks are corners of one read-only identity, as in `direct_sum`.
-    ident = linalg.eye(max(m.dims, default=0))
-    ident.flags.writeable = False
-    return ModuleMap(m, m, [ident[:d, :d] for d in m.dims], validate=False)
+    return ModuleMap(m, m, [linalg.eye(d) for d in m.dims], validate=False)
 
 
 def zero_map(source: Representation, target: Representation) -> ModuleMap:
@@ -157,17 +149,17 @@ def zero_map(source: Representation, target: Representation) -> ModuleMap:
     return ModuleMap(source, target, blocks, validate=False)
 
 
-def map_from_flat(source: Representation, target: Representation, flat: np.ndarray) -> ModuleMap:
+def map_from_flat(source: Representation, target: Representation, flat: tuple) -> ModuleMap:
     blocks = []
     pos = 0
     for v in range(len(source.dims)):
         rows, cols = target.dims[v], source.dims[v]
-        blocks.append(flat[pos : pos + rows * cols].reshape(rows, cols))
+        blocks.append(linalg.from_flat(flat[pos : pos + rows * cols], rows, cols))
         pos += rows * cols
     return ModuleMap(source, target, blocks, validate=False)
 
 
-def _intertwining_system(m: Representation, n: Representation) -> np.ndarray | None:
+def _intertwining_system(m: Representation, n: Representation) -> linalg.Matrix | None:
     """Matrix whose right kernel is Hom(m, n), one column per block entry
     (row-major, vertex by vertex); None when there are no unknowns."""
     if m.algebra is not n.algebra:
@@ -179,31 +171,23 @@ def _intertwining_system(m: Representation, n: Representation) -> np.ndarray | N
     total = offsets[-1]
     if total == 0:
         return None
-    n_eqs = [n.dims[q.arrow_target[a]] * m.dims[q.arrow_source[a]] for a in range(q.n_arrows)]
-    system = linalg.zeros(sum(n_eqs), total)
-    row = 0
-    for a, n_eq in enumerate(n_eqs):
-        if n_eq == 0:
-            continue
+    rows = []
+    for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
-        eqs = slice(row, row + n_eq)
-        row += n_eq
-        # Both Kronecker products are written into views of the system that
-        # split each axis as (block, entry), so no identity matrix is formed.
-        # vec(f_t @ M_a) = (I_{n_t} kron M_a^T) vec(f_t)   (row-major vec)
-        if var_dims[t]:
-            blocks = system[eqs, offsets[t] : offsets[t + 1]].reshape(
-                n.dims[t], m.dims[s], n.dims[t], m.dims[t])
-            for i in range(n.dims[t]):
-                blocks[i, :, i, :] = m.matrices[a].T
-        # vec(N_a @ f_s) = (N_a kron I_{m_s}) vec(f_s)
-        if var_dims[s]:
-            blocks = system[eqs, offsets[s] : offsets[s + 1]].reshape(
-                n.dims[t], m.dims[s], n.dims[s], m.dims[s])
-            for i in range(m.dims[s]):
-                blocks[:, i, :, i] -= n.matrices[a]
-    system %= p
-    return system
+        # Row (i, j) is entry (i, j) of f_t @ M_a - N_a @ f_s, f_v stored
+        # row-major from offsets[v]: f_t[i, k] has coefficient M_a[k, j],
+        # and f_s[l, j], which lie m_s apart, have -N_a[i, l].
+        at_t = offsets[t]
+        cols = m.matrices[a].T.rows
+        negated = [tuple(-x % p for x in row) for row in n.matrices[a].rows]
+        for i in range(n.dims[t]):
+            for j in range(m.dims[s]):
+                row = [0] * total
+                row[at_t + i * m.dims[t] : at_t + (i + 1) * m.dims[t]] = cols[j]
+                at_s = slice(offsets[s] + j, offsets[s + 1], m.dims[s])
+                row[at_s] = [(x + y) % p for x, y in zip(row[at_s], negated[i])] if s == t else negated[i]
+                rows.append(tuple(row))
+    return linalg.Matrix(tuple(rows), total)
 
 
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
@@ -211,8 +195,7 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     system = _intertwining_system(m, n)
     if system is None:
         return []
-    basis = linalg.nullspace(system, m.algebra.p)
-    return [map_from_flat(m, n, basis[:, k]) for k in range(basis.shape[1])]
+    return [map_from_flat(m, n, vec) for vec in linalg.nullspace(system, m.algebra.p).T.rows]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -220,19 +203,16 @@ def hom_dim(m: Representation, n: Representation) -> int:
     system = _intertwining_system(m, n)
     if system is None:
         return 0
-    return system.shape[1] - linalg.rank(system, m.algebra.p)
+    return system.ncols - linalg.rank(system, m.algebra.p)
 
 
 def linear_combination(maps: list[ModuleMap], coeffs) -> ModuleMap:
     """Sum of c_i * f_i over a nonempty list of maps with a common source and
     target; the zero map when every c_i is zero."""
     source, target = maps[0].source, maps[0].target
-    p = source.algebra.p
-    blocks = [linalg.zeros(target.dims[v], source.dims[v]) for v in range(len(source.dims))]
-    for f, c in zip(maps, coeffs):
-        c = int(c) % p
-        if c:
-            blocks = [(b + c * fb) % p for b, fb in zip(blocks, f.blocks)]
+    coeffs = list(coeffs)
+    blocks = [linalg.combination(coeffs, [f.blocks[v] for f in maps], source.algebra.p, (d, source.dims[v]))
+              for v, d in enumerate(target.dims)]
     return ModuleMap(source, target, blocks, validate=False)
 
 
@@ -249,31 +229,32 @@ class HomQuotient:
         if ncols == 0:
             self.quot = linalg.QuotientSpace(0, linalg.zeros(0, 0), self.p)
         else:
-            self._basis_mat = np.stack([f.flatten() for f in self.basis], axis=1) % self.p
-            cols = [self._basis_coords(g.compose(k)) for g in hom_basis(k.target, n)]
-            sub = np.stack(cols, axis=1) if cols else linalg.zeros(ncols, 0)
-            self.quot = linalg.QuotientSpace(ncols, sub, self.p)
+            # The matrices with given columns, as transposes of those with
+            # them as rows.
+            flats = tuple(f.flatten() for f in self.basis)
+            self._basis_mat = linalg.Matrix(flats, len(flats[0])).T
+            cols = tuple(self._basis_coords(g.compose(k)) for g in hom_basis(k.target, n))
+            self.quot = linalg.QuotientSpace(ncols, linalg.Matrix(cols, ncols).T, self.p)
         self.dim = self.quot.dim
 
-    def _basis_coords(self, f: ModuleMap) -> np.ndarray:
-        sol = linalg.solve(self._basis_mat, f.flatten().reshape(-1, 1), self.p)
+    def _basis_coords(self, f: ModuleMap) -> tuple:
+        sol = linalg.solve(self._basis_mat, f.flatten(), self.p)
         if sol is None:
             raise ValueError("map does not lie in this hom space")
-        return sol.reshape(-1)
+        return sol
 
     def representative(self, coords) -> ModuleMap:
         """The canonical map m -> n in the class with the given coordinates."""
         if self.dim == 0:
             return zero_map(self.m, self.n)
-        lifted = self.quot.lift(np.asarray(coords, dtype=np.int64))
-        return linear_combination(self.basis, lifted)
+        return linear_combination(self.basis, self.quot.lift(coords))
 
 
-def _subspace_with_induced_action(rep: Representation, bases: list[np.ndarray]):
+def _subspace_with_induced_action(rep: Representation, bases: list[linalg.Matrix]):
     """Subrepresentation on given vertex-wise column bases; returns (sub, inclusion)."""
     p = rep.algebra.p
     q = rep.algebra.quiver
-    dims = tuple(b.shape[1] for b in bases)
+    dims = tuple(b.ncols for b in bases)
     mats = []
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
@@ -304,23 +285,23 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     for quot in quots:
         # Reducing a unit vector e_c modulo the echelon rows leaves e_c on a
         # free column c and e_c minus the row with pivot c on a pivot column.
-        proj = linalg.zeros(quot.dim, quot.ambient_dim)
-        if quot.dim:
-            proj[range(quot.dim), quot.free] = 1
-            proj[:, quot.sub_pivots] = (-quot.sub_rows[:, quot.free]).T % p
-        projections.append(proj)
+        rows = []
+        for c in quot.free:
+            row = [0] * quot.ambient_dim
+            row[c] = 1
+            for pc, sub_row in zip(quot.sub_pivots, quot.sub_rows):
+                row[pc] = -sub_row[c] % p
+            rows.append(tuple(row))
+        projections.append(linalg.Matrix(tuple(rows), quot.ambient_dim))
     mats = []
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
         # Q_a @ proj_s = proj_t @ N_a.  The free columns of s span a section
         # of proj_s (proj_s is the identity there), so Q_a is read off them.
         rhs = linalg.matmul(projections[t], rep.matrices[a], p)
-        if rhs.size:
-            action = rhs[:, quots[s].free]
-            if not np.array_equal(linalg.matmul(action, projections[s], p), rhs):
-                raise ValueError("cokernel action is not well defined")
-        else:
-            action = linalg.zeros(quots[t].dim, quots[s].dim)
+        action = linalg.columns(rhs, quots[s].free)
+        if rhs.rows and rhs.ncols and linalg.matmul(action, projections[s], p) != rhs:
+            raise ValueError("cokernel action is not well defined")
         mats.append(action)
     dims = tuple(quot.dim for quot in quots)
     coker = Representation(rep.algebra, dims, mats, validate=False)
@@ -339,28 +320,22 @@ def direct_sum(reps: list[Representation]):
     mats = []
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
-        m = linalg.zeros(dims[t], dims[s])
-        ro = co = 0
+        rows = []
+        co = 0
         for r in reps:
-            if r.matrices[a].size:
-                m[ro : ro + r.dims[t], co : co + r.dims[s]] = r.matrices[a]
-            ro += r.dims[t]
+            left, right = (0,) * co, (0,) * (dims[s] - co - r.dims[s])
+            rows += [left + row + right for row in r.matrices[a].rows]
             co += r.dims[s]
-        mats.append(m)
+        mats.append(linalg.Matrix(tuple(rows), dims[s]))
     total = Representation(alg, dims, mats, validate=False)
-    # The inclusion and projection blocks of each summand are slices of one
-    # read-only identity: its leading d x d corner is the identity of size d.
-    ident = linalg.eye(max(dims, default=0))
-    ident.flags.writeable = False
     inclusions = []
     projections = []
     offsets = [0] * q.n_vertices
     for r in reps:
         ends = [o + d for o, d in zip(offsets, r.dims)]
-        inclusions.append(ModuleMap(r, total, [ident[:d, o:e] for d, o, e in zip(dims, offsets, ends)],
-                                    validate=False))
-        projections.append(ModuleMap(total, r, [ident[o:e, :d] for d, o, e in zip(dims, offsets, ends)],
-                                     validate=False))
+        blocks = [linalg.unit_rows(range(o, e), d) for d, o, e in zip(dims, offsets, ends)]
+        inclusions.append(ModuleMap(r, total, [b.T for b in blocks], validate=False))
+        projections.append(ModuleMap(total, r, blocks, validate=False))
         offsets = ends
     return total, inclusions, projections
 
@@ -371,7 +346,7 @@ def dual_representation(rep: Representation) -> Representation:
     mats = []
     for a in range(op.quiver.n_arrows):
         # opposite arrow a runs t -> s where the original runs s -> t
-        mats.append(rep.matrices[a].T.copy())
+        mats.append(rep.matrices[a].T)
     return Representation(op, rep.dims, mats, validate=False)
 
 
@@ -379,7 +354,7 @@ def dual_map(f: ModuleMap) -> ModuleMap:
     """Dual of f: A -> B, as D(B) -> D(A) over the opposite algebra."""
     da = dual_representation(f.source)
     db = dual_representation(f.target)
-    blocks = [b.T.copy() for b in f.blocks]
+    blocks = [b.T for b in f.blocks]
     return ModuleMap(db, da, blocks, validate=False)
 
 
@@ -396,20 +371,19 @@ def twist(rep: Representation, sigma, arrows) -> Representation:
     return Representation(rep.algebra, dims, mats, validate=False)
 
 
-def radical_subspaces(rep: Representation) -> list[np.ndarray]:
+def radical_subspaces(rep: Representation) -> list[linalg.Matrix]:
     """Vertex-wise bases of rad(M) = sum of arrow images."""
     p = rep.algebra.p
     q = rep.algebra.quiver
-    pieces: list[list[np.ndarray]] = [[] for _ in range(q.n_vertices)]
+    pieces: list[list[linalg.Matrix]] = [[] for _ in range(q.n_vertices)]
     for a in range(q.n_arrows):
         t = q.arrow_target[a]
-        if rep.matrices[a].size:
+        if rep.matrices[a].rows and rep.matrices[a].ncols:
             pieces[t].append(rep.matrices[a])
     out = []
     for v in range(q.n_vertices):
         if pieces[v]:
-            stacked = np.concatenate(pieces[v], axis=1)
-            out.append(linalg.column_space_basis(stacked, p))
+            out.append(linalg.column_space_basis(linalg.hstack(pieces[v]), p))
         else:
             out.append(linalg.zeros(rep.dims[v], 0))
     return out
@@ -417,10 +391,10 @@ def radical_subspaces(rep: Representation) -> list[np.ndarray]:
 
 def top_dims(rep: Representation) -> list[int]:
     """Vertex-wise dimensions of top(M) = M / rad(M)."""
-    return [d - b.shape[1] for d, b in zip(rep.dims, radical_subspaces(rep))]
+    return [d - b.ncols for d, b in zip(rep.dims, radical_subspaces(rep))]
 
 
-def socle_subspaces(rep: Representation) -> list[np.ndarray]:
+def socle_subspaces(rep: Representation) -> list[linalg.Matrix]:
     """Vertex-wise bases of soc(M) = joint kernel of all outgoing arrows."""
     p = rep.algebra.p
     q = rep.algebra.quiver
@@ -428,8 +402,7 @@ def socle_subspaces(rep: Representation) -> list[np.ndarray]:
     for v in range(q.n_vertices):
         rows = [rep.matrices[a] for a in range(q.n_arrows) if q.arrow_source[a] == v]
         if rows:
-            stacked = np.concatenate(rows, axis=0)
-            out.append(linalg.nullspace(stacked, p))
+            out.append(linalg.nullspace(linalg.vstack(rows), p))
         else:
             out.append(linalg.eye(rep.dims[v]))
     return out
@@ -444,7 +417,7 @@ def end_vertex(m: Representation, dual: bool = False) -> int | None:
     shapes = [projective_module(alg, v).dims for v in alg.quiver.vertex_ids]
     if m.dims not in shapes:
         return None
-    ends = [b.shape[1] for b in socle_subspaces(m)] if dual else top_dims(m)
+    ends = [b.ncols for b in socle_subspaces(m)] if dual else top_dims(m)
     if sum(ends) != 1:
         return None
     v = ends.index(1)

@@ -65,9 +65,9 @@ def _socle_paths(algebra: BoundQuiverAlgebra) -> list[tuple[int, list[tuple[int,
         cache = []
         for v, vid in enumerate(algebra.quiver.vertex_ids):
             socle = socle_subspaces(projective_module(algebra, vid))
-            w = next(u for u, b in enumerate(socle) if b.shape[1])
+            w = next(u for u, b in enumerate(socle) if b.ncols)
             paths = algebra.basis_by_target(v)[w]
-            cache.append((w, [(int(c), q) for c, q in zip(socle[w][:, 0], paths) if c]))
+            cache.append((w, [(row[0], q) for row, q in zip(socle[w].rows, paths) if row[0]]))
         algebra._socle_path_cache = cache
     return cache
 
@@ -85,11 +85,9 @@ def strip_projectives(m: Representation) -> Representation:
     for v, (w, omega) in enumerate(_socle_paths(m.algebra)):
         if not m.dims[v] or not m.dims[w]:
             continue
-        action = sum(c * m.path_matrix(q) % p for c, q in omega) % p
-        for col in linalg.rref(action, p)[1]:
-            gen = linalg.zeros(m.dims[v], 1)
-            gen[col, 0] = 1
-            gens.append((v, gen))
+        action = linalg.combination([c for c, _ in omega], [m.path_matrix(q) for _, q in omega], p,
+                                    (m.dims[w], m.dims[v]))
+        gens += [(v, linalg.unit_rows([col], m.dims[v]).T) for col in linalg.rref(action, p)[1]]
     if not gens:
         return m
     mono = _map_from_projectives(m, gens)[1]

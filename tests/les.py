@@ -19,8 +19,6 @@ realized conflations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from quivertilt import linalg
 from quivertilt.contexts import Context, ContextError, ExactExtSpace
 from quivertilt.homology import minimal_resolution
@@ -58,12 +56,16 @@ def lift_through_epi(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
         if f.is_zero():
             return zero_map(f.source, epi.source)
         raise RuntimeError("no maps available to lift through the surjection")
-    composed = [epi.compose(g) for g in basis]
-    mat = np.stack([g.flatten() for g in composed], axis=1)
-    sol = linalg.solve(mat, f.flatten().reshape(-1, 1), p)
+    mat = _from_columns([epi.compose(g).flatten() for g in basis], len(f.flatten()))
+    sol = linalg.solve(mat, f.flatten(), p)
     if sol is None:
         raise RuntimeError("lift through surjection does not exist")
-    return linear_combination(basis, sol[:, 0])
+    return linear_combination(basis, sol)
+
+
+def _from_columns(cols, nrows: int) -> linalg.Matrix:
+    """The nrows-row matrix with the given columns."""
+    return linalg.Matrix(tuple(cols), nrows).T
 
 
 class _HomNode:
@@ -75,17 +77,19 @@ class _HomNode:
         self.basis = hom_basis(anchor, m)
         self.dim = len(self.basis)
 
-    def postcompose_matrix(self, f: ModuleMap, target: "_HomNode") -> np.ndarray:
+    def postcompose_matrix(self, f: ModuleMap, target: "_HomNode") -> linalg.Matrix:
         p = self.anchor.algebra.p
-        mat = linalg.zeros(target.dim, self.dim)
-        if self.dim and target.dim:
-            tgt = np.stack([g.flatten() for g in target.basis], axis=1) % p
-            for i, g in enumerate(self.basis):
-                sol = linalg.solve(tgt, f.compose(g).flatten().reshape(-1, 1), p)
-                if sol is None:
-                    raise ContextError("postcomposition escaped the hom space")
-                mat[:, i] = sol.reshape(-1)
-        return mat
+        if not (self.dim and target.dim):
+            return linalg.zeros(target.dim, self.dim)
+        flats = [g.flatten() for g in target.basis]
+        tgt = _from_columns(flats, len(flats[0]))
+        cols = []
+        for g in self.basis:
+            sol = linalg.solve(tgt, f.compose(g).flatten(), p)
+            if sol is None:
+                raise ContextError("postcomposition escaped the hom space")
+            cols.append(sol)
+        return _from_columns(cols, target.dim)
 
 
 class _QuotientNode:
@@ -98,14 +102,9 @@ class _QuotientNode:
         self.space = space_cls(anchor, m)
         self.dim = self.space.dim
 
-    def postcompose_matrix(self, f: ModuleMap, target: "_QuotientNode") -> np.ndarray:
-        mat = linalg.zeros(target.dim, self.dim)
-        for i in range(self.dim):
-            coords = linalg.zeros(self.dim, 1).reshape(-1)
-            coords[i] = 1
-            rep_map = self.space.representative(coords)
-            mat[:, i] = class_of(target.space, f.compose(rep_map))
-        return mat
+    def postcompose_matrix(self, f: ModuleMap, target: "_QuotientNode") -> linalg.Matrix:
+        return _from_columns([class_of(target.space, f.compose(self.space.representative(coords)))
+                              for coords in linalg.eye(self.dim).rows], target.dim)
 
 
 def _covariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Representation, depth: int):
@@ -178,30 +177,28 @@ def _contravariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Represe
     return nodes, arrows
 
 
-def _precompose_matrix(src_node, tgt_node, f: ModuleMap, p: int) -> np.ndarray:
-    mat = linalg.zeros(tgt_node.dim, src_node.dim)
-    for i in range(src_node.dim):
-        coords = linalg.zeros(src_node.dim, 1).reshape(-1)
-        coords[i] = 1
+def _precompose_matrix(src_node, tgt_node, f: ModuleMap, p: int) -> linalg.Matrix:
+    cols = []
+    for i, coords in enumerate(linalg.eye(src_node.dim).rows):
         if isinstance(src_node, _HomNode):
             rep_map = src_node.basis[i]
-            mat[:, i] = _hom_class(tgt_node, rep_map.compose(f), p)
+            cols.append(_hom_class(tgt_node, rep_map.compose(f), p))
         else:
             rep_map = src_node.space.representative(coords)
-            mat[:, i] = class_of(tgt_node.space, rep_map.compose(f))
-    return mat
+            cols.append(class_of(tgt_node.space, rep_map.compose(f)))
+    return _from_columns(cols, tgt_node.dim)
 
 
-def _hom_class(node: _HomNode, f: ModuleMap, p: int) -> np.ndarray:
+def _hom_class(node: _HomNode, f: ModuleMap, p: int) -> tuple:
     if node.dim == 0:
         if not f.is_zero():
             raise ContextError("precomposition escaped the hom space")
-        return np.zeros(0, dtype=np.int64)
-    tgt = np.stack([g.flatten() for g in node.basis], axis=1) % p
-    sol = linalg.solve(tgt, f.flatten().reshape(-1, 1), p)
+        return ()
+    flats = [g.flatten() for g in node.basis]
+    sol = linalg.solve(_from_columns(flats, len(flats[0])), f.flatten(), p)
     if sol is None:
         raise ContextError("precomposition escaped the hom space")
-    return sol.reshape(-1)
+    return sol
 
 
 def _bookkeeping(nodes, arrows, p: int) -> tuple[bool, list[str]]:
@@ -209,7 +206,7 @@ def _bookkeeping(nodes, arrows, p: int) -> tuple[bool, list[str]]:
     for k, level in enumerate(nodes):
         a_mat, b_mat = arrows[k]
         comp = linalg.matmul(b_mat, a_mat, p)
-        if np.any(comp):
+        if not comp.is_zero():
             problems.append(f"level {k}: consecutive maps do not compose to zero")
         ra, rb = linalg.rank(a_mat, p), linalg.rank(b_mat, p)
         if ra + rb != level[1].dim:

@@ -8,6 +8,14 @@ equivalence is a coboundary shift theta_a -> theta_a + N_a h_s - h_t M_a.
 No projective resolutions, covers or syzygies are involved, so this is a
 genuinely independent check of the resolution-based computation.
 
+`rref_by_numpy`, `rank_by_numpy`, `nullspace_by_numpy`, `solve_by_numpy`,
+`matmul_by_numpy` and `inverse_by_numpy` are the F_p kernels of `linalg` as
+they were on numpy int64 arrays, before the package dropped numpy for
+Python ints: the same first-nonzero pivot rule, one vectorized update of
+every row per pivot.  `as_array` turns a `linalg.Matrix` into such an array,
+of its shape; `linalg.normalize` turns one back.  `ext1_dim_oracle` runs on
+them alone.
+
 `identify_by_splitting` names the summands of a module the way contexts did
 before they solved by Hom vectors: Krull-Schmidt splitting, then an
 isomorphism test of each piece against the context objects; in a stable
@@ -185,6 +193,92 @@ from quivertilt.modules import (
 from quivertilt.stable import cone, require_self_injective
 
 
+# -- numpy F_p kernels ----------------------------------------------------------
+
+
+def as_array(m: linalg.Matrix) -> np.ndarray:
+    """m as an int64 array of its shape."""
+    return np.array(m.rows, dtype=np.int64).reshape(m.shape)
+
+
+def rref_by_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    r = np.mod(np.asarray(a, dtype=np.int64), p)  # a fresh reduced copy
+    rows, cols = r.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        nz = r[row:, col].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        lead = int(r[row, col])
+        if lead != 1:
+            r[row] = (r[row] * linalg.inv_mod(lead, p)) % p
+        if rows > 1:  # clear the pivot column in the other rows
+            factors = r[:, col].copy()
+            factors[row] = 0
+            r -= factors[:, None] * r[row]
+            r %= p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def rank_by_numpy(a: np.ndarray, p: int) -> int:
+    return len(rref_by_numpy(a, p)[1]) if a.size else 0
+
+
+def matmul_by_numpy(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    return np.mod(a @ b, p)
+
+
+def nullspace_by_numpy(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the right kernel as columns, in free-variable order."""
+    rows, cols = a.shape
+    if cols == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    if rows == 0:
+        return np.eye(cols, dtype=np.int64)
+    r, pivots = rref_by_numpy(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    basis[free, range(len(free))] = 1
+    basis[pivots] = -r[: len(pivots), free] % p
+    return basis
+
+
+def solve_by_numpy(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """One solution of a @ x = b (columns of b solved jointly), or None."""
+    rows, cols = a.shape
+    b = np.asarray(b)
+    if b.ndim == 1:
+        b = b.reshape(rows, 1)
+    r, pivots = rref_by_numpy(np.concatenate([a, b], axis=1), p)
+    if any(pc >= cols for pc in pivots):
+        return None
+    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, cols:]
+    return x
+
+
+def inverse_by_numpy(a: np.ndarray, p: int) -> np.ndarray | None:
+    n = a.shape[0]
+    if a.shape != (n, n):
+        return None
+    if n == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    x = solve_by_numpy(a, np.eye(n, dtype=np.int64), p)
+    if x is None or not np.array_equal(matmul_by_numpy(a, x, p), np.eye(n, dtype=np.int64)):
+        return None
+    return x
+
+
 def _theta_offsets(m: Representation, n: Representation):
     q = m.algebra.quiver
     sizes = []
@@ -210,8 +304,8 @@ def _path_twist_rows(m, n, path, row_block, total, coeff, p):
         v = alg.path_target(prefix)
         suffix_src = q.arrow_target[a]
         suffix = (suffix_src, arrows[i + 1 :])
-        m_pre = m.path_matrix(prefix)
-        n_suf = n.path_matrix(suffix)
+        m_pre = as_array(m.path_matrix(prefix))
+        n_suf = as_array(n.path_matrix(suffix))
         # vec(N_suf @ theta_a @ M_pre) = (N_suf kron M_pre^T) vec(theta_a)
         kron = np.kron(n_suf, m_pre.T) % p
         block = (coeff * kron) % p
@@ -237,17 +331,17 @@ def ext1_dim_oracle(m: Representation, n: Representation) -> int:
         n_eq = n.dims[tgt] * m.dims[src]
         if n_eq == 0:
             continue
-        block = linalg.zeros(n_eq, total)
+        block = np.zeros((n_eq, total), dtype=np.int64)
         for path, coeff in rel.items():
             block = _path_twist_rows(m, n, path, block, total, coeff, p)
         rows.append(block)
-    constraints = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, total)
-    cocycles = linalg.nullspace(constraints, p)
+    constraints = np.concatenate(rows, axis=0) if rows else np.zeros((0, total), dtype=np.int64)
+    cocycles = nullspace_by_numpy(constraints, p)
     # coboundary map: h = (h_v) |-> theta_a = N_a h_s - h_t M_a
     h_sizes = [n.dims[v] * m.dims[v] for v in range(q.n_vertices)]
     h_offsets = np.cumsum([0] + h_sizes)
     h_total = int(h_offsets[-1])
-    cob = linalg.zeros(total, max(h_total, 1))
+    cob = np.zeros((total, max(h_total, 1)), dtype=np.int64)
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
         if sizes[a] == 0:
@@ -256,21 +350,21 @@ def ext1_dim_oracle(m: Representation, n: Representation) -> int:
         if h_sizes[s]:
             cob[r, int(h_offsets[s]) : int(h_offsets[s + 1])] = (
                 cob[r, int(h_offsets[s]) : int(h_offsets[s + 1])]
-                + np.kron(n.matrices[a], linalg.eye(m.dims[s]))
+                + np.kron(as_array(n.matrices[a]), np.eye(m.dims[s], dtype=np.int64))
             ) % p
         if h_sizes[t]:
             cob[r, int(h_offsets[t]) : int(h_offsets[t + 1])] = (
                 cob[r, int(h_offsets[t]) : int(h_offsets[t + 1])]
-                - np.kron(linalg.eye(n.dims[t]), m.matrices[a].T)
+                - np.kron(np.eye(n.dims[t], dtype=np.int64), as_array(m.matrices[a]).T)
             ) % p
     cob = cob % p
     dim_z = cocycles.shape[1]
     # coboundaries must be cocycles; anything else is an oracle bug
     for col in range(min(h_total, cob.shape[1])):
         vec = cob[:, col : col + 1]
-        if constraints.size and np.any(linalg.matmul(constraints, vec, p)):
+        if constraints.size and np.any(matmul_by_numpy(constraints, vec, p)):
             raise AssertionError("coboundary fails the cocycle constraints")
-    dim_b = linalg.rank(cob[:, :h_total], p) if h_total else 0
+    dim_b = rank_by_numpy(cob[:, :h_total], p) if h_total else 0
     return dim_z - dim_b
 
 
@@ -486,7 +580,7 @@ def stable_realize_by_cone(c_rep: Representation, a_rep: Representation, coords,
     for v in range(len(cone_proj.blocks)):
         sol = linalg.solve(cone_proj.blocks[v].T, onto_sigma.blocks[v].T, p)
         assert sol is not None, "cone connecting map is not well defined"
-        blocks.append(sol.T % p)
+        blocks.append(sol.T)
     connecting = ModuleMap(b, sigma, blocks, validate=False)
     iso = _stable_iso(sigma, c_rep, seed)
     assert iso is not None, "suspension of the syzygy is not the object back"
@@ -688,12 +782,9 @@ def cokernel_by_unit_vectors(f):
     for v in range(q.n_vertices):
         quot = linalg.QuotientSpace(rep.dims[v], f.blocks[v], p)
         dims.append(quot.dim)
-        proj = linalg.zeros(quot.dim, rep.dims[v])
-        for col in range(rep.dims[v]):
-            e = linalg.zeros(rep.dims[v], 1).reshape(-1)
-            e[col] = 1
-            proj[:, col] = quot.to_coords(e)
-        projections.append(proj)
+        # column c of the projection is the unit vector e_c reduced
+        cols = tuple(quot.to_coords(e) for e in linalg.eye(rep.dims[v]).rows)
+        projections.append(linalg.Matrix(cols, quot.dim).T)
     mats = []
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
@@ -701,7 +792,7 @@ def cokernel_by_unit_vectors(f):
         sol = linalg.solve(projections[s].T, rhs.T, p)
         if sol is None:
             raise ValueError("cokernel action is not well defined")
-        mats.append(sol.T % p)
+        mats.append(sol.T)
     coker = Representation(rep.algebra, tuple(dims), mats)
     return coker, ModuleMap(rep, coker, projections)
 
@@ -714,10 +805,10 @@ def direct_sum_by_entries(reps):
     mats = []
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
-        m = linalg.zeros(dims[t], dims[s])
+        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
         ro = co = 0
         for r in reps:
-            m[ro : ro + r.dims[t], co : co + r.dims[s]] = r.matrices[a]
+            m[ro : ro + r.dims[t], co : co + r.dims[s]] = as_array(r.matrices[a])
             ro += r.dims[t]
             co += r.dims[s]
         mats.append(m)
@@ -729,8 +820,8 @@ def direct_sum_by_entries(reps):
         inc_blocks = []
         prj_blocks = []
         for v in range(q.n_vertices):
-            inc = linalg.zeros(dims[v], r.dims[v])
-            prj = linalg.zeros(r.dims[v], dims[v])
+            inc = np.zeros((dims[v], r.dims[v]), dtype=np.int64)
+            prj = np.zeros((r.dims[v], dims[v]), dtype=np.int64)
             for k in range(r.dims[v]):
                 inc[offsets[v] + k, k] = 1
                 prj[k, offsets[v] + k] = 1
@@ -924,10 +1015,10 @@ def stable_hom_dim(m: Representation, n: Representation) -> int:
     return StableHomSpace(m, n).dim
 
 
-def class_of(space: HomQuotient, f: ModuleMap) -> np.ndarray:
+def class_of(space: HomQuotient, f: ModuleMap) -> tuple:
     """Coordinates of the class of f: space.m -> space.n."""
     if not space.basis:
-        return np.zeros(0, dtype=np.int64)
+        return ()
     return space.quot.to_coords(space._basis_coords(f))
 
 
@@ -1001,7 +1092,7 @@ def _factor_through_projection(proj: ModuleMap, through: ModuleMap) -> ModuleMap
         sol = linalg.solve(proj.blocks[v].T, through.blocks[v].T, p)
         if sol is None:
             raise ContextError("map does not factor through the projection")
-        blocks.append(sol.T % p)
+        blocks.append(sol.T)
     return ModuleMap(proj.target, through.target, blocks, validate=False)
 
 
@@ -1016,7 +1107,7 @@ def _subspaces(d: int, p: int, min_dim: int):
                 rows[range(k), pivots] = 1
                 for (i, c), v in zip(free, values):
                     rows[i, c] = v
-                yield rows.T
+                yield linalg.normalize(rows.T, p)
 
 
 def is_subquotient_by_submodules(m: Representation, n: Representation) -> bool:

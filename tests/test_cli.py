@@ -286,3 +286,15 @@ def test_objects_outside_a_sub_context_exits_2(capsys):
     assert status == 2
     assert out == ""
     assert err == "error: --objects applies only to --context sub\n"
+
+
+def test_parent_outside_a_sub_context_exits_2(capsys):
+    status, out, err = _run(["objects", "--nakayama", "2,3", "--parent", "stable"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: --parent applies only to --context sub\n"
+    # under --context sub a missing --parent still means mod
+    status, out, err = _run(["objects", "--nakayama", "2,3", "--context", "sub", "--objects", "P1",
+                             "--format", "structured"], capsys)
+    assert status == 0, err
+    assert [o["label"] for o in json.loads(out)["result"]["objects"]] == ["P1"]

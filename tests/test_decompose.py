@@ -72,7 +72,7 @@ def _twist(rep, rng):
     blocks = []
     for d in rep.dims:
         while True:
-            g = np.array([rng.randrange(p) for _ in range(d * d)], dtype=np.int64).reshape(d, d)
+            g = linalg.from_flat(tuple(rng.randrange(p) for _ in range(d * d)), d, d)
             if linalg.is_invertible(g, p):
                 break
         blocks.append(g)
@@ -158,10 +158,7 @@ def test_summand_split_maps_are_sections(a3_rad2):
     assert len(pieces) == 3
     for rep, incl, retr in pieces:
         comp = retr.compose(incl)
-        assert all(
-            np.array_equal(b, np.eye(d, dtype=np.int64))
-            for b, d in zip(comp.blocks, rep.dims)
-        )
+        assert all(b == linalg.eye(d) for b, d in zip(comp.blocks, rep.dims))
 
 
 def test_matrix_algebra_radical_is_zero(a2):

@@ -53,7 +53,7 @@ def test_cover_kernel_lies_in_radical(test_algebras):
             for vtx in range(alg.quiver.n_vertices):
                 for col in range(incl.blocks[vtx].shape[1]):
                     assert linalg.solve(
-                        rad[vtx], incl.blocks[vtx][:, col : col + 1], alg.p
+                        rad[vtx], linalg.columns(incl.blocks[vtx], [col]), alg.p
                     ) is not None
 
 
@@ -162,18 +162,14 @@ def test_right_approximation_factorization_law(a3_rad2):
     members = [mods["P1"], mods["S1"], mods["S3"]]
     for target in mods.values():
         h = approximation(members, target)
-        composed = [h.compose(g) for g in hom_basis(h.source, h.source)]
-        hmat = np.stack(
-            [h.compose(g).flatten() for g in hom_basis(h.source, h.source)], axis=1
-        ) if hom_basis(h.source, h.source) else None
         for member in members:
             for f in hom_basis(member, target):
                 lifts = hom_basis(member, h.source)
                 if not lifts:
                     assert f.is_zero()
                     continue
-                mat = np.stack([h.compose(g).flatten() for g in lifts], axis=1)
-                assert linalg.solve(mat, f.flatten().reshape(-1, 1), p) is not None
+                mat = linalg.Matrix(tuple(h.compose(g).flatten() for g in lifts), len(f.flatten())).T
+                assert linalg.solve(mat, f.flatten(), p) is not None
 
 
 def test_left_approximation_examples(a2):

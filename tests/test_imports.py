@@ -14,6 +14,9 @@ method whose name another class also uses escapes it; `Conflation.describe`
 `ModuleMap.is_zero`) did."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -151,3 +154,13 @@ def test_no_dead_public_functions_in_the_package():
     only the tests reach belongs in the tests."""
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _dead_public_in_package(sources) == set()
+
+
+def test_cli_import_does_not_load_numpy():
+    """numpy is a test dependency only: importing the CLI, in a fresh
+    interpreter, loads no module that imports it."""
+    code = "import sys, quivertilt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

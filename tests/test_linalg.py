@@ -5,6 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivertilt import linalg
+from oracle import (
+    as_array,
+    inverse_by_numpy,
+    matmul_by_numpy,
+    nullspace_by_numpy,
+    rref_by_numpy,
+    solve_by_numpy,
+)
 
 
 def _matrices(max_dim=5, primes=(2, 3, 5)):
@@ -16,14 +24,18 @@ def _matrices(max_dim=5, primes=(2, 3, 5)):
     )
 
 
+def _random(rng, p, rows, cols) -> linalg.Matrix:
+    return linalg.Matrix(tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows)), cols)
+
+
 @given(_matrices())
 @settings(max_examples=80, deadline=None)
 def test_rref_is_idempotent_and_rank_consistent(data):
     p, rows, cols, rng = data
-    a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+    a = _random(rng, p, rows, cols)
     r, pivots = linalg.rref(a, p)
     r2, pivots2 = linalg.rref(r, p)
-    assert np.array_equal(r, r2)
+    assert r == r2
     assert pivots == pivots2
     assert len(pivots) == linalg.rank(a, p)
 
@@ -55,10 +67,10 @@ def _rref_row_by_row(a, p):
 @settings(max_examples=80, deadline=None)
 def test_rref_matches_row_by_row_elimination(data):
     p, rows, cols, rng = data
-    a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+    a = _random(rng, p, rows, cols)
     r, pivots = linalg.rref(a, p)
-    want, want_pivots = _rref_row_by_row(a, p)
-    assert np.array_equal(r, want)
+    want, want_pivots = _rref_row_by_row(as_array(a), p)
+    assert np.array_equal(as_array(r), want)
     assert pivots == want_pivots
 
 
@@ -66,32 +78,32 @@ def test_rref_matches_row_by_row_elimination(data):
 @settings(max_examples=80, deadline=None)
 def test_nullspace_annihilates_and_has_complementary_dim(data):
     p, rows, cols, rng = data
-    a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+    a = _random(rng, p, rows, cols)
     ns = linalg.nullspace(a, p)
-    assert ns.shape[1] == cols - linalg.rank(a, p)
-    if ns.size:
-        assert not np.any(linalg.matmul(a, ns, p))
+    assert ns.shape == (cols, cols - linalg.rank(a, p))
+    assert linalg.matmul(a, ns, p).is_zero()
 
 
 @given(_matrices())
 @settings(max_examples=60, deadline=None)
 def test_solve_finds_solutions_for_images(data):
     p, rows, cols, rng = data
-    a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
-    x = np.array([[rng.randrange(p)] for _ in range(cols)], dtype=np.int64)
-    b = linalg.matmul(a, x, p)
+    a = _random(rng, p, rows, cols)
+    b = linalg.matmul(a, _random(rng, p, cols, 1), p)
     sol = linalg.solve(a, b, p)
     assert sol is not None
-    assert np.array_equal(linalg.matmul(a, sol, p), b)
+    assert linalg.matmul(a, sol, p) == b
+    # a vector right-hand side gives a vector
+    assert linalg.solve(a, b.T.rows[0], p) == sol.T.rows[0]
 
 
 def test_inverse_round_trip():
     p = 5
-    a = np.array([[1, 2, 0], [0, 1, 4], [3, 0, 2]], dtype=np.int64)
+    a = linalg.normalize([[1, 2, 0], [0, 1, 4], [3, 0, 2]], p)
     inv = linalg.inverse(a, p)
     assert inv is not None
-    assert np.array_equal(linalg.matmul(a, inv, p), linalg.eye(3))
-    singular = np.array([[1, 2], [2, 4]], dtype=np.int64)
+    assert linalg.matmul(a, inv, p) == linalg.eye(3)
+    singular = linalg.normalize([[1, 2], [2, 4]], p)
     assert linalg.inverse(singular, p) is None
 
 
@@ -100,9 +112,9 @@ def test_char_poly_matches_sympy(p):
     rng = linalg.stable_rng(11, p)
     for _ in range(10):
         n = rng.randrange(1, 7)
-        a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        a = _random(rng, p, n, n)
         mine = linalg.char_poly(a, p)
-        ref = [int(c) % p for c in reversed(sympy.Matrix(a.tolist()).charpoly().all_coeffs())]
+        ref = [int(c) % p for c in reversed(sympy.Matrix(a.rows).charpoly().all_coeffs())]
         assert mine == ref
 
 
@@ -111,24 +123,24 @@ def test_min_poly_annihilates_and_divides_char_poly():
     for p in (2, 3):
         for _ in range(8):
             n = rng.randrange(1, 6)
-            a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+            a = _random(rng, p, n, n)
             mp = linalg.min_poly(a, p)
-            assert not np.any(linalg.poly_eval_matrix(mp, a, p))
+            assert linalg.poly_eval_matrix(mp, a, p).is_zero()
             cp = linalg.char_poly(a, p)
             assert not any(linalg.poly_mod(cp, mp, p))
 
 
 def test_quotient_space_coordinates():
     p = 2
-    sub = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int64)[:, :1]
+    sub = linalg.normalize([[1], [1], [0]], p)
     quot = linalg.QuotientSpace(3, sub, p)
     assert quot.dim == 2
-    v = np.array([1, 0, 1], dtype=np.int64)
+    v = (1, 0, 1)
     coords = quot.to_coords(v)
     lifted = quot.lift(coords)
     # lifted and v agree modulo the subspace
-    assert np.array_equal(quot.to_coords(lifted), coords)
-    assert np.array_equal(quot.to_coords((v - lifted) % p), np.zeros(2, dtype=np.int64))
+    assert quot.to_coords(lifted) == coords
+    assert quot.to_coords([(x - y) % p for x, y in zip(v, lifted)]) == (0, 0)
 
 
 def test_stable_rng_is_process_independent():
@@ -185,28 +197,100 @@ def test_poly_factor_is_a_sorted_irreducible_factorization(p):
         assert keys == sorted(keys)
 
 
-def test_matmul_refuses_sums_that_could_overflow():
-    p = 3037000493  # (p - 1)**2 alone is just below 2**63
-    a = np.full((2, 2), p - 1, dtype=np.int64)
-    with pytest.raises(ValueError, match="at most 1 terms fit"):
-        linalg.matmul(a, a, p)
-    # the largest accepted prime: exactly as many terms as fit are exact
+def test_matmul_is_exact_where_int64_would_overflow():
+    """Entries are Python ints, so a product is the exact integer sum
+    reduced mod p however many terms it has: at the largest accepted prime
+    with more terms than an int64 sum of (p - 1)**2 can hold, and at a prime
+    where two such terms already overflow int64."""
     p = 2965819
-    terms = linalg.INT64_MAX // (p - 1) ** 2
-    assert terms >= linalg.MIN_TERMS
-    a = np.full((1, terms), p - 1, dtype=np.int64)
-    assert linalg.matmul(a, a.T, p)[0, 0] == terms * (p - 1) ** 2 % p
-    with pytest.raises(ValueError, match=f"at most {terms} terms fit"):
-        linalg.matmul(np.full((1, terms + 1), 1, dtype=np.int64), np.full((terms + 1, 1), 1, dtype=np.int64), p)
+    terms = 2**20 + 6  # (2**63 - 1) // (p - 1)**2 == 2**20 + 5
+    a = linalg.Matrix(((p - 1,) * terms,), terms)
+    assert linalg.matmul(a, a.T, p) == linalg.Matrix(((terms * (p - 1) ** 2 % p,),), 1)
+    p = 3037000493
+    assert 2 * (p - 1) ** 2 > 2**63 - 1
+    a = linalg.Matrix(((p - 1, p - 1), (p - 2, 1)), 2)
+    exact = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*a.rows)] for row in a.rows]
+    assert linalg.matmul(a, a, p) == linalg.normalize(exact, p)
+    rng = linalg.stable_rng(37)
+    a, b = _random(rng, p, 3, 4), _random(rng, p, 4, 2)
+    exact = (np.array(a.rows, dtype=object) @ np.array(b.rows, dtype=object)) % p
+    assert linalg.matmul(a, b, p) == linalg.normalize(exact.tolist(), p)
 
 
 @pytest.mark.parametrize("p", [65521, 2965819])
 def test_inverse_is_exact_for_accepted_primes(p):
     rng = linalg.stable_rng(31, p)
     for _ in range(20):
-        a = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(4)], dtype=np.int64)
+        a = _random(rng, p, 4, 4)
         inv = linalg.inverse(a, p)
         if inv is None:
             continue
-        exact = (np.array(a.tolist(), dtype=object) @ np.array(inv.tolist(), dtype=object)) % p
+        exact = (np.array(a.rows, dtype=object) @ np.array(inv.rows, dtype=object)) % p
         assert exact.tolist() == np.eye(4, dtype=int).tolist()
+
+
+PRIMES = (2, 3, 5, 65521)
+
+
+def _of_rank_at_most(rng, p, rows, cols, rank) -> np.ndarray:
+    """A random rows x cols array over F_p, the product of two random ones
+    through dimension rank, so that systems are often inconsistent."""
+    left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(rows)], dtype=object)
+    right = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rank)], dtype=object)
+    return (left.reshape(rows, rank) @ right.reshape(rank, cols) % p).astype(np.int64)
+
+
+def _same(m, a) -> bool:
+    """A Matrix and an array agree in shape and entries (None matches None)."""
+    if m is None or a is None:
+        return m is None and a is None
+    return m.shape == a.shape and np.array_equal(as_array(m), a)
+
+
+@given(st.sampled_from(PRIMES), st.integers(0, 6), st.integers(0, 6), st.integers(0, 3),
+       st.integers(0, 6), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_kernels_match_their_numpy_references(p, rows, cols, rank, other, rng):
+    """rref (echelon form and pivots), nullspace, solve, matmul and inverse
+    on Python ints against the int64 numpy kernels they replaced, on every
+    shape from 0 x 0 to 6 x 6."""
+    a = _of_rank_at_most(rng, p, rows, cols, rank)
+    m = linalg.normalize(a, p)
+    assert m.shape == (rows, cols)
+    r, pivots = linalg.rref(m, p)
+    want, want_pivots = rref_by_numpy(a, p)
+    assert _same(r, want) and pivots == want_pivots
+    assert _same(linalg.nullspace(m, p), nullspace_by_numpy(a, p))
+    b = np.array([[rng.randrange(p) for _ in range(other)] for _ in range(rows)], dtype=np.int64).reshape(rows, other)
+    assert _same(linalg.solve(m, linalg.normalize(b, p), p), solve_by_numpy(a, b, p))
+    vector = b[:, 0] if other else np.zeros(rows, dtype=np.int64)
+    want = solve_by_numpy(a, vector, p)
+    got = linalg.solve(m, tuple(vector.tolist()), p)
+    assert (got is None) == (want is None) and (got is None or list(got) == want[:, 0].tolist())
+    c = np.array([[rng.randrange(p) for _ in range(other)] for _ in range(cols)], dtype=np.int64).reshape(cols, other)
+    image = matmul_by_numpy(a, c, p)
+    assert _same(linalg.matmul(m, linalg.normalize(c, p), p), image)
+    assert _same(linalg.solve(m, linalg.normalize(image, p), p), solve_by_numpy(a, image, p))
+    assert linalg.solve(m, linalg.normalize(image, p), p) is not None
+    square = a[:, :rows] if cols >= rows else a
+    assert _same(linalg.inverse(linalg.normalize(square, p), p), inverse_by_numpy(square, p))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3), (3, 2)])
+def test_kernels_keep_empty_shapes_and_report_inconsistency(p, rows, cols):
+    """The column count of a matrix with no rows survives every kernel, and
+    an inconsistent system has no solution under either implementation."""
+    zero = linalg.zeros(rows, cols)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    assert _same(linalg.rref(zero, p)[0], rref_by_numpy(a, p)[0])
+    assert _same(linalg.nullspace(zero, p), nullspace_by_numpy(a, p))
+    assert _same(linalg.matmul(zero, linalg.zeros(cols, 2), p), matmul_by_numpy(a, np.zeros((cols, 2), dtype=np.int64), p))
+    assert _same(linalg.matmul(linalg.zeros(2, rows), zero, p), matmul_by_numpy(np.zeros((2, rows), dtype=np.int64), a, p))
+    assert zero.T.shape == (cols, rows)
+    b = np.ones((rows, 1), dtype=np.int64)
+    assert _same(linalg.solve(zero, linalg.normalize(b, p), p), solve_by_numpy(a, b, p))
+    if rows:
+        assert linalg.solve(zero, linalg.normalize(b, p), p) is None
+    assert _same(linalg.solve(zero, linalg.zeros(rows, 2), p), solve_by_numpy(a, np.zeros((rows, 2), dtype=np.int64), p))
+    assert linalg.solve(zero, linalg.zeros(rows, 2), p).shape == (cols, 2)
