@@ -478,7 +478,8 @@ def injective_module(algebra: BoundQuiverAlgebra, vertex_id: int):
 
     hit = algebra._injectives.get(vertex_id)
     if hit is None:
-        hit = algebra._injectives[vertex_id] = dual_representation(projective_module(algebra.opposite(), vertex_id))
+        hit = dual_representation(projective_module(algebra.opposite(), vertex_id))
+        algebra._injectives[vertex_id] = hit
     return hit
 
 

@@ -467,7 +467,8 @@ def _orth_bitmasks(ctx: Context, k_max: int) -> tuple[list[int], list[int]]:
     hit = cache.get(k_max)
     if hit is None:
         tables = [ctx.e_k_table(k) for k in range(1, k_max + 1)]
-        vanish = [[not any(t[i][j] for t in tables) for j in range(ctx.n_objects)] for i in range(ctx.n_objects)]
+        objects = range(ctx.n_objects)
+        vanish = [[not any(t[i][j] for t in tables) for j in objects] for i in objects]
         hit = cache[k_max] = ([_mask(j for j, v in enumerate(row) if v) for row in vanish],
                               [_mask(i for i, v in enumerate(col) if v) for col in zip(*vanish)])
     return hit

@@ -229,13 +229,12 @@ class HomVectors:
     def __init__(self, reps: list[Representation], h: tuple, r: tuple):
         self.reps = reps
         self.h = h
-        self.r = r
+        self._h_cols = list(zip(*h))
+        # R is sparse, a few mesh terms per row: each row as its nonzero (j, entry)
+        self.r = [[(j, x) for j, x in enumerate(row) if x] for row in r]
         # Hom(P_v, M) = M_v (Yoneda): projective probes are read off dims
         self.probe_vertex = [end_vertex(x) for x in reps]
         self.dims = [x.dims for x in reps]
-        # R is sparse, a few mesh terms per row; H is read by columns
-        self._r_terms = [[(j, x) for j, x in enumerate(row) if x] for row in r]
-        self._h_cols = list(zip(*h))
 
     def hom_vector(self, m: Representation) -> list[int]:
         """(dim Hom(X_j, m))_j over the list."""
@@ -247,7 +246,7 @@ class HomVectors:
     def identify(self, m: Representation) -> Counter:
         """Object ids of m with multiplicities, in ascending id order."""
         v = self.hom_vector(m)
-        mult = [sum(x * v[j] for j, x in terms) for terms in self._r_terms]
+        mult = [sum(x * v[j] for j, x in row) for row in self.r]
         if (min(mult) < 0 or _row_combination(mult, self._h_cols, len(v)) != v
                 or _row_combination(mult, self.dims, len(m.dims)) != list(m.dims)):
             raise ContextError(f"module of dimension vector {m.dims} is not a sum of context objects")
@@ -1023,8 +1022,8 @@ def _mesh_hom_vectors(reps: list[Representation], mesh: _Mesh) -> HomVectors:
     at_p = {v: i for i, v in enumerate(hv.probe_vertex)}
     at_i = {end_vertex(x, dual=True): i for i, x in enumerate(reps)}
     rows, cols = [at_p.get(v) for v in range(len(dims))], [at_i.get(v) for v in range(len(dims))]
-    if (d != 1 or None in rows + cols
-            or [_row_combination(row, h, size) for row in r] != [[int(i == j) for j in range(size)] for i in range(size)]
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    if (d != 1 or None in rows + cols or [_row_combination(row, h, size) for row in r] != identity
             or any(x < 0 for row in h for x in row)
             or [h[i] for i in rows] != dims or [hv._h_cols[i] for i in cols] != dims):
         raise ContextError("the Auslander-Reiten mesh of the modules does not invert to a Hom table")

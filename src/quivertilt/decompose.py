@@ -90,14 +90,8 @@ def radical_basis(endos: list[ModuleMap], p: int) -> list[tuple]:
     while p**k <= n and cur:
         pk = p**k
         mats = [coord_to_matrix(c) for c in cur]
-        rows = []
-        for y in mats:
-            row = [
-                _char_coeff(linalg.matmul(x, y, p), n - pk, p)
-                for x in mats
-            ]
-            rows.append(tuple(row))
-        null = linalg.nullspace(linalg.Matrix(tuple(rows), len(mats)), p)
+        rows = tuple(tuple(_char_coeff(linalg.matmul(x, y, p), n - pk, p) for x in mats) for y in mats)
+        null = linalg.nullspace(linalg.Matrix(rows, len(mats)), p)
         cur = list(linalg.matmul(null.T, linalg.Matrix(tuple(cur), dim_e), p).rows)
         k += 1
 
@@ -127,8 +121,8 @@ def radical_basis(endos: list[ModuleMap], p: int) -> list[tuple]:
         if not prods:
             power = []
             break
-        span = linalg.row_space_basis(linalg.Matrix(tuple(sum(m.rows, ()) for m in prods), n * n), p)
-        power = [linalg.from_flat(row, n, n) for row in span.rows]
+        span, pivots = linalg.rref(linalg.Matrix(tuple(sum(m.rows, ()) for m in prods), n * n), p)
+        power = [linalg.from_flat(row, n, n) for row in span.rows[: len(pivots)]]
     if power:
         raise DecompositionError("radical chain did not produce a nilpotent ideal")
     return rad

@@ -29,8 +29,9 @@ def stable_rng(seed: int, *tags) -> random.Random:
 
 
 class Matrix:
-    """An immutable matrix: `rows`, a tuple of equal-length tuples of ints,
-    and `ncols`.  The routines of this module take and return residues in
+    """A matrix: `rows`, a tuple of equal-length tuples of ints, and
+    `ncols`.  No entry can be written, and no routine rebinds either
+    attribute.  The routines of this module take and return residues in
     [0, p); `normalize` reduces anything else."""
 
     __slots__ = ("rows", "ncols")
@@ -54,8 +55,6 @@ class Matrix:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.ncols == other.ncols and self.rows == other.rows
-
-    __hash__ = None
 
     def __repr__(self):
         return f"Matrix({self.rows!r}, {self.ncols})"
@@ -222,11 +221,6 @@ def column_space_basis(a: Matrix, p: int) -> Matrix:
     if a.ncols == 0:
         return a
     return columns(a, rref(a, p)[1])
-
-
-def row_space_basis(a: Matrix, p: int) -> Matrix:
-    r, pivots = rref(a, p)
-    return Matrix(r.rows[: len(pivots)], a.ncols)
 
 
 class QuotientSpace:
