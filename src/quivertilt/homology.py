@@ -40,7 +40,7 @@ def top_generator_lifts(m: Representation) -> list[tuple[int, linalg.Matrix]]:
     out = []
     for v in range(len(m.dims)):
         quot = linalg.QuotientSpace(m.dims[v], rad[v], p)
-        out += [(v, linalg.unit_rows([c], m.dims[v]).T) for c in quot.free]
+        out += [(v, linalg.unit_rows((c,), m.dims[v]).T) for c in quot.free]
     return out
 
 

@@ -10,6 +10,7 @@ forms, nullspace bases and solution vectors are reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from operator import mul
@@ -75,8 +76,12 @@ def zeros(rows: int, cols: int) -> Matrix:
     return Matrix(((0,) * cols,) * rows, cols)
 
 
+@functools.cache
 def unit_rows(cols, n: int) -> Matrix:
-    """The len(cols) x n matrix whose row i is the unit vector e_{cols[i]}."""
+    """The len(cols) x n matrix whose row i is the unit vector e_{cols[i]};
+    cols is a range or a tuple.  Matrices are immutable, so every caller
+    shares one per argument pair (identities, and the inclusions and
+    projections of direct sums)."""
     return Matrix(tuple((0,) * c + (1,) + (0,) * (n - c - 1) for c in cols), n)
 
 
@@ -505,7 +510,7 @@ def min_poly(a: Matrix, p: int) -> list[int]:
         return [0, 1]
     result = [1]
     for start in range(n):
-        vec = unit_rows([start], n).T
+        vec = unit_rows((start,), n).T
         krylov = [vec]
         while True:
             vec = matmul(a, vec, p)

@@ -108,7 +108,8 @@ class ModuleMap:
         return ModuleMap(first.source, self.target, blocks, validate=False)
 
     def add(self, other: "ModuleMap") -> "ModuleMap":
-        blocks = [linalg.combination((1, 1), (a, b), self.p, a.shape) for a, b in zip(self.blocks, other.blocks)]
+        pairs = zip(self.blocks, other.blocks)
+        blocks = [linalg.combination((1, 1), (a, b), self.p, a.shape) for a, b in pairs]
         return ModuleMap(self.source, self.target, blocks, validate=False)
 
     def scale(self, c: int) -> "ModuleMap":

@@ -87,7 +87,7 @@ def strip_projectives(m: Representation) -> Representation:
             continue
         action = linalg.combination([c for c, _ in omega], [m.path_matrix(q) for _, q in omega], p,
                                     (m.dims[w], m.dims[v]))
-        gens += [(v, linalg.unit_rows([col], m.dims[v]).T) for col in linalg.rref(action, p)[1]]
+        gens += [(v, linalg.unit_rows((col,), m.dims[v]).T) for col in linalg.rref(action, p)[1]]
     if not gens:
         return m
     mono = _map_from_projectives(m, gens)[1]

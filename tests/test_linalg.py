@@ -232,12 +232,18 @@ def test_inverse_is_exact_for_accepted_primes(p):
 PRIMES = (2, 3, 5, 65521)
 
 
-def _of_rank_at_most(rng, p, rows, cols, rank) -> np.ndarray:
-    """A random rows x cols array over F_p, the product of two random ones
-    through dimension rank, so that systems are often inconsistent."""
-    left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(rows)], dtype=object)
-    right = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rank)], dtype=object)
-    return (left.reshape(rows, rank) @ right.reshape(rank, cols) % p).astype(np.int64)
+def _array(rng, p, rows, cols, rank=None) -> np.ndarray:
+    """A random rows x cols int64 array over F_p; with rank, the product of
+    two random ones through that dimension, so that systems are often
+    inconsistent."""
+    if rank is not None:
+        return matmul_by_numpy(_array(rng, p, rows, rank), _array(rng, p, rank, cols), p)
+    entries = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    return np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+def _zeros(rows, cols) -> np.ndarray:
+    return np.zeros((rows, cols), dtype=np.int64)
 
 
 def _same(m, a) -> bool:
@@ -254,20 +260,20 @@ def test_kernels_match_their_numpy_references(p, rows, cols, rank, other, rng):
     """rref (echelon form and pivots), nullspace, solve, matmul and inverse
     on Python ints against the int64 numpy kernels they replaced, on every
     shape from 0 x 0 to 6 x 6."""
-    a = _of_rank_at_most(rng, p, rows, cols, rank)
+    a = _array(rng, p, rows, cols, rank)
     m = linalg.normalize(a, p)
     assert m.shape == (rows, cols)
     r, pivots = linalg.rref(m, p)
     want, want_pivots = rref_by_numpy(a, p)
     assert _same(r, want) and pivots == want_pivots
     assert _same(linalg.nullspace(m, p), nullspace_by_numpy(a, p))
-    b = np.array([[rng.randrange(p) for _ in range(other)] for _ in range(rows)], dtype=np.int64).reshape(rows, other)
+    b = _array(rng, p, rows, other)
     assert _same(linalg.solve(m, linalg.normalize(b, p), p), solve_by_numpy(a, b, p))
-    vector = b[:, 0] if other else np.zeros(rows, dtype=np.int64)
+    vector = b[:, 0] if other else _zeros(rows, 1)[:, 0]
     want = solve_by_numpy(a, vector, p)
     got = linalg.solve(m, tuple(vector.tolist()), p)
     assert (got is None) == (want is None) and (got is None or list(got) == want[:, 0].tolist())
-    c = np.array([[rng.randrange(p) for _ in range(other)] for _ in range(cols)], dtype=np.int64).reshape(cols, other)
+    c = _array(rng, p, cols, other)
     image = matmul_by_numpy(a, c, p)
     assert _same(linalg.matmul(m, linalg.normalize(c, p), p), image)
     assert _same(linalg.solve(m, linalg.normalize(image, p), p), solve_by_numpy(a, image, p))
@@ -281,16 +287,14 @@ def test_kernels_match_their_numpy_references(p, rows, cols, rank, other, rng):
 def test_kernels_keep_empty_shapes_and_report_inconsistency(p, rows, cols):
     """The column count of a matrix with no rows survives every kernel, and
     an inconsistent system has no solution under either implementation."""
-    zero = linalg.zeros(rows, cols)
-    a = np.zeros((rows, cols), dtype=np.int64)
+    zero, a = linalg.zeros(rows, cols), _zeros(rows, cols)
+    assert zero.T.shape == (cols, rows)
     assert _same(linalg.rref(zero, p)[0], rref_by_numpy(a, p)[0])
     assert _same(linalg.nullspace(zero, p), nullspace_by_numpy(a, p))
-    assert _same(linalg.matmul(zero, linalg.zeros(cols, 2), p), matmul_by_numpy(a, np.zeros((cols, 2), dtype=np.int64), p))
-    assert _same(linalg.matmul(linalg.zeros(2, rows), zero, p), matmul_by_numpy(np.zeros((2, rows), dtype=np.int64), a, p))
-    assert zero.T.shape == (cols, rows)
-    b = np.ones((rows, 1), dtype=np.int64)
-    assert _same(linalg.solve(zero, linalg.normalize(b, p), p), solve_by_numpy(a, b, p))
-    if rows:
-        assert linalg.solve(zero, linalg.normalize(b, p), p) is None
-    assert _same(linalg.solve(zero, linalg.zeros(rows, 2), p), solve_by_numpy(a, np.zeros((rows, 2), dtype=np.int64), p))
+    assert _same(linalg.matmul(zero, linalg.zeros(cols, 2), p), matmul_by_numpy(a, _zeros(cols, 2), p))
+    assert _same(linalg.matmul(linalg.zeros(2, rows), zero, p), matmul_by_numpy(_zeros(2, rows), a, p))
+    ones = np.ones((rows, 1), dtype=np.int64)
+    assert _same(linalg.solve(zero, linalg.normalize(ones, p), p), solve_by_numpy(a, ones, p))
+    assert (linalg.solve(zero, linalg.normalize(ones, p), p) is None) == (rows > 0)
+    assert _same(linalg.solve(zero, linalg.zeros(rows, 2), p), solve_by_numpy(a, _zeros(rows, 2), p))
     assert linalg.solve(zero, linalg.zeros(rows, 2), p).shape == (cols, 2)

@@ -63,8 +63,9 @@ def _system_by_numpy_kron(m, n):
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]
         eqs = np.zeros((n.dims[t] * m.dims[s], offsets[-1]), dtype=np.int64)
-        eqs[:, offsets[t] : offsets[t + 1]] += np.kron(np.eye(n.dims[t], dtype=np.int64), as_array(m.matrices[a]).T)
-        eqs[:, offsets[s] : offsets[s + 1]] -= np.kron(as_array(n.matrices[a]), np.eye(m.dims[s], dtype=np.int64))
+        m_a, n_a = as_array(m.matrices[a]), as_array(n.matrices[a])
+        eqs[:, offsets[t] : offsets[t + 1]] += np.kron(np.eye(n.dims[t], dtype=np.int64), m_a.T)
+        eqs[:, offsets[s] : offsets[s + 1]] -= np.kron(n_a, np.eye(m.dims[s], dtype=np.int64))
         rows.append(eqs)
     return np.concatenate(rows) % p
 

@@ -98,8 +98,8 @@ def _sub_contexts(parent, limit: int = 3):
 
 def test_trusted_constructor_inputs_are_reduced(trusted_inputs):
     """Every validate=False input met while building the tier-1 exact, stable
-    and sub contexts and verifying the theorem on them is a reduced int64
-    Matrix of the declared shape.  The algebras are fresh, so that no cache
+    and sub contexts and verifying the theorem on them is a reduced Matrix
+    of the declared shape.  The algebras are fresh, so that no cache
     built before the wrap hides a construction."""
     algebras = {
         "a2": parse_algebra(A2_SPEC),
