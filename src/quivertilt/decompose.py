@@ -98,8 +98,8 @@ def radical_basis(endos: list[ModuleMap], p: int) -> list[tuple]:
     rad = cur
     # certification: two-sided ideal, nilpotent
     rad_mats = [coord_to_matrix(c) for c in rad]
-    # the flattened radical, one column per member (rows transposed)
-    rad_flat = linalg.Matrix(tuple(sum(m.rows, ()) for m in rad_mats), n * n).T
+    # the flattened radical, one column per member
+    rad_flat = linalg.from_columns((sum(m.rows, ()) for m in rad_mats), n * n)
 
     def in_rad_span(mat):
         return linalg.solve(rad_flat, sum(mat.rows, ()), p) is not None if rad else mat.is_zero()
@@ -135,17 +135,11 @@ class _QuotientAlgebra:
         self.p = p
         self.endos = endos
         dim_e = len(endos)
-        self.quot = linalg.QuotientSpace(dim_e, linalg.Matrix(tuple(rad_coords), dim_e).T, p)
+        self.quot = linalg.QuotientSpace(dim_e, linalg.from_columns(rad_coords, dim_e), p)
         self.dim = self.quot.dim
         flats = tuple(f.flatten() for f in endos)
-        self.basis_flat = linalg.Matrix(flats, len(flats[0])).T
+        self.basis_flat = linalg.from_columns(flats, len(flats[0]))
         self.acts = [action_matrix(f) for f in endos]
-
-    def lift(self, qcoords) -> tuple:
-        return self.quot.lift(qcoords)
-
-    def to_q(self, ecoords) -> tuple:
-        return self.quot.to_coords(ecoords)
 
     def mult_e(self, a, b) -> tuple:
         """Product in End, both in endo-basis coordinates."""
@@ -166,11 +160,11 @@ class _QuotientAlgebra:
         return sol
 
     def is_commutative(self) -> bool:
-        reps = [self.lift(e) for e in linalg.eye(self.dim).rows]
+        reps = [self.quot.lift(e) for e in linalg.eye(self.dim).rows]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                ab = self.to_q(self.mult_e(reps[i], reps[j]))
-                ba = self.to_q(self.mult_e(reps[j], reps[i]))
+                ab = self.quot.to_coords(self.mult_e(reps[i], reps[j]))
+                ba = self.quot.to_coords(self.mult_e(reps[j], reps[i]))
                 if ab != ba:
                     return False
         return True
@@ -179,12 +173,12 @@ class _QuotientAlgebra:
         """dim of {x : x^p = x}; counts the simple factors when commutative."""
         cols = []
         for unit in linalg.eye(self.dim).rows:
-            e = self.lift(unit)
+            e = self.quot.lift(unit)
             power = e
             for _ in range(self.p - 1):
                 power = self.mult_e(power, e)
-            cols.append(self.to_q(power))
-        frob = linalg.Matrix(tuple(cols), self.dim).T
+            cols.append(self.quot.to_coords(power))
+        frob = linalg.from_columns(cols, self.dim)
         ident = linalg.eye(self.dim)
         return linalg.nullspace(linalg.combination((1, -1), (frob, ident), self.p, frob.shape), self.p).ncols
 

@@ -94,6 +94,11 @@ def column(v) -> Matrix:
     return Matrix(tuple((x,) for x in v), 1)
 
 
+def from_columns(vectors, nrows: int) -> Matrix:
+    """The nrows-row matrix whose columns are the given tuples."""
+    return Matrix(tuple(vectors), nrows).T
+
+
 def from_flat(flat: tuple, rows: int, cols: int) -> Matrix:
     """The rows x cols matrix with row-major entries flat."""
     return Matrix(tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)), cols)

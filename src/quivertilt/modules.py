@@ -230,12 +230,10 @@ class HomQuotient:
         if ncols == 0:
             self.quot = linalg.QuotientSpace(0, linalg.zeros(0, 0), self.p)
         else:
-            # The matrices with given columns, as transposes of those with
-            # them as rows.
-            flats = tuple(f.flatten() for f in self.basis)
-            self._basis_mat = linalg.Matrix(flats, len(flats[0])).T
-            cols = tuple(self._basis_coords(g.compose(k)) for g in hom_basis(k.target, n))
-            self.quot = linalg.QuotientSpace(ncols, linalg.Matrix(cols, ncols).T, self.p)
+            flats = [f.flatten() for f in self.basis]
+            self._basis_mat = linalg.from_columns(flats, len(flats[0]))
+            cols = [self._basis_coords(g.compose(k)) for g in hom_basis(k.target, n)]
+            self.quot = linalg.QuotientSpace(ncols, linalg.from_columns(cols, ncols), self.p)
         self.dim = self.quot.dim
 
     def _basis_coords(self, f: ModuleMap) -> tuple:

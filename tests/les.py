@@ -56,16 +56,11 @@ def lift_through_epi(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
         if f.is_zero():
             return zero_map(f.source, epi.source)
         raise RuntimeError("no maps available to lift through the surjection")
-    mat = _from_columns([epi.compose(g).flatten() for g in basis], len(f.flatten()))
+    mat = linalg.from_columns([epi.compose(g).flatten() for g in basis], len(f.flatten()))
     sol = linalg.solve(mat, f.flatten(), p)
     if sol is None:
         raise RuntimeError("lift through surjection does not exist")
     return linear_combination(basis, sol)
-
-
-def _from_columns(cols, nrows: int) -> linalg.Matrix:
-    """The nrows-row matrix with the given columns."""
-    return linalg.Matrix(tuple(cols), nrows).T
 
 
 class _HomNode:
@@ -82,14 +77,14 @@ class _HomNode:
         if not (self.dim and target.dim):
             return linalg.zeros(target.dim, self.dim)
         flats = [g.flatten() for g in target.basis]
-        tgt = _from_columns(flats, len(flats[0]))
+        tgt = linalg.from_columns(flats, len(flats[0]))
         cols = []
         for g in self.basis:
             sol = linalg.solve(tgt, f.compose(g).flatten(), p)
             if sol is None:
                 raise ContextError("postcomposition escaped the hom space")
             cols.append(sol)
-        return _from_columns(cols, target.dim)
+        return linalg.from_columns(cols, target.dim)
 
 
 class _QuotientNode:
@@ -103,8 +98,9 @@ class _QuotientNode:
         self.dim = self.space.dim
 
     def postcompose_matrix(self, f: ModuleMap, target: "_QuotientNode") -> linalg.Matrix:
-        return _from_columns([class_of(target.space, f.compose(self.space.representative(coords)))
-                              for coords in linalg.eye(self.dim).rows], target.dim)
+        cols = [class_of(target.space, f.compose(self.space.representative(coords)))
+                for coords in linalg.eye(self.dim).rows]
+        return linalg.from_columns(cols, target.dim)
 
 
 def _covariant_nodes_and_maps(ctx: Context, conf: Conflation, x_rep: Representation, depth: int):
@@ -186,7 +182,7 @@ def _precompose_matrix(src_node, tgt_node, f: ModuleMap, p: int) -> linalg.Matri
         else:
             rep_map = src_node.space.representative(coords)
             cols.append(class_of(tgt_node.space, rep_map.compose(f)))
-    return _from_columns(cols, tgt_node.dim)
+    return linalg.from_columns(cols, tgt_node.dim)
 
 
 def _hom_class(node: _HomNode, f: ModuleMap, p: int) -> tuple:
@@ -195,7 +191,7 @@ def _hom_class(node: _HomNode, f: ModuleMap, p: int) -> tuple:
             raise ContextError("precomposition escaped the hom space")
         return ()
     flats = [g.flatten() for g in node.basis]
-    sol = linalg.solve(_from_columns(flats, len(flats[0])), f.flatten(), p)
+    sol = linalg.solve(linalg.from_columns(flats, len(flats[0])), f.flatten(), p)
     if sol is None:
         raise ContextError("precomposition escaped the hom space")
     return sol

@@ -784,7 +784,7 @@ def cokernel_by_unit_vectors(f):
         dims.append(quot.dim)
         # column c of the projection is the unit vector e_c reduced
         cols = tuple(quot.to_coords(e) for e in linalg.eye(rep.dims[v]).rows)
-        projections.append(linalg.Matrix(cols, quot.dim).T)
+        projections.append(linalg.from_columns(cols, quot.dim))
     mats = []
     for a in range(q.n_arrows):
         s, t = q.arrow_source[a], q.arrow_target[a]

@@ -118,7 +118,7 @@ def test_nonsplit_conflation_has_no_retraction(exact_contexts, stable_contexts):
                     if not basis:
                         assert conf.a_rep.total_dim > 0
                         continue
-                    mat = linalg.Matrix(tuple(g.compose(conf.x).flatten() for g in basis), len(ident)).T
+                    mat = linalg.from_columns([g.compose(conf.x).flatten() for g in basis], len(ident))
                     assert (
                         linalg.solve(mat, ident, ctx.algebra.p) is None
                     ), (name, conf.describe())

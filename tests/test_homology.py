@@ -168,7 +168,7 @@ def test_right_approximation_factorization_law(a3_rad2):
                 if not lifts:
                     assert f.is_zero()
                     continue
-                mat = linalg.Matrix(tuple(h.compose(g).flatten() for g in lifts), len(f.flatten())).T
+                mat = linalg.from_columns([h.compose(g).flatten() for g in lifts], len(f.flatten()))
                 assert linalg.solve(mat, f.flatten(), p) is not None
 
 

@@ -88,7 +88,7 @@ def test_endomorphisms_contain_identity(a2):
     p1 = projective_module(a2, 1)
     basis = hom_basis(p1, p1)
     ident = identity_map(p1).flatten()
-    mat = linalg.Matrix(tuple(f.flatten() for f in basis), len(ident)).T
+    mat = linalg.from_columns([f.flatten() for f in basis], len(ident))
     assert linalg.solve(mat, ident, a2.p) is not None
 
 
