@@ -53,11 +53,13 @@ def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
     )
     parser.add_argument("--field", type=int,
                         help="prime field characteristic (default: the spec's field line, else 2)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seeds the splitting hunt, on which no answer depends, and "
+                        "search-nakayama's candidate sampling")
     parser.add_argument("--budget", type=int, default=10000, help="most indecomposables to enumerate")
     parser.add_argument("--subset-budget", type=int, default=1 << 20,
                         help="most candidate subcategories each side of verify-theorem may visit; "
-                        "search-nakayama spends it in the cluster-tilting enumeration of each sub-context")
+                        "search-nakayama spends it on both enumerations of each sub-context")
     parser.add_argument("--format", choices=["text", "structured"], default="text")
     if with_context:
         parser.add_argument("--context", choices=["mod", "stable", "sub"], default="mod")

@@ -685,36 +685,23 @@ class _Pool:
 
     Two non-isomorphic modules with one fingerprint would share the sort key
     (total_dim, dims, fingerprint) that numbers the objects, so their ids
-    would depend on the order they were found in: that raises.  A pool given
-    its `reps` claims to be complete, and a module outside it raises."""
+    would depend on the order they were found in: that raises."""
 
-    def __init__(self, config: RunConfig, reps: list[Representation] | None = None):
+    def __init__(self, config: RunConfig):
         self.config = config
-        self.closed = reps is not None
         self.reps: list[Representation] = []
         self._by_fp: dict[tuple, int] = {}
-        for rep in reps or ():
-            self._append(rep)
 
-    def _append(self, rep: Representation) -> int:
-        self._by_fp[fingerprint(rep)] = len(self.reps)
-        self.reps.append(rep)
-        return len(self.reps) - 1
-
-    def index(self, rep: Representation, found_as: str) -> int:
+    def index(self, rep: Representation) -> int:
         """Pool index of the indecomposable rep, added when new."""
-        hit = self._by_fp.get(fingerprint(rep))
+        fp = fingerprint(rep)
+        hit = self._by_fp.get(fp)
         if hit is not None:
-            if indecomposable_isomorphic(self.reps[hit], rep, self.config.seed):
+            if indecomposable_isomorphic(self.reps[hit], rep):
                 return hit
             raise ContextError(
                 f"two indecomposables of dimension vector {rep.dims} share a "
                 "fingerprint, so object ids would depend on discovery order"
-            )
-        if self.closed:
-            raise ContextError(
-                f"the object list is not closed: {found_as} of dimension vector "
-                f"{rep.dims} is not in it"
             )
         if len(self.reps) >= self.config.enumeration_budget:
             raise ContextError(
@@ -722,14 +709,15 @@ class _Pool:
                 f"more remain; raise --budget (the algebra may be of infinite "
                 "representation type)"
             )
-        return self._append(rep)
+        self._by_fp[fp] = len(self.reps)
+        self.reps.append(rep)
+        return len(self.reps) - 1
 
-    def add_summands(self, rep: Representation, found_as: str) -> Counter:
+    def add_summands(self, rep: Representation) -> Counter:
         """Pool indices of the summands of rep, with multiplicities."""
         if not rep.total_dim:
             return Counter()
-        return Counter(self.index(piece, "a summand of " + found_as)
-                       for piece, _, _ in summand_split(rep, self.config.seed))
+        return Counter(self.index(piece) for piece in summand_split(rep, self.config.seed))
 
 
 def _class_lines(p: int, d: int):
@@ -837,8 +825,7 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
 
     Every module the pool gains is placed: its twists along each
     automorphism are looked up, which adds those not yet in the pool.  The
-    first module placed of each orbit leads it; in a pool given its
-    objects, that is the least id of each orbit.  The pool is seeded with
+    first module placed of each orbit leads it.  The pool is seeded with
     S_v, P_v and I_v and the summands of rad P_v = Omega S_v and
     I_v / soc I_v = Sigma S_v, for one vertex v of each vertex orbit.  Then
     each leader M gets tau M (unless projective) and tau^- M (unless
@@ -865,7 +852,7 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
     twisting is an exact autoequivalence that keeps projectives, so it
     commutes with tau, tau^-, radicals and almost split sequences.
 
-    The closed pool is every indecomposable.  It holds every projective
+    The finished pool is every indecomposable.  It holds every projective
     (the seeded P_v and their twists, which are the other P_w), and with
     each module M its AR neighbours: the summands of E_M (of rad M for a
     projective M) and of E_{tau^- M} (of M / soc M, seeded, for an
@@ -889,7 +876,7 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
     placed = 0
 
     def twist_of(i: int, k: int) -> int:
-        return pool.index(twist(pool.reps[i], autos[k], arrows[k]), "a twist of an object")
+        return pool.index(twist(pool.reps[i], autos[k], arrows[k]))
 
     def place():
         nonlocal placed
@@ -904,13 +891,13 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
                     mesh.twists[j] = [orbit[kl] if kl is not None else twist_of(j, k)
                                       for k, kl in enumerate(row[l] for row in product)]
 
-    def index(rep: Representation, found_as: str) -> int:
-        i = pool.index(rep, found_as)
+    def index(rep: Representation) -> int:
+        i = pool.index(rep)
         place()
         return i
 
-    def summands(rep: Representation, found_as: str) -> Counter:
-        ids = pool.add_summands(rep, found_as)
+    def summands(rep: Representation) -> Counter:
+        ids = pool.add_summands(rep)
         place()
         return ids
 
@@ -926,8 +913,7 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
         if i in ends:
             return None
         if i not in known:
-            found_as = "tau^- of an object" if inverse else "tau of an object"
-            j = index(ar_translate(pool.reps[i], inverse), found_as)
+            j = index(ar_translate(pool.reps[i], inverse))
             relate(*((i, j) if inverse else (j, i)))
         return known[i]
 
@@ -945,7 +931,7 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
                 break
             if t == z:
                 middle = _almost_split_middle(pool.reps[z], pool.reps[mesh.tau[z]])
-                record(mesh.middle, z, summands(middle, "an almost split middle term"))
+                record(mesh.middle, z, summands(middle))
                 break
             walk.append(t)
         for w in reversed(walk):
@@ -969,12 +955,12 @@ def _knit(pool: _Pool, algebra: BoundQuiverAlgebra) -> _Mesh:
         if v not in covered:
             covered.update(s[v] for s in autos)
             simple = simple_module(algebra, vid)
-            index(simple, f"S{vid}")
-            seeds.append((vid, simple, index(projective_module(algebra, vid), f"P{vid}")))
-            injective.update(mesh.twists[index(injective_module(algebra, vid), f"I{vid}")])
-    for vid, simple, pv in seeds:
-        record(mesh.rad, pv, summands(syzygy(simple), f"rad P{vid}"))
-        summands(cosyzygy(simple), f"I{vid} / soc I{vid}")
+            index(simple)
+            seeds.append((simple, index(projective_module(algebra, vid))))
+            injective.update(mesh.twists[index(injective_module(algebra, vid))])
+    for simple, pv in seeds:
+        record(mesh.rad, pv, summands(syzygy(simple)))
+        summands(cosyzygy(simple))
     i = 0
     while i < len(pool.reps):
         if i in leaders:

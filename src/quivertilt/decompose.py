@@ -218,27 +218,17 @@ def _apply_poly_to_endo(f: ModuleMap, poly: list[int]) -> ModuleMap:
 
 
 def _split_by_idempotent(m: Representation, e: ModuleMap):
-    """Split m as im e + im (1 - e): (A, incl_a, retr_a, B, incl_b, retr_b)."""
+    """The subrepresentations on im e and im (1 - e); raises unless, at each
+    vertex, their bases side by side form an invertible matrix."""
     from .modules import _subspace_with_induced_action
 
     p = m.algebra.p
     one_minus = identity_map(m).add(e.negate())
     bases_a = [linalg.column_space_basis(b, p) for b in e.blocks]
     bases_b = [linalg.column_space_basis(b, p) for b in one_minus.blocks]
-    a_rep, a_incl = _subspace_with_induced_action(m, bases_a)
-    b_rep, b_incl = _subspace_with_induced_action(m, bases_b)
-    retr_a_blocks = []
-    retr_b_blocks = []
-    for v in range(len(m.dims)):
-        inv = linalg.inverse(linalg.hstack([bases_a[v], bases_b[v]]), p)
-        if inv is None:
-            raise DecompositionError("idempotent images do not split the module")
-        da = bases_a[v].ncols
-        retr_a_blocks.append(linalg.Matrix(inv.rows[:da], inv.ncols))
-        retr_b_blocks.append(linalg.Matrix(inv.rows[da:], inv.ncols))
-    retr_a = ModuleMap(m, a_rep, retr_a_blocks, validate=False)
-    retr_b = ModuleMap(m, b_rep, retr_b_blocks, validate=False)
-    return a_rep, a_incl, retr_a, b_rep, b_incl, retr_b
+    if not all(linalg.is_invertible(linalg.hstack([a, b]), p) for a, b in zip(bases_a, bases_b)):
+        raise DecompositionError("idempotent images do not split the module")
+    return _subspace_with_induced_action(m, bases_a)[0], _subspace_with_induced_action(m, bases_b)[0]
 
 
 # Random candidates of the second hunt on a module that is not certified local.
@@ -290,33 +280,30 @@ def _is_certified_local(m: Representation, endos: list[ModuleMap]) -> bool:
 # -- decomposition -----------------------------------------------------------
 
 
-def summand_split(m: Representation, seed: int = 0):
-    """All indecomposable summands with inclusion and retraction maps.
-
-    Returns a list of (piece, inclusion, retraction); retr o incl = id piece.
-    """
+def summand_split(m: Representation, seed: int = 0) -> list[Representation]:
+    """The indecomposable summands of m, sorted by dimension vector.  The
+    seed feeds the hunt's random candidates: it may change the bases the
+    pieces carry, never their isomorphism classes."""
     rng = linalg.stable_rng(seed, 1)
     out = []
-    bound = 4 * max(m.total_dim, 1)
-    ident = identity_map(m)
-    _split_rec(m, ident, ident, out, rng, bound)
-    out.sort(key=lambda t: (t[0].dims, -t[0].total_dim))
+    _split_rec(m, out, rng, 4 * max(m.total_dim, 1))
+    out.sort(key=lambda piece: (piece.dims, -piece.total_dim))
     return out
 
 
-def _split_rec(piece, incl, retr, out, rng, bound, depth=0):
+def _split_rec(piece, out, rng, bound, depth=0):
     if piece.total_dim == 0:
         return
     if depth > bound:
         raise DecompositionError("splitting recursion exceeded its depth bound")
     endos = hom_basis(piece, piece)
     if len(endos) == 1:
-        out.append((piece, incl, retr))
+        out.append(piece)
         return
     e = _hunt_idempotent(piece, endos, rng)
     if e is None:
         if _is_certified_local(piece, endos):
-            out.append((piece, incl, retr))
+            out.append(piece)
             return
         e = _hunt_idempotent(piece, endos, rng, draws=_RETRY_DRAWS)
         if e is None:
@@ -324,44 +311,23 @@ def _split_rec(piece, incl, retr, out, rng, bound, depth=0):
                 "no locality certificate and no splitting found "
                 f"for a module of dimension vector {piece.dims}"
             )
-    a, ia, ra, b, ib, rb = _split_by_idempotent(piece, e)
-    _split_rec(a, incl.compose(ia), ra.compose(retr), out, rng, bound, depth + 1)
-    _split_rec(b, incl.compose(ib), rb.compose(retr), out, rng, bound, depth + 1)
+    for half in _split_by_idempotent(piece, e):
+        _split_rec(half, out, rng, bound, depth + 1)
 
 
 # -- isomorphism testing -----------------------------------------------------
 
 
-def _random_invertible_combo(maps: list[ModuleMap], rng: random.Random, p: int, tries: int):
-    for _ in range(tries):
-        coeffs = [rng.randrange(p) for _ in maps]
-        if any(coeffs):
-            combo = linear_combination(maps, coeffs)
-            if combo.is_iso():
-                return combo
-    return None
+def indecomposable_isomorphic(a: Representation, b: Representation) -> bool:
+    """Whether the indecomposables a and b are isomorphic: whether some map
+    of the basis of Hom(a, b) is an isomorphism.
 
-
-def indecomposable_isomorphic(a: Representation, b: Representation, seed: int = 0) -> bool:
-    """Exact isomorphism test assuming both inputs are indecomposable."""
-    if a.dims != b.dims:
-        return False
-    if a.total_dim == 0:
-        return True
-    p = a.algebra.p
-    ab = hom_basis(a, b)
-    if not ab:
-        return False
-    # an invertible map settles it; Hom(b, a) is needed only when none is drawn
-    rng = linalg.stable_rng(seed, 2, a.dims)
-    if _random_invertible_combo(ab, rng, p, 24) is not None:
-        return True
-    ba = hom_basis(b, a)
-    if len(ab) != len(ba):
-        return False
-    # deterministic: End(a) is local, so a ~ b iff g o f is invertible for
-    # some basis maps f: a -> b and g: b -> a (a sum of non-units is one)
-    return any(g.compose(f).is_iso() for f in ab for g in ba)
+    The scan is exact.  End(a) of an indecomposable of finite length is
+    local (Fitting's lemma; Auslander-Reiten-Smalo, ch. I).  So for an
+    isomorphism phi: a -> b, the maps a -> b that are not isomorphisms are
+    phi rad End(a), a proper subspace of Hom(a, b), and no basis lies in a
+    proper subspace."""
+    return a.dims == b.dims and any(f.is_iso() for f in hom_basis(a, b))
 
 
 # -- fingerprints ------------------------------------------------------------

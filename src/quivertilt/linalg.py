@@ -208,20 +208,6 @@ def solve(a: Matrix, b, p: int):
     return tuple(row[0] for row in x) if vector else Matrix(tuple(x), b.ncols)
 
 
-def inverse(a: Matrix, p: int) -> Matrix | None:
-    n = len(a.rows)
-    if a.shape != (n, n):
-        return None
-    if n == 0:
-        return zeros(0, 0)
-    x = solve(a, eye(n), p)
-    if x is None:
-        return None
-    if matmul(a, x, p) != eye(n):
-        return None
-    return x
-
-
 def is_invertible(a: Matrix, p: int) -> bool:
     return len(a.rows) == a.ncols and rank(a, p) == a.ncols
 

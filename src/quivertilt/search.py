@@ -163,10 +163,11 @@ def search_nakayama_stable(
             continue
         try:
             tilting = [s.ids for s in enumerate_cluster_tilting(sub, ct_degree) if len(s.ids) == ct_size]
+            # one verify_theorem report per sub-context with hits, shared by them
+            theorem = verify_theorem(sub, ct_degree - 1) if verify_hits and tilting else None
         except ContextError as exc:
             report["candidates_skipped"].append({"subset_size": len(subset), "reason": str(exc)})
             continue
-        theorem = None  # one verify_theorem report per sub-context, shared by its hits
         for x_ids in sorted(tilting, key=sorted):
             verdict = check_cluster_tilting(sub, x_ids, ct_degree)
             cot = check_n_cotorsion(sub, x_ids, x_ids, ct_degree - 1)
@@ -178,8 +179,6 @@ def search_nakayama_stable(
                 "diagonal_cotorsion_verdict": cot.to_dict(),
             }
             if verify_hits:
-                if theorem is None:
-                    theorem = verify_theorem(sub, ct_degree - 1)
                 hit["theorem_report"] = theorem
                 hit["theorem_concurs"] = bool(
                     theorem["sets_equal"]

@@ -8,8 +8,8 @@ equivalence is a coboundary shift theta_a -> theta_a + N_a h_s - h_t M_a.
 No projective resolutions, covers or syzygies are involved, so this is a
 genuinely independent check of the resolution-based computation.
 
-`rref_by_numpy`, `rank_by_numpy`, `nullspace_by_numpy`, `solve_by_numpy`,
-`matmul_by_numpy` and `inverse_by_numpy` are the F_p kernels of `linalg` as
+`rref_by_numpy`, `rank_by_numpy`, `nullspace_by_numpy`, `solve_by_numpy`
+and `matmul_by_numpy` are the F_p kernels of `linalg` as
 they were on numpy int64 arrays, before the package dropped numpy for
 Python ints: the same first-nonzero pivot rule, one vectorized update of
 every row per pivot.  `as_array` turns a `linalg.Matrix` into such an array,
@@ -106,12 +106,15 @@ composite of two already placed gets the composite of their images.
 `is_isomorphic` was `decompose.is_isomorphic`, the isomorphism test of
 arbitrary modules from before contexts named modules by Hom vectors: a
 seeded random search for an invertible map (`linalg.stable_rng` tag 3, as
-before), then splitting both modules and matching the pieces with
+before, by `_random_invertible_combo`, the search that
+`decompose.indecomposable_isomorphic` made before it scanned a basis of
+Hom), then splitting both modules and matching the pieces with
 `decompose.indecomposable_isomorphic`.
 
 `decompose` was `decompose.decompose`: the Krull-Schmidt summands of a
 module with multiplicities, split by `decompose.summand_split` with the
-given seed and grouped by `indecomposable_isomorphic`.
+given seed and grouped by `indecomposable_isomorphic`, which takes no
+seed.
 
 `StableHomSpace` and `stable_hom_dim` are stable Hom as `stable` computed it
 before stable conflations became short exact sequences: Hom(m, n) modulo the
@@ -168,12 +171,7 @@ from quivertilt.algebra import (
     vertex_automorphisms,
 )
 from quivertilt.contexts import Context, ContextError, ExactExtSpace, _almost_split_middle
-from quivertilt.decompose import (
-    _random_invertible_combo,
-    fingerprint,
-    indecomposable_isomorphic,
-    summand_split,
-)
+from quivertilt.decompose import fingerprint, indecomposable_isomorphic, summand_split
 from quivertilt.homology import ar_translate, cosyzygy, ext_dim, injective_hull, minimal_resolution, syzygy
 from quivertilt.modules import (
     HomQuotient,
@@ -264,18 +262,6 @@ def solve_by_numpy(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     x = np.zeros((cols, b.shape[1]), dtype=np.int64)
     for i, pc in enumerate(pivots):
         x[pc] = r[i, cols:]
-    return x
-
-
-def inverse_by_numpy(a: np.ndarray, p: int) -> np.ndarray | None:
-    n = a.shape[0]
-    if a.shape != (n, n):
-        return None
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    x = solve_by_numpy(a, np.eye(n, dtype=np.int64), p)
-    if x is None or not np.array_equal(matmul_by_numpy(a, x, p), np.eye(n, dtype=np.int64)):
-        return None
     return x
 
 
@@ -377,10 +363,10 @@ def identify_by_splitting(ctx, rep: Representation) -> Counter:
     if rep.total_dim == 0:
         return out
     stable = ctx.root_kind == "stable"
-    for piece, _, _ in summand_split(rep, seed):
+    for piece in summand_split(rep, seed):
         if stable and is_end_by_search(piece):
             continue
-        matches = [o.index for o in ctx.objects if indecomposable_isomorphic(o.rep, piece, seed)]
+        matches = [o.index for o in ctx.objects if indecomposable_isomorphic(o.rep, piece)]
         if len(matches) != 1:
             raise AssertionError(f"summand {piece.dims} matches objects {matches}")
         out[matches[0]] += 1
@@ -587,6 +573,18 @@ def stable_realize_by_cone(c_rep: Representation, a_rep: Representation, coords,
     return b, cone_proj.compose(incl_n), iso.compose(connecting)
 
 
+def _random_invertible_combo(maps: list[ModuleMap], rng, p: int, tries: int) -> ModuleMap | None:
+    """The first of `tries` random nonzero combinations of maps that is an
+    isomorphism, or None."""
+    for _ in range(tries):
+        coeffs = [rng.randrange(p) for _ in maps]
+        if any(coeffs):
+            combo = linear_combination(maps, coeffs)
+            if combo.is_iso():
+                return combo
+    return None
+
+
 def _stable_iso(a: Representation, b: Representation, seed: int) -> ModuleMap | None:
     """An isomorphism a -> b by a seeded random search over Hom(a, b), then
     by walking every combination when there are few."""
@@ -627,7 +625,7 @@ def enumerate_by_ext_closure(algebra) -> list[Representation]:
     pool: list[Representation] = []
 
     def register(rep):
-        for piece, _, _ in summand_split(rep):
+        for piece in summand_split(rep):
             if not any(fingerprint(k) == fingerprint(piece) and indecomposable_isomorphic(k, piece)
                        for k in pool):
                 pool.append(piece)
@@ -886,7 +884,7 @@ def strip_by_splitting(m: Representation, seed: int = 0) -> Representation:
     """The sum of the summands of m that are not projective, by splitting."""
     if m.total_dim == 0:
         return m
-    kept = [piece for piece, _, _ in summand_split(m, seed) if not is_end(piece)]
+    kept = [piece for piece in summand_split(m, seed) if not is_end(piece)]
     return direct_sum(kept)[0] if kept else zero_representation(m.algebra)
 
 
@@ -894,7 +892,6 @@ def labels_by_search(ctx) -> list[tuple[str, tuple[str, ...]]]:
     """(label, aliases) per object: P<v>, I<v> and S<v> for every vertex v in
     order whose module is isomorphic to the object, else label m<k>."""
     algebra = ctx.algebra
-    seed = ctx.config.seed
     named = []
     for v in algebra.quiver.vertex_ids:
         named.append((f"P{v}", projective_module(algebra, v)))
@@ -903,7 +900,7 @@ def labels_by_search(ctx) -> list[tuple[str, tuple[str, ...]]]:
     out = []
     for o in ctx.objects:
         aliases = tuple(name for name, rep in named
-                        if rep.dims == o.rep.dims and indecomposable_isomorphic(o.rep, rep, seed))
+                        if rep.dims == o.rep.dims and indecomposable_isomorphic(o.rep, rep))
         out.append((aliases[0] if aliases else f"m{o.index}", aliases))
     return out
 
@@ -913,7 +910,7 @@ def middle_terms_by_splitting(reps: list[Representation], config) -> dict[int, C
     non-projective Z: the middle term of the realized almost split sequence
     0 -> tau Z -> E_Z -> Z -> 0, split, each piece matched by isomorphism."""
     def identify(piece):
-        matches = [j for j, x in enumerate(reps) if indecomposable_isomorphic(x, piece, config.seed)]
+        matches = [j for j, x in enumerate(reps) if indecomposable_isomorphic(x, piece)]
         if len(matches) != 1:
             raise AssertionError(f"summand {piece.dims} matches modules {matches}")
         return matches[0]
@@ -922,7 +919,7 @@ def middle_terms_by_splitting(reps: list[Representation], config) -> dict[int, C
     for z, rep in enumerate(reps):
         if not is_end_by_search(rep):
             middle = _almost_split_middle(rep, ar_translate(rep))
-            out[z] = Counter(identify(piece) for piece, _, _ in summand_split(middle, config.seed))
+            out[z] = Counter(identify(piece) for piece in summand_split(middle, config.seed))
     return out
 
 
@@ -971,14 +968,14 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
     rng = linalg.stable_rng(seed, 3, m.dims)
     if _random_invertible_combo(maps, rng, p, 24) is not None:
         return True
-    left = [t[0] for t in summand_split(m, seed)]
-    right = [t[0] for t in summand_split(n, seed)]
+    left = summand_split(m, seed)
+    right = summand_split(n, seed)
     if len(left) != len(right):
         return False
     used = [False] * len(right)
     for piece in left:
         for j, other in enumerate(right):
-            if not used[j] and indecomposable_isomorphic(piece, other, seed):
+            if not used[j] and indecomposable_isomorphic(piece, other):
                 used[j] = True
                 break
         else:
@@ -988,11 +985,10 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
 
 def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, int]]:
     """Non-isomorphic indecomposable summands with multiplicities."""
-    pieces = [t[0] for t in summand_split(m, seed)]
     groups: list[tuple[Representation, int]] = []
-    for piece in pieces:
+    for piece in summand_split(m, seed):
         for i, (rep, mult) in enumerate(groups):
-            if indecomposable_isomorphic(rep, piece, seed=seed):
+            if indecomposable_isomorphic(rep, piece):
                 groups[i] = (rep, mult + 1)
                 break
         else:

@@ -63,6 +63,29 @@ def test_structured_output_does_not_depend_on_the_hash_seed():
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+@pytest.mark.parametrize("command", [
+    ["objects", "--nakayama", "4,3", "--context", "stable"],
+    ["verify-theorem", "--nakayama", "4,3", "-n", "2", "--field", "3"],
+    ["verify-theorem", "--nakayama", "1,4", "--field", "3", "-n", "1"],
+    ["ext-table", "--nakayama", "4,3", "--kmax", "2"],
+])
+def test_no_answer_depends_on_the_seed(command):
+    """The seed feeds only the splitting hunt's random candidates (and
+    search-nakayama's sampling, left out here), so the result block is the
+    same for every seed; each run is a fresh interpreter, with no cache
+    shared between seeds."""
+    results = []
+    for seed in ("0", "1", "7"):
+        argv = [sys.executable, "-m", "quivertilt.cli", *command, "--seed", seed, "--format", "structured"]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["config"]["seed"] == int(seed)
+        results.append(doc["result"])
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 @pytest.fixture
 def f3_spec(tmp_path):
     path = tmp_path / "a2_f3.alg"
@@ -157,6 +180,28 @@ def test_subset_budget_names_its_flag(capsys):
     assert out == ""
     assert err == ("error: cotorsion enumeration visited 2 candidate subsets, "
                    "more than the subset budget 1; raise --subset-budget\n")
+
+
+def test_a_budget_error_in_the_search_cross_check_skips_the_candidate(capsys):
+    """At --subset-budget 20 the full stable nak(4,3) has its hits, but the
+    cotorsion enumeration of its verify_theorem cross-check overruns: the
+    candidate is skipped with the reason, as an overrun of the search's own
+    cluster-tilting enumeration is at 10, and the search still exits 0."""
+    reasons = {}
+    for budget in ("20", "10"):
+        status, out, err = _run(["search-nakayama", "4", "3", "--ct-size", "2", "--ct-degree", "3",
+                                 "--generator-samples", "5", "--subset-budget", budget,
+                                 "--format", "structured"], capsys)
+        assert status == 0, err
+        result = json.loads(out)["result"]
+        assert result["hit_count"] == 0
+        reasons[budget] = [s["reason"] for s in result["candidates_skipped"] if s["subset_size"] == 8]
+    assert reasons == {
+        "20": ["cotorsion enumeration visited 21 candidate subsets, more than the subset budget 20; "
+               "raise --subset-budget"],
+        "10": ["cluster-tilting enumeration visited 11 candidate subsets, more than the subset budget 10; "
+               "raise --subset-budget"],
+    }
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,6 @@ from quivertilt.contexts import (
     HomVectors,
     RunConfig,
     _integer_inverse,
-    _knit,
     _knitted,
     _Pool,
     build_exact_context,
@@ -421,19 +420,6 @@ def test_sort_keys_are_distinct(exact_contexts, stable_contexts, stable_nak104):
     for ctx in [*exact_contexts.values(), *stable_contexts.values(), stable_nak104]:
         keys = [(o.rep.total_dim, o.rep.dims, fingerprint(o.rep)) for o in ctx.objects]
         assert len(set(keys)) == len(keys)
-
-
-def test_knitting_a_pool_with_an_object_missing_names_it(exact_contexts):
-    """A finished pool passes the closure as a closed pool; without any one
-    object it fails, naming that object's dimension vector."""
-    for name, ctx in exact_contexts.items():
-        reps = [o.rep for o in ctx.objects]
-        _knit(_Pool(ctx.config, reps), ctx.algebra)
-        for dropped in range(len(reps)):
-            pool = _Pool(ctx.config, reps[:dropped] + reps[dropped + 1:])
-            with pytest.raises(ContextError, match="not closed") as err:
-                _knit(pool, ctx.algebra)
-            assert str(reps[dropped].dims) in str(err.value), (name, ctx.object_names[dropped])
 
 
 def test_mesh_tables_match_the_direct_tables(exact_contexts, stable_contexts, stable_nak104):

@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every function of the package, at module level or a method of a
 module-level class, is used somewhere in it: a private one anywhere in the
-package, a public one in a module other than `__init__`.  A function that
-only the tests reach lives in the tests.
+package, a public one in a module other than `__init__`, and every
+parameter of a function or method of the package is read in its body.  A
+function that only the tests reach lives in the tests.  Dunder methods are
+left out of the parameter scan, since their protocols fix their signatures.
 
 `__init__.py` is left out of the import scan: its imports are the package's
 re-exports.
@@ -154,6 +156,50 @@ def test_no_dead_public_functions_in_the_package():
     only the tests reach belongs in the tests."""
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _dead_public_in_package(sources) == set()
+
+
+def _unused_parameters(source: str) -> list[str]:
+    """Parameters of a function or method, at any depth and not a dunder,
+    that its body never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}: {name} (line {node.lineno})" for name in params if name not in read]
+    return found
+
+
+def test_scan_finds_an_unused_parameter():
+    assert _unused_parameters("def f(a, *args, b=1, **kw):\n    return a, args, b, kw\n") == []
+    assert _unused_parameters("def f(a, b):\n    b = a\n    return a\n") == ["f: b (line 1)"]
+    assert _unused_parameters("class A:\n    def __eq__(self, other): return True\n"
+                              "    def g(self, x): return self\n") == ["g: x (line 3)"]
+    nested = "def f(a):\n    def g(b): return a\n    return g\n"
+    assert _unused_parameters(nested) == ["g: b (line 2)"]
+
+
+def test_scan_finds_an_unused_parameter_planted_in_the_package():
+    """The isomorphism test given back the seed it no longer reads."""
+    source = (PACKAGE / "decompose.py").read_text()
+    planted = source.replace("def indecomposable_isomorphic(a: Representation, b: Representation)",
+                             "def indecomposable_isomorphic(a: Representation, b: Representation, seed: int = 0)")
+    assert planted != source
+    assert [f.split(" (")[0] for f in _unused_parameters(planted)] == ["indecomposable_isomorphic: seed"]
+
+
+def test_no_unused_parameters_in_the_package():
+    unused = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _unused_parameters(path.read_text()))
+    }
+    assert unused == {}
 
 
 def test_cli_import_does_not_load_numpy():

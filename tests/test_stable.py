@@ -74,7 +74,7 @@ def test_loop_and_suspension_have_no_projective_summand(stable_contexts, stable_
         for o in ctx.objects:
             for shifted in (loop(o.rep), suspension(o.rep)):
                 pieces = summand_split(shifted)
-                assert len(pieces) == 1 and not is_end_by_search(pieces[0][0]), o.label
+                assert len(pieces) == 1 and not is_end_by_search(pieces[0]), o.label
 
 
 def test_one_loop_per_module(stable_contexts):
@@ -186,7 +186,7 @@ def _assert_core_matches_splitting(ctx, m, embeddings, where):
     assert all(f.is_mono() for f in embeddings), where
     assert core.dims == expected.dims, where
     assert ctx.identify_sum(core) == ctx.identify_sum(expected), where
-    assert not any(is_end(piece) for piece, _, _ in summand_split(core)), where
+    assert not any(is_end(piece) for piece in summand_split(core)), where
 
 
 def test_strip_of_cones_matches_splitting(stable_roots_by_prime, embeddings):
