@@ -16,8 +16,6 @@ spanned by the normal paths with source i.  This pins dim Hom(P_i, M) = dim M_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 
 DEFAULT_MAX_PATH_LENGTH = 64
@@ -43,14 +41,16 @@ def path_key(path: Path) -> tuple:
     return (len(path[1]), path[1], path[0])
 
 
-@dataclass(frozen=True)
 class Quiver:
-    vertex_ids: tuple[int, ...]
-    arrow_names: tuple[str, ...]
-    arrow_source: tuple[int, ...]  # vertex indices
-    arrow_target: tuple[int, ...]
+    """Vertex ids, arrow names, and each arrow's source and target as vertex
+    indices.  Equal, and hashed, by the four tuples; no attribute is rebound."""
 
-    def __post_init__(self):
+    __slots__ = ("vertex_ids", "arrow_names", "arrow_source", "arrow_target")
+
+    def __init__(self, vertex_ids: tuple[int, ...], arrow_names: tuple[str, ...],
+                 arrow_source: tuple[int, ...], arrow_target: tuple[int, ...]):
+        self.vertex_ids, self.arrow_names = vertex_ids, arrow_names
+        self.arrow_source, self.arrow_target = arrow_source, arrow_target
         if len(set(self.vertex_ids)) != len(self.vertex_ids):
             raise AlgebraError("duplicate vertex ids")
         if len(set(self.arrow_names)) != len(self.arrow_names):
@@ -59,6 +59,15 @@ class Quiver:
         for s, t in zip(self.arrow_source, self.arrow_target):
             if not (0 <= s < n and 0 <= t < n):
                 raise AlgebraError("arrow endpoint is not a declared vertex")
+
+    def key(self) -> tuple:
+        return self.vertex_ids, self.arrow_names, self.arrow_source, self.arrow_target
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Quiver) and self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
     @property
     def n_vertices(self) -> int:
@@ -317,8 +326,7 @@ class BoundQuiverAlgebra:
             tuple(sorted(((pth, c) for pth, c in rel.items()), key=lambda t: path_key(t[0])))
             for rel in self.relations
         )
-        q = self.quiver
-        return (q.vertex_ids, q.arrow_names, q.arrow_source, q.arrow_target, self.p, rels)
+        return (*self.quiver.key(), self.p, rels)
 
     def __repr__(self):
         q = self.quiver

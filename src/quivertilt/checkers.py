@@ -97,7 +97,6 @@ side never restricts itself to maximal sets, which would assume the theorem.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .contexts import Context, ContextError, _as_counter
 
@@ -117,10 +116,20 @@ def within(value, bound: int) -> bool:
     return isinstance(value, int) and value <= bound
 
 
-@dataclass(frozen=True)
 class Subcat:
-    ctx: Context
-    ids: frozenset[int]
+    """add X for the objects X of `ctx` named by `ids`.  Equal, and hashed,
+    by the context and the ids; no attribute is rebound."""
+
+    __slots__ = ("ctx", "ids")
+
+    def __init__(self, ctx: Context, ids: frozenset[int]):
+        self.ctx, self.ids = ctx, ids
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subcat) and (self.ctx, self.ids) == (other.ctx, other.ids)
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.ids))
 
     @staticmethod
     def of(ctx: Context, ids) -> "Subcat":
@@ -136,13 +145,18 @@ class Subcat:
         return "add(" + "+".join(self.names()) + ")" if self.ids else "add(0)"
 
 
-@dataclass
 class Clause:
-    clause: str
-    passed: bool
-    mode: str  # "structural" | "tested" | "undecided"
-    witness: dict | None = None
-    note: str = ""
+    """One clause of a verdict; `mode` is "structural", "tested" or
+    "undecided".  Equal when every attribute is; no attribute is rebound."""
+
+    __slots__ = ("clause", "passed", "mode", "witness", "note")
+
+    def __init__(self, clause: str, passed: bool, mode: str, witness: dict | None = None, note: str = ""):
+        self.clause, self.passed, self.mode, self.witness, self.note = clause, passed, mode, witness, note
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Clause) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def to_dict(self) -> dict:
         out = {"clause": self.clause, "passed": self.passed, "mode": self.mode}
@@ -153,10 +167,17 @@ class Clause:
         return out
 
 
-@dataclass
 class Verdict:
-    passed: bool
-    clauses: list[Clause] = field(default_factory=list)
+    """Whether a check passed, and its clauses.  Equal when both are; no
+    attribute is rebound."""
+
+    __slots__ = ("passed", "clauses")
+
+    def __init__(self, passed: bool, clauses: list[Clause] | None = None):
+        self.passed, self.clauses = passed, [] if clauses is None else clauses
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Verdict) and (self.passed, self.clauses) == (other.passed, other.clauses)
 
     def to_dict(self) -> dict:
         return {"pass": self.passed, "clauses": [c.to_dict() for c in self.clauses]}
@@ -367,14 +388,8 @@ def check_n_cotorsion_side(ctx: Context, x_ids, y_ids, n: int, dual: bool = Fals
         raise ContextError("cotorsion degree must be >= 1")
     x_ids = frozenset(int(i) for i in x_ids)
     y_ids = frozenset(int(i) for i in y_ids)
-    clauses = [
-        Clause(
-            "summand-closure",
-            True,
-            "structural",
-            note="subcategories are additive closures of indecomposable sets",
-        )
-    ]
+    clauses = [Clause("summand-closure", True, "structural",
+                      note="subcategories are additive closures of indecomposable sets")]
     witness2 = _orthogonality_witness(ctx, x_ids, y_ids, n)
     ok2 = witness2 is None
     clauses.append(Clause("orthogonality", ok2, "tested", witness2))
@@ -415,14 +430,8 @@ def check_cluster_tilting(ctx: Context, x_ids, n: int) -> Verdict:
         raise ContextError("cluster-tilting degree must be >= 2")
     x_ids = frozenset(int(i) for i in x_ids)
     names = ctx.object_names
-    clauses = [
-        Clause(
-            "functorial-finiteness",
-            True,
-            "structural",
-            note="finite Hom-finite context: approximations exist as hom-basis sums",
-        )
-    ]
+    clauses = [Clause("functorial-finiteness", True, "structural",
+                      note="finite Hom-finite context: approximations exist as hom-basis sums")]
     passed = True
     for side, dual in (("right", False), ("left", True)):
         perp = orthogonal(ctx, x_ids, n - 1, dual)
@@ -438,9 +447,7 @@ def check_cluster_tilting(ctx: Context, x_ids, n: int) -> Verdict:
                 "cluster-tilting candidate passed without containing the "
                 "projectives and injectives; context is inconsistent"
             )
-        clauses.append(
-            Clause("contains-projectives-and-injectives", True, "tested")
-        )
+        clauses.append(Clause("contains-projectives-and-injectives", True, "tested"))
     return Verdict(passed, clauses)
 
 

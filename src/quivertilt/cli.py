@@ -68,30 +68,33 @@ def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
         parser.add_argument("--objects", help="comma-separated object ids for --context sub")
 
 
-def _build_config(args) -> RunConfig:
-    return RunConfig(
-        field_char=2 if args.field is None else args.field,
-        seed=args.seed,
-        enumeration_budget=args.budget,
-        subset_budget=args.subset_budget,
-    )
+def _build_config(args, field_char: int) -> RunConfig:
+    return RunConfig(field_char, args.seed, args.budget, args.subset_budget)
 
 
-def _load_algebra(args, config: RunConfig) -> BoundQuiverAlgebra:
+def _load_algebra(args) -> BoundQuiverAlgebra:
     if args.nakayama:
+        if args.algebra:
+            raise AlgebraError("--algebra and --nakayama exclude each other")
         try:
             n, r = (int(tok) for tok in args.nakayama.split(","))
         except ValueError:
             raise AlgebraError("--nakayama expects N,R") from None
-        return nakayama_cyclic(n, r, config.field_char)
+        return nakayama_cyclic(n, r, 2 if args.field is None else args.field)
     if not args.algebra:
         raise AlgebraError("provide --algebra FILE or --nakayama N,R")
     with open(args.algebra, encoding="utf-8") as fh:
         algebra = parse_algebra(fh.read())
     if args.field is not None and args.field != algebra.p:
         raise AlgebraError(f"--field {args.field} differs from the spec's field {algebra.p}")
-    config.field_char = algebra.p
     return algebra
+
+
+def _setup(args) -> tuple[RunConfig, BoundQuiverAlgebra, Context]:
+    """The run's configuration, its algebra, and the context the flags name."""
+    algebra = _load_algebra(args)
+    config = _build_config(args, algebra.p)
+    return config, algebra, _build_context(args, algebra, config)
 
 
 def _build_context(args, algebra: BoundQuiverAlgebra, config: RunConfig) -> Context:
@@ -173,9 +176,7 @@ def _render_value(value, indent: int) -> None:
 
 
 def cmd_objects(args) -> int:
-    config = _build_config(args)
-    algebra = _load_algebra(args, config)
-    ctx = _build_context(args, algebra, config)
+    config, algebra, ctx = _setup(args)
     listing = ctx.describe()
     listing["context"] = args.context
     _emit(args, config, algebra, listing, "objects")
@@ -185,9 +186,7 @@ def cmd_objects(args) -> int:
 def cmd_ext_table(args) -> int:
     if args.kmax < 1:
         raise ContextError("extension degree must be >= 1")
-    config = _build_config(args)
-    algebra = _load_algebra(args, config)
-    ctx = _build_context(args, algebra, config)
+    config, algebra, ctx = _setup(args)
     tables = {}
     for k in range(1, args.kmax + 1):
         tables[f"E^{k}"] = {
@@ -201,9 +200,7 @@ def cmd_ext_table(args) -> int:
 def cmd_check(args) -> int:
     if args.mode == "ct" and args.y is not None:
         raise ContextError("--y applies only to --mode cotorsion")
-    config = _build_config(args)
-    algebra = _load_algebra(args, config)
-    ctx = _build_context(args, algebra, config)
+    config, algebra, ctx = _setup(args)
     x_ids = _resolve_members(ctx, args.x)
     y_ids = _resolve_members(ctx, args.y) if args.y else None
     if args.mode == "ct":
@@ -224,9 +221,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    config = _build_config(args)
-    algebra = _load_algebra(args, config)
-    ctx = _build_context(args, algebra, config)
+    config, algebra, ctx = _setup(args)
     report = verify_theorem(ctx, args.degree)
     report["context"] = args.context
     _emit(args, config, algebra, report, "verify-theorem")
@@ -234,8 +229,8 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_search_nakayama(args) -> int:
-    config = _build_config(args)
-    algebra = nakayama_cyclic(args.vertices, args.nilpotency, config.field_char)
+    algebra = nakayama_cyclic(args.vertices, args.nilpotency, 2 if args.field is None else args.field)
+    config = _build_config(args, algebra.p)
     report = search_nakayama_stable(
         args.vertices,
         args.nilpotency,

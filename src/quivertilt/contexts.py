@@ -90,7 +90,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import mul
 
 from .algebra import (
@@ -140,14 +139,19 @@ class ContextError(Exception):
 EXHAUSTION_BOUND = 4096
 
 
-@dataclass
 class RunConfig:
-    """Budgets and reproducibility knobs shared by builders, checkers and CLI."""
+    """Budgets and reproducibility knobs shared by builders, checkers and CLI.
+    Equal when every attribute is; no attribute is rebound."""
 
-    field_char: int = 2
-    seed: int = 0
-    enumeration_budget: int = 10000
-    subset_budget: int = 1 << 20
+    __slots__ = ("field_char", "seed", "enumeration_budget", "subset_budget")
+
+    def __init__(self, field_char: int = 2, seed: int = 0, enumeration_budget: int = 10000,
+                 subset_budget: int = 1 << 20):
+        self.field_char, self.seed = field_char, seed
+        self.enumeration_budget, self.subset_budget = enumeration_budget, subset_budget
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RunConfig) and self.to_dict() == other.to_dict()
 
     def validate(self):
         for flag, value in (("--budget", self.enumeration_budget), ("--subset-budget", self.subset_budget)):
@@ -155,20 +159,17 @@ class RunConfig:
                 raise ContextError(f"{flag} must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "field_char": self.field_char,
-            "seed": self.seed,
-            "enumeration_budget": self.enumeration_budget,
-            "subset_budget": self.subset_budget,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
-@dataclass
 class ContextObject:
-    index: int
-    label: str
-    rep: Representation
-    aliases: tuple[str, ...] = ()
+    """Object `index` of a context: its label, module and aliases.  Equal
+    only to itself; no attribute is rebound."""
+
+    __slots__ = ("index", "label", "rep", "aliases")
+
+    def __init__(self, index: int, label: str, rep: Representation, aliases: tuple[str, ...] = ()):
+        self.index, self.label, self.rep, self.aliases = index, label, rep, aliases
 
 
 # -- extension-class coordinate spaces --------------------------------------
@@ -728,18 +729,21 @@ def _class_lines(p: int, d: int):
             yield (0,) * lead + (1,) + tail
 
 
-@dataclass
 class _Mesh:
     """The Auslander-Reiten mesh a knit records, by module id: tau Z and the
     almost split middle term E_Z of each non-projective Z, rad P of each
     projective P, and each module's twists along the algebra's vertex
-    automorphisms autos (the identity first)."""
+    automorphisms autos (the identity first).  The knit fills the
+    containers in place, but no attribute is rebound; equal only to itself."""
 
-    tau: dict[int, int] = field(default_factory=dict)
-    middle: dict[int, Counter] = field(default_factory=dict)
-    rad: dict[int, Counter] = field(default_factory=dict)
-    twists: dict[int, list[int]] = field(default_factory=dict)
-    autos: list[tuple[int, ...]] = field(default_factory=list)
+    __slots__ = ("tau", "middle", "rad", "twists", "autos")
+
+    def __init__(self, tau: dict[int, int] | None = None, middle: dict[int, Counter] | None = None,
+                 rad: dict[int, Counter] | None = None, twists: dict[int, list[int]] | None = None,
+                 autos: list[tuple[int, ...]] | None = None):
+        self.tau, self.middle, self.rad, self.twists = (
+            {} if d is None else d for d in (tau, middle, rad, twists))
+        self.autos = [] if autos is None else autos
 
     def renumber(self, order: list[int]) -> "_Mesh":
         """The mesh with module order[i] renamed i."""
@@ -987,12 +991,13 @@ def _label_objects(ctx: Context):
     The aliases are read off invariants (`modules.end_vertex`, total
     dimension 1 for a simple), ordered by vertex and then P, I, S."""
     ids = ctx.algebra.quiver.vertex_ids
+    labelled = []
     for o in ctx.objects:
         at = {"P": end_vertex(o.rep), "I": end_vertex(o.rep, dual=True),
               "S": o.rep.dims.index(1) if o.rep.total_dim == 1 else None}
         aliases = tuple(f"{kind}{vid}" for v, vid in enumerate(ids) for kind in "PIS" if at[kind] == v)
-        o.aliases = aliases
-        o.label = aliases[0] if aliases else f"m{o.index}"
+        labelled.append(ContextObject(o.index, aliases[0] if aliases else f"m{o.index}", o.rep, aliases))
+    ctx.objects = labelled
 
 
 def _mesh_hom_vectors(reps: list[Representation], mesh: _Mesh) -> HomVectors:

@@ -7,7 +7,7 @@ from quivertilt.algebra import (
     nakayama_cyclic,
     parse_algebra,
 )
-from quivertilt.contexts import RunConfig, build_exact_context, build_stable_context
+from quivertilt.contexts import build_exact_context, build_stable_context
 
 A2_SPEC = """\
 field 2

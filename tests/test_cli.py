@@ -343,3 +343,10 @@ def test_parent_outside_a_sub_context_exits_2(capsys):
                              "--format", "structured"], capsys)
     assert status == 0, err
     assert [o["label"] for o in json.loads(out)["result"]["objects"]] == ["P1"]
+
+
+def test_algebra_given_with_nakayama_exits_2(capsys):
+    status, out, err = _run(["objects", "--nakayama", "3,2", "--algebra", str(DATA / "a2.alg")], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: --algebra and --nakayama exclude each other\n"

@@ -27,7 +27,7 @@ from quivertilt.contexts import (
 )
 from quivertilt.decompose import fingerprint, indecomposable_isomorphic
 from quivertilt.homology import cosyzygy, injective_hull, projective_cover, syzygy
-from quivertilt.modules import cokernel, direct_sum, hom_basis, kernel, zero_map
+from quivertilt.modules import cokernel, hom_basis, kernel, zero_map
 from quivertilt.stable import cone
 from conftest import DYNKIN, EXCEPTIONAL, linear_quiver_radical_square
 from oracle import (

@@ -72,6 +72,15 @@ def test_no_unused_imports_in_the_package():
     assert unused == {}
 
 
+def test_no_unused_imports_in_the_tests():
+    unused = {
+        path.name: found
+        for path in sorted(Path(__file__).resolve().parent.glob("*.py"))
+        if (found := _unused_imports(path.read_text()))
+    }
+    assert unused == {}
+
+
 def _dead_functions(sources: dict[str, str], public: bool = False) -> list[str]:
     """Functions named `_name` (not dunder), or with public set those whose
     name has no leading underscore, at module level or methods of a
@@ -210,3 +219,31 @@ def test_cli_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# What importing the CLI may add to a fresh interpreter besides the package:
+# the modules its commands run on.  The last six are listed because the
+# package imports them, in case startup has not loaded them already.
+CLI_IMPORTS = {"argparse", "gettext", "json", "_json", "hashlib", "_hashlib", "_blake2", "__future__",
+               "random", "math", "itertools", "functools", "operator", "collections"}
+
+
+def _unlisted_imports(probe: str) -> list[str]:
+    """The modules outside the package, `json`'s submodules and
+    `CLI_IMPORTS` that running `probe` adds to `sys.modules` in a fresh
+    interpreter."""
+    code = f"import sys\nbefore = set(sys.modules)\n{probe}\nprint(' '.join(sorted(set(sys.modules) - before)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [m for m in proc.stdout.split() if m.split(".")[0] not in ("quivertilt", "json") and m not in CLI_IMPORTS]
+
+
+def test_cli_import_loads_only_what_it_runs():
+    """No record class pulls in `dataclasses`, and with it `inspect`,
+    `ast`, `dis`, `tokenize` and `copy`, on every start of the CLI."""
+    assert _unlisted_imports("import quivertilt.cli") == []
+
+
+def test_import_scan_finds_a_planted_import():
+    assert "dataclasses" in _unlisted_imports("import dataclasses\nimport quivertilt.cli")

@@ -5,7 +5,6 @@ from quivertilt import linalg
 from quivertilt.algebra import nakayama_cyclic, projective_module, simple_module
 from quivertilt.contexts import build_exact_context
 from quivertilt.modules import (
-    ModuleMap,
     Representation,
     _intertwining_system,
     cokernel,

@@ -2,7 +2,6 @@ import importlib
 import itertools
 import pkgutil
 
-import numpy as np
 import pytest
 
 import quivertilt
