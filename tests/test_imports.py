@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used in that module,
-every function of the package, at module level or a method of a
+"""Every name a module of the package or of the tests imports is used in
+that module, every function of the package, at module level or a method of a
 module-level class, is used somewhere in it: a private one anywhere in the
 package, a public one in a module other than `__init__`, and every
 parameter of a function or method of the package is read in its body.  A
@@ -7,7 +7,8 @@ function that only the tests reach lives in the tests.  Dunder methods are
 left out of the parameter scan, since their protocols fix their signatures.
 
 `__init__.py` is left out of the import scan: its imports are the package's
-re-exports.
+re-exports.  Importing the CLI in a fresh interpreter loads, outside the
+package, only what its commands run on (`CLI_IMPORTS`).
 
 The scan matches by name, not by binding: a method counts as referenced
 whenever any function or method of the same name is referenced.  So a dead
