@@ -38,10 +38,13 @@ def test_traced_span_names_resolve():
     assert report["missing"] == []
 
 
-# The jobs whose `calls` name functions beyond the shared build and verify
-# lists: a refactor that stops reaching one of them must fail here, not only
-# in a traced benchmark run.
+# The build jobs, the only ones that list the build calls, and the jobs whose
+# `calls` name functions beyond the shared build and verify lists: a refactor
+# that stops reaching one of them must fail here, not only in a traced
+# benchmark run.
 GUARDED_JOBS = (
+    "objects --nakayama 10,4 --context stable",
+    "objects --algebra perfbench/data/e6.alg",
     "verify-theorem --nakayama 8,3 --context stable -n 2",
     "search-nakayama 4 3 --ct-size 2 --ct-degree 3 --generator-samples 5",
     "verify-theorem --nakayama 5,3 --context mod -n 1",
