@@ -350,3 +350,15 @@ def test_algebra_given_with_nakayama_exits_2(capsys):
     assert status == 2
     assert out == ""
     assert err == "error: --algebra and --nakayama exclude each other\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--nakayama", "5,2"), ("--algebra", str(DATA / "a2.alg"))])
+def test_search_nakayama_refuses_an_algebra_flag(flag, value, capsys):
+    """search-nakayama builds nak(vertices, nilpotency) itself, so a flag
+    naming another algebra is refused rather than ignored."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search-nakayama", "3", "3", "--ct-size", "1", "--ct-degree", "2", flag, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"quivertilt: error: unrecognized arguments: {flag} {value}"
