@@ -45,15 +45,11 @@ def _algebra_hash(algebra: BoundQuiverAlgebra) -> str:
 
 
 def _add_common(parser: argparse.ArgumentParser, with_context: bool = True):
-    """The shared flags; without `with_context`, for a command that builds
-    its own algebras, no flag that names an algebra or a context."""
+    """The shared flags, and with `with_context` those naming the algebra and the context."""
     if with_context:
         parser.add_argument("--algebra", help="algebra spec file")
-        parser.add_argument(
-            "--nakayama",
-            metavar="N,R",
-            help="cyclic Nakayama algebra with N vertices and paths of length R zero",
-        )
+        parser.add_argument("--nakayama", metavar="N,R",
+                            help="cyclic Nakayama algebra with N vertices and paths of length R zero")
     parser.add_argument("--field", type=int,
                         help="prime field characteristic (default: the spec's field line, else 2)")
     parser.add_argument("--seed", type=int, default=0,

@@ -124,6 +124,7 @@ from .modules import (
     is_end,
     kernel,
     linear_combination,
+    summand_maps,
     twist,
 )
 from .orbits import Symmetries
@@ -193,7 +194,8 @@ class ExactExtSpace(HomQuotient):
         """Middle term B of the class, the pushout of P0 <- Omega C -> A
         along the representative t, with its projection from P0 + A."""
         t = self.representative(coords)
-        _, (incl_p0, incl_a), _ = direct_sum([self.p0, self.a])
+        pair = [self.p0, self.a]
+        incl_p0, incl_a = summand_maps(direct_sum(pair), pair)
         glue = incl_p0.compose(self.j).add(incl_a.compose(t).negate())
         return cokernel(glue)
 
@@ -470,7 +472,8 @@ class Context:
         else:
             res = minimal_resolution(f.target)
             res.extend(0, syzygy=False)
-            _, _, (to_x0, to_cover) = direct_sum([f.source, res.terms[0]])
+            pair = [f.source, res.terms[0]]
+            to_x0, to_cover = summand_maps(direct_sum(pair), pair, dual=True)
             end = kernel(f.compose(to_x0).add(res.diffs[0].compose(to_cover)))[0]
         try:
             return self.identify_sum(end)

@@ -1,7 +1,9 @@
 """Projective covers, injective hulls, syzygies, Ext and approximations.
 
 Covers are built from lifts of a basis of top(M) = M/rad M; hulls are covers
-of the dual module over the opposite algebra, dualized back.  Hulls are
+of the dual module over the opposite algebra, dualized back.  A map from a sum
+of projectives takes the image of each basis path from that of its prefix, by
+one matrix-vector step, memoized per summand's generator.  Hulls are
 cached on the representation object, and so are minimal resolutions, which
 are extended lazily, so repeated Ext queries against the same module share
 work; Ext dimensions are read off Hom dimensions along the resolution, and
@@ -13,6 +15,8 @@ resolution.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from . import linalg
 from .algebra import projective_module
@@ -61,15 +65,19 @@ def _map_from_projectives(
 ) -> tuple[Representation, ModuleMap]:
     """(P, f): P is the sum of one P_v per (vertex v, column gen of m_v)
     pair, in order, and f sends the trivial path of each summand to its gen,
-    so the basis path q of that summand goes to m_q(gen)."""
+    so the basis path q = (prefix, a) goes to M_a applied to the prefix's image."""
     alg = m.algebra
-    n = alg.quiver.n_vertices
-    total = direct_sum([projective_module(alg, alg.quiver.vertex_ids[v]) for v, _ in gens])[0]
-    cols: list[list[linalg.Matrix]] = [[] for _ in range(n)]
+    total = direct_sum([projective_module(alg, alg.quiver.vertex_ids[v]) for v, _ in gens])
+    cols: list[list[tuple]] = [[] for _ in m.dims]
     for v, gen in gens:
+        images = {(v, ()): gen.T.rows[0]}
+        for q in alg.basis:  # by path_key, so the prefix of q comes before q
+            if q[0] == v and q[1]:
+                prefix = images[(v, q[1][:-1])]
+                images[q] = tuple(sum(map(mul, row, prefix)) % alg.p for row in m.matrices[q[1][-1]].rows)
         for w, paths in enumerate(alg.basis_by_target(v)):
-            cols[w] += [linalg.matmul(m.path_matrix(q), gen, alg.p) for q in paths]
-    blocks = [linalg.hstack(c) if c else linalg.zeros(m.dims[w], 0) for w, c in enumerate(cols)]
+            cols[w] += [images[q] for q in paths]
+    blocks = [linalg.from_columns(c, d) for c, d in zip(cols, m.dims)]
     return total, ModuleMap(total, m, blocks, validate=False)
 
 
@@ -115,7 +123,7 @@ def transpose(m: Representation) -> Representation:
     if not tops1:
         return zero_representation(op)
     ids = alg.quiver.vertex_ids
-    p1_star = direct_sum([projective_module(op, ids[w]) for w in tops1])[0]
+    p1_star = direct_sum([projective_module(op, ids[w]) for w in tops1])
     d1 = res.diffs[1].blocks
     gens = []
     for i, v in enumerate(tops0):
@@ -251,7 +259,7 @@ def approximation(members: list[Representation], c: Representation, dual: bool =
     if not summands:
         z = zero_representation(c.algebra)
         return zero_map(c, z) if dual else zero_map(z, c)
-    total = direct_sum([s for s, _ in summands])[0]
+    total = direct_sum([s for s, _ in summands])
     # The summands take their coordinates of the sum in order, so each block
     # is theirs side by side (stacked, with `dual`).
     blocks = [(linalg.vstack if dual else linalg.hstack)([f.blocks[v] for _, f in summands])

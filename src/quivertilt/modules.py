@@ -4,7 +4,9 @@ A representation assigns to each vertex an F_p-space (recorded by dimension)
 and to each arrow s -> t a (dims[t] x dims[s]) matrix; relation matrices must
 vanish.  Morphisms are vertex-indexed blocks satisfying the intertwining
 equations.  Everything is immutable by convention: no routine mutates a
-Representation or ModuleMap after construction.
+Representation or ModuleMap after construction, but for the values cached on a
+representation: `radical_subspaces` (a tuple), and hulls, resolutions and
+fingerprints (`homology`, `decompose`).
 
 Both constructors take `validate`.  With `validate=True` (the default) the
 matrices or blocks, given as `linalg.Matrix`es or as sequences of rows, are
@@ -308,17 +310,18 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return coker, proj_map
 
 
-def direct_sum(reps: list[Representation]):
-    """Direct sum with inclusion and projection maps per summand."""
+def direct_sum(reps: list[Representation]) -> Representation:
+    """The direct sum of a nonempty list of representations, the summands
+    taking the coordinates at each vertex in order.  Only the module:
+    `summand_maps` gives the inclusions and projections."""
     if not reps:
         raise ValueError("empty direct sum; use zero_representation")
     alg = reps[0].algebra
-    p = alg.p
     q = alg.quiver
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(q.n_vertices))
     mats = []
     for a in range(q.n_arrows):
-        s, t = q.arrow_source[a], q.arrow_target[a]
+        s = q.arrow_source[a]
         rows = []
         co = 0
         for r in reps:
@@ -326,17 +329,21 @@ def direct_sum(reps: list[Representation]):
             rows += [left + row + right for row in r.matrices[a].rows]
             co += r.dims[s]
         mats.append(linalg.Matrix(tuple(rows), dims[s]))
-    total = Representation(alg, dims, mats, validate=False)
-    inclusions = []
-    projections = []
-    offsets = [0] * q.n_vertices
+    return Representation(alg, dims, mats, validate=False)
+
+
+def summand_maps(total: Representation, reps: list[Representation], dual: bool = False) -> list[ModuleMap]:
+    """The inclusions r -> total of the summands of total = direct_sum(reps),
+    in order; with `dual`, the projections total -> r."""
+    maps = []
+    offsets = [0] * len(total.dims)
     for r in reps:
         ends = [o + d for o, d in zip(offsets, r.dims)]
-        blocks = [linalg.unit_rows(range(o, e), d) for d, o, e in zip(dims, offsets, ends)]
-        inclusions.append(ModuleMap(r, total, [b.T for b in blocks], validate=False))
-        projections.append(ModuleMap(total, r, blocks, validate=False))
+        blocks = [linalg.unit_rows(range(o, e), d) for d, o, e in zip(total.dims, offsets, ends)]
+        maps.append(ModuleMap(total, r, blocks, validate=False) if dual
+                    else ModuleMap(r, total, [b.T for b in blocks], validate=False))
         offsets = ends
-    return total, inclusions, projections
+    return maps
 
 
 def dual_representation(rep: Representation) -> Representation:
@@ -370,8 +377,11 @@ def twist(rep: Representation, sigma, arrows) -> Representation:
     return Representation(rep.algebra, dims, mats, validate=False)
 
 
-def radical_subspaces(rep: Representation) -> list[linalg.Matrix]:
-    """Vertex-wise bases of rad(M) = sum of arrow images."""
+def radical_subspaces(rep: Representation) -> tuple[linalg.Matrix, ...]:
+    """Vertex-wise bases of rad(M) = sum of arrow images; cached on the
+    representation object."""
+    if getattr(rep, "_rad", None) is not None:
+        return rep._rad
     p = rep.algebra.p
     q = rep.algebra.quiver
     pieces: list[list[linalg.Matrix]] = [[] for _ in range(q.n_vertices)]
@@ -385,7 +395,8 @@ def radical_subspaces(rep: Representation) -> list[linalg.Matrix]:
             out.append(linalg.column_space_basis(linalg.hstack(pieces[v]), p))
         else:
             out.append(linalg.zeros(rep.dims[v], 0))
-    return out
+    rep._rad = tuple(out)
+    return rep._rad
 
 
 def top_dims(rep: Representation) -> list[int]:

@@ -37,6 +37,7 @@ from .modules import (
     cokernel,
     direct_sum,
     socle_subspaces,
+    summand_maps,
 )
 
 
@@ -101,5 +102,6 @@ def cone(f: ModuleMap) -> Representation:
     M -> I(M) + N, so that 0 -> M -> I(M) + N -> cone -> 0 is exact."""
     require_self_injective(f.source.algebra)
     hull, mono = injective_hull(f.source)
-    _, (incl_hull, incl_n), _ = direct_sum([hull, f.target])
+    pair = [hull, f.target]
+    incl_hull, incl_n = summand_maps(direct_sum(pair), pair)
     return cokernel(incl_hull.compose(mono).add(incl_n.compose(f)))[0]

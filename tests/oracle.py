@@ -184,6 +184,7 @@ from quivertilt.modules import (
     hom_dim,
     is_end,
     linear_combination,
+    summand_maps,
     twist,
     zero_map,
     zero_representation,
@@ -428,7 +429,7 @@ def nonzero_combinations(maps: list[ModuleMap]):
 def sum_rep(ctx, ids: Counter) -> Representation:
     """The direct sum of the context objects in a multiset of ids."""
     reps = [ctx.objects[i].rep for i, m in sorted(ids.items()) for _ in range(m)]
-    return direct_sum(reps)[0] if reps else zero_representation(ctx.algebra)
+    return direct_sum(reps) if reps else zero_representation(ctx.algebra)
 
 
 def conflation_candidates(ctx, member_ids, c_rep: Representation, dual: bool,
@@ -559,7 +560,9 @@ def stable_realize_by_cone(c_rep: Representation, a_rep: Representation, coords,
     m, n = t.source, t.target
     hull, mono = injective_hull(m)
     sigma, sigma_proj = cokernel(mono)
-    _, (incl_hull, incl_n), (proj_hull, _) = direct_sum([hull, n])
+    pair = [hull, n]
+    total = direct_sum(pair)
+    (incl_hull, incl_n), (proj_hull, _) = summand_maps(total, pair), summand_maps(total, pair, dual=True)
     b, cone_proj = cokernel(incl_hull.compose(mono).add(incl_n.compose(t)))
     onto_sigma = sigma_proj.compose(proj_hull)
     blocks = []
@@ -841,7 +844,9 @@ def approximation_by_adds(members, c: Representation, dual: bool = False, extra=
     if not summands:
         z = zero_representation(c.algebra)
         return zero_map(c, z) if dual else zero_map(z, c)
-    total, incls, projs = direct_sum([x for x, _ in summands])
+    reps = [x for x, _ in summands]
+    total = direct_sum(reps)
+    incls, projs = summand_maps(total, reps), summand_maps(total, reps, dual=True)
     h = zero_map(c, total) if dual else zero_map(total, c)
     for (_, f), incl, proj in zip(summands, incls, projs):
         h = h.add(incl.compose(f) if dual else f.compose(proj))
@@ -885,7 +890,7 @@ def strip_by_splitting(m: Representation, seed: int = 0) -> Representation:
     if m.total_dim == 0:
         return m
     kept = [piece for piece in summand_split(m, seed) if not is_end(piece)]
-    return direct_sum(kept)[0] if kept else zero_representation(m.algebra)
+    return direct_sum(kept) if kept else zero_representation(m.algebra)
 
 
 def labels_by_search(ctx) -> list[tuple[str, tuple[str, ...]]]:
@@ -1076,7 +1081,9 @@ def ext_space_maps(space: ExactExtSpace, onto_b: ModuleMap) -> tuple[ModuleMap, 
     """x: A -> B and y: B -> C of the conflation `ExactExtSpace.realize`
     returned with the projection onto_b: P0 + A -> B."""
     cover = minimal_resolution(space.c).diffs[0]
-    _, (_, incl_a), (proj_p0, _) = direct_sum([space.p0, space.a])
+    pair = [space.p0, space.a]
+    total = direct_sum(pair)
+    (_, incl_a), (proj_p0, _) = summand_maps(total, pair), summand_maps(total, pair, dual=True)
     return onto_b.compose(incl_a), _factor_through_projection(onto_b, cover.compose(proj_p0))
 
 

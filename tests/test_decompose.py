@@ -22,7 +22,7 @@ from oracle import decompose, fingerprint_by_hom_probes, is_isomorphic, splittin
 def test_decompose_explicit_direct_sum(a2):
     p1 = projective_module(a2, 1)
     s2 = simple_module(a2, 2)
-    total, _, _ = direct_sum([p1, p1, s2])
+    total = direct_sum([p1, p1, s2])
     parts = decompose(total, seed=3)
     assert [(r.dims, m) for r, m in parts] == [((0, 1), 1), ((1, 1), 2)]
 
@@ -44,7 +44,7 @@ def test_krull_schmidt_seed_stability(a3_rad2):
     p1 = projective_module(a3_rad2, 1)
     s1 = simple_module(a3_rad2, 1)
     s3 = simple_module(a3_rad2, 3)
-    total, _, _ = direct_sum([p1, s1, s3, p1, s1])
+    total = direct_sum([p1, s1, s3, p1, s1])
     outcomes = []
     for seed in (0, 1, 17, 123):
         parts = decompose(total, seed=seed)
@@ -57,12 +57,12 @@ def test_reassembly(test_algebras):
     for name, alg in test_algebras.items():
         mods = [projective_module(alg, v) for v in alg.quiver.vertex_ids]
         mods += [simple_module(alg, v) for v in alg.quiver.vertex_ids]
-        total, _, _ = direct_sum(mods)
+        total = direct_sum(mods)
         parts = decompose(total, seed=5)
         pieces = []
         for rep, mult in parts:
             pieces.extend([rep] * mult)
-        rebuilt, _, _ = direct_sum(pieces)
+        rebuilt = direct_sum(pieces)
         assert is_isomorphic(rebuilt, total, seed=5), name
 
 
@@ -91,7 +91,7 @@ def test_twisted_sum_decomposes_to_ground_truth(a3_rad2):
     p1 = projective_module(a3_rad2, 1)
     p2 = projective_module(a3_rad2, 2)
     s2 = simple_module(a3_rad2, 2)
-    total, _, _ = direct_sum([p1, p2, s2])
+    total = direct_sum([p1, p2, s2])
     for trial in range(4):
         parts = decompose(_twist(total, rng), seed=trial)
         assert sorted((r.dims, m) for r, m in parts) == [
@@ -112,7 +112,7 @@ def test_split_of_twisted_sums_recovers_the_summands(n, r, p):
         summands = [rng.choice(objects) for _ in range(rng.choice((2, 3)))]
         if trial % 2 == 0:
             summands[1] = summands[0]
-        twisted = _twist(direct_sum(summands)[0], rng)
+        twisted = _twist(direct_sum(summands), rng)
         pieces = summand_split(twisted, seed=trial)
         assert len(pieces) == len(summands), (n, r, p, trial)
         unmatched = list(summands)
@@ -130,7 +130,7 @@ def test_split_without_an_idempotent_raises_unless_certified_local(a2, dual_numb
     monkeypatch.setattr(quivertilt.decompose, "_hunt_idempotent", lambda *args, **kwargs: None)
     s1 = simple_module(a2, 1)
     with pytest.raises(DecompositionError):
-        summand_split(direct_sum([s1, s1])[0])
+        summand_split(direct_sum([s1, s1]))
     lam = projective_module(dual_numbers, 1)
     assert [piece.dims for piece in summand_split(lam)] == [(2,)]
 
@@ -139,7 +139,7 @@ def test_is_isomorphic_examples(a2, nak104):
     p1 = projective_module(a2, 1)
     s1 = simple_module(a2, 1)
     s2 = simple_module(a2, 2)
-    sum12, _, _ = direct_sum([s1, s2])
+    sum12 = direct_sum([s1, s2])
     assert is_isomorphic(p1, p1)
     assert not is_isomorphic(p1, sum12)
     # every projective of the self-injective Nakayama algebra is injective
@@ -154,7 +154,7 @@ def test_matrix_algebra_radical_is_zero(a2):
     dimension divisible by p; the higher coefficient chain must still find
     the zero radical."""
     p1 = projective_module(a2, 1)  # dim 2 over F_2
-    total, _, _ = direct_sum([p1, p1])
+    total = direct_sum([p1, p1])
     endos = hom_basis(total, total)
     assert len(endos) == 4
     rad = radical_basis(endos, a2.p)
@@ -170,7 +170,7 @@ def test_local_algebra_radical(dual_numbers):
 
 def test_fingerprint_is_iso_invariant(a3_rad2):
     p1 = projective_module(a3_rad2, 1)
-    pieces = summand_split(direct_sum([p1, p1])[0], seed=2)
+    pieces = summand_split(direct_sum([p1, p1]), seed=2)
     for rep in pieces:
         assert fingerprint(rep) == fingerprint(p1)
         assert indecomposable_isomorphic(rep, p1)
@@ -181,7 +181,7 @@ def test_fingerprint_matches_hom_probes(exact_contexts, stable_contexts):
     on every object and on the sum of all objects of a context."""
     for ctx in [*exact_contexts.values(), *stable_contexts.values()]:
         reps = [o.rep for o in ctx.objects]
-        for rep in reps + [direct_sum(reps)[0]]:
+        for rep in reps + [direct_sum(reps)]:
             assert fingerprint(rep) == fingerprint_by_hom_probes(rep), (ctx.kind, rep.dims)
 
 

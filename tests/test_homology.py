@@ -138,7 +138,7 @@ def test_ext_additivity(a3_rad2):
     s1 = simple_module(a3_rad2, 1)
     s2 = simple_module(a3_rad2, 2)
     s3 = simple_module(a3_rad2, 3)
-    both, _, _ = direct_sum([s2, s3])
+    both = direct_sum([s2, s3])
     assert ext_dim(1, s1, both) == ext_dim(1, s1, s2) + ext_dim(1, s1, s3)
     assert ext_dim(1, both, s3) == ext_dim(1, s2, s3) + ext_dim(1, s3, s3)
 

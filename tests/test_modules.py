@@ -17,6 +17,7 @@ from quivertilt.modules import (
     kernel,
     radical_subspaces,
     socle_subspaces,
+    summand_maps,
     zero_representation,
 )
 from oracle import as_array, image, is_end_by_search
@@ -124,7 +125,9 @@ def test_rank_nullity_per_vertex(a2, a3_rad2):
 def test_direct_sum_inclusions_and_projections(a2):
     p1 = projective_module(a2, 1)
     s2 = simple_module(a2, 2)
-    total, incls, projs = direct_sum([p1, s2, p1])
+    reps = [p1, s2, p1]
+    total = direct_sum(reps)
+    incls, projs = summand_maps(total, reps), summand_maps(total, reps, dual=True)
     assert total.dims == (2, 3)
     for inc, prj in zip(incls, projs):
         comp = prj.compose(inc)
@@ -164,7 +167,7 @@ def test_is_end_matches_isomorphism_search(exact_contexts):
 
 
 def test_identity_map_blocks_are_read_only_identities(nak32):
-    m = direct_sum([projective_module(nak32, 1), simple_module(nak32, 2)])[0]
+    m = direct_sum([projective_module(nak32, 1), simple_module(nak32, 2)])
     ident = identity_map(m)
     for d, b in zip(m.dims, ident.blocks):
         assert b == linalg.eye(d)

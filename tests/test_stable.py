@@ -209,7 +209,7 @@ def test_strip_of_twisted_projective_sums_matches_splitting(stable_roots_by_prim
         assert len(ctx.objects) >= len(projs), name
         for (i, x), k in itertools.product(enumerate(ctx.objects), (1, 2)):
             pv = projs[i % len(projs)]
-            m = _twist(direct_sum([x.rep] + [pv] * k)[0], rng)
+            m = _twist(direct_sum([x.rep] + [pv] * k), rng)
             _assert_core_matches_splitting(ctx, m, embeddings, (name, p, x.label, pv.dims, k))
             assert strip_projectives(m).dims == x.rep.dims
 

@@ -31,6 +31,7 @@ from quivertilt.modules import (
     direct_sum,
     hom_basis,
     linear_combination,
+    summand_maps,
     zero_map,
     zero_representation,
 )
@@ -167,7 +168,7 @@ def _modules_over(p: int):
         ids = alg.quiver.vertex_ids
         base = ([projective_module(alg, v) for v in ids] + [injective_module(alg, v) for v in ids]
                 + [simple_module(alg, v) for v in ids])
-        sums = [direct_sum(base[:2])[0], direct_sum(base[-2:])[0]]
+        sums = [direct_sum(base[:2]), direct_sum(base[-2:])]
         out.append(base + sums + [zero_representation(alg)])
     return out
 
@@ -208,7 +209,8 @@ def test_cokernel_matches_the_unit_vector_oracle(p):
 def test_direct_sum_matches_the_entrywise_oracle(p):
     for mods in _modules_over(p):
         for reps in ([mods[0]], mods[:3], [mods[-1], mods[1], mods[-1]], mods[::2], mods):
-            total, incls, projs = direct_sum(reps)
+            total = direct_sum(reps)
+            incls, projs = summand_maps(total, reps), summand_maps(total, reps, dual=True)
             want_total, want_incls, want_projs = direct_sum_by_entries(reps)
             assert _same_rep(total, want_total)
             assert all(_same_blocks(f, g) for f, g in zip(incls + projs, want_incls + want_projs))
@@ -223,7 +225,9 @@ def _read_only(m: linalg.Matrix):
 
 
 def test_direct_sum_maps_are_read_only(a2):
-    _, incls, projs = direct_sum([projective_module(a2, 1), simple_module(a2, 2)])
+    reps = [projective_module(a2, 1), simple_module(a2, 2)]
+    total = direct_sum(reps)
+    incls, projs = summand_maps(total, reps), summand_maps(total, reps, dual=True)
     _read_only(incls[0].blocks[0])
     _read_only(projs[1].blocks[1])
 
