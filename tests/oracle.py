@@ -148,6 +148,11 @@ maps.
 found its hits before it took them from `checkers.enumerate_cluster_tilting`:
 `check_cluster_tilting` on every set of the requested size through the
 projectives and injectives.
+
+`map_from_projectives_by_path_matrices` is `homology._map_from_projectives`
+as it was before it took each path's image from its prefix's: the basis path
+q of the summand at (v, gen) goes to the full matrix `path_matrix(q)` times
+gen, and the map is validated, so its blocks must intertwine.
 """
 
 from __future__ import annotations
@@ -796,6 +801,19 @@ def cokernel_by_unit_vectors(f):
         mats.append(sol.T)
     coker = Representation(rep.algebra, tuple(dims), mats)
     return coker, ModuleMap(rep, coker, projections)
+
+
+def map_from_projectives_by_path_matrices(m: Representation, gens) -> tuple[Representation, ModuleMap]:
+    """(P, f) with one P_v per (vertex v, column gen of m_v) pair, in order,
+    and f sending the basis path q of that summand to path_matrix(q) @ gen."""
+    alg = m.algebra
+    total = direct_sum([projective_module(alg, alg.quiver.vertex_ids[v]) for v, _ in gens])
+    cols = [[] for _ in m.dims]
+    for v, gen in gens:
+        for w, paths in enumerate(alg.basis_by_target(v)):
+            cols[w] += [linalg.matmul(m.path_matrix(q), gen, alg.p) for q in paths]
+    blocks = [linalg.hstack(c) if c else linalg.zeros(d, 0) for c, d in zip(cols, m.dims)]
+    return total, ModuleMap(total, m, blocks)
 
 
 def direct_sum_by_entries(reps):

@@ -1,8 +1,12 @@
+import random
+from pathlib import Path
+
 import numpy as np
+import pytest
 import sympy
 
 from quivertilt import homology, linalg
-from quivertilt.algebra import injective_module, parse_algebra, projective_module, simple_module
+from quivertilt.algebra import injective_module, nakayama_cyclic, parse_algebra, projective_module, simple_module
 from quivertilt.contexts import RunConfig, _knitted
 from quivertilt.decompose import indecomposable_isomorphic
 from quivertilt.homology import (
@@ -13,11 +17,22 @@ from quivertilt.homology import (
     injective_hull,
     projective_cover,
     syzygy,
+    top_generator_lifts,
 )
-from quivertilt.modules import Representation, direct_sum, hom_basis, kernel, radical_subspaces
+from quivertilt.modules import (
+    Representation,
+    cokernel,
+    direct_sum,
+    hom_basis,
+    kernel,
+    linear_combination,
+    radical_subspaces,
+)
 
-from conftest import DYNKIN
-from oracle import ext1_dim_oracle, is_isomorphic
+from conftest import DYNKIN, linear_quiver_radical_square
+from oracle import ext1_dim_oracle, is_isomorphic, map_from_projectives_by_path_matrices
+
+E6_SPEC = (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "e6.alg").read_text()
 
 
 def _indecomposables(alg):
@@ -248,3 +263,56 @@ def test_translates_take_no_second_syzygy():
             assert len(res.terms) == 2
             ext_dim(2, m, m)
             assert len(res.syzygies) == 2
+
+
+def _random_modules(alg, rng: random.Random) -> list[Representation]:
+    """Cokernels of seeded random maps between sums of projectives and, when
+    the algebra has no relations, modules with random arrow matrices."""
+    ids = alg.quiver.vertex_ids
+    out = []
+    for _ in range(6):
+        src = direct_sum([projective_module(alg, v) for v in rng.choices(ids, k=rng.randint(1, 2))])
+        tgt = direct_sum([projective_module(alg, v) for v in rng.choices(ids, k=rng.randint(1, 3))])
+        basis = hom_basis(src, tgt)
+        out.append(cokernel(linear_combination(basis, [rng.randrange(alg.p) for _ in basis]))[0]
+                   if basis else tgt)
+    if not alg.relations:
+        q = alg.quiver
+        for _ in range(4):
+            dims = [rng.randint(0, 3) for _ in ids]
+            out.append(Representation(alg, dims, [
+                linalg.Matrix(tuple(tuple(rng.randrange(alg.p) for _ in range(dims[s])) for _ in range(dims[t])),
+                              dims[s])
+                for s, t in zip(q.arrow_source, q.arrow_target)]))
+    return out
+
+
+def _random_gens(m: Representation, rng: random.Random) -> list[tuple[int, linalg.Matrix]]:
+    """Four (vertex, column) generators, the first and last at one vertex;
+    zero columns are allowed."""
+    vertices = rng.choices([v for v, d in enumerate(m.dims) if d], k=3)
+    return [(v, linalg.column([rng.randrange(m.algebra.p) for _ in range(m.dims[v])]))
+            for v in vertices + vertices[:1]]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 65521))
+def test_map_from_projectives_matches_the_path_matrix_oracle(p):
+    """Path images taken from prefixes equal the full path matrices times the
+    generator, on algebras with relations (nak(3,3), the loop nak(1,4),
+    A4/rad^2) and without (E6), for random generators and for the lifts of
+    a top that a projective cover uses."""
+    rng = random.Random(p)
+    algebras = [nakayama_cyclic(3, 3, p), nakayama_cyclic(1, 4, p), linear_quiver_radical_square(4, p),
+                parse_algebra(E6_SPEC.replace("field 2", f"field {p}"))]
+    compared = 0
+    for alg in algebras:
+        for m in _random_modules(alg, rng):
+            if not m.total_dim:
+                continue
+            for gens in (_random_gens(m, rng), top_generator_lifts(m)):
+                total, f = homology._map_from_projectives(m, gens)
+                want_total, want = map_from_projectives_by_path_matrices(m, gens)
+                assert total.dims == want_total.dims and total.matrices == want_total.matrices
+                assert f.blocks == want.blocks, (alg, m.dims, gens)
+                compared += 1
+    assert compared >= 40

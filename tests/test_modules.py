@@ -154,6 +154,22 @@ def test_radical_and_socle(a2):
     assert z.total_dim == 0
 
 
+def test_radical_subspaces_are_cached_and_read_only(nak32):
+    """A second call returns the cached tuple itself; an equal module built
+    afresh gets an equal radical of its own; neither the tuple nor its
+    matrices can be written."""
+    m = direct_sum([projective_module(nak32, 1), projective_module(nak32, 2), simple_module(nak32, 2)])
+    rad = radical_subspaces(m)
+    assert type(rad) is tuple and radical_subspaces(m) is rad
+    fresh = Representation(nak32, m.dims, m.matrices)
+    assert radical_subspaces(fresh) == rad and radical_subspaces(fresh) is not rad
+    assert [b.ncols for b in rad] == [0, 1, 1]
+    with pytest.raises(TypeError):
+        rad[1] = linalg.zeros(m.dims[1], 0)
+    with pytest.raises(TypeError):
+        rad[1].rows[0][0] = 0
+
+
 def test_is_end_matches_isomorphism_search(exact_contexts):
     """Top (socle) one simple S_v and the dimension vector of P_v (I_v)
     decides "isomorphic to some P_v (I_v)" on every object."""
