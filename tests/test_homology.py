@@ -32,8 +32,6 @@ from quivertilt.modules import (
 from conftest import DYNKIN, linear_quiver_radical_square
 from oracle import ext1_dim_oracle, is_isomorphic, map_from_projectives_by_path_matrices
 
-E6_SPEC = (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "e6.alg").read_text()
-
 
 def _indecomposables(alg):
     mods = {}
@@ -302,8 +300,9 @@ def test_map_from_projectives_matches_the_path_matrix_oracle(p):
     A4/rad^2) and without (E6), for random generators and for the lifts of
     a top that a projective cover uses."""
     rng = random.Random(p)
+    e6 = (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "e6.alg").read_text()
     algebras = [nakayama_cyclic(3, 3, p), nakayama_cyclic(1, 4, p), linear_quiver_radical_square(4, p),
-                parse_algebra(E6_SPEC.replace("field 2", f"field {p}"))]
+                parse_algebra(e6.replace("field 2", f"field {p}"))]
     compared = 0
     for alg in algebras:
         for m in _random_modules(alg, rng):
