@@ -462,7 +462,7 @@ def _build_projective(algebra: BoundQuiverAlgebra, vertex_id: int):
             for w, c in algebra.right_multiply(b, a).items():
                 m[index[w][1]][col] = c
         mats.append(linalg.Matrix(tuple(map(tuple, m)), dims[s]))
-    return Representation(algebra, dims, mats)
+    return Representation(algebra, dims, mats, validate=False)
 
 
 def simple_module(algebra: BoundQuiverAlgebra, vertex_id: int):
@@ -475,7 +475,7 @@ def simple_module(algebra: BoundQuiverAlgebra, vertex_id: int):
         linalg.zeros(dims[q.arrow_target[a]], dims[q.arrow_source[a]])
         for a in range(q.n_arrows)
     ]
-    return Representation(algebra, dims, mats)
+    return Representation(algebra, dims, mats, validate=False)
 
 
 def injective_module(algebra: BoundQuiverAlgebra, vertex_id: int):

@@ -60,8 +60,8 @@ projective-free core of M (a cone may have projective summands;
 `stable.strip_projectives` reads their multiplicities off socle ranks) and
 raises if a projective is still named.  A sub-context pulls its root's
 answer back, and reads its Hom and E tables off its parent's.  A stable
-root's Omega C and Sigma C are not stripped: over a self-injective algebra
-they have no projective summands (Heller's lemma).
+root's Omega C, read off its E table, raises on a projective summand, and
+its Sigma C passes through the strip, which finds none (Heller's lemma).
 
 Stable conflations are short exact sequences.  Every short exact sequence
 of modules is a triangle in the stable category (Happel 1988), and E(C, A)
@@ -79,10 +79,10 @@ the one source of where each automorphism of L sends a root's modules.  The
 E table takes Omega C once per orbit and moves it along the table, and
 `Context.symmetries` holds the table's columns on the objects, each
 certified to permute the modules and the objects and to keep the E table,
-which is therefore filled for every pair.  The enough-projectives
-(-injectives) witnesses are computed once per orbit, and the checkers key
-their per-object caches by orbit; `hom_support` reads the Hom table.  A
-sub-context has only the identity.
+which is therefore filled for every pair.  Its Omega C are the cocones of
+the enough-projectives witnesses; the enough-injectives ones are named once
+per orbit, and the checkers key their per-object caches by orbit;
+`hom_support` reads the Hom table.  A sub-context has only the identity.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class ExactExtSpace(HomQuotient):
         t = self.representative(coords)
         pair = [self.p0, self.a]
         incl_p0, incl_a = summand_maps(direct_sum(pair), pair)
-        glue = incl_p0.compose(self.j).add(incl_a.compose(t).negate())
+        glue = linear_combination([incl_p0.compose(self.j), incl_a.compose(t)], (1, -1))
         return cokernel(glue)
 
 
@@ -239,16 +239,9 @@ class HomVectors:
         self.probe_vertex = [end_vertex(x) for x in reps]
         self.dims = [x.dims for x in reps]
 
-    def hom_vector(self, m: Representation) -> list[int]:
-        """(dim Hom(X_j, m))_j over the list."""
-        return [
-            m.dims[v] if v is not None else hom_dim(x, m)
-            for x, v in zip(self.reps, self.probe_vertex)
-        ]
-
     def identify(self, m: Representation) -> Counter:
         """Object ids of m with multiplicities, in ascending id order."""
-        v = self.hom_vector(m)
+        v = [m.dims[u] if u is not None else hom_dim(x, m) for x, u in zip(self.reps, self.probe_vertex)]
         mult = [sum(x * v[j] for j, x in row) for row in self.r]
         if (min(mult) < 0 or _row_combination(mult, self._h_cols, len(v)) != v
                 or _row_combination(mult, self.dims, len(m.dims)) != list(m.dims)):
@@ -358,6 +351,7 @@ class Context:
         self._shift_cache: dict[tuple[bool, int, int], Counter] = {}
         self._ek_cache: dict[tuple[int, int, int], int] = {}
         self._witnesses: dict[bool, dict[int, Counter]] = {}
+        self._omega: dict[int, Counter] = {}  # roots: Omega C by object id, kept from the E table
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
         self._hom_vectors: HomVectors | None = None  # roots: read off the AR mesh
         self.symmetries: Symmetries | None = None  # object permutations by automorphisms of L
@@ -474,7 +468,7 @@ class Context:
             res.extend(0, syzygy=False)
             pair = [f.source, res.terms[0]]
             to_x0, to_cover = summand_maps(direct_sum(pair), pair, dual=True)
-            end = kernel(f.compose(to_x0).add(res.diffs[0].compose(to_cover)))[0]
+            end = kernel(linear_combination([f.compose(to_x0), res.diffs[0].compose(to_cover)], (1, 1)))[0]
         try:
             return self.identify_sum(end)
         except ContextError:
@@ -523,10 +517,12 @@ class Context:
     def _find_enough_witnesses(self, dual: bool) -> dict[int, Counter]:
         """A root's witness for C is the projective cover (injective hull)
         in an exact root and the zero map 0 -> C (C -> 0) in a triangulated
-        one.  Either way its cocone is Omega C (its cone Sigma C), named
-        through the cached `homology.syzygy` (`cosyzygy`) once per orbit."""
-        shift = cosyzygy if dual else syzygy
-        ends = self.symmetries.by_orbit(lambda i: self.identify_sum(shift(self.objects[i].rep)))
+        one.  Either way its cocone is Omega C, as `_e1_table` named it, and
+        its cone Sigma C, named from the cached `homology.cosyzygy` once per
+        orbit, through the strip in a stable root (Heller's lemma: a no-op)."""
+        if not dual:
+            return self._omega
+        ends = self.symmetries.by_orbit(lambda i: self.identify_sum(cosyzygy(self.objects[i].rep)))
         return dict(enumerate(ends))
 
     # -- context-relative syzygies ------------------------------------------
@@ -1026,13 +1022,15 @@ def _mesh_hom_vectors(reps: list[Representation], mesh: _Mesh) -> HomVectors:
 
 def _e1_table(hv: HomVectors, n: int, mesh: _Mesh, moves: list[tuple[int, ...]]) -> tuple:
     """dim E(C, A) over the first n modules (the objects), read off H:
-    hom(Omega C, A) - hom(P(C), A) + hom(C, A), with hom(P_v, A) = dim A_v.
+    hom(Omega C, A) - hom(P(C), A) + hom(C, A), with hom(P_v, A) = dim A_v;
+    and the ids of Omega C, ascending, by object id C.
 
     Omega C is the sum of top_v(Omega C) copies of P_v when it has the
     dimension vector of that sum, its projective cover; otherwise it is
     named by `HomVectors.identify`, once per orbit, and moved along the
-    columns of the twist table.  E(C, tau C), the almost split class, is
-    checked against `homology.ext_dim` for each non-projective object C."""
+    columns of the twist table.  One naming a projective a stable root
+    leaves out raises.  E(C, tau C), the almost split class, is checked
+    against `homology.ext_dim` for each non-projective object C."""
     reps = hv.reps
     at_p = [hv.probe_vertex.index(v) for v in range(len(reps[0].dims))]
     omega = [[0] * len(reps) for _ in range(n)]  # omega[c][j]: copies of module j in Omega C
@@ -1061,23 +1059,25 @@ def _e1_table(hv: HomVectors, n: int, mesh: _Mesh, moves: list[tuple[int, ...]])
               for a, (x, y) in enumerate(zip(_row_combination(omega[c], hv.h, n), hv.h[c])))
         for c in range(n))
     for c in range(n):
+        if any(omega[c][n:]):
+            raise ContextError(f"Omega C for C of dimension vector {reps[c].dims} has a projective summand")
         t = mesh.tau.get(c)
         if t is not None and (not e1[c][t] or e1[c][t] != ext_dim(1, reps[c], reps[t])):
             raise ContextError(
                 f"E(C, tau C) read off the mesh disagrees with Ext^1 for C of dimension vector {reps[c].dims}"
             )
-    return e1
+    return e1, {c: Counter({j: mult for j, mult in enumerate(row) if mult}) for c, row in enumerate(omega)}
 
 
 def _read_mesh(ctx: Context, reps: list[Representation], mesh: _Mesh):
-    """A root's Hom vectors, its Hom and E tables and its symmetries, from
-    the mesh of its modules: its objects, then any projectives it leaves
-    out.  The twist table has row x mesh.twists[x], in that order."""
+    """A root's Hom vectors, Hom and E tables, witness cocones Omega C and
+    symmetries, from the mesh of its modules: its objects, then any
+    projectives it leaves out.  The twist table has row x mesh.twists[x]."""
     n = ctx.n_objects
     ctx._hom_vectors = _mesh_hom_vectors(reps, mesh)
     ctx.hom = tuple(row[:n] for row in ctx._hom_vectors.h[:n])
     moves = list(zip(*(mesh.twists[x] for x in range(len(reps)))))  # the columns of the twist table
-    ctx.e1 = _e1_table(ctx._hom_vectors, n, mesh, moves)
+    ctx.e1, ctx._omega = _e1_table(ctx._hom_vectors, n, mesh, moves)
     ctx.symmetries = _root_symmetries(ctx, moves, mesh.autos)
 
 

@@ -223,7 +223,7 @@ def _split_by_idempotent(m: Representation, e: ModuleMap):
     from .modules import _subspace_with_induced_action
 
     p = m.algebra.p
-    one_minus = identity_map(m).add(e.negate())
+    one_minus = linear_combination([identity_map(m), e], (1, -1))
     bases_a = [linalg.column_space_basis(b, p) for b in e.blocks]
     bases_b = [linalg.column_space_basis(b, p) for b in one_minus.blocks]
     if not all(linalg.is_invertible(linalg.hstack([a, b]), p) for a, b in zip(bases_a, bases_b)):
@@ -260,9 +260,9 @@ def _hunt_idempotent(
         if g is None:
             continue
         e = _apply_poly_to_endo(z, g)
-        if e.is_zero() or e.add(ident.negate()).is_zero():
+        if e.is_zero() or linear_combination([e, ident], (1, -1)).is_zero():
             continue
-        assert e.compose(e).add(e.negate()).is_zero()
+        assert linear_combination([e.compose(e), e], (1, -1)).is_zero()
         return e
     return None
 

@@ -109,18 +109,6 @@ class ModuleMap:
         blocks = [linalg.matmul(self.blocks[v], first.blocks[v], self.p) for v in range(len(self.blocks))]
         return ModuleMap(first.source, self.target, blocks, validate=False)
 
-    def add(self, other: "ModuleMap") -> "ModuleMap":
-        pairs = zip(self.blocks, other.blocks)
-        blocks = [linalg.combination((1, 1), (a, b), self.p, a.shape) for a, b in pairs]
-        return ModuleMap(self.source, self.target, blocks, validate=False)
-
-    def scale(self, c: int) -> "ModuleMap":
-        blocks = [linalg.combination((c,), (b,), self.p, b.shape) for b in self.blocks]
-        return ModuleMap(self.source, self.target, blocks, validate=False)
-
-    def negate(self) -> "ModuleMap":
-        return self.scale(self.p - 1)
-
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks)
 

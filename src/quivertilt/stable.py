@@ -9,12 +9,12 @@ category (Happel 1988), so a context realizes its conflations as short
 exact sequences, and reads stable Hom(Omega C, A) as module Ext^1(C, A)
 (`contexts.StableExtSpace`).
 
-A stable context names Omega M and Sigma M through those two functions,
-once it has checked that the algebra is self-injective, so Omega M is the
-one held by M's minimal resolution.  They need no stripping: over a
-self-injective algebra the kernel of a projective cover and the cokernel of
-an injective hull have no projective summands (Heller's lemma), so Omega M
-and Sigma M are already projective-free.  A cone may have projective
+A stable context checks that the algebra is self-injective, reads Omega M
+off its E table, from the syzygy held by M's minimal resolution, and names
+Sigma M from `cosyzygy`.  Over a self-injective algebra the kernel of a
+projective cover and the cokernel of an injective hull have no projective
+summands (Heller's lemma): the E table raises on one in Omega M, and the
+strip that Sigma M passes through finds none.  A cone may have projective
 summands; `strip_projectives` removes them without splitting M.  Each P_v
 is injective with simple socle S_w, w = nu(v), spanned by one combination
 omega_v of paths v -> w, so a map P_v -> M is mono iff it does not kill
@@ -36,6 +36,7 @@ from .modules import (
     Representation,
     cokernel,
     direct_sum,
+    linear_combination,
     socle_subspaces,
     summand_maps,
 )
@@ -104,4 +105,4 @@ def cone(f: ModuleMap) -> Representation:
     hull, mono = injective_hull(f.source)
     pair = [hull, f.target]
     incl_hull, incl_n = summand_maps(direct_sum(pair), pair)
-    return cokernel(incl_hull.compose(mono).add(incl_n.compose(f)))[0]
+    return cokernel(linear_combination([incl_hull.compose(mono), incl_n.compose(f)], (1, 1)))[0]

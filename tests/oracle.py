@@ -568,7 +568,7 @@ def stable_realize_by_cone(c_rep: Representation, a_rep: Representation, coords,
     pair = [hull, n]
     total = direct_sum(pair)
     (incl_hull, incl_n), (proj_hull, _) = summand_maps(total, pair), summand_maps(total, pair, dual=True)
-    b, cone_proj = cokernel(incl_hull.compose(mono).add(incl_n.compose(t)))
+    b, cone_proj = cokernel(linear_combination([incl_hull.compose(mono), incl_n.compose(t)], (1, 1)))
     onto_sigma = sigma_proj.compose(proj_hull)
     blocks = []
     for v in range(len(cone_proj.blocks)):
@@ -803,6 +803,37 @@ def cokernel_by_unit_vectors(f):
     return coker, ModuleMap(rep, coker, projections)
 
 
+def canonical_modules_by_validation(algebra) -> list[tuple[Representation, Representation, Representation]]:
+    """(P_v, S_v, I_v) for each vertex v, in vertex order, each matrix set
+    entry by entry and handed to the validating constructor, which reduces
+    it mod p and checks every relation.  P_v has the basis paths from v,
+    grouped by target, and the arrow a sends the path b to the normal form
+    of the path b a (`reduce_path`); S_v is one-dimensional at v; I_v is the
+    dual of the P_v of the opposite algebra, its matrices transposed."""
+    def projective(alg, v):
+        q, by_target = alg.quiver, alg.basis_by_target(v)
+        mats = []
+        for a in range(q.n_arrows):
+            s, t = q.arrow_source[a], q.arrow_target[a]
+            m = np.zeros((len(by_target[t]), len(by_target[s])), dtype=np.int64)
+            for col, b in enumerate(by_target[s]):
+                for w, c in alg.reduce_path((b[0], b[1] + (a,))).items():
+                    m[by_target[t].index(w), col] = c
+            mats.append(m)
+        return Representation(alg, [len(paths) for paths in by_target], mats)
+
+    q = algebra.quiver
+    out = []
+    for v in range(q.n_vertices):
+        dims = [int(u == v) for u in range(q.n_vertices)]
+        simple = Representation(algebra, dims, [np.zeros((dims[t], dims[s]), dtype=np.int64)
+                                                for s, t in zip(q.arrow_source, q.arrow_target)])
+        p_op = projective(algebra.opposite(), v)
+        injective = Representation(algebra, p_op.dims, [as_array(m).T for m in p_op.matrices])
+        out.append((projective(algebra, v), simple, injective))
+    return out
+
+
 def map_from_projectives_by_path_matrices(m: Representation, gens) -> tuple[Representation, ModuleMap]:
     """(P, f) with one P_v per (vertex v, column gen of m_v) pair, in order,
     and f sending the basis path q of that summand to path_matrix(q) @ gen."""
@@ -867,7 +898,7 @@ def approximation_by_adds(members, c: Representation, dual: bool = False, extra=
     incls, projs = summand_maps(total, reps), summand_maps(total, reps, dual=True)
     h = zero_map(c, total) if dual else zero_map(total, c)
     for (_, f), incl, proj in zip(summands, incls, projs):
-        h = h.add(incl.compose(f) if dual else f.compose(proj))
+        h = linear_combination([h, incl.compose(f) if dual else f.compose(proj)], (1, 1))
     return h
 
 

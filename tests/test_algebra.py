@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from quivertilt import linalg
@@ -14,7 +16,20 @@ from quivertilt.algebra import (
 )
 from quivertilt.decompose import _probes
 from conftest import DYNKIN, linear_quiver_radical_square
-from oracle import probes_by_search, self_injective_by_search
+from oracle import canonical_modules_by_validation, probes_by_search, self_injective_by_search
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Algebras with and without relations and with oriented cycles, and the
+# conftest quivers over a field larger than F_2.
+CANONICAL = {
+    "nak(3,3)": lambda: nakayama_cyclic(3, 3),
+    "nak(10,4)": lambda: nakayama_cyclic(10, 4),
+    "E6": lambda: parse_algebra((ROOT / "perfbench" / "data" / "e6.alg").read_text()),
+    "A9/rad^2": lambda: linear_quiver_radical_square(9),
+    **{name: lambda spec=spec: parse_algebra(spec) for name, (spec, _) in DYNKIN.items()
+       if not spec.startswith("field 2")},
+}
 
 
 def test_parse_a2(a2):
@@ -195,3 +210,18 @@ def test_field_characteristic_must_leave_room_in_int64():
     for p in (2965847, 3037000493, 4294967291):
         with pytest.raises(AlgebraError, match="exceeds 2965821"):
             nakayama_cyclic(2, 2, p)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_canonical_modules_match_validated_rebuilds(name):
+    """`projective_module`, `simple_module` and `injective_module` build on
+    the trusted path, which checks no relation.  Each P_v, S_v and I_v of
+    the algebra and of its opposite equals, entry for entry, its rebuild
+    from the normal forms through the validating constructor."""
+    algebra = CANONICAL[name]()
+    for alg in (algebra, algebra.opposite()):
+        want = canonical_modules_by_validation(alg)
+        got = [(projective_module(alg, v), simple_module(alg, v), injective_module(alg, v))
+               for v in alg.quiver.vertex_ids]
+        assert [[(m.dims, m.matrices) for m in ms] for ms in got] == \
+            [[(m.dims, m.matrices) for m in ms] for ms in want], name

@@ -9,6 +9,7 @@ import pytest
 
 from quivertilt import cli, search
 from quivertilt.decompose import DecompositionError
+from conftest import EXCEPTIONAL
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -267,6 +268,24 @@ def test_e6_verify_theorem_completes(capsys):
     result = json.loads(out)["result"]
     assert result["sets_equal"] is True
     assert result["cluster_tilting"] == result["cotorsion_diagonal"] == []
+
+
+# sha256 of the sorted-key JSON of the `result` block, as in
+# perfbench/reference.json, recorded before the E table named Omega C for
+# the enough-projectives witnesses.
+E8_THEOREM_N2 = "9367028103260bc355993784291c1a09d37abb8cb0d406f6fb64bffaced179a5"
+
+
+def test_e8_verify_theorem_result_is_pinned(tmp_path, capsys):
+    """E8 at n = 2 runs `Context.enough` on 120 objects, a rung that no
+    benchmark job holds; its `result` block keeps its recorded digest."""
+    spec = tmp_path / "e8.alg"
+    spec.write_text(EXCEPTIONAL["E8"][0])
+    status, out, err = _run(["verify-theorem", "--algebra", str(spec), "-n", "2", "--format", "structured",
+                             "--seed", "0"], capsys)
+    assert status == 0, err
+    result = json.loads(out)["result"]
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == E8_THEOREM_N2
 
 
 @pytest.mark.parametrize("argv", [

@@ -332,16 +332,67 @@ def test_hom_vector_identification_matches_splitting(exact_contexts, stable_cont
                 if stable:
                     for f in hom_basis(ctx.objects[c].rep, ctx.objects[a].rep):
                         assert ctx.conflation_end(f, dual=True) == identify_by_splitting(ctx, cone(f)), name
-        for dual in (False, True):
-            _, witnesses = ctx.enough(dual)
-            for idx, ends in witnesses.items():
-                # Omega C (Sigma C): the cocone of the projective cover in an
-                # exact root and of the zero map 0 -> C in a stable one
-                rep = ctx.objects[idx].rep
-                end = cokernel(injective_hull(rep)[1]) if dual else kernel(projective_cover(rep)[1])
-                assert ends == identify_by_splitting(ctx, end[0]), (name, dual, ctx.object_names[idx])
+        _assert_witnesses_match_splitting(name, ctx)
         ids = Counter({i: 1 + i % 3 for i in range(ctx.n_objects)})
         assert ctx.identify_sum(sum_rep(ctx, ids)) == ids, name
+
+
+def _assert_witnesses_match_splitting(name, ctx):
+    for dual in (False, True):
+        _, witnesses = ctx.enough(dual)
+        for idx, ends in witnesses.items():
+            # Omega C (Sigma C): the cocone of the projective cover in an
+            # exact root and of the zero map 0 -> C in a stable one
+            rep = ctx.objects[idx].rep
+            end = cokernel(injective_hull(rep)[1]) if dual else kernel(projective_cover(rep)[1])
+            assert ends == identify_by_splitting(ctx, end[0]), (name, dual, ctx.object_names[idx])
+            assert list(ends) == sorted(ends), (name, dual, ctx.object_names[idx])
+
+
+def test_witnesses_match_splitting_along_long_orbits(stable_nak104):
+    """The witness half of the test above where the twist table moves the
+    names of Omega C furthest: stable nak(10,4), whose rotations make orbits
+    of 10 objects, and mod nak(4,3) over F_3, with orbits of 4."""
+    _assert_witnesses_match_splitting("stable nak(10,4)", stable_nak104)
+    _assert_witnesses_match_splitting("mod nak(4,3) over F_3", build_exact_context(nakayama_cyclic(4, 3, 3)))
+
+
+def test_a_built_root_names_omega_only_in_its_e_table(monkeypatch):
+    """A built root's enough-projectives witnesses are the Omega C rows of
+    its E table: enough() calls neither `syzygy` nor `HomVectors.identify`.
+    Its enough-injectives witnesses are named from one cosyzygy per orbit."""
+    roots = [build_exact_context(nakayama_cyclic(4, 3, 3)), build_stable_context(nakayama_cyclic(5, 3))]
+
+    def refuse(*args):
+        raise AssertionError("Omega C named again")
+
+    monkeypatch.setattr(contexts, "syzygy", refuse)
+    monkeypatch.setattr(HomVectors, "identify", refuse)
+    for ctx in roots:
+        ok, witnesses = ctx.enough()
+        assert ok and sorted(witnesses) == list(range(ctx.n_objects))
+    monkeypatch.undo()
+    shifted = []
+    monkeypatch.setattr(contexts, "cosyzygy", lambda rep: shifted.append(rep) or cosyzygy(rep))
+    for ctx in roots:
+        shifted.clear()
+        assert ctx.enough(dual=True)[0]
+        leaders = [ctx.objects[i].rep for i in range(ctx.n_objects) if ctx.symmetries.least(i)[1] == i]
+        assert shifted == leaders
+
+
+def test_a_projective_in_omega_c_raises_in_a_stable_root(monkeypatch):
+    """A stable root's Omega C has no projective summand (Heller's lemma);
+    with one planted in the name of each Omega C that `HomVectors.identify`
+    gives, the build raises."""
+    identify = HomVectors.identify
+
+    def planted(self, m):
+        return identify(self, m) + Counter({len(self.reps) - 1: 1})
+
+    monkeypatch.setattr(HomVectors, "identify", planted)
+    with pytest.raises(ContextError, match="Omega C for C of dimension vector .* has a projective summand"):
+        build_stable_context(nakayama_cyclic(4, 3))
 
 
 def test_stable_sub_context_pulls_the_root_answer_back():
