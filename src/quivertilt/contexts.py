@@ -506,9 +506,9 @@ class Context:
         self.injective_ids = frozenset(j for j, col in enumerate(zip(*self.e1)) if not any(col))
 
     def enough(self, dual: bool = False) -> tuple[bool, dict[int, Counter]]:
-        """Whether every object has a deflation from a context projective
-        (with `dual`, an inflation into a context injective), and the
-        cocone (cone) ids of the witnesses found, by object id."""
+        """Whether every object has a deflation from a projective (with `dual`,
+        an inflation into an injective) of the context, and their cocones
+        (cones) by object id: a root's Omega C off its E table (Sigma C)."""
         if dual not in self._witnesses:
             self._witnesses[dual] = self._find_enough_witnesses(dual)
         witnesses = self._witnesses[dual]

@@ -271,8 +271,8 @@ def test_e6_verify_theorem_completes(capsys):
 
 
 # sha256 of the sorted-key JSON of the `result` block, as in
-# perfbench/reference.json, recorded before the E table named Omega C for
-# the enough-projectives witnesses.
+# perfbench/reference.json, recorded while `Context.enough` still named
+# Omega C from syzygies instead of reading it off the E table.
 E8_THEOREM_N2 = "9367028103260bc355993784291c1a09d37abb8cb0d406f6fb64bffaced179a5"
 
 
