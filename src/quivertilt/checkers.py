@@ -69,10 +69,8 @@ the context (`Context.symmetries`, see `contexts`): for a permutation g
 induced by an automorphism of the algebra, step(gX, gC) = g step(X, C) and
 the chain length of gC by add(gX) is that of C by add(X).  So a step is
 built, and a chain length computed, only for the orbit-least key, and other
-keys are moved there and back.  The enumeration still visits, and the full
-checker still runs on, every rigid set: only the work inside the checker is
-shared.  The orthogonality clauses read the E^k bitmask rows that the
-enumerations build once per context.
+keys are moved there and back.  The orthogonality clauses read the E^k
+bitmask rows that the enumerations build once per context.
 
 `verify_theorem` compares two enumerations whose cost follows their output.
 Both start from one compatibility bitmask: objects i and j are compatible
@@ -80,10 +78,14 @@ when E^k(i, j) = E^k(j, i) = 0 for every k up to the degree, and an object
 that conflicts with itself is dropped.  Candidates contain the projectives
 and injectives, which every member of either list must.
 - `enumerate_cotorsion_diagonal` backtracks over every rigid superset of that
-  forced set, that is every X passing the orthogonality clause E^k(X, X) = 0
-  for k <= n, and runs the full cotorsion checker on each, by size and then
-  lexicographically.  Orthogonality is part of the cotorsion definition, so
-  this prunes by nothing the theorem asserts.
+  forced set, those with E^k(X, X) = 0 for k <= n.  Passing is upward closed
+  among them: if (X, X) passes, every object has an add(X)-resolution of
+  length <= n (the clause's conflation, then K's resolution), which is an
+  add(X')-resolution for rigid X' containing X, so the lemma gives the
+  clause for (X', X'); dually on the right.  So X, taken by decreasing size,
+  is decided by the boolean `_diagonal_passes` only when every rigid
+  one-object extension X + {i} has passed, and each hit is confirmed by
+  `check_n_cotorsion`.  This prunes by nothing the theorem asserts.
 - `enumerate_cluster_tilting` uses that X = X^perp makes X maximal among
   compatible sets: it lists the maximal cliques through the forced set by
   Bron-Kerbosch (CACM 1973) with the Tomita-Tanaka-Takahashi pivot (TCS
@@ -198,19 +200,8 @@ def orthogonal(ctx: Context, x_ids, k_max: int, dual: bool = False) -> frozenset
             mask &= rows[dual][x]
         return _ids(mask)
     xs = sorted(set(x_ids))
-    out = []
-    for m in range(ctx.n_objects):
-        good = True
-        for x in xs:
-            for k in range(1, k_max + 1):
-                if ctx.e_k_dim(k, *((m, x) if dual else (x, m))):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.append(m)
-    return frozenset(out)
+    return frozenset(m for m in range(ctx.n_objects) if not any(
+        ctx.e_k_dim(k, *((m, x) if dual else (x, m))) for x in xs for k in range(1, k_max + 1)))
 
 
 # -- resolution dimension ------------------------------------------------------
@@ -421,6 +412,18 @@ def check_n_cotorsion(ctx: Context, x_ids, y_ids, n: int) -> Verdict:
     )
 
 
+def _diagonal_passes(ctx: Context, x_ids: frozenset, n: int) -> bool:
+    """`check_n_cotorsion(ctx, X, X, n).passed` for rigid X, with no verdict built."""
+    for dual in (False, True):
+        for c_idx in range(ctx.n_objects):
+            if c_idx in x_ids:
+                continue
+            step = _greedy_step(ctx, x_ids, c_idx, dual)
+            if step is None or any(_greedy_resdim(ctx, x_ids, i, n - 1, dual) is EXCEEDS for i in step):
+                return False
+    return True
+
+
 # -- cluster tilting ----------------------------------------------------------
 
 
@@ -601,10 +604,9 @@ def enumerate_cluster_tilting(ctx: Context, n: int) -> list[Subcat]:
 
 
 def enumerate_cotorsion_diagonal(ctx: Context, n: int) -> list[Subcat]:
-    """All X with (X, X) an n-cotorsion pair.  The candidates are the
-    supersets of the projectives and injectives that pass the orthogonality
-    clause, E^k(X, X) = 0 for k <= n, found by backtracking; the full checker
-    runs on each, by size and then lexicographically."""
+    """All X with (X, X) an n-cotorsion pair, among the rigid supersets of
+    the projectives and injectives; X fails unchecked when a rigid
+    one-object extension failed (module docstring)."""
     if n < 1:
         raise ContextError("cotorsion degree must be >= 1")
     forced = _forced_ids(ctx)
@@ -612,14 +614,24 @@ def enumerate_cotorsion_diagonal(ctx: Context, n: int) -> list[Subcat]:
     allowed = _seed(compat, forced)
     if allowed is None:
         return []
-    masks = _rigid_supersets(_mask(forced), allowed, compat, _Visits(ctx, "cotorsion"))
-    rigid = [_ids(mask) for mask in masks]
-    rigid.sort(key=lambda s: (len(s), sorted(s)))
-    hits = []
-    for subset in rigid:
-        verdict = check_n_cotorsion(ctx, subset, subset, n)
-        if verdict.passed:
-            hits.append(Subcat.of(ctx, subset))
+    base = _mask(forced)
+    masks = _rigid_supersets(base, allowed, compat, _Visits(ctx, "cotorsion"))
+    masks.sort()
+    masks.sort(key=int.bit_count, reverse=True)
+    passed, hits = set(), []
+    for mask in masks:
+        rest, extensions = mask & ~base, allowed & ~mask
+        while rest and extensions:  # the objects that extend X to a rigid set
+            extensions &= compat[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        while extensions and (mask | extensions & -extensions) in passed:  # less those that passed
+            extensions &= extensions - 1
+        if not extensions and _diagonal_passes(ctx, _ids(mask), n):
+            if not check_n_cotorsion(ctx, _ids(mask), _ids(mask), n).passed:
+                raise ContextError("the boolean cotorsion check disagrees with the checker; "
+                                   "this is a bug, not a mathematical outcome")
+            passed.add(mask)
+            hits.append(Subcat.of(ctx, _ids(mask)))
     hits.sort(key=lambda s: (len(s.ids), s.names()))
     return hits
 

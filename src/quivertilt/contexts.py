@@ -558,32 +558,40 @@ class Context:
         """dim E^k; computes the syzygy route and checks the cosyzygy route."""
         if k < 1:
             raise ContextError("extension degree must be >= 1")
-        if isinstance(c, Counter) or isinstance(a, Counter):
-            return _bilinear(lambda i, j: self.e_k_dim(k, i, j), c, a)
         if k == 1:
             return self.e_dim(c, a)
         hit = self._ek_cache.get((k, c, a))
         if hit is not None:
             return hit
         omega_route = self.e_dim(self.shift(k - 1, c), a)
-        sigma_route = self.e_dim(c, self.shift(k - 1, a, dual=True))
-        if omega_route != sigma_route:
-            raise ContextError(
-                f"syzygy route E^{k}({self.object_names[c]},{self.object_names[a]}) = "
-                f"{omega_route} but cosyzygy route = {sigma_route}; "
-                "context construction is inconsistent"
-            )
+        self._check_routes(k, c, a, omega_route, self.e_dim(c, self.shift(k - 1, a, dual=True)))
         self._ek_cache[(k, c, a)] = omega_route
         return omega_route
 
+    def _check_routes(self, k: int, c: int, a: int, omega_route: int, sigma_route: int) -> None:
+        if omega_route != sigma_route:
+            raise ContextError(f"syzygy route E^{k}({self.object_names[c]},{self.object_names[a]}) = "
+                               f"{omega_route} but cosyzygy route = {sigma_route}; "
+                               "context construction is inconsistent")
+
     def e_k_table(self, k: int) -> tuple:
-        """The table of dim E^k over every pair of objects, built once per
-        context and degree."""
-        out = self._ek_tables.get(k)
-        if out is None:
-            n = self.n_objects
-            out = self._ek_tables[k] = tuple(tuple(self.e_k_dim(k, c, a) for a in range(n)) for c in range(n))
-        return out
+        """dim E^k over every pair of objects, once per context and degree:
+        both routes of `e_k_dim` as whole tables, row C the sum of E rows over
+        Omega^{k-1} C and column A of E columns over Sigma^{k-1} A, shifts
+        named in the per-entry order (Omega of the first, all Sigma, the rest)."""
+        if k < 1:
+            raise ContextError("extension degree must be >= 1")
+        if k not in self._ek_tables:
+            n, columns = self.n_objects, list(zip(*self.e1))
+            omega = [self.shift(k - 1, c) for c in range(min(n, 1))]
+            sigma = [self.shift(k - 1, a, dual=True) for a in range(n)]
+            omega += [self.shift(k - 1, c) for c in range(1, n)]
+            rows = [tuple(_row_combination(o.values(), [self.e1[i] for i in o], n)) for o in omega]
+            cols = [_row_combination(s.values(), [columns[j] for j in s], n) for s in sigma]
+            for c, a in itertools.product(range(n), repeat=2):
+                self._check_routes(k, c, a, rows[c][a], cols[a][c])
+            self._ek_tables[k] = tuple(rows)
+        return self._ek_tables[k]
 
     # -- approximations within the context ------------------------------------
 

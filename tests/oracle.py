@@ -751,6 +751,19 @@ def cotorsion_diagonal_by_subset_walk(ctx, n: int) -> list:
     return hits
 
 
+def open_cotorsion_sets_by_subset_walk(ctx, n: int) -> tuple[list[frozenset[int]], dict]:
+    """The rigid sets the cotorsion enumerator decides, in its order, and the
+    full checker's verdict on every rigid set.  A rigid set is open when
+    each of its rigid one-object extensions passes the full checker; the
+    open sets are taken by decreasing size, then by ascending bitmask."""
+    verdicts = {s: checkers.check_n_cotorsion(ctx, s, s, n).passed
+                for s in rigid_supersets_by_subset_walk(ctx, n)}
+    open_sets = [s for s in verdicts
+                 if all(verdicts.get(s | {i}, True) for i in range(ctx.n_objects) if i not in s)]
+    open_sets.sort(key=lambda s: (-len(s), sum(1 << i for i in s)))
+    return open_sets, verdicts
+
+
 def all_class_coords(ctx, c_idx: int, a_idx: int, include_zero: bool = False):
     """Every class of E(c, a), in lexicographic order."""
     for coords in itertools.product(range(ctx.algebra.p), repeat=ctx.e_dim(c_idx, a_idx)):

@@ -309,24 +309,56 @@ def _enumeration_contexts(exact_contexts, stable_contexts):
 
 
 def test_enumerators_match_the_subset_walk(exact_contexts, stable_contexts, monkeypatch):
-    """Backtracking and Bron-Kerbosch return the subset walk's lists, and the
-    cotorsion checker sees the walk's rigid sets in the walk's order."""
-    checked = []
-    check = checkers.check_n_cotorsion
+    """Backtracking and Bron-Kerbosch return the subset walk's lists.  The
+    cotorsion side's boolean check sees exactly the sets that monotonicity
+    leaves open, in its order, and every set it skips fails the full
+    checker."""
+    decided = []
+    passes = checkers._diagonal_passes
 
-    def recording(ctx, x_ids, y_ids, n):
-        checked.append(frozenset(x_ids))
-        return check(ctx, x_ids, y_ids, n)
+    def recording(ctx, x_ids, n):
+        decided.append(frozenset(x_ids))
+        return passes(ctx, x_ids, n)
 
-    monkeypatch.setattr(checkers, "check_n_cotorsion", recording)
+    monkeypatch.setattr(checkers, "_diagonal_passes", recording)
     for name, ctx in _enumeration_contexts(exact_contexts, stable_contexts).items():
         for n in (1, 2):
-            checked.clear()
+            decided.clear()
             got = enumerate_cotorsion_diagonal(ctx, n)
-            assert checked == rigid_supersets_by_subset_walk(ctx, n), (name, n)
+            open_sets, verdicts = oracle.open_cotorsion_sets_by_subset_walk(ctx, n)
+            assert decided == open_sets, (name, n)
+            assert not any(verdicts[s] for s in set(verdicts) - set(open_sets)), (name, n)
             assert got == cotorsion_diagonal_by_subset_walk(ctx, n), (name, n)
             want = cluster_tilting_by_subset_walk(ctx, n + 1)
             assert enumerate_cluster_tilting(ctx, n + 1) == want, (name, n)
+
+
+def test_the_boolean_diagonal_check_is_the_full_checker(exact_contexts, stable_contexts):
+    """On every rigid set at n = 1, 2, `_diagonal_passes` returns the full
+    checker's verdict."""
+    for name, ctx in _enumeration_contexts(exact_contexts, stable_contexts).items():
+        for n in (1, 2):
+            for subset in rigid_supersets_by_subset_walk(ctx, n):
+                want = check_n_cotorsion(ctx, subset, subset, n).passed
+                assert checkers._diagonal_passes(ctx, subset, n) == want, (name, n, sorted(subset))
+
+
+def test_the_boolean_diagonal_check_runs_the_right_side(monkeypatch):
+    """On the tier-1 contexts no rigid set passes one side of the diagonal
+    check and fails the other, so the equality above cannot tell whether
+    `_diagonal_passes` runs the right side.  With every right-side step
+    taken away (no inflation has a cone in the context), both checks fail
+    every rigid set that leaves an object out, on fresh stable nak(4,3) and
+    nak(5,3), where 12 and 5 such sets pass the left side at n = 2 and 1."""
+    greedy_step = checkers._greedy_step
+    monkeypatch.setattr(checkers, "_greedy_step",
+                        lambda ctx, x_ids, idx, dual: None if dual else greedy_step(ctx, x_ids, idx, dual))
+    for ctx in (build_stable_context(nakayama_cyclic(4, 3)), build_stable_context(nakayama_cyclic(5, 3))):
+        for n in (1, 2):
+            for subset in rigid_supersets_by_subset_walk(ctx, n):
+                want = check_n_cotorsion(ctx, subset, subset, n).passed
+                assert want == (len(subset) == ctx.n_objects)
+                assert checkers._diagonal_passes(ctx, subset, n) == want, (n, sorted(subset))
 
 
 def test_enumerators_do_not_call_each_other(exact_contexts, monkeypatch):

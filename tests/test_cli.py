@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quivertilt import cli, search
+from quivertilt import cli, contexts, search
 from quivertilt.decompose import DecompositionError
 from conftest import EXCEPTIONAL
 
@@ -286,6 +286,41 @@ def test_e8_verify_theorem_result_is_pinned(tmp_path, capsys):
     assert status == 0, err
     result = json.loads(out)["result"]
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == E8_THEOREM_N2
+
+
+# Recorded, as E8's, while the cotorsion side ran the full checker on all
+# 2,026 rigid sets.
+NAK104_THEOREM_N2 = "54bbd278e0771272df244448d197a285db2e10a0ac6a2ba6b3e34d5cb94200c7"
+
+
+def test_stable_nak104_verify_theorem_result_is_pinned(capsys):
+    """Stable nak(10,4) at n = 2 has 55 sets, each a hit of the cotorsion
+    side's boolean check; its `result` block keeps its recorded digest."""
+    status, out, err = _run(["verify-theorem", "--nakayama", "10,4", "--context", "stable", "-n", "2",
+                             "--format", "structured", "--seed", "0"], capsys)
+    assert status == 0, err
+    result = json.loads(out)["result"]
+    assert len(result["cotorsion_diagonal"]) == 55
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == NAK104_THEOREM_N2
+
+
+@pytest.mark.parametrize("missing, error", [
+    ({(1, False), (2, True)}, "object S2 has no inflation into an injective"),
+    ({(0, False), (0, True)}, "object S4 has no deflation from a projective"),
+    ({(4, False)}, "object m5 has no deflation from a projective"),
+])
+def test_a_missing_witness_fails_ext_table_where_the_per_entry_loop_did(missing, error, capsys,
+                                                                        monkeypatch):
+    """With the witnesses of some objects of a stable sub-context taken
+    away, `ext-table --kmax 2` names the object that the per-entry loop over
+    E^2 named first: Omega of the first object, then Sigma of each, then
+    Omega of the rest.  Each message was recorded from that loop."""
+    witness_for = contexts.SubContext._witness_for
+    monkeypatch.setattr(contexts.SubContext, "_witness_for",
+                        lambda ctx, idx, dual: None if (idx, dual) in missing else witness_for(ctx, idx, dual))
+    status, out, err = _run(["ext-table", "--nakayama", "4,3", "--context", "sub", "--parent", "stable",
+                             "--objects", "S4,S3,S2,m4,m5,m7", "--kmax", "2"], capsys)
+    assert (status, out, err) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -244,6 +244,43 @@ def test_e_k_routes_agree_everywhere(exact_contexts, stable_contexts):
             ctx.e_k_table(k)  # raises on any route mismatch
 
 
+def _stable_sub_context():
+    parent = build_stable_context(nakayama_cyclic(4, 3))
+    return build_sub_context(parent, [parent.resolve_name(n) for n in ("S4", "S3", "S2", "m4", "m5", "m7")])
+
+
+def test_e_k_tables_match_the_per_entry_routes(exact_contexts, stable_contexts, stable_nak104):
+    """The E^k table formed from row and column sums of E is the table of
+    per-entry `e_k_dim` lookups, for k = 2, 3, on every tier-1 root, stable
+    nak(10,4) and a stable sub-context."""
+    for ctx in [*exact_contexts.values(), *stable_contexts.values(), stable_nak104, _stable_sub_context()]:
+        objects = range(ctx.n_objects)
+        for k in (2, 3):
+            assert ctx.e_k_table(k) == tuple(tuple(ctx.e_k_dim(k, c, a) for a in objects) for c in objects)
+
+
+def test_a_planted_e_entry_on_the_cosyzygy_route_raises():
+    """One E entry E(C, J) one too high, with J in Sigma A, changes the
+    cosyzygy route's E^2(C, A) and leaves its syzygy route alone (A is not J,
+    or C is not in Omega C): the whole-table comparison raises, for every
+    such entry of stable nak(3,2) and of a stable sub-context."""
+    planted = 0
+    for build in (lambda: build_stable_context(nakayama_cyclic(3, 2)), _stable_sub_context):
+        ctx = build()
+        for c, a in itertools.product(range(ctx.n_objects), repeat=2):
+            for j in ctx.shift(1, a, dual=True):
+                if a == j and c in ctx.shift(1, c):
+                    continue
+                ctx = build()
+                rows = [list(row) for row in ctx.e1]
+                rows[c][j] += 1
+                ctx.e1 = tuple(map(tuple, rows))
+                with pytest.raises(ContextError, match="but cosyzygy route"):
+                    ctx.e_k_table(2)
+                planted += 1
+    assert planted
+
+
 def test_e_k_examples(exact_contexts, stable_contexts):
     mod = exact_contexts["a3_rad2"]
     s1 = mod.resolve_name("I1")
