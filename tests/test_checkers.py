@@ -35,7 +35,6 @@ from oracle import (
     cotorsion_diagonal_by_subset_walk,
     greedy_step_by_full_approximation,
     resdim_by_search,
-    rigid_supersets_by_subset_walk,
 )
 
 
@@ -300,65 +299,50 @@ def test_enumerators(exact_contexts):
     assert [h.names() for h in cot] == [["I1", "P1", "P2", "P3"]]
 
 
+def _stable_sub_context(*names):
+    parent = build_stable_context(nakayama_cyclic(4, 3))
+    return build_sub_context(parent, [parent.resolve_name(n) for n in names])
+
+
 def _enumeration_contexts(exact_contexts, stable_contexts):
+    """Every tier-1 root, three more roots, and two extension-closed
+    sub-contexts of stable nak(4,3); the second has a rigid set at n = 1
+    that monotonicity leaves unchecked."""
     return {**{f"mod {k}": c for k, c in exact_contexts.items()},
             **{f"stable {k}": c for k, c in stable_contexts.items()},
             "stable nak33": build_stable_context(nakayama_cyclic(3, 3)),
             "stable nak43": build_stable_context(nakayama_cyclic(4, 3)),
-            "mod nak33": build_exact_context(nakayama_cyclic(3, 3))}
+            "mod nak33": build_exact_context(nakayama_cyclic(3, 3)),
+            "stable nak43 sub 6": _stable_sub_context("S4", "S3", "S2", "m4", "m5", "m7"),
+            "stable nak43 sub 4": _stable_sub_context("S3", "S1", "m4", "m5")}
 
 
 def test_enumerators_match_the_subset_walk(exact_contexts, stable_contexts, monkeypatch):
     """Backtracking and Bron-Kerbosch return the subset walk's lists.  The
-    cotorsion side's boolean check sees exactly the sets that monotonicity
-    leaves open, in its order, and every set it skips fails the full
-    checker."""
-    decided = []
-    passes = checkers._diagonal_passes
+    cotorsion side runs the full checker on exactly the sets that
+    monotonicity leaves open, in its order, and every set it skips fails the
+    full checker."""
+    checked, skipped = [], 0
+    check = checkers.check_n_cotorsion
 
-    def recording(ctx, x_ids, n):
-        decided.append(frozenset(x_ids))
-        return passes(ctx, x_ids, n)
+    def recording(ctx, x_ids, y_ids, n):
+        checked.append(frozenset(x_ids))
+        return check(ctx, x_ids, y_ids, n)
 
-    monkeypatch.setattr(checkers, "_diagonal_passes", recording)
+    monkeypatch.setattr(checkers, "check_n_cotorsion", recording)
     for name, ctx in _enumeration_contexts(exact_contexts, stable_contexts).items():
         for n in (1, 2):
-            decided.clear()
+            checked.clear()
             got = enumerate_cotorsion_diagonal(ctx, n)
+            seen = list(checked)
             open_sets, verdicts = oracle.open_cotorsion_sets_by_subset_walk(ctx, n)
-            assert decided == open_sets, (name, n)
+            assert seen == open_sets, (name, n)
             assert not any(verdicts[s] for s in set(verdicts) - set(open_sets)), (name, n)
+            skipped += len(verdicts) - len(open_sets)
             assert got == cotorsion_diagonal_by_subset_walk(ctx, n), (name, n)
             want = cluster_tilting_by_subset_walk(ctx, n + 1)
             assert enumerate_cluster_tilting(ctx, n + 1) == want, (name, n)
-
-
-def test_the_boolean_diagonal_check_is_the_full_checker(exact_contexts, stable_contexts):
-    """On every rigid set at n = 1, 2, `_diagonal_passes` returns the full
-    checker's verdict."""
-    for name, ctx in _enumeration_contexts(exact_contexts, stable_contexts).items():
-        for n in (1, 2):
-            for subset in rigid_supersets_by_subset_walk(ctx, n):
-                want = check_n_cotorsion(ctx, subset, subset, n).passed
-                assert checkers._diagonal_passes(ctx, subset, n) == want, (name, n, sorted(subset))
-
-
-def test_the_boolean_diagonal_check_runs_the_right_side(monkeypatch):
-    """On the tier-1 contexts no rigid set passes one side of the diagonal
-    check and fails the other, so the equality above cannot tell whether
-    `_diagonal_passes` runs the right side.  With every right-side step
-    taken away (no inflation has a cone in the context), both checks fail
-    every rigid set that leaves an object out, on fresh stable nak(4,3) and
-    nak(5,3), where 12 and 5 such sets pass the left side at n = 2 and 1."""
-    greedy_step = checkers._greedy_step
-    monkeypatch.setattr(checkers, "_greedy_step",
-                        lambda ctx, x_ids, idx, dual: None if dual else greedy_step(ctx, x_ids, idx, dual))
-    for ctx in (build_stable_context(nakayama_cyclic(4, 3)), build_stable_context(nakayama_cyclic(5, 3))):
-        for n in (1, 2):
-            for subset in rigid_supersets_by_subset_walk(ctx, n):
-                want = check_n_cotorsion(ctx, subset, subset, n).passed
-                assert want == (len(subset) == ctx.n_objects)
-                assert checkers._diagonal_passes(ctx, subset, n) == want, (n, sorted(subset))
+    assert skipped
 
 
 def test_enumerators_do_not_call_each_other(exact_contexts, monkeypatch):

@@ -294,8 +294,8 @@ NAK104_THEOREM_N2 = "54bbd278e0771272df244448d197a285db2e10a0ac6a2ba6b3e34d5cb94
 
 
 def test_stable_nak104_verify_theorem_result_is_pinned(capsys):
-    """Stable nak(10,4) at n = 2 has 55 sets, each a hit of the cotorsion
-    side's boolean check; its `result` block keeps its recorded digest."""
+    """Stable nak(10,4) at n = 2 has 55 sets, each one the cotorsion side
+    checks and passes; its `result` block keeps its recorded digest."""
     status, out, err = _run(["verify-theorem", "--nakayama", "10,4", "--context", "stable", "-n", "2",
                              "--format", "structured", "--seed", "0"], capsys)
     assert status == 0, err
