@@ -6,14 +6,15 @@ category of a self-injective L), and extension-closed subcategories of either.
 Both roots are the class `Context`, told apart by `kind` ("mod", "stable");
 a sub-context is a `SubContext`.  A Context owns a finite list of
 indecomposable objects, an E-dimension table, lazily built extension-class
-coordinate spaces, detected projectives/injectives, enough-projectives
-witnesses kept as the object ids of their cocones (Omega C in a root; the
-witnesses' maps are never read), and context-relative syzygies.  Higher
-E-dimensions are always computed along both the syzygy and the cosyzygy
-route and must agree; a mismatch raises.  A class of E(C, A) is realized as
-a conflation A -> B -> C only as far as its callers read it:
-`Context.realize` returns the object ids of the middle term B, cached per
-class, and forms neither map of the conflation.
+coordinate spaces, detected projectives/injectives, the witnesses of enough
+projectives (injectives) as the object ids of their cocones (cones), and
+context-relative syzygies.  E^k is computed along two routes, and a mismatch
+raises: the syzygy route sums E rows over Omega^{k-1} C, a root's Omega C
+named from the module syzygy, and the cosyzygy route E columns over
+Sigma^{k-1} A, a root's Sigma A read off its Hom and E tables.  A class of
+E(C, A) is realized as a conflation A -> B -> C only as far as its callers
+read it: `Context.realize` returns the object ids of the middle term B,
+cached per class, and forms neither map of the conflation.
 
 The object list is knitted from the Auslander-Reiten quiver of mod L, one
 orbit of the algebra's vertex automorphisms at a time (`_knit`).  Every
@@ -59,9 +60,7 @@ the dimension vector of M raises.  A triangulated root first takes the
 projective-free core of M (a cone may have projective summands;
 `stable.strip_projectives` reads their multiplicities off socle ranks) and
 raises if a projective is still named.  A sub-context pulls its root's
-answer back, and reads its Hom and E tables off its parent's.  A stable
-root's Omega C, read off its E table, raises on a projective summand, and
-its Sigma C passes through the strip, which finds none (Heller's lemma).
+answer back, and reads its Hom and E tables off its parent's.
 
 Stable conflations are short exact sequences.  Every short exact sequence
 of modules is a triangle in the stable category (Happel 1988), and E(C, A)
@@ -79,10 +78,8 @@ the one source of where each automorphism of L sends a root's modules.  The
 E table takes Omega C once per orbit and moves it along the table, and
 `Context.symmetries` holds the table's columns on the objects, each
 certified to permute the modules and the objects and to keep the E table,
-which is therefore filled for every pair.  Its Omega C are the cocones of
-the enough-projectives witnesses; the enough-injectives ones are named once
-per orbit, and the checkers key their per-object caches by orbit;
-`hom_support` reads the Hom table.  A sub-context has only the identity.
+which is therefore filled for every pair.  The checkers key their per-object
+caches by orbit.  A sub-context has only the identity.
 """
 
 from __future__ import annotations
@@ -242,10 +239,14 @@ class HomVectors:
     def identify(self, m: Representation) -> Counter:
         """Object ids of m with multiplicities, in ascending id order."""
         v = [m.dims[u] if u is not None else hom_dim(x, m) for x, u in zip(self.reps, self.probe_vertex)]
+        return self.name(v, m.dims)
+
+    def name(self, v: list[int], dims: tuple[int, ...]) -> Counter:
+        """Object ids, ascending, of a module by its Hom vector and dims."""
         mult = [sum(x * v[j] for j, x in row) for row in self.r]
         if (min(mult) < 0 or _row_combination(mult, self._h_cols, len(v)) != v
-                or _row_combination(mult, self.dims, len(m.dims)) != list(m.dims)):
-            raise ContextError(f"module of dimension vector {m.dims} is not a sum of context objects")
+                or _row_combination(mult, self.dims, len(dims)) != list(dims)):
+            raise ContextError(f"module of dimension vector {dims} is not a sum of context objects")
         return Counter({i: k for i, k in enumerate(mult) if k})
 
 
@@ -508,7 +509,7 @@ class Context:
     def enough(self, dual: bool = False) -> tuple[bool, dict[int, Counter]]:
         """Whether every object has a deflation from a projective (with `dual`,
         an inflation into an injective) of the context, and their cocones
-        (cones) by object id: a root's Omega C off its E table (Sigma C)."""
+        (cones) by object id: a root's Omega C (Sigma C) off its tables."""
         if dual not in self._witnesses:
             self._witnesses[dual] = self._find_enough_witnesses(dual)
         witnesses = self._witnesses[dual]
@@ -517,13 +518,25 @@ class Context:
     def _find_enough_witnesses(self, dual: bool) -> dict[int, Counter]:
         """A root's witness for C is the projective cover (injective hull)
         in an exact root and the zero map 0 -> C (C -> 0) in a triangulated
-        one.  Either way its cocone is Omega C, as `_e1_table` named it, and
-        its cone Sigma C, named from the cached `homology.cosyzygy` once per
-        orbit, through the strip in a stable root (Heller's lemma: a no-op)."""
+        one.  Its cocone is Omega C, as `_e1_table` named it, and its cone
+        Sigma C in 0 -> C -> I(C) -> Sigma C -> 0 is named with no module
+        formed: Ext^1(X, I(C)) = 0 gives hom(X, Sigma C) = hom(X, I(C)) -
+        hom(X, C) + dim E(X, C), I(C) holds soc_v(C) = hom(S_v, C) copies of
+        each I_v, and E = 0 on a dropped projective, which raises if named."""
         if not dual:
             return self._omega
-        ends = self.symmetries.by_orbit(lambda i: self.identify_sum(cosyzygy(self.objects[i].rep)))
-        return dict(enumerate(ends))
+        hv, n = self._hom_vectors, self.n_objects
+        simples = {x.index(1): j for j, x in enumerate(hv.dims) if sum(x) == 1}  # S_v by vertex v
+        injectives = [hv.dims[hv._h_cols.index(col)] for col in zip(*hv.dims)]  # H column of I_v: dim X_v
+        ends = {}
+        for c, dims in enumerate(hv.dims[:n]):
+            soc = [hv.h[simples[u]][c] for u in range(len(dims))]
+            v = [sum(map(mul, soc, x)) - hv.h[j][c] + (self.e1[j][c] if j < n else 0)
+                 for j, x in enumerate(hv.dims)]
+            ends[c] = hv.name(v, tuple(_row_combination([*soc, -1], [*injectives, dims], len(dims))))
+            if any(i >= n for i in ends[c]):
+                raise ContextError(f"Sigma C for C of dimension vector {dims} has a projective summand")
+        return ends
 
     # -- context-relative syzygies ------------------------------------------
 

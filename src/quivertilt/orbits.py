@@ -52,13 +52,3 @@ class Symmetries:
             return ids
         inv = self.inverses[k]
         return Counter(dict(sorted((inv[i], m) for i, m in ids.items())))
-
-    def by_orbit(self, compute) -> list:
-        """compute(idx), a multiset of object ids, for every object: computed
-        at the least member of each orbit and moved to the others."""
-        out: list = []
-        for idx in range(len(self.perms[0])):
-            k, low, _ = self.least(idx)
-            out.append(compute(idx) if low == idx else self.pull(k, out[low]))
-        return out
-

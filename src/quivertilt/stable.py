@@ -9,20 +9,17 @@ category (Happel 1988), so a context realizes its conflations as short
 exact sequences, and reads stable Hom(Omega C, A) as module Ext^1(C, A)
 (`contexts.StableExtSpace`).
 
-A stable context checks that the algebra is self-injective, reads Omega M
-off its E table, from the syzygy held by M's minimal resolution, and names
-Sigma M from `cosyzygy`.  Over a self-injective algebra the kernel of a
-projective cover and the cokernel of an injective hull have no projective
-summands (Heller's lemma): the E table raises on one in Omega M, and the
-strip that Sigma M passes through finds none.  A cone may have projective
-summands; `strip_projectives` removes them without splitting M.  Each P_v
-is injective with simple socle S_w, w = nu(v), spanned by one combination
-omega_v of paths v -> w, so a map P_v -> M is mono iff it does not kill
-omega_v, and a mono out of an injective module splits (injective modules
-are direct summands of every module containing them;
-Auslander-Reiten-Smalo IV.3).  So the multiplicity of P_v in M is the rank
-of M(omega_v): M_v -> M_w, and generators at the pivot columns give a split
-mono from the sum of those projectives whose cokernel is the
+A stable context checks that the algebra is self-injective and reads Omega
+M and Sigma M off its tables.  Over a self-injective algebra neither has a
+projective summand (Heller's lemma), and the context raises on one.  A cone
+may have projective summands; `strip_projectives` removes them without
+splitting M.  Each P_v is injective with simple socle S_w, w = nu(v),
+spanned by one combination omega_v of paths v -> w, so a map P_v -> M is
+mono iff it does not kill omega_v, and a mono out of an injective module
+splits (injective modules are direct summands of every module containing
+them; Auslander-Reiten-Smalo IV.3).  So the multiplicity of P_v in M is the
+rank of M(omega_v): M_v -> M_w, and generators at the pivot columns give a
+split mono from the sum of those projectives whose cokernel is the
 projective-free core.
 """
 

@@ -37,7 +37,11 @@ profile was read off dimensions: one intertwining system per probe.
 as the loop of its mapping cone.  `loop` and `suspension` were
 `stable.loop` and `stable.suspension`, which the enough-projectives
 witnesses of a stable context used before they named Omega C (Sigma C)
-through `homology.syzygy` (`cosyzygy`) in every root.
+through `homology.syzygy` (`cosyzygy`) in every root.  A root now reads
+Omega C off its E table and Sigma C off its Hom and E tables;
+`sigma_by_cosyzygy` is the naming of Sigma C from `cosyzygy` that roots
+made before, the reference their enough-injectives witnesses are compared
+with.
 
 `approximation_by_adds` is `homology.approximation` summed one map at a
 time, with `extra` as one more summand: the augmented approximation that
@@ -540,6 +544,13 @@ def suspension(m: Representation) -> Representation:
     Heller's lemma and quasi-inverse to loop on projective-free objects."""
     require_self_injective(m.algebra)
     return cosyzygy(m)
+
+
+def sigma_by_cosyzygy(ctx) -> dict[int, Counter]:
+    """The cone ids of a root's enough-injectives witnesses, by object id:
+    Sigma C named from the module `homology.cosyzygy(C)` by
+    `Context.identify_sum`, which strips projectives in a stable root."""
+    return {c: ctx.identify_sum(cosyzygy(o.rep)) for c, o in enumerate(ctx.objects)}
 
 
 def loop(m: Representation) -> Representation:

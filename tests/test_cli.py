@@ -304,6 +304,31 @@ def test_stable_nak104_verify_theorem_result_is_pinned(capsys):
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == NAK104_THEOREM_N2
 
 
+# Recorded while E^k checked Omega rows named from module syzygies against
+# Sigma rows named from module cosyzygies, before a root read Sigma C off its
+# Hom and E tables.  E6 at n = 2 has no sets, so its result is E8's.
+E6_SPEC = str(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "e6.alg")
+E_K_ROUTE_DIGESTS = {
+    "stable nak(5,3) ext-table": (("ext-table", "--nakayama", "5,3", "--context", "stable", "--kmax", "3"),
+                                  "178be3114f2abb3f315453e0e00f18de226dd6337ef5d2a8e6ed36c782e00661"),
+    "mod nak(4,3) F3 ext-table": (("ext-table", "--nakayama", "4,3", "--context", "mod", "--field", "3",
+                                   "--kmax", "3"),
+                                  "dd1d118aaff69aa7e9250eb82221a4cc450d00194b12784b9640e7d219fe52bf"),
+    "E6 n=2": (("verify-theorem", "--algebra", E6_SPEC, "-n", "2"), E8_THEOREM_N2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(E_K_ROUTE_DIGESTS))
+def test_results_through_both_e_k_routes_are_pinned(name, capsys):
+    """E^k tables up to k = 3 and E6's theorem check at n = 2 read both
+    routes of `Context.e_k_dim`; their `result` blocks keep their digests."""
+    args, digest = E_K_ROUTE_DIGESTS[name]
+    status, out, err = _run([*args, "--format", "structured", "--seed", "0"], capsys)
+    assert status == 0, err
+    result = json.loads(out)["result"]
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("missing, error", [
     ({(1, False), (2, True)}, "object S2 has no inflation into an injective"),
     ({(0, False), (0, True)}, "object S4 has no deflation from a projective"),

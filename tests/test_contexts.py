@@ -42,6 +42,7 @@ from oracle import (
     integer_inverse_by_fractions,
     labels_by_search,
     middle_terms_by_splitting,
+    sigma_by_cosyzygy,
     sum_rep,
 )
 from test_symmetries import ORBIT_KNIT_ALGEBRAS
@@ -263,7 +264,9 @@ def test_a_planted_e_entry_on_the_cosyzygy_route_raises():
     """One E entry E(C, J) one too high, with J in Sigma A, changes the
     cosyzygy route's E^2(C, A) and leaves its syzygy route alone (A is not J,
     or C is not in Omega C): the whole-table comparison raises, for every
-    such entry of stable nak(3,2) and of a stable sub-context."""
+    such entry of stable nak(3,2) and of a stable sub-context.  A root names
+    Sigma A off its E table, so the witnesses are named before the entry is
+    planted, and the comparison is what meets it."""
     planted = 0
     for build in (lambda: build_stable_context(nakayama_cyclic(3, 2)), _stable_sub_context):
         ctx = build()
@@ -272,6 +275,7 @@ def test_a_planted_e_entry_on_the_cosyzygy_route_raises():
                 if a == j and c in ctx.shift(1, c):
                     continue
                 ctx = build()
+                ctx.enough(dual=True)
                 rows = [list(row) for row in ctx.e1]
                 rows[c][j] += 1
                 ctx.e1 = tuple(map(tuple, rows))
@@ -386,6 +390,22 @@ def _assert_witnesses_match_splitting(name, ctx):
             assert list(ends) == sorted(ends), (name, dual, ctx.object_names[idx])
 
 
+def test_sigma_c_off_the_tables_is_the_cosyzygy_naming(exact_contexts, stable_contexts, stable_nak104):
+    """A root's enough-injectives cones, read off its Hom and E tables, are
+    Sigma C as `oracle.sigma_by_cosyzygy` names it from the module cosyzygy,
+    in ascending id order, on every tier-1 root, E7, E8, stable nak(10,4)
+    and stable nak(4,3).  On the last, E(S4, S2) one too high still gives a
+    certified name, the wrong one."""
+    roots = {**exact_contexts, **{f"stable {k}": c for k, c in stable_contexts.items()},
+             "stable nak(10,4)": stable_nak104, "stable nak(4,3)": build_stable_context(nakayama_cyclic(4, 3))}
+    roots.update((name, build_exact_context(parse_algebra(EXCEPTIONAL[name][0]))) for name in ("E7", "E8"))
+    for name, ctx in roots.items():
+        ok, witnesses = ctx.enough(dual=True)
+        assert ok, name
+        assert {c: list(ids.items()) for c, ids in witnesses.items()} == {
+            c: sorted(ids.items()) for c, ids in sigma_by_cosyzygy(ctx).items()}, name
+
+
 def test_witnesses_match_splitting_along_long_orbits(stable_nak104):
     """The witness half of the test above where the twist table moves the
     names of Omega C furthest: stable nak(10,4), whose rotations make orbits
@@ -397,7 +417,9 @@ def test_witnesses_match_splitting_along_long_orbits(stable_nak104):
 def test_a_built_root_names_omega_only_in_its_e_table(monkeypatch):
     """A built root's enough-projectives witnesses are the Omega C rows of
     its E table: enough() calls neither `syzygy` nor `HomVectors.identify`.
-    Its enough-injectives witnesses are named from one cosyzygy per orbit."""
+    Its enough-injectives witnesses are read off its Hom and E tables:
+    enough(dual=True) forms no cosyzygy, strips nothing and solves no Hom
+    system, on both roots and on E8."""
     roots = [build_exact_context(nakayama_cyclic(4, 3, 3)), build_stable_context(nakayama_cyclic(5, 3))]
 
     def refuse(*args):
@@ -409,13 +431,17 @@ def test_a_built_root_names_omega_only_in_its_e_table(monkeypatch):
         ok, witnesses = ctx.enough()
         assert ok and sorted(witnesses) == list(range(ctx.n_objects))
     monkeypatch.undo()
-    shifted = []
-    monkeypatch.setattr(contexts, "cosyzygy", lambda rep: shifted.append(rep) or cosyzygy(rep))
+    roots.append(build_exact_context(parse_algebra(EXCEPTIONAL["E8"][0])))
+
+    def refuse_sigma(*args):
+        raise AssertionError("Sigma C named from a module")
+
+    for name in ("cosyzygy", "strip_projectives", "hom_dim"):
+        monkeypatch.setattr(contexts, name, refuse_sigma)
+    monkeypatch.setattr(HomVectors, "identify", refuse_sigma)
     for ctx in roots:
-        shifted.clear()
-        assert ctx.enough(dual=True)[0]
-        leaders = [ctx.objects[i].rep for i in range(ctx.n_objects) if ctx.symmetries.least(i)[1] == i]
-        assert shifted == leaders
+        ok, witnesses = ctx.enough(dual=True)
+        assert ok and sorted(witnesses) == list(range(ctx.n_objects))
 
 
 def test_a_projective_in_omega_c_raises_in_a_stable_root(monkeypatch):
