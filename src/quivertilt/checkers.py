@@ -64,13 +64,14 @@ Hom support of C build the same map, not merely an isomorphic one.  So a
 step is keyed by that intersection, C and the side.  The key depends on X,
 C and Hom(-, C) (Hom(C, -)) alone, never on a verdict.
 
-Steps and chain lengths are also shared across the automorphism orbits of
-the context (`Context.symmetries`, see `contexts`): for a permutation g
-induced by an automorphism of the algebra, step(gX, gC) = g step(X, C) and
-the chain length of gC by add(gX) is that of C by add(X).  So a step is
-built, and a chain length computed, only for the orbit-least key, and other
-keys are moved there and back.  The orthogonality clauses read the E^k
-bitmask rows that the enumerations build once per context.
+Steps are also shared across the automorphism orbits of the context
+(`Context.symmetries`, see `contexts`): for a permutation g induced by an
+automorphism of the algebra, step(gX, gC) = g step(X, C), so a step is
+built only for the orbit-least key and moved to the others.  Only steps
+are cached: a chain length is read off them on each call, in at most n-1
+rounds of lookups, and no cache is keyed by a whole candidate set X.  The
+orthogonality clauses read the E^k bitmask rows that the enumerations
+build once per context.
 
 `verify_theorem` compares two enumerations whose cost follows their output.
 Both start from one compatibility bitmask: objects i and j are compatible
@@ -241,22 +242,9 @@ def _greedy_step(ctx: Context, x_ids: frozenset, idx: int, dual: bool):
     return cache[key]
 
 
-def _greedy_resdim(ctx: Context, x_ids: frozenset, idx: int, bound: int, dual: bool):
-    """Length of the canonical chain of the object by add(X), up to the
-    bound; read under the orbit-least (X, object)."""
-    key = (x_ids, idx, bound, dual)
-    cache = ctx.__dict__.setdefault("_greedy_resdim_cache", {})
-    if key in cache:
-        return cache[key]
-    _, low, low_x = ctx.symmetries.least(idx, x_ids)
-    low_key = (low_x, low, bound, dual)
-    if low_key not in cache:
-        cache[low_key] = _greedy_chain(ctx, low_x, low, bound, dual)
-    cache[key] = cache[low_key]
-    return cache[key]
-
-
 def _greedy_chain(ctx: Context, x_ids: frozenset, idx: int, bound: int, dual: bool):
+    """Length of the canonical chain of the object by add(X), up to the
+    bound, read off the cached steps."""
     current = Counter({idx: 1})
     value = EXCEEDS
     for depth in range(bound + 1):
@@ -311,7 +299,7 @@ def resdim(ctx: Context, x_ids, target, bound: int, dual: bool = False):
     counter = _as_counter(target)
     if bound < 0:
         raise ContextError("resolution bound must be >= 0")
-    values = [_greedy_resdim(ctx, x_ids, i, bound, dual) for i in counter]
+    values = [_greedy_chain(ctx, x_ids, i, bound, dual) for i in counter]
     if all(isinstance(v, int) for v in values):
         return max(values, default=0)
     return EXCEEDS

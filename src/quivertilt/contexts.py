@@ -55,12 +55,14 @@ Auslander (1982) that vector determines a module over a
 representation-finite algebra, so M holds R v copies of each X.  An exact
 root's modules are its objects; a triangulated root keeps the
 indecomposable projectives its object list leaves out as extra columns.  An
-answer that is not a non-negative integer vector reproducing v under H and
-the dimension vector of M raises.  A triangulated root first takes the
-projective-free core of M (a cone may have projective summands;
-`stable.strip_projectives` reads their multiplicities off socle ranks) and
-raises if a projective is still named.  A sub-context pulls its root's
-answer back, and reads its Hom and E tables off its parent's.
+answer that is not a non-negative integer vector with the dimension vector
+of M raises.  Only those two checks can reject a name: H is square and
+R H = I is certified, so H R = I and R v always reproduces v under H.  A
+triangulated root first takes the projective-free core of M (a cone may
+have projective summands; `stable.strip_projectives` reads their
+multiplicities off socle ranks) and raises if a projective is still named.
+A sub-context pulls its root's answer back, and reads its Hom and E tables
+off its parent's.
 
 Stable conflations are short exact sequences.  Every short exact sequence
 of modules is a triangle in the stable category (Happel 1988), and E(C, A)
@@ -78,8 +80,8 @@ the one source of where each automorphism of L sends a root's modules.  The
 E table takes Omega C once per orbit and moves it along the table, and
 `Context.symmetries` holds the table's columns on the objects, each
 certified to permute the modules and the objects and to keep the E table,
-which is therefore filled for every pair.  The checkers key their per-object
-caches by orbit.  A sub-context has only the identity.
+which is therefore filled for every pair.  The checkers key their
+approximation steps by orbit.  A sub-context has only the identity.
 """
 
 from __future__ import annotations
@@ -222,9 +224,11 @@ class HomVectors:
     copies of X_i where H m = v and H[j][i] = dim Hom(X_j, X_i).  H and its
     inverse R come from the root's AR mesh (`_mesh_hom_vectors`), so
     m = R v and no Hom matrix is solved here.  Every answer is checked to be
-    a non-negative integer vector with H m = v and the dimension vector of M,
-    so an incomplete list raises instead of naming a wrong module.  H and R
-    are tuples of rows."""
+    a non-negative integer vector with the dimension vector of M, so an
+    incomplete list raises instead of naming a wrong module.  Those are the
+    only checks that can fail: R H = I is certified and both are square, so
+    H R = I and H (R v) = v for every integer v.  H and R are tuples of
+    rows."""
 
     def __init__(self, reps: list[Representation], h: tuple, r: tuple):
         self.reps = reps
@@ -244,8 +248,7 @@ class HomVectors:
     def name(self, v: list[int], dims: tuple[int, ...]) -> Counter:
         """Object ids, ascending, of a module by its Hom vector and dims."""
         mult = [sum(x * v[j] for j, x in row) for row in self.r]
-        if (min(mult) < 0 or _row_combination(mult, self._h_cols, len(v)) != v
-                or _row_combination(mult, self.dims, len(dims)) != list(dims)):
+        if min(mult) < 0 or _row_combination(mult, self.dims, len(dims)) != list(dims):
             raise ContextError(f"module of dimension vector {dims} is not a sum of context objects")
         return Counter({i: k for i, k in enumerate(mult) if k})
 
@@ -350,7 +353,6 @@ class Context:
         self._ext_spaces: dict[tuple[int, int], object] = {}
         self._conflation_cache: dict[tuple[int, int, tuple[int, ...]], Counter] = {}  # middle-term ids
         self._shift_cache: dict[tuple[bool, int, int], Counter] = {}
-        self._ek_cache: dict[tuple[int, int, int], int] = {}
         self._witnesses: dict[bool, dict[int, Counter]] = {}
         self._omega: dict[int, Counter] = {}  # roots: Omega C by object id, kept from the E table
         self._hom_support: dict[tuple[int, bool], frozenset[int]] = {}
@@ -568,17 +570,15 @@ class Context:
         return hit
 
     def e_k_dim(self, k: int, c, a) -> int:
-        """dim E^k; computes the syzygy route and checks the cosyzygy route."""
+        """dim E^k(C, A): the syzygy route, E over Omega^{k-1} C, checked
+        against the cosyzygy route, E over Sigma^{k-1} A.  Both are read off
+        the cached shifts on every call; no entry is cached."""
         if k < 1:
             raise ContextError("extension degree must be >= 1")
         if k == 1:
             return self.e_dim(c, a)
-        hit = self._ek_cache.get((k, c, a))
-        if hit is not None:
-            return hit
         omega_route = self.e_dim(self.shift(k - 1, c), a)
         self._check_routes(k, c, a, omega_route, self.e_dim(c, self.shift(k - 1, a, dual=True)))
-        self._ek_cache[(k, c, a)] = omega_route
         return omega_route
 
     def _check_routes(self, k: int, c: int, a: int, omega_route: int, sigma_route: int) -> None:

@@ -11,7 +11,9 @@ table, one row per module and one column per automorphism, is the one
 source of the action, and a root reads each permutation of its objects off
 a column, certified against its E table.  `Symmetries` holds the
 permutations and names the orbit-least key of a per-object computation,
-which is then done once per orbit and moved to the rest of it.
+which is then done once per orbit and moved to the rest of it.  In
+`checkers` that computation is the approximation step, the cocone (cone)
+of the canonical approximation of an object by a set of members.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Symmetries:
         # the permutations sending each object to the least of its orbit
         self._lowering = [[k for k, g in enumerate(perms) if g[i] == lows[i]] for i in range(n)]
 
-    def least(self, idx: int, members=frozenset()) -> tuple[int, int, frozenset[int]]:
+    def least(self, idx: int, members: frozenset[int]) -> tuple[int, int, frozenset[int]]:
         """(k, g idx, g members) for the k-th permutation g making the key
         (idx, members) orbit-least."""
         ks = self._lowering[idx]

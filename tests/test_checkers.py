@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 from collections import Counter
@@ -384,6 +385,27 @@ def test_cluster_tilting_on_stable_nak104(stable_nak104):
     hits = enumerate_cluster_tilting(stable_nak104, 3)
     assert len(hits) == 55
     assert len({h.ids for h in hits}) == 55
+
+
+def test_checker_caches_are_keyed_by_steps_not_candidate_sets(stable_nak104):
+    """After `verify_theorem` at n = 2 on stable nak(10,4), every cache the
+    checkers hang on the context is keyed by an approximation step
+    (members, object, side) with the members inside the Hom support of the
+    object on that side, or, for the E^k bitmask rows, by a degree.  So no
+    cache is keyed by a whole candidate set, and none grows with the number
+    of sets checked."""
+    ctx = stable_nak104
+    assert verify_theorem(ctx, 2)["sets_equal"]
+    names = set(re.findall(r'"(_\w+_cache)"', inspect.getsource(checkers)))
+    caches = {name: ctx.__dict__[name] for name in names if name in ctx.__dict__}
+    assert all(isinstance(k, int) for k in caches.pop("_orth_bitmasks_cache"))
+    assert caches.get("_greedy_step_cache")
+    for name, cache in caches.items():
+        for key in cache:
+            assert isinstance(key, tuple) and len(key) == 3, (name, key)
+            members, idx, dual = key
+            assert isinstance(members, frozenset) and isinstance(dual, bool), (name, key)
+            assert members <= ctx.hom_support(idx, dual), (name, key)
 
 
 def test_enumeration_on_semisimple_context():

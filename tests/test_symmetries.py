@@ -174,8 +174,9 @@ def test_search_job_output_does_not_depend_on_the_orbits(monkeypatch):
 
 
 def test_checker_caches_are_keyed_by_orbit():
-    """On stable nak(5,3) every step and chain value under a rotated key is
-    the rotated value under the original one."""
+    """On stable nak(5,3) every step under a rotated key is the rotated step
+    under the original one, and the public `resdim` of a rotated object by
+    the rotated set is that of the object by the set."""
     ctx = build_stable_context(nakayama_cyclic(5, 3))
     sym = ctx.symmetries
     x = frozenset(enumerate_cotorsion_diagonal(ctx, 1)[0].ids)
@@ -188,8 +189,7 @@ def test_checker_caches_are_keyed_by_orbit():
                 assert (step is None) == (moved is None)
                 if step is not None:
                     assert moved == {g[i]: m for i, m in step.items()}
-                assert (checkers._greedy_resdim(ctx, x, idx, 1, dual)
-                        == checkers._greedy_resdim(ctx, gx, g[idx], 1, dual))
+                assert checkers.resdim(ctx, x, idx, 1, dual) == checkers.resdim(ctx, gx, g[idx], 1, dual)
 
 
 def _orbit_count(algebra, reps) -> int:
